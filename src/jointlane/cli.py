@@ -27,6 +27,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="jointlane",
@@ -38,8 +48,8 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--strategy", choices=STRATEGIES, default="proposed")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--horizon", type=float, default=None,
-                        help="injection horizon in seconds (default: scenario meta)")
+    parser.add_argument("--horizon", type=_positive_seconds, default=None,
+                        help="injection horizon in seconds, > 0 (default: scenario meta)")
     parser.add_argument("--out", default=None,
                         help="output directory (default: $JOINTLANE_OUT or ./out)")
     parser.add_argument("--set", dest="sets", action="append", default=[],

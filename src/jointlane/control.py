@@ -13,12 +13,12 @@ Three strategies share one interface:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import routing
 from .engine import World
-from .network import Lane, SegmentRef, VehicleClass
-from .prediction import PredictionSnapshot
+from .network import Lane, NetworkModel, SegmentRef, VehicleClass
+from .prediction import PredictionSnapshot, bpr_time
 
 STRATEGIES = ("drp", "prp", "proposed")
 
@@ -123,6 +123,17 @@ def protection_actions(snapshot: PredictionSnapshot, params: ControlParams) -> P
     return ProtectionActions(warned, tuple(forced), frozenset(banned))
 
 
+def _protected_decision(
+    snapshot: PredictionSnapshot, params: ControlParams
+) -> tuple[ControlDecision, frozenset[int]]:
+    """A decision holding the forced exits and bans, plus the forced vehicle ids."""
+    prot = protection_actions(snapshot, params)
+    decision = ControlDecision(t=snapshot.t, warned=prot.warned, banned=prot.banned)
+    for vid, seg in prot.forced:
+        decision.actions.append(LaneAction(vid, seg, -1, forced=True))
+    return decision, frozenset(vid for vid, _ in prot.forced)
+
+
 # -- utility terms ----------------------------------------------------------------
 
 
@@ -224,19 +235,13 @@ def pick_winner(scored: list[tuple[int, float]]) -> Optional[tuple[int, float]]:
 
 def select_lane_changes(snapshot: PredictionSnapshot, params: ControlParams) -> ControlDecision:
     """Hard protection plus one positively scored winner per segment."""
-    prot = protection_actions(snapshot, params)
-    decision = ControlDecision(
-        t=snapshot.t, warned=prot.warned, banned=prot.banned
-    )
-    forced_ids = frozenset(vid for vid, _ in prot.forced)
-    for vid, seg in prot.forced:
-        decision.actions.append(LaneAction(vid, seg, -1, forced=True))
+    decision, forced_ids = _protected_decision(snapshot, params)
     occupied: dict[SegmentRef, bool] = {}
     for view in snapshot.vehicles.values():
         if view.vclass is VehicleClass.CAV:
             occupied[view.segment] = True
     for seg in sorted(occupied):
-        candidates = build_candidates(snapshot, seg, prot.banned, excluded=forced_ids)
+        candidates = build_candidates(snapshot, seg, decision.banned, excluded=forced_ids)
         if not candidates:
             continue
         scored = []
@@ -261,31 +266,29 @@ def select_lane_changes(snapshot: PredictionSnapshot, params: ControlParams) -> 
 # -- rerouting ------------------------------------------------------------------
 
 
-def predicted_cost_view(snapshot: PredictionSnapshot) -> dict[int, float]:
-    """Edge costs from the same short-horizon prediction used for monitoring."""
-    model = snapshot.model
+def _edge_costs(model: NetworkModel, seg_time: Callable[[SegmentRef], float]) -> dict[int, float]:
+    """Per edge, the sum over both halves of the fastest CAV-permitted lane."""
     costs: dict[int, float] = {}
     for eid in model.edges:
+        lanes = model.permitted_lanes(VehicleClass.CAV, eid)
         total = 0.0
         for m in (1, 2):
-            lanes = model.permitted_lanes(VehicleClass.CAV, eid)
-            total += min(snapshot.predicted(SegmentRef(eid, l, m)) for l in lanes)
+            total += min(seg_time(SegmentRef(eid, l, m)) for l in lanes)
         costs[eid] = total
     return costs
+
+
+def predicted_cost_view(snapshot: PredictionSnapshot) -> dict[int, float]:
+    """Edge costs from the same short-horizon prediction used for monitoring."""
+    return _edge_costs(snapshot.model, snapshot.predicted)
 
 
 def instantaneous_cost_view(world: World) -> dict[int, float]:
     """Edge costs from current segment speeds (reactive view)."""
     model = world.model
-    costs: dict[int, float] = {}
-    for eid, edge in model.edges.items():
-        total = 0.0
-        for m in (1, 2):
-            lanes = model.permitted_lanes(VehicleClass.CAV, eid)
-            speed = max(world.segment_speed(SegmentRef(eid, l, m)) for l in lanes)
-            total += edge.seg_length / speed
-        costs[eid] = total
-    return costs
+    return _edge_costs(
+        model, lambda seg: model.edge(seg.edge).seg_length / world.segment_speed(seg)
+    )
 
 
 def rerouting_escalation(
@@ -363,20 +366,14 @@ def rerouting_escalation(
             assignments.append(RouteAssignment(vid, tuple(new_route)))
             taken.add(vid)
             conflict_n = max(0, conflict_n - 1)
-            bus_time = _bpr(model, seg, conflict_n / two_h, bpr)
+            bus_time = bpr_time(t0_seg, conflict_n / two_h, model.capacity(seg), bpr)
             tau_adj = snapshot.tau[vid].get(adjacent)
             if tau_adj is not None and 0 <= tau_adj < snapshot.dt:
                 gpl_flow = max(0.0, gpl_flow - 1.0 / snapshot.dt)
-                gpl_time = _bpr(model, adjacent, gpl_flow, bpr)
+                gpl_time = bpr_time(t0_adj, gpl_flow, model.capacity(adjacent), bpr)
         if not cleared():
             exhausted += 1
     return assignments, exhausted
-
-
-def _bpr(model, seg, flow, params):
-    from .prediction import bpr_time
-
-    return bpr_time(model.t0(seg), flow, model.capacity(seg), params)
 
 
 # -- myopic behaviour (baseline strategies) -------------------------------------------
@@ -439,31 +436,6 @@ def strategy_step(
     params: ControlParams,
 ) -> ControlDecision:
     """One control step of the chosen strategy."""
-    if strategy == "proposed":
-        decision = select_lane_changes(snapshot, params)
-        costs = predicted_cost_view(snapshot)
-        reroutes, exhausted = rerouting_escalation(
-            world, snapshot, params, decision.warned, costs, require_gpl_gate=True
-        )
-        decision.reroutes = reroutes
-        decision.escalation_exhausted = exhausted
-        return decision
-    if strategy == "prp":
-        prot = protection_actions(snapshot, params)
-        decision = ControlDecision(t=snapshot.t, warned=prot.warned, banned=prot.banned)
-        forced_ids = frozenset(vid for vid, _ in prot.forced)
-        for vid, seg in prot.forced:
-            decision.actions.append(LaneAction(vid, seg, -1, forced=True))
-        decision.actions.extend(
-            myopic_lane_actions(world, snapshot, prot.banned, excluded=forced_ids)
-        )
-        costs = predicted_cost_view(snapshot)
-        reroutes, exhausted = rerouting_escalation(
-            world, snapshot, params, prot.warned, costs, require_gpl_gate=False
-        )
-        decision.reroutes = reroutes
-        decision.escalation_exhausted = exhausted
-        return decision
     if strategy == "drp":
         decision = ControlDecision(t=snapshot.t)
         decision.actions.extend(
@@ -472,4 +444,18 @@ def strategy_step(
         costs = instantaneous_cost_view(world)
         decision.reroutes = reactive_reroutes(world, snapshot, params, costs)
         return decision
-    raise ControlError(f"unknown strategy {strategy!r}")
+    if strategy == "proposed":
+        decision = select_lane_changes(snapshot, params)
+    elif strategy == "prp":
+        decision, forced_ids = _protected_decision(snapshot, params)
+        decision.actions.extend(
+            myopic_lane_actions(world, snapshot, decision.banned, excluded=forced_ids)
+        )
+    else:
+        raise ControlError(f"unknown strategy {strategy!r}")
+    costs = predicted_cost_view(snapshot)
+    decision.reroutes, decision.escalation_exhausted = rerouting_escalation(
+        world, snapshot, params, decision.warned, costs,
+        require_gpl_gate=strategy == "proposed",
+    )
+    return decision

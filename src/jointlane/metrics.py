@@ -116,10 +116,6 @@ def avg_completed_travel_time(
     return sum(done) / len(done)
 
 
-def cumulative_lane_changes(events: Iterable[tuple], up_to: float) -> int:
-    return sum(1 for e in events if e[0] <= up_to)
-
-
 def sample_kpis(world: World, t: float) -> KpiSample:
     bus_total = sum(
         v.arrival_time - v.depart_time

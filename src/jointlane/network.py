@@ -143,12 +143,10 @@ class NetworkModel:
                 )
             if not (0 < s.offset <= edge.length):
                 raise NetworkError(f"bus stop {s.id}: offset outside (0, length]")
-        # node -> outgoing / incoming edge ids, sorted for determinism
+        # node -> outgoing edge ids, sorted for determinism
         self._out: dict[int, tuple[int, ...]] = {n: () for n in self.nodes}
-        self._in: dict[int, tuple[int, ...]] = {n: () for n in self.nodes}
         for e in self.edges.values():
             self._out[e.frm] = self._out[e.frm] + (e.id,)
-            self._in[e.to] = self._in[e.to] + (e.id,)
         # successor edges per edge, any lane
         self._next: dict[int, tuple[int, ...]] = {}
         for (src, dst) in sorted(self.connections):
@@ -180,9 +178,6 @@ class NetworkModel:
 
     def out_edges(self, node: int) -> tuple[int, ...]:
         return self._out.get(node, ())
-
-    def in_edges(self, node: int) -> tuple[int, ...]:
-        return self._in.get(node, ())
 
     def next_edges(self, edge_id: int) -> tuple[int, ...]:
         return self._next.get(edge_id, ())

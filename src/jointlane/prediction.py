@@ -10,7 +10,7 @@ lane segment it has yet to traverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .engine import VehicleState, World
@@ -140,6 +140,45 @@ class BusWindows:
         return any(lo <= when <= hi for _, lo, hi in self.covering(seg))
 
 
+def _stop_distances(
+    model: NetworkModel, veh: VehicleState, entries: list[tuple[SegmentRef, float]]
+) -> list[float]:
+    """Distance ahead of every unserved stop on the remaining route.
+
+    A stop on the current edge counts only while it is still ahead; a stop on
+    a later edge sits its offset past that edge's first projected entrance.
+    """
+    pos = veh.pos_in_edge(model)
+    entrance: dict[int, float] = {}
+    for ref, dist in entries:
+        if ref.m == 1:
+            entrance.setdefault(ref.edge, dist)
+    out = []
+    for visit in veh.stop_plan[veh.next_stop :]:
+        stop = model.bus_stops[visit.stop]
+        if stop.edge == veh.edge_id:
+            if stop.offset > pos:
+                out.append(stop.offset - pos)
+        elif stop.edge in entrance:
+            out.append(entrance[stop.edge] + stop.offset)
+    return out
+
+
+def _eta_at(
+    model: NetworkModel, veh: VehicleState, dist: float, stops: list[float], now: float
+) -> float:
+    """Bus ETA to a point `dist` ahead, given the distances of unserved stops."""
+    if veh.is_dwelling:
+        # remaining distance at per-edge free-flow speeds
+        travel = _free_flow_time(model, veh, dist)
+        residual = max(0.0, veh.dwell_until - now)
+    else:
+        travel = dist / max(veh.speed, MIN_PROJECTION_SPEED)
+        residual = 0.0
+    dwells = veh.dwell * sum(1 for ahead in stops if ahead < dist)
+    return travel + residual + dwells
+
+
 def bus_eta(model: NetworkModel, veh: VehicleState, seg: SegmentRef, now: float) -> Optional[float]:
     """Predicted time for a bus to enter a segment on its remaining route.
 
@@ -150,30 +189,11 @@ def bus_eta(model: NetworkModel, veh: VehicleState, seg: SegmentRef, now: float)
     """
     if veh.segment == seg:
         return 0.0
-    edge = model.edge(veh.edge_id)
-    pos = veh.pos_in_edge(model)
-    # distance to the segment entrance along the remaining route
-    dist = None
-    if seg.edge == veh.edge_id and seg.m == 2 and veh.m == 1:
-        dist = edge.seg_length - pos
-    else:
-        ahead = edge.length - pos
-        for eid in veh.route[veh.route_index + 1 :]:
-            if eid == seg.edge:
-                dist = ahead + (0.0 if seg.m == 1 else model.edge(eid).seg_length)
-                break
-            ahead += model.edge(eid).length
-    if dist is None:
-        return None
-    if veh.is_dwelling:
-        # remaining distance at per-edge free-flow speeds
-        travel = _free_flow_time(model, veh, dist)
-        residual = max(0.0, veh.dwell_until - now)
-    else:
-        travel = dist / max(veh.speed, MIN_PROJECTION_SPEED)
-        residual = 0.0
-    dwells = veh.dwell * _stops_before(model, veh, dist)
-    return travel + residual + dwells
+    entries = projected_entries(model, veh)
+    for ref, dist in entries:
+        if (ref.edge, ref.m) == (seg.edge, seg.m):
+            return _eta_at(model, veh, dist, _stop_distances(model, veh, entries), now)
+    return None
 
 
 def _free_flow_time(model: NetworkModel, veh: VehicleState, dist: float) -> float:
@@ -193,30 +213,6 @@ def _free_flow_time(model: NetworkModel, veh: VehicleState, dist: float) -> floa
     return total
 
 
-def _stops_before(model: NetworkModel, veh: VehicleState, dist: float) -> int:
-    """Count of unserved stops whose position lies strictly before `dist` ahead."""
-    if veh.next_stop >= len(veh.stop_plan):
-        return 0
-    pos = veh.pos_in_edge(model)
-    count = 0
-    for visit in veh.stop_plan[veh.next_stop :]:
-        stop = model.bus_stops[visit.stop]
-        ahead = None
-        if stop.edge == veh.edge_id:
-            if stop.offset > pos:
-                ahead = stop.offset - pos
-        else:
-            acc = model.edge(veh.edge_id).length - pos
-            for eid in veh.route[veh.route_index + 1 :]:
-                if eid == stop.edge:
-                    ahead = acc + stop.offset
-                    break
-                acc += model.edge(eid).length
-        if ahead is not None and ahead < dist:
-            count += 1
-    return count
-
-
 def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows:
     """Windows around every active bus's predicted entry into each DL segment."""
     model = world.model
@@ -225,14 +221,12 @@ def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows
         veh = world.vehicles[vid]
         if veh.vclass is not VehicleClass.BUS:
             continue
-        segs = [veh.segment]
-        segs += [ref for ref, _ in projected_entries(model, veh)]
-        for seg in segs:
+        entries = projected_entries(model, veh)
+        stops = _stop_distances(model, veh, entries)
+        for seg, dist in [(veh.segment, None), *entries]:
             if not model.is_dl_segment(seg):
                 continue
-            tau = bus_eta(model, veh, seg, world.t)
-            if tau is None:
-                continue
+            tau = 0.0 if dist is None else _eta_at(model, veh, dist, stops, world.t)
             lo, hi = protection_window(tau, protection.horizon)
             out.windows.setdefault(seg, []).append((vid, world.t + lo, world.t + hi))
     return out
@@ -278,70 +272,15 @@ class PredictionSnapshot:
         t = self.predicted_time.get(seg)
         return t if t is not None else self.model.t0(seg)
 
-    def entry_time_of(self, vid: int, seg: SegmentRef) -> Optional[float]:
-        return self.tau.get(vid, {}).get(seg)
-
     def overlaps(self, vid: int, seg: SegmentRef) -> bool:
         return seg in self.overlap.get(vid, ())
-
-
-def dl_inflow(snapshot: PredictionSnapshot, seg: SegmentRef) -> float:
-    if not snapshot.model.is_dl_segment(seg):
-        raise PredictionError(f"{seg} is not a dedicated-lane segment")
-    return snapshot.inflow.get(seg, 0.0)
-
-
-def gpl_inflow(snapshot: PredictionSnapshot, seg: SegmentRef) -> float:
-    if snapshot.model.is_dl_segment(seg):
-        raise PredictionError(f"{seg} is a dedicated-lane segment")
-    return snapshot.inflow.get(seg, 0.0)
 
 
 def bus_overlap_indicator(snapshot: PredictionSnapshot, vid: int, seg: SegmentRef) -> int:
     return 1 if snapshot.overlaps(vid, seg) else 0
 
 
-def conflict_inflow(snapshot: PredictionSnapshot, seg: SegmentRef) -> float:
-    if not snapshot.model.is_dl_segment(seg):
-        raise PredictionError(f"{seg} is not a dedicated-lane segment")
-    return snapshot.conflict.get(seg, 0.0)
-
-
-def refresh_conflicts(
-    world: World, snapshot: PredictionSnapshot, windows: BusWindows
-) -> PredictionSnapshot:
-    """Recompute window overlaps against fresh windows and current positions.
-
-    Inflow and travel-time fields are kept from the last control-step build;
-    this runs on the finer bus-monitoring cadence.
-    """
-    model = snapshot.model
-    t = world.t
-    overlap: dict[int, set[SegmentRef]] = {}
-    conflict_counts: dict[SegmentRef, int] = {}
-    for seg in sorted(windows.windows):
-        spans = windows.covering(seg)
-        for vid in sorted(world.vehicles):
-            veh = world.vehicles[vid]
-            if veh.vclass is not VehicleClass.CAV:
-                continue
-            own = veh.segment
-            if (own.edge, own.m) == (seg.edge, seg.m):
-                when = t
-            else:
-                tau_v = snapshot.tau.get(vid, {}).get(seg)
-                if tau_v is None:
-                    continue
-                when = snapshot.t + tau_v
-            if any(lo <= when <= hi for _, lo, hi in spans):
-                overlap.setdefault(vid, set()).add(seg)
-                conflict_counts[seg] = conflict_counts.get(seg, 0) + 1
-    conflict: dict[SegmentRef, float] = {}
-    bus_time: dict[SegmentRef, float] = {}
-    for seg in windows.windows:
-        q = conflict_counts.get(seg, 0) / (2.0 * snapshot.protection.horizon)
-        conflict[seg] = q
-        bus_time[seg] = bpr_time(model.t0(seg), q, model.capacity(seg), snapshot.bpr)
+def _vehicle_views(world: World) -> dict[int, VehicleView]:
     views: dict[int, VehicleView] = {}
     for vid in sorted(world.vehicles):
         veh = world.vehicles[vid]
@@ -355,18 +294,69 @@ def refresh_conflicts(
             route_index=veh.route_index,
             lane_change_log=tuple(veh.lane_change_log),
         )
-    return PredictionSnapshot(
-        t=snapshot.t,
-        dt=snapshot.dt,
-        model=model,
-        bpr=snapshot.bpr,
-        protection=snapshot.protection,
+    return views
+
+
+def _window_conflicts(
+    world: World,
+    windows: BusWindows,
+    tau: dict[int, dict[SegmentRef, float]],
+    since: float,
+    bpr: BprParams,
+    protection: ProtectionHorizon,
+) -> tuple[dict[int, set[SegmentRef]], dict[SegmentRef, float], dict[SegmentRef, float]]:
+    """Window overlaps, conflict inflow and bus time per windowed segment.
+
+    A CAV on the same span as the segment counts at the current time; any
+    other CAV counts at its projected entry, taken from `tau` measured at
+    time `since`.
+    """
+    model = world.model
+    t = world.t
+    cavs = [
+        (vid, world.vehicles[vid].segment)
+        for vid in sorted(world.vehicles)
+        if world.vehicles[vid].vclass is VehicleClass.CAV
+    ]
+    overlap: dict[int, set[SegmentRef]] = {}
+    conflict_counts: dict[SegmentRef, int] = {}
+    for seg in sorted(windows.windows):
+        spans = windows.covering(seg)
+        for vid, own in cavs:
+            if (own.edge, own.m) == (seg.edge, seg.m):
+                when = t
+            else:
+                tau_v = tau.get(vid, {}).get(seg)
+                if tau_v is None:
+                    continue
+                when = since + tau_v
+            if any(lo <= when <= hi for _, lo, hi in spans):
+                overlap.setdefault(vid, set()).add(seg)
+                conflict_counts[seg] = conflict_counts.get(seg, 0) + 1
+    conflict: dict[SegmentRef, float] = {}
+    bus_time: dict[SegmentRef, float] = {}
+    for seg in windows.windows:
+        q = conflict_counts.get(seg, 0) / (2.0 * protection.horizon)
+        conflict[seg] = q
+        bus_time[seg] = bpr_time(model.t0(seg), q, model.capacity(seg), bpr)
+    return overlap, conflict, bus_time
+
+
+def refresh_conflicts(
+    world: World, snapshot: PredictionSnapshot, windows: BusWindows
+) -> PredictionSnapshot:
+    """Recompute window overlaps against fresh windows and current positions.
+
+    Inflow and travel-time fields are kept from the last control-step build;
+    this runs on the finer bus-monitoring cadence.
+    """
+    overlap, conflict, bus_time = _window_conflicts(
+        world, windows, snapshot.tau, snapshot.t, snapshot.bpr, snapshot.protection
+    )
+    return replace(
+        snapshot,
         windows=windows,
-        vehicles=views,
-        tau=snapshot.tau,
-        inflow=snapshot.inflow,
-        hdv_entries=snapshot.hdv_entries,
-        predicted_time=snapshot.predicted_time,
+        vehicles=_vehicle_views(world),
         overlap=overlap,
         conflict=conflict,
         bus_time=bus_time,
@@ -387,22 +377,11 @@ def build_snapshot(
     """
     model = world.model
     t = world.t
-    views: dict[int, VehicleView] = {}
     tau: dict[int, dict[SegmentRef, float]] = {}
     cav_entries: dict[SegmentRef, int] = {}
     hdv_entries: dict[SegmentRef, int] = {}
     for vid in sorted(world.vehicles):
         veh = world.vehicles[vid]
-        views[vid] = VehicleView(
-            id=vid,
-            vclass=veh.vclass,
-            segment=veh.segment,
-            offset=veh.offset,
-            speed=veh.speed,
-            route=tuple(veh.route),
-            route_index=veh.route_index,
-            lane_change_log=tuple(veh.lane_change_log),
-        )
         if veh.vclass is VehicleClass.BUS:
             continue
         speed = max(veh.speed, MIN_PROJECTION_SPEED)
@@ -426,33 +405,7 @@ def build_snapshot(
             inflow[seg] = flow
         predicted_time[seg] = bpr_time(model.t0(seg), flow, model.capacity(seg), bpr)
 
-    # window overlaps: projected entry, or right now for same-span vehicles
-    overlap: dict[int, set[SegmentRef]] = {}
-    conflict_counts: dict[SegmentRef, int] = {}
-    for seg in sorted(windows.windows):
-        spans = windows.covering(seg)
-        for vid, view in views.items():
-            if view.vclass is not VehicleClass.CAV:
-                continue
-            own = view.segment
-            if (own.edge, own.m) == (seg.edge, seg.m):
-                when = t
-            else:
-                tau_v = tau.get(vid, {}).get(seg)
-                if tau_v is None:
-                    continue
-                when = t + tau_v
-            if any(lo <= when <= hi for _, lo, hi in spans):
-                overlap.setdefault(vid, set()).add(seg)
-                conflict_counts[seg] = conflict_counts.get(seg, 0) + 1
-
-    conflict: dict[SegmentRef, float] = {}
-    bus_time: dict[SegmentRef, float] = {}
-    for seg in windows.windows:
-        q = conflict_counts.get(seg, 0) / (2.0 * protection.horizon)
-        conflict[seg] = q
-        bus_time[seg] = bpr_time(model.t0(seg), q, model.capacity(seg), bpr)
-
+    overlap, conflict, bus_time = _window_conflicts(world, windows, tau, t, bpr, protection)
     return PredictionSnapshot(
         t=t,
         dt=dt,
@@ -460,7 +413,7 @@ def build_snapshot(
         bpr=bpr,
         protection=protection,
         windows=windows,
-        vehicles=views,
+        vehicles=_vehicle_views(world),
         tau=tau,
         inflow=inflow,
         hdv_entries=hdv_entries,

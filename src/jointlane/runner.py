@@ -28,7 +28,7 @@ from .engine import (
     step,
 )
 from .network import Lane, SegmentRef, VehicleClass
-from .scenario import Scenario, apply_overrides, load_scenario, resolve_scenario
+from .scenario import Scenario, ScenarioError, apply_overrides, load_scenario, resolve_scenario
 
 
 @dataclass
@@ -85,17 +85,20 @@ Observer = Callable[[World, pr.PredictionSnapshot, ctl.ControlDecision, list], N
 
 
 class _ProtectionView:
-    """Latest warned segments and windows, for entry decisions between steps."""
+    """Latest snapshot and its warned segments, for entry decisions between steps."""
 
     def __init__(self):
-        self.warned: frozenset[SegmentRef] = frozenset()
-        self.windows: pr.BusWindows = pr.BusWindows(t=0.0)
         self.snapshot: Optional[pr.PredictionSnapshot] = None
+        self.warned: frozenset[SegmentRef] = frozenset()
         self.costs: Optional[dict[int, float]] = None
+
+    def update(self, snapshot: pr.PredictionSnapshot, params: ctl.ControlParams):
+        self.snapshot = snapshot
+        self.warned = ctl.warned_segments(snapshot, params)
 
     def dl_entry_banned(self, edge_id: int, now: float) -> bool:
         seg = SegmentRef(edge_id, Lane.RIGHT, 1)
-        return seg in self.warned and self.windows.contains(seg, now)
+        return seg in self.warned and self.snapshot.windows.contains(seg, now)
 
 
 def _make_entry_chooser(strategy: str, view: _ProtectionView):
@@ -147,7 +150,9 @@ def simulate(
         scenario = apply_overrides(scenario, overrides)
     if horizon is None:
         horizon = scenario.meta.get("horizon")
-    if horizon is None or horizon <= 0:
+        if horizon is None:
+            raise ScenarioError("no horizon given and the scenario meta has none")
+    if horizon <= 0:
         raise ValueError("a positive horizon is required (config or scenario meta)")
     model = scenario.model
     params = scenario.control
@@ -204,18 +209,14 @@ def simulate(
             windows = pr.build_bus_windows(world, scenario.protection)
             if snapshot is not None:
                 snapshot = pr.refresh_conflicts(world, snapshot, windows)
-                view.warned = ctl.warned_segments(snapshot, params)
-                view.windows = windows
-                view.snapshot = snapshot
+                view.update(snapshot, params)
 
         is_control = tick % steps_control == 0
         if is_control:
             snapshot = pr.build_snapshot(
                 world, windows, scenario.bpr, scenario.protection, clock.dt_control
             )
-            view.snapshot = snapshot
-            view.warned = ctl.warned_segments(snapshot, params)
-            view.windows = windows
+            view.update(snapshot, params)
             if strategy == "drp":
                 view.costs = ctl.instantaneous_cost_view(world)
             else:
@@ -243,7 +244,6 @@ def simulate(
             reroute_total += len(decision.reroutes)
             escalation_exhausted += decision.escalation_exhausted
             _audit_step(snapshot, decision, executed, audit)
-            view.warned = decision.warned if strategy != "drp" else frozenset()
             if observer is not None:
                 observer(world, snapshot, decision, executed)
             if log_predictions:

@@ -9,7 +9,7 @@ vehicles/second unless a value carries an explicit unit tag.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -43,21 +43,7 @@ class Scenario:
     protection: ProtectionHorizon
     clock: EngineClock
     meta: dict = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (
-            self.model == other.model
-            and self.demand == other.demand
-            and self.bus_lines == other.bus_lines
-            and self.control == other.control
-            and self.bpr == other.bpr
-            and self.protection == other.protection
-            and self.clock == other.clock
-            and self.meta == other.meta
-        )
+    warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
 _LANES = {"left": Lane.LEFT, "l": Lane.LEFT, "right": Lane.RIGHT, "r": Lane.RIGHT}
@@ -192,8 +178,6 @@ def from_dict(data: Any, source: str = "<scenario>") -> Scenario:
         raise ScenarioError(str(exc)) from exc
 
     control, bpr, protection, clock = _parse_control(data.get("control", {}))
-    if protection.horizon < clock.dt_bus:
-        _fail("control", "protection horizon dT_b must be >= the bus monitoring step dt_b")
 
     bus_lines = tuple(
         _parse_bus_line(item, f"bus_lines[{i}]", model)
@@ -373,80 +357,66 @@ def _parse_demand(item: Any, ctx: str, model: NetworkModel) -> DemandEntry:
     return DemandEntry(origin, destination, vclass, rate=rate, times=times, seed=seed)
 
 
-_CONTROL_KEYS = {
-    "w1", "w2", "w3", "lambda", "gamma", "T", "theta", "count_forced_changes",
-    "dT_b", "dt", "dt_b", "dt_sim", "alpha", "beta",
+#: control key -> (Scenario field of the owning params object, attribute, default)
+_CONTROL_KEYS: dict[str, tuple[str, str, Any]] = {
+    "w1": ("control", "w1", 0.3),
+    "w2": ("control", "w2", 0.3),
+    "w3": ("control", "w3", 0.4),
+    "lambda": ("control", "bus_tolerance", 0.2),
+    "gamma": ("control", "reroute_tolerance", 0.3),
+    "T": ("control", "change_horizon", 120.0),
+    "theta": ("control", "hysteresis", 0.05),
+    "count_forced_changes": ("control", "count_forced_changes", True),
+    "alpha": ("bpr", "alpha", 0.15),
+    "beta": ("bpr", "beta", 4.0),
+    "dT_b": ("protection", "horizon", 30.0),
+    "dt_sim": ("clock", "dt_sim", 1.0),
+    "dt": ("clock", "dt_control", 15.0),
+    "dt_b": ("clock", "dt_bus", 10.0),
+}
+_PARAM_TYPES = {
+    "control": ControlParams,
+    "bpr": BprParams,
+    "protection": ProtectionHorizon,
+    "clock": EngineClock,
 }
 
 
 def _parse_control(raw: Any) -> tuple[ControlParams, BprParams, ProtectionHorizon, EngineClock]:
     if not isinstance(raw, dict):
         _fail("control", "must be an object")
-    _check_keys(raw, _CONTROL_KEYS, "control")
-
-    def num(key: str, default: float) -> float:
-        if key not in raw:
-            return default
-        return _number(raw[key], f"control.{key}")
-
+    _check_keys(raw, set(_CONTROL_KEYS), "control")
+    params = {}
     try:
-        control = ControlParams(
-            w1=num("w1", 0.3),
-            w2=num("w2", 0.3),
-            w3=num("w3", 0.4),
-            bus_tolerance=num("lambda", 0.2),
-            reroute_tolerance=num("gamma", 0.3),
-            change_horizon=num("T", 120.0),
-            hysteresis=num("theta", 0.05),
-            count_forced_changes=bool(raw.get("count_forced_changes", True)),
-        )
-        bpr = BprParams(alpha=num("alpha", 0.15), beta=num("beta", 4.0))
-        protection = ProtectionHorizon(horizon=num("dT_b", 30.0))
-        clock = EngineClock(
-            dt_sim=num("dt_sim", 1.0),
-            dt_control=num("dt", 15.0),
-            dt_bus=num("dt_b", 10.0),
-        )
+        for owner, cls in _PARAM_TYPES.items():
+            kwargs = {}
+            for key, (field_name, attr, default) in _CONTROL_KEYS.items():
+                if field_name != owner:
+                    continue
+                if key not in raw:
+                    kwargs[attr] = default
+                elif isinstance(default, bool):
+                    kwargs[attr] = bool(raw[key])
+                else:
+                    kwargs[attr] = _number(raw[key], f"control.{key}")
+            params[owner] = cls(**kwargs)
     except Exception as exc:
         raise ScenarioError(f"control: {exc}") from exc
-    return control, bpr, protection, clock
+    if params["protection"].horizon < params["clock"].dt_bus:
+        _fail("control", "protection horizon dT_b must be >= the bus monitoring step dt_b")
+    return params["control"], params["bpr"], params["protection"], params["clock"]
 
 
 def apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenario:
     """Return a copy of the scenario with control-level keys replaced."""
     if not overrides:
         return scenario
-    unknown = set(overrides) - _CONTROL_KEYS
+    unknown = set(overrides) - set(_CONTROL_KEYS)
     if unknown:
         raise ScenarioError(f"unknown override key '{sorted(unknown)[0]}'")
     merged: dict[str, Any] = {
-        "w1": scenario.control.w1,
-        "w2": scenario.control.w2,
-        "w3": scenario.control.w3,
-        "lambda": scenario.control.bus_tolerance,
-        "gamma": scenario.control.reroute_tolerance,
-        "T": scenario.control.change_horizon,
-        "theta": scenario.control.hysteresis,
-        "count_forced_changes": scenario.control.count_forced_changes,
-        "alpha": scenario.bpr.alpha,
-        "beta": scenario.bpr.beta,
-        "dT_b": scenario.protection.horizon,
-        "dt_sim": scenario.clock.dt_sim,
-        "dt": scenario.clock.dt_control,
-        "dt_b": scenario.clock.dt_bus,
+        key: getattr(getattr(scenario, field_name), attr)
+        for key, (field_name, attr, _) in _CONTROL_KEYS.items()
     }
     merged.update(overrides)
-    control, bpr, protection, clock = _parse_control(merged)
-    if protection.horizon < clock.dt_bus:
-        _fail("control", "protection horizon dT_b must be >= the bus monitoring step dt_b")
-    return Scenario(
-        model=scenario.model,
-        demand=scenario.demand,
-        bus_lines=scenario.bus_lines,
-        control=control,
-        bpr=bpr,
-        protection=protection,
-        clock=clock,
-        meta=scenario.meta,
-        warnings=scenario.warnings,
-    )
+    return replace(scenario, **dict(zip(_PARAM_TYPES, _parse_control(merged))))

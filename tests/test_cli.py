@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 from pathlib import Path
 
@@ -106,3 +107,26 @@ def test_single_value_sweep_matches_plain_run(tmp_path):
     with open(tmp_path / "sweep" / "summary.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
+
+
+def test_non_positive_horizon_is_usage_error(capsys, tmp_path):
+    for value in ("-1", "0"):
+        code = run_cli(["--scenario", "desk_small", f"--horizon={value}",
+                        "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage" in err and "--horizon" in err
+        assert "Traceback" not in err
+
+
+def test_scenario_without_horizon_is_validation_error(capsys, tmp_path):
+    data = json.loads(resolve_scenario("desk_small").read_text(encoding="utf-8"))
+    del data["meta"]["horizon"]
+    path = tmp_path / "no_horizon.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = run_cli(["--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "horizon" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "summary.csv").exists()

@@ -6,6 +6,7 @@ from jointlane.engine import StopVisit, step
 from jointlane.network import BusStop, Lane, SegmentRef, VehicleClass
 from jointlane.prediction import (
     BprParams,
+    BusWindows,
     PredictionError,
     ProtectionHorizon,
     bpr_time,
@@ -13,12 +14,10 @@ from jointlane.prediction import (
     build_snapshot,
     bus_eta,
     bus_overlap_indicator,
-    conflict_inflow,
-    dl_inflow,
     entry_indicator,
     entry_time,
-    gpl_inflow,
     protection_window,
+    refresh_conflicts,
 )
 
 from conftest import make_model, make_world, put_vehicle
@@ -127,13 +126,9 @@ def test_dl_and_gpl_inflow_counts(dl_chain3):
         put_vehicle(world, vid, VehicleClass.HDV, [0, 1], lane=Lane.LEFT, m=2,
                     offset=off, speed=5.0)
     snap = _snapshot(world)
-    assert dl_inflow(snap, SegmentRef(1, Lane.RIGHT, 1)) == pytest.approx(3 / 15)
-    assert gpl_inflow(snap, SegmentRef(1, Lane.LEFT, 1)) == pytest.approx(6 / 15)
-    assert gpl_inflow(snap, SegmentRef(1, Lane.LEFT, 2)) == 0.0
-    with pytest.raises(PredictionError):
-        dl_inflow(snap, SegmentRef(1, Lane.LEFT, 1))
-    with pytest.raises(PredictionError):
-        gpl_inflow(snap, SegmentRef(1, Lane.RIGHT, 1))
+    assert snap.inflow.get(SegmentRef(1, Lane.RIGHT, 1), 0.0) == pytest.approx(3 / 15)
+    assert snap.inflow.get(SegmentRef(1, Lane.LEFT, 1), 0.0) == pytest.approx(6 / 15)
+    assert snap.inflow.get(SegmentRef(1, Lane.LEFT, 2), 0.0) == 0.0
 
 
 def test_gpl_inflow_hdv_only(dl_chain3):
@@ -142,8 +137,8 @@ def test_gpl_inflow_hdv_only(dl_chain3):
         put_vehicle(world, vid, VehicleClass.HDV, [0, 1], lane=Lane.LEFT, m=2,
                     offset=off, speed=5.0)
     snap = _snapshot(world)
-    assert gpl_inflow(snap, SegmentRef(1, Lane.LEFT, 1)) == pytest.approx(3 / 15)
-    assert dl_inflow(snap, SegmentRef(1, Lane.RIGHT, 1)) == 0.0
+    assert snap.inflow.get(SegmentRef(1, Lane.LEFT, 1), 0.0) == pytest.approx(3 / 15)
+    assert snap.inflow.get(SegmentRef(1, Lane.RIGHT, 1), 0.0) == 0.0
 
 
 def test_predicted_time_never_below_free_flow(desk_small):
@@ -256,9 +251,7 @@ def test_conflict_inflow_counts(dl_chain3):
         put_vehicle(world, vid, VehicleClass.CAV, [0, 1, 2], lane=Lane.RIGHT,
                     m=2, offset=off, speed=10.0)
     snap = _snapshot(world)
-    assert conflict_inflow(snap, seg) == pytest.approx(3 / 60)
-    with pytest.raises(PredictionError):
-        conflict_inflow(snap, SegmentRef(1, Lane.LEFT, 1))
+    assert snap.conflict.get(seg, 0.0) == pytest.approx(3 / 60)
 
 
 def test_conflict_inflow_matches_brute_force_on_random_worlds():
@@ -316,3 +309,53 @@ def test_snapshot_rebuild_is_idempotent(dl_chain3):
     assert a.overlap == b.overlap
     assert a.conflict == b.conflict
     assert a.bus_time == b.bus_time
+
+
+def test_refresh_on_unchanged_world_reproduces_snapshot(dl_chain3):
+    world = make_world(dl_chain3)
+    put_vehicle(world, 0, VehicleClass.BUS, [0, 1, 2], lane=Lane.RIGHT, m=1,
+                offset=40.0, speed=8.0)
+    for vid, lane, off in ((1, Lane.RIGHT, 90.0), (2, Lane.RIGHT, 60.0),
+                           (3, Lane.LEFT, 20.0)):
+        put_vehicle(world, vid, VehicleClass.CAV, [0, 1, 2], lane=lane,
+                    m=2, offset=off, speed=10.0)
+    snap = _snapshot(world)
+    assert snap.overlap and snap.conflict
+    fresh = refresh_conflicts(world, snap, snap.windows)
+    assert fresh.overlap == snap.overlap
+    assert fresh.conflict == snap.conflict
+    assert fresh.bus_time == snap.bus_time
+    assert fresh.vehicles == snap.vehicles
+    assert fresh.t == snap.t
+    assert fresh.tau is snap.tau
+    assert fresh.inflow is snap.inflow
+    assert fresh.predicted_time is snap.predicted_time
+
+
+def test_refresh_counts_occupants_now_and_others_at_snapshot_time(dl_chain3):
+    world = make_world(dl_chain3)
+    # a GPL CAV about to cross onto edge 1: no projected entry into the DL
+    mover = put_vehicle(world, 1, VehicleClass.CAV, [0, 1, 2], lane=Lane.LEFT,
+                        m=2, offset=95.0, speed=10.0)
+    # DL CAVs projected to reach edge 1 after 20 s and 50 s
+    put_vehicle(world, 2, VehicleClass.CAV, [0, 1, 2], lane=Lane.RIGHT, m=1,
+                offset=0.0, speed=10.0)
+    put_vehicle(world, 3, VehicleClass.CAV, [0, 1, 2], lane=Lane.RIGHT, m=1,
+                offset=50.0, speed=3.0)
+    snap = _snapshot(world)
+    seg = SegmentRef(1, Lane.RIGHT, 1)
+    assert seg not in snap.tau[1]
+    assert snap.tau[2][seg] == 20.0 and snap.tau[3][seg] == 50.0
+    step(world, 1.0)
+    assert world.t == 1.0 and (mover.edge_id, mover.m) == (1, 1)
+    # one span around now, one ending at the stored entry of vehicle 2
+    # (counted from snapshot.t = 0, not from world.t = 1)
+    windows = BusWindows(t=world.t, windows={seg: [(9, 0.5, 1.5), (9, 15.0, 20.0)]})
+    fresh = refresh_conflicts(world, snap, windows)
+    assert fresh.overlap == {1: {seg}, 2: {seg}}
+    assert fresh.conflict == {seg: pytest.approx(2 / 60)}
+    assert fresh.bus_time[seg] == bpr_time(
+        dl_chain3.t0(seg), 2 / 60, dl_chain3.capacity(seg), PARAMS
+    )
+    assert fresh.windows is windows
+    assert fresh.vehicles[1].segment.edge == 1
