@@ -133,7 +133,6 @@ class VehicleState:
         return self.offset + (0.0 if self.m == 1 else half)
 
 
-SegKey = SegmentRef
 EntryChooser = Callable[["World", VehicleState, int], tuple[Lane, ...]]
 
 
@@ -145,7 +144,7 @@ class World:
         self.clock = clock
         self.t = 0.0
         self.vehicles: dict[int, VehicleState] = {}
-        self.queues: dict[SegKey, list[int]] = {}
+        self.queues: dict[SegmentRef, list[int]] = {}
         self.retired: list[VehicleState] = []
         self.injected: dict[VehicleClass, int] = {c: 0 for c in VehicleClass}
         self.pending: list[VehicleState] = []   # created but waiting for entry space
@@ -163,17 +162,16 @@ class World:
         # whether constraint-driven changes feed the per-vehicle change log
         # (and thereby the frequency penalty)
         self.count_forced_in_log = True
-        self._moved: set[int] = set()
 
     # -- bookkeeping -----------------------------------------------------------
 
     def new_id(self) -> int:
         return next(self._id_counter)
 
-    def queue(self, key: SegKey) -> list[int]:
+    def queue(self, key: SegmentRef) -> list[int]:
         return self.queues.setdefault(key, [])
 
-    def count(self, key: SegKey) -> int:
+    def count(self, key: SegmentRef) -> int:
         q = self.queues.get(key)
         return len(q) if q else 0
 
@@ -182,7 +180,7 @@ class World:
             SegmentRef(edge_id, lane, 2)
         )
 
-    def segment_speed(self, key: SegKey, n: Optional[int] = None) -> float:
+    def segment_speed(self, key: SegmentRef, n: Optional[int] = None) -> float:
         """Speed-density law with a floor: ffs * clamp(1 - n/Njam, floor, 1)."""
         edge = self.model.edge(key.edge)
         if n is None:
@@ -191,7 +189,7 @@ class World:
         frac = min(1.0, max(SPEED_FLOOR, frac))
         return edge.free_flow_speed * frac
 
-    def travel_speed(self, key: SegKey, n: int) -> float:
+    def travel_speed(self, key: SegmentRef, n: int) -> float:
         """Motion speed for one of n occupants: the mover itself is not its
         own congestion, so a lone vehicle runs at free flow."""
         return self.segment_speed(key, max(0, n - 1))
@@ -211,7 +209,7 @@ class World:
 
     # -- placement -------------------------------------------------------------
 
-    def _insert_by_offset(self, key: SegKey, veh: VehicleState):
+    def _insert_by_offset(self, key: SegmentRef, veh: VehicleState):
         """Keep queues ordered front(=downstream)-first; ties go behind."""
         q = self.queue(key)
         idx = len(q)
@@ -223,32 +221,35 @@ class World:
 
     def place_new(self, veh: VehicleState) -> bool:
         """Try to put a freshly created vehicle on its first edge."""
-        first_edge = veh.route[0]
-        onward = veh.route[1] if len(veh.route) > 1 else None
-        lanes = self._entry_lanes(veh, first_edge, onward)
-        for lane in lanes:
-            key = SegmentRef(first_edge, lane, 1)
-            if self.count(key) < self.model.edge(first_edge).jam_count:
-                veh.lane = lane
-                veh.m = 1
-                veh.offset = 0.0
-                self.vehicles[veh.id] = veh
-                self.queue(key).append(veh.id)
-                self.injected[veh.vclass] += 1
-                veh.depart_time = self.t
-                self.log_event("inject", veh)
-                return True
-        return False
+        target = self._entry_segment(veh, 0)
+        if target is None:
+            return False
+        self.vehicles[veh.id] = veh
+        _enter_queue(self, veh, target, 0.0)
+        self.injected[veh.vclass] += 1
+        veh.depart_time = self.t
+        self.log_event("inject", veh)
+        return True
 
-    def _entry_lanes(
-        self, veh: VehicleState, edge_id: int, onward: Optional[int]
-    ) -> tuple[Lane, ...]:
-        """Ordered lane preference for entering an edge.
+    def _entry_segment(self, veh: VehicleState, i: int) -> Optional[SegmentRef]:
+        """First segment of route edge `i` with room, in lane preference order."""
+        edge_id = veh.route[i]
+        jam = self.model.edge(edge_id).jam_count
+        for lane in self._entry_lanes(veh, i):
+            key = SegmentRef(edge_id, lane, 1)
+            if self.count(key) < jam:
+                return key
+        return None
 
-        `onward` is the route edge after `edge_id`; lanes with a turn
-        connection to it are preferred so vehicles do not strand themselves.
+    def _entry_lanes(self, veh: VehicleState, i: int) -> tuple[Lane, ...]:
+        """Ordered lane preference for entering route edge `i`.
+
+        Lanes with a turn connection to the route edge after it are preferred
+        so vehicles do not strand themselves.
         """
         model = self.model
+        edge_id = veh.route[i]
+        onward = veh.route[i + 1] if i + 1 < len(veh.route) else None
         if veh.vclass is VehicleClass.BUS:
             return (Lane.RIGHT,)
         permitted = model.permitted_lanes(veh.vclass, edge_id)
@@ -317,23 +318,7 @@ def execute_lane_change(
         )
     if target_lane not in world.model.permitted_lanes(veh.vclass, veh.edge_id):
         raise EngineError(f"vehicle {vehicle_id}: lane not permitted")
-    if veh._last_change_tick == world.t:
-        return False  # one lateral move per vehicle per tick
-    source = veh.segment
-    target = SegmentRef(veh.edge_id, target_lane, veh.m)
-    if world.count(target) >= world.model.edge(veh.edge_id).jam_count:
-        return False
-    world.queue(source).remove(veh.id)
-    veh.lane = target_lane
-    world._insert_by_offset(target, veh)
-    if reason not in ("protect", "align") or world.count_forced_in_log:
-        veh.lane_change_log.append(world.t)
-    veh._last_change_tick = world.t
-    world.lane_changes.append(
-        (world.t, veh.id, veh.edge_id, veh.m, source.lane.tag, target_lane.tag, reason)
-    )
-    world.log_event("lane_change", veh, detail=reason)
-    return True
+    return _lateral_move(world, veh, reason)
 
 
 def step(world: World, dt: Optional[float] = None):
@@ -348,29 +333,25 @@ def step(world: World, dt: Optional[float] = None):
         dt = world.clock.dt_sim
     model = world.model
     t = world.t
-    world._moved.clear()
+    moved: set[int] = set()
     # motion speeds from start-of-step occupancy, excluding the mover itself
     speeds = {
         key: world.travel_speed(key, len(q))
         for key, q in world.queues.items()
         if q
     }
-    for key in sorted(k for k, q in world.queues.items() if q):
-        q = world.queues.get(key)
-        if not q:
-            continue
+    for key in sorted(speeds):
+        q = world.queues[key]
         seg_len = model.edge(key.edge).seg_length
-        v_seg = speeds.get(key)
-        if v_seg is None:
-            v_seg = world.travel_speed(key, world.count(key))
+        v_seg = speeds[key]
         block: Optional[float] = None  # offset of the nearest vehicle that stays ahead
         for vid in list(q):
-            if vid in world._moved:
+            if vid in moved:
                 # entered this segment earlier in this step; it may still block
                 block = world.vehicles[vid].offset
                 continue
             veh = world.vehicles[vid]
-            world._moved.add(vid)
+            moved.add(vid)
             old_offset = veh.offset
             if veh.is_dwelling:
                 veh.speed = 0.0
@@ -403,7 +384,7 @@ def step(world: World, dt: Optional[float] = None):
     world.t = t + dt
 
 
-def _next_stop_offset(world: World, veh: VehicleState, key: SegKey) -> Optional[float]:
+def _next_stop_offset(world: World, veh: VehicleState, key: SegmentRef) -> Optional[float]:
     """Offset (within this segment) of the bus's next stop, if it lies here."""
     if veh.vclass is not VehicleClass.BUS or veh.next_stop >= len(veh.stop_plan):
         return None
@@ -411,11 +392,9 @@ def _next_stop_offset(world: World, veh: VehicleState, key: SegKey) -> Optional[
     stop = world.model.bus_stops[visit.stop]
     if stop.edge != key.edge:
         return None
-    edge = world.model.edge(key.edge)
-    m = 1 if stop.offset < edge.seg_length else 2
-    if m != key.m:
+    if world.model.segment_of(stop.edge, key.lane, stop.offset).m != key.m:
         return None
-    return stop.offset - (0.0 if m == 1 else edge.seg_length)
+    return stop.offset - (0.0 if key.m == 1 else world.model.edge(key.edge).seg_length)
 
 
 def _begin_dwell(world: World, veh: VehicleState):
@@ -430,7 +409,7 @@ def _begin_dwell(world: World, veh: VehicleState):
     veh.next_stop += 1
 
 
-def _transfer(world: World, veh: VehicleState, key: SegKey, overshoot: float) -> bool:
+def _transfer(world: World, veh: VehicleState, key: SegmentRef, overshoot: float) -> bool:
     """Move a front vehicle across its segment boundary. False means it waits."""
     model = world.model
     edge = model.edge(key.edge)
@@ -438,45 +417,36 @@ def _transfer(world: World, veh: VehicleState, key: SegKey, overshoot: float) ->
         target = SegmentRef(key.edge, key.lane, 2)
         if world.count(target) >= edge.jam_count:
             return False
-        _enter_segment(world, veh, target, overshoot)
-        return True
-    # downstream edge end
-    if not edge.gate_open(world.t):
-        return False
-    if veh.route_index + 1 >= len(veh.route):
-        _retire(world, veh, key)
-        return True
-    nxt = veh.route[veh.route_index + 1]
-    if not model.connects(key.edge, key.lane, nxt):
-        return _try_realign(world, veh, key, nxt)
-    onward = (
-        veh.route[veh.route_index + 2]
-        if veh.route_index + 2 < len(veh.route)
-        else None
-    )
-    lanes = world._entry_lanes(veh, nxt, onward)
-    for lane in lanes:
-        target = SegmentRef(nxt, lane, 1)
-        if world.count(target) >= model.edge(nxt).jam_count:
-            continue
-        world.queue(key).remove(veh.id)
+    else:
+        # downstream edge end
+        if not edge.gate_open(world.t):
+            return False
+        if veh.route_index + 1 >= len(veh.route):
+            _retire(world, veh, key)
+            return True
+        nxt = veh.route[veh.route_index + 1]
+        if not model.connects(key.edge, key.lane, nxt):
+            # a CAV whose mid-edge lane choices left it without the turn
+            # connection it needs crosses over at the edge end
+            if veh.vclass is not VehicleClass.CAV or not model.connects(
+                key.edge, key.lane.other, nxt
+            ):
+                return False
+            veh.offset = edge.seg_length  # it is at the edge end
+            return _lateral_move(world, veh, "align")
+        target = world._entry_segment(veh, veh.route_index + 1)
+        if target is None:
+            return False
         veh.route_index += 1
-        veh.lane = lane
-        veh.m = 1
-        _enter_queue(world, veh, target, overshoot)
-        world.log_event("transfer", veh)
-        return True
-    return False
-
-
-def _enter_segment(world: World, veh: VehicleState, target: SegKey, overshoot: float):
-    world.queue(veh.segment).remove(veh.id)
-    veh.m = target.m
+    world.queue(key).remove(veh.id)
     _enter_queue(world, veh, target, overshoot)
     world.log_event("transfer", veh)
+    return True
 
 
-def _enter_queue(world: World, veh: VehicleState, target: SegKey, overshoot: float):
+def _enter_queue(world: World, veh: VehicleState, target: SegmentRef, overshoot: float):
+    """Longitudinal entry: append `veh` at the tail of `target`, `overshoot`
+    meters in but never past the vehicle ahead or its own next bus stop."""
     q = world.queue(target)
     offset = min(overshoot, world.model.edge(target.edge).seg_length)
     if q:
@@ -484,47 +454,40 @@ def _enter_queue(world: World, veh: VehicleState, target: SegKey, overshoot: flo
     stop_off = _next_stop_offset(world, veh, target)
     if stop_off is not None:
         offset = min(offset, stop_off)
+    veh.lane = target.lane
+    veh.m = target.m
     veh.offset = max(0.0, offset)
     q.append(veh.id)
     if stop_off is not None and veh.offset >= stop_off:
         _begin_dwell(world, veh)
 
 
-def _try_realign(world: World, veh: VehicleState, key: SegKey, nxt: int) -> bool:
-    """Lateral move into the lane that connects to the next route edge.
+def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
+    """Lateral entry: move `veh` into the other lane's segment at its offset.
 
-    Only CAVs can end up here: their mid-edge lane choices are free to pick a
-    lane without the turn connection they will eventually need. Returns True
-    when the vehicle left this queue.
+    Returns False (state unchanged) when the vehicle already moved laterally
+    this tick or the target segment is at its storage limit.
     """
-    if veh.vclass is not VehicleClass.CAV:
-        return False
-    other = key.lane.other
-    model = world.model
-    if other not in model.permitted_lanes(veh.vclass, key.edge):
-        return False
-    if not model.connects(key.edge, other, nxt):
-        return False
     if veh._last_change_tick == world.t:
+        return False  # one lateral move per vehicle per tick
+    source = veh.segment
+    target = SegmentRef(source.edge, source.lane.other, source.m)
+    if world.count(target) >= world.model.edge(source.edge).jam_count:
         return False
-    target = SegmentRef(key.edge, other, key.m)
-    if world.count(target) >= model.edge(key.edge).jam_count:
-        return False
-    world.queue(key).remove(veh.id)
-    veh.lane = other
-    veh.offset = model.edge(key.edge).seg_length  # it is at the edge end
+    world.queue(source).remove(veh.id)
+    veh.lane = target.lane
     world._insert_by_offset(target, veh)
-    if world.count_forced_in_log:
+    if reason not in ("protect", "align") or world.count_forced_in_log:
         veh.lane_change_log.append(world.t)
     veh._last_change_tick = world.t
     world.lane_changes.append(
-        (world.t, veh.id, veh.edge_id, veh.m, key.lane.tag, other.tag, "align")
+        (world.t, veh.id, veh.edge_id, veh.m, source.lane.tag, target.lane.tag, reason)
     )
-    world.log_event("lane_change", veh, detail="align")
+    world.log_event("lane_change", veh, detail=reason)
     return True
 
 
-def _retire(world: World, veh: VehicleState, key: SegKey):
+def _retire(world: World, veh: VehicleState, key: SegmentRef):
     world.queue(key).remove(veh.id)
     del world.vehicles[veh.id]
     veh.arrival_time = world.t

@@ -186,10 +186,6 @@ class NetworkModel:
         lanes = self.connections.get((from_edge, to_edge))
         return lanes is not None and lane in lanes
 
-    def lanes_connecting(self, from_edge: int, to_edge: int) -> tuple[Lane, ...]:
-        lanes = self.connections.get((from_edge, to_edge), frozenset())
-        return tuple(sorted(lanes))
-
     def segment_of(self, edge_id: int, lane: Lane, offset: float) -> SegmentRef:
         """Map an in-edge offset to its segment; the midpoint belongs to m=2."""
         edge = self.edge(edge_id)
@@ -219,9 +215,6 @@ class NetworkModel:
 
     def capacity(self, seg: SegmentRef) -> float:
         return self.edge(seg.edge).capacity
-
-    def jam_count(self, seg: SegmentRef) -> int:
-        return self.edge(seg.edge).jam_count
 
     def is_dl_segment(self, seg: SegmentRef) -> bool:
         return seg.lane is Lane.RIGHT and self.edge(seg.edge).dl

@@ -102,35 +102,36 @@ class _ProtectionView:
 
 
 def _make_entry_chooser(strategy: str, view: _ProtectionView):
-    """Lane preference when a CAV enters an edge, per strategy."""
+    """Lane preference when a CAV enters an edge, per strategy.
 
-    def proposed(world: World, veh: VehicleState, edge_id: int) -> tuple[Lane, ...]:
-        if world.model.edge(edge_id).dl and view.dl_entry_banned(edge_id, world.t):
-            # prefer the GPL during a protection window; the dedicated lane
-            # stays as a last resort so the vehicle does not stall at the
-            # upstream boundary and block the bus itself
-            return (Lane.LEFT, Lane.RIGHT)
+    proposed orders lanes by predicted travel time, drp and prp by current
+    speed; ties go left first. Under prp and proposed a CAV prefers the GPL
+    during a protection window on the edge's dedicated lane.
+    """
+    ban = strategy in ("prp", "proposed")
+
+    def predicted(world: World, seg: SegmentRef) -> float:
         snap = view.snapshot
+        return snap.predicted(seg) if snap else world.model.t0(seg)
 
-        def predicted(lane: Lane) -> float:
-            seg = SegmentRef(edge_id, lane, 1)
-            return snap.predicted(seg) if snap else world.model.t0(seg)
+    def slowness(world: World, seg: SegmentRef) -> float:
+        return -world.segment_speed(seg)
 
-        return tuple(sorted((Lane.LEFT, Lane.RIGHT), key=lambda l: (predicted(l), int(l))))
+    cost = predicted if strategy == "proposed" else slowness
 
-    def myopic(world: World, veh: VehicleState, edge_id: int) -> tuple[Lane, ...]:
-        if strategy == "prp" and world.model.edge(edge_id).dl and view.dl_entry_banned(
-            edge_id, world.t
-        ):
+    def choose(world: World, veh: VehicleState, edge_id: int) -> tuple[Lane, ...]:
+        if ban and world.model.edge(edge_id).dl and view.dl_entry_banned(edge_id, world.t):
+            # the dedicated lane stays as a last resort so the vehicle does
+            # not stall at the upstream boundary and block the bus itself
             return (Lane.LEFT, Lane.RIGHT)
         return tuple(
             sorted(
                 (Lane.LEFT, Lane.RIGHT),
-                key=lambda l: (-world.segment_speed(SegmentRef(edge_id, l, 1)), int(l)),
+                key=lambda l: (cost(world, SegmentRef(edge_id, l, 1)), int(l)),
             )
         )
 
-    return proposed if strategy == "proposed" else myopic
+    return choose
 
 
 def simulate(

@@ -72,7 +72,16 @@ def _int(value: Any, ctx: str) -> int:
     return value
 
 
-def _check_keys(data: dict, allowed: set[str], ctx: str):
+def _list(value: Any, ctx: str) -> list:
+    if not isinstance(value, list):
+        _fail(ctx, f"expected a list, got {value!r}")
+    return value
+
+
+def _check_keys(data: Any, allowed: set[str], ctx: str):
+    """Require a JSON object whose keys all lie in `allowed`."""
+    if not isinstance(data, dict):
+        _fail(ctx, f"expected an object, got {data!r}")
     unknown = set(data) - allowed
     if unknown:
         _fail(ctx, f"unknown field '{sorted(unknown)[0]}'")
@@ -133,9 +142,11 @@ def from_dict(data: Any, source: str = "<scenario>") -> Scenario:
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         _fail("meta", "must be an object")
+    if meta.get("horizon") is not None and _number(meta["horizon"], "meta.horizon") <= 0:
+        _fail("meta.horizon", "must be > 0")
 
     # nodes: bare ids or {"id": n}
-    raw_nodes = _require(data, "nodes", source)
+    raw_nodes = _list(_require(data, "nodes", source), "nodes")
     nodes: list[int] = []
     for i, item in enumerate(raw_nodes):
         ctx = f"nodes[{i}]"
@@ -146,12 +157,15 @@ def from_dict(data: Any, source: str = "<scenario>") -> Scenario:
     if len(set(nodes)) != len(nodes):
         _fail("nodes", "duplicate node ids")
 
-    edges = [_parse_edge(item, f"edges[{i}]") for i, item in enumerate(_require(data, "edges", source))]
+    edges = [
+        _parse_edge(item, f"edges[{i}]")
+        for i, item in enumerate(_list(_require(data, "edges", source), "edges"))
+    ]
 
     if "connections" in data and data["connections"] is not None:
         connections: dict[tuple[int, int], frozenset[Lane]] = {}
         lane_sets: dict[tuple[int, int], set[Lane]] = {}
-        for i, item in enumerate(data["connections"]):
+        for i, item in enumerate(_list(data["connections"], "connections")):
             ctx = f"connections[{i}]"
             _check_keys(item, {"from_edge", "from_lane", "to_edge"}, ctx)
             src = _int(_require(item, "from_edge", ctx), ctx)
@@ -169,7 +183,7 @@ def from_dict(data: Any, source: str = "<scenario>") -> Scenario:
 
     stops = [
         _parse_stop(item, f"bus_stops[{i}]")
-        for i, item in enumerate(data.get("bus_stops", []))
+        for i, item in enumerate(_list(data.get("bus_stops", []), "bus_stops"))
     ]
 
     try:
@@ -181,7 +195,7 @@ def from_dict(data: Any, source: str = "<scenario>") -> Scenario:
 
     bus_lines = tuple(
         _parse_bus_line(item, f"bus_lines[{i}]", model)
-        for i, item in enumerate(data.get("bus_lines", []))
+        for i, item in enumerate(_list(data.get("bus_lines", []), "bus_lines"))
     )
     seen_lines = set()
     for line in bus_lines:
@@ -191,7 +205,7 @@ def from_dict(data: Any, source: str = "<scenario>") -> Scenario:
 
     demand = tuple(
         _parse_demand(item, f"demand[{i}]", model)
-        for i, item in enumerate(data.get("demand", []))
+        for i, item in enumerate(_list(data.get("demand", []), "demand"))
     )
 
     return Scenario(
@@ -229,6 +243,9 @@ def _parse_edge(item: Any, ctx: str) -> Edge:
         jam = _int(jam, ctx + ".jam_count")
         if jam < 1:
             _fail(ctx, "jam_count must be >= 1")
+    dl = item.get("dl", False)
+    if not isinstance(dl, bool):
+        _fail(ctx + ".dl", f"expected true or false, got {dl!r}")
     gate = None
     if item.get("gate") is not None:
         g = item["gate"]
@@ -245,7 +262,7 @@ def _parse_edge(item: Any, ctx: str) -> Edge:
             to=_int(_require(item, "to", ctx), ctx + ".to"),
             length=length,
             free_flow_speed=speed,
-            dl=bool(item.get("dl", False)),
+            dl=dl,
             capacity=capacity,
             jam_count=jam,
             gate=gate,
@@ -265,7 +282,9 @@ def _parse_stop(item: Any, ctx: str) -> BusStop:
 
 def _parse_bus_line(item: Any, ctx: str, model: NetworkModel) -> BusLineSpec:
     _check_keys(item, {"id", "route", "departures", "dwell", "stops"}, ctx)
-    route_nodes = [_int(n, ctx + ".route") for n in _require(item, "route", ctx)]
+    route_nodes = [
+        _int(n, ctx + ".route") for n in _list(_require(item, "route", ctx), ctx + ".route")
+    ]
     if len(route_nodes) < 2:
         _fail(ctx, "route needs at least two nodes")
     route_edges: list[int] = []
@@ -281,13 +300,14 @@ def _parse_bus_line(item: Any, ctx: str, model: NetworkModel) -> BusLineSpec:
     except NetworkError as exc:
         raise ScenarioError(f"{ctx}: {exc}") from exc
     departures = tuple(
-        _number(v, ctx + ".departures") for v in _require(item, "departures", ctx)
+        _number(v, ctx + ".departures")
+        for v in _list(_require(item, "departures", ctx), ctx + ".departures")
     )
     if any(b <= a for a, b in zip(departures, departures[1:])):
         _fail(ctx, "departures must be strictly increasing")
     dwell = _number(item.get("dwell", 60.0), ctx + ".dwell")
 
-    stop_entries = item.get("stops", [])
+    stop_entries = _list(item.get("stops", []), ctx + ".stops")
     stop_positions = []
     per_stop_arrivals: list[tuple[int, list[float]]] = []
     for j, entry in enumerate(stop_entries):
@@ -301,7 +321,10 @@ def _parse_bus_line(item: Any, ctx: str, model: NetworkModel) -> BusLineSpec:
             _fail(sctx, f"stop {sid} is not on the line's route")
         pos = sum(model.edge(e).length for e in route_edges[: route_edges.index(stop.edge)])
         stop_positions.append(pos + stop.offset)
-        arrivals = [_number(v, sctx + ".arrivals") for v in _require(entry, "arrivals", sctx)]
+        arrivals = [
+            _number(v, sctx + ".arrivals")
+            for v in _list(_require(entry, "arrivals", sctx), sctx + ".arrivals")
+        ]
         if len(arrivals) != len(departures):
             _fail(sctx, "one scheduled arrival per departure required")
         per_stop_arrivals.append((sid, arrivals))
@@ -348,7 +371,7 @@ def _parse_demand(item: Any, ctx: str, model: NetworkModel) -> DemandEntry:
         if rate < 0:
             _fail(ctx, "rate must be >= 0")
     if times is not None:
-        times = tuple(_number(v, ctx + ".times") for v in times)
+        times = tuple(_number(v, ctx + ".times") for v in _list(times, ctx + ".times"))
     seed = item.get("seed")
     if seed is not None:
         seed = _int(seed, ctx + ".seed")

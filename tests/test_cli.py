@@ -120,13 +120,26 @@ def test_non_positive_horizon_is_usage_error(capsys, tmp_path):
 
 
 def test_scenario_without_horizon_is_validation_error(capsys, tmp_path):
-    data = json.loads(resolve_scenario("desk_small").read_text(encoding="utf-8"))
-    del data["meta"]["horizon"]
-    path = tmp_path / "no_horizon.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    code = run_cli(["--scenario", str(path), "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "scenario error" in err and "horizon" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "out" / "summary.csv").exists()
+    """Missing or malformed scenario content is a validation error (exit 2)."""
+    cases = [
+        ("horizon", lambda d: d["meta"].pop("horizon")),
+        ("meta.horizon", lambda d: d["meta"].update(horizon="abc")),
+        ("meta.horizon", lambda d: d["meta"].update(horizon=-5)),
+        ("edges", lambda d: d.update(edges=5)),
+        ("nodes", lambda d: d.update(nodes=3)),
+        ("connections[0]", lambda d: d.update(connections=[1])),
+        ("edges[0].gate", lambda d: d["edges"][0].update(gate=5)),
+        ("bus_lines[0].stops[0]", lambda d: d["bus_lines"][0].update(stops=[3])),
+        ("edges[0].dl", lambda d: d["edges"][0].update(dl="no")),
+    ]
+    for field, corrupt in cases:
+        data = json.loads(resolve_scenario("desk_small").read_text(encoding="utf-8"))
+        corrupt(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code = run_cli(["--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2, field
+        err = capsys.readouterr().err
+        assert "scenario error" in err and field in err, (field, err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "summary.csv").exists()

@@ -376,3 +376,57 @@ def test_final_subtick_arrival_counts_unserved(desk_small):
     assert result.world.injected[VehicleClass.HDV] == 0
     # the run ends at the horizon rather than spinning to the drain cap
     assert result.world.t <= 61.0
+
+
+def _realign_world(count_forced_in_log=True, jam=None):
+    """Two-edge chain whose only turn into edge 1 leaves from the right lane."""
+    model = make_model(
+        [(0, 1, 2, 200.0, 10.0, False), (1, 2, 3, 200.0, 10.0, False)],
+        connections={(0, 1): {Lane.RIGHT}},
+        jam=jam,
+    )
+    world = make_world(model)
+    world.count_forced_in_log = count_forced_in_log
+    return world
+
+
+def test_turn_realignment_at_edge_end():
+    for count_forced in (True, False):
+        world = _realign_world(count_forced_in_log=count_forced)
+        veh = put_vehicle(world, 0, VehicleClass.CAV, [0, 1], lane=Lane.LEFT,
+                          m=2, offset=95.0)
+        step(world, 1.0)
+        assert (veh.route_index, veh.lane, veh.m) == (0, Lane.RIGHT, 2)
+        assert veh.offset == world.model.edge(0).seg_length
+        assert world.queues[SegmentRef(0, Lane.RIGHT, 2)] == [0]
+        assert world.lane_changes == [(0.0, 0, 0, 2, "L", "R", "align")]
+        assert veh.lane_change_log == ([0.0] if count_forced else [])
+        step(world, 1.0)
+        assert (veh.route_index, veh.m) == (1, 1)  # the turn is now open
+
+
+def test_turn_realignment_waits_after_a_lane_change_this_tick():
+    world = _realign_world()
+    veh = put_vehicle(world, 0, VehicleClass.CAV, [0, 1], lane=Lane.RIGHT,
+                      m=2, offset=95.0)
+    assert execute_lane_change(world, 0, -1) is True
+    step(world, 1.0)
+    assert veh.lane is Lane.LEFT
+    assert veh.offset == world.model.edge(0).seg_length
+    assert [row[6] for row in world.lane_changes] == ["utility"]
+    step(world, 1.0)
+    assert veh.lane is Lane.RIGHT
+    assert world.lane_changes[-1] == (1.0, 0, 0, 2, "L", "R", "align")
+
+
+def test_turn_realignment_blocked_by_jammed_target():
+    world = _realign_world(jam=1)
+    veh = put_vehicle(world, 0, VehicleClass.CAV, [0, 1], lane=Lane.LEFT,
+                      m=2, offset=95.0)
+    put_vehicle(world, 1, VehicleClass.HDV, [0, 1], lane=Lane.RIGHT, m=2, offset=10.0)
+    step(world, 1.0)
+    assert veh.lane is Lane.LEFT
+    assert veh.offset == world.model.edge(0).seg_length
+    assert veh.speed == 5.0  # it waits at the edge end
+    assert world.lane_changes == []
+    assert veh.lane_change_log == []

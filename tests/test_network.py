@@ -131,9 +131,8 @@ def test_default_jam_count_spacing():
 
 
 def test_synthesized_connections_cover_adjacent_pairs(chain3):
-    assert chain3.lanes_connecting(0, 1) == (Lane.LEFT, Lane.RIGHT)
-    assert chain3.lanes_connecting(1, 2) == (Lane.LEFT, Lane.RIGHT)
-    assert chain3.lanes_connecting(0, 2) == ()
+    both = frozenset((Lane.LEFT, Lane.RIGHT))
+    assert chain3.connections == {(0, 1): both, (1, 2): both}
 
 
 def test_edge_validation():
