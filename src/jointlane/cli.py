@@ -15,7 +15,7 @@ from pathlib import Path
 from . import runner
 from .control import STRATEGIES, ControlError
 from .engine import EngineError
-from .metrics import write_combined_summary
+from .metrics import write_summaries
 from .network import NetworkError
 from .scenario import BUNDLED_SCENARIOS, ScenarioError, resolve_scenario
 
@@ -75,20 +75,6 @@ def _parse_kv(text: str) -> tuple[str, float]:
         raise SystemExit(1) from None
 
 
-def _base_config(args, overrides, out_dir) -> runner.RunConfig:
-    return runner.RunConfig(
-        scenario=args.scenario,
-        strategy=args.strategy,
-        seed=args.seed,
-        horizon=args.horizon,
-        out_dir=str(out_dir),
-        overrides=overrides,
-        log_events=args.log_events,
-        log_decisions=args.log_decisions,
-        log_predictions=args.log_predictions,
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -98,9 +84,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
 
     out_root = Path(args.out or os.environ.get("JOINTLANE_OUT", "out"))
+    run_kwargs = dict(
+        strategy=args.strategy, seed=args.seed, horizon=args.horizon,
+        log_events=args.log_events, log_decisions=args.log_decisions,
+        log_predictions=args.log_predictions,
+    )
     try:
         if args.sweep is None:
-            result = runner.run(_base_config(args, overrides, out_root))
+            result = runner.run(args.scenario, out_root, overrides=overrides, **run_kwargs)
             print(
                 f"done: strategy={result.strategy} seed={result.seed} "
                 f"t_wall={result.wall_time:.2f}s reports in {out_root}"
@@ -117,16 +108,14 @@ def main(argv=None) -> int:
             return 1
         rows = []
         for value in values:
-            config = _base_config(args, {**overrides, key: value},
-                                  out_root / f"{key}_{value:g}")
-            result = runner.run(config)
-            row = dict(result.summary)
-            row["sweep_key"] = key
-            row["sweep_value"] = value
-            rows.append(row)
-            print(f"sweep {key}={value:g}: done ({config.out_dir})")
+            out_dir = out_root / f"{key}_{value:g}"
+            result = runner.run(
+                args.scenario, out_dir, overrides={**overrides, key: value}, **run_kwargs
+            )
+            rows.append({**result.summary, "sweep_key": key, "sweep_value": value})
+            print(f"sweep {key}={value:g}: done ({out_dir})")
         rows.sort(key=lambda r: r["sweep_value"])
-        write_combined_summary(rows, out_root)
+        write_summaries(rows, out_root)
         print(f"sweep complete: {len(values)} runs, combined summary in {out_root}")
         return 0
     except ScenarioError as exc:

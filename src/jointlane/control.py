@@ -38,7 +38,6 @@ class ControlParams:
     reroute_tolerance: float = 0.3  # escalation gate on the adjacent GPL
     change_horizon: float = 120.0   # rolling window for the frequency penalty
     hysteresis: float = 0.05        # reactive reroute damping (drp only)
-    count_forced_changes: bool = True  # forced exits feed the frequency penalty
 
     def __post_init__(self):
         if min(self.w1, self.w2, self.w3) < 0:

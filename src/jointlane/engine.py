@@ -159,9 +159,6 @@ class World:
         self.events: Optional[list[tuple]] = None  # enabled by the runner
         # strategy hooks installed by the runner
         self.cav_entry_chooser: Optional[EntryChooser] = None
-        # whether constraint-driven changes feed the per-vehicle change log
-        # (and thereby the frequency penalty)
-        self.count_forced_in_log = True
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -477,8 +474,7 @@ def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
     world.queue(source).remove(veh.id)
     veh.lane = target.lane
     world._insert_by_offset(target, veh)
-    if reason not in ("protect", "align") or world.count_forced_in_log:
-        veh.lane_change_log.append(world.t)
+    veh.lane_change_log.append(world.t)
     veh._last_change_tick = world.t
     world.lane_changes.append(
         (world.t, veh.id, veh.edge_id, veh.m, source.lane.tag, target.lane.tag, reason)

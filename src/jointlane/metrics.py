@@ -143,7 +143,8 @@ def sample_kpis(world: World, t: float) -> KpiSample:
 # -- CSV output -------------------------------------------------------------------
 
 
-def _sec(x: Optional[float]) -> str:
+def float_cell(x: Optional[float]) -> str:
+    """A float report cell: six decimals, empty for a missing value."""
     return "" if x is None else f"{x:.6f}"
 
 
@@ -154,88 +155,73 @@ def write_csv(path: Path, header: list[str], rows: Iterable[Iterable]):
         writer.writerows(rows)
 
 
-def write_reports(metrics: RunMetrics, summary: dict, out_dir: str | Path) -> list[Path]:
-    """Write the five standard report files; byte-stable for identical runs."""
+def write_table(
+    out_dir: str | Path, name: str, header: list[str], rows: Iterable[Iterable]
+) -> Path:
+    """Write one CSV report `name` into `out_dir`, creating the directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    path = out / name
+    write_csv(path, header, rows)
+    return path
 
-    path = out / "trips.csv"
-    write_csv(
-        path,
-        ["vehicle", "class", "depart_time", "arrival_time", "travel_time",
-         "lane_change_count", "reroute_count"],
-        (
-            [t.vehicle, t.vclass.value, _sec(t.depart_time), _sec(t.arrival_time),
-             _sec(t.travel_time), t.lane_change_count, t.reroute_count]
-            for t in sorted(metrics.trips, key=lambda r: (r.arrival_time, r.vehicle))
+
+def write_reports(metrics: RunMetrics, summary: dict, out_dir: str | Path) -> list[Path]:
+    """Write the five standard report files; byte-stable for identical runs."""
+    return [
+        write_table(
+            out_dir, "trips.csv",
+            ["vehicle", "class", "depart_time", "arrival_time", "travel_time",
+             "lane_change_count", "reroute_count"],
+            (
+                [t.vehicle, t.vclass.value, float_cell(t.depart_time),
+                 float_cell(t.arrival_time), float_cell(t.travel_time),
+                 t.lane_change_count, t.reroute_count]
+                for t in sorted(metrics.trips, key=lambda r: (r.arrival_time, r.vehicle))
+            ),
         ),
-    )
-    written.append(path)
-
-    path = out / "bus_arrivals.csv"
-    write_csv(
-        path,
-        ["vehicle", "line", "trip", "stop", "scheduled_arrival", "actual_arrival",
-         "delay", "on_time"],
-        (
-            [a.vehicle, a.line, a.trip, a.stop, _sec(a.scheduled), _sec(a.actual),
-             _sec(a.delay), int(a.on_time)]
-            for a in sorted(metrics.bus_arrivals, key=lambda r: (r.actual, r.vehicle, r.stop))
+        write_table(
+            out_dir, "bus_arrivals.csv",
+            ["vehicle", "line", "trip", "stop", "scheduled_arrival", "actual_arrival",
+             "delay", "on_time"],
+            (
+                [a.vehicle, a.line, a.trip, a.stop, float_cell(a.scheduled),
+                 float_cell(a.actual), float_cell(a.delay), int(a.on_time)]
+                for a in sorted(metrics.bus_arrivals, key=lambda r: (r.actual, r.vehicle, r.stop))
+            ),
         ),
-    )
-    written.append(path)
-
-    path = out / "timeseries.csv"
-    write_csv(
-        path,
-        ["t", "cumulative_bus_travel_time", "avg_cav_travel_time",
-         "avg_hdv_travel_time", "cumulative_cav_lane_changes"],
-        (
-            [_sec(s.t), _sec(s.cumulative_bus_travel_time), _sec(s.avg_cav_travel_time),
-             _sec(s.avg_hdv_travel_time), s.cumulative_cav_lane_changes]
-            for s in metrics.series
+        write_table(
+            out_dir, "timeseries.csv",
+            ["t", "cumulative_bus_travel_time", "avg_cav_travel_time",
+             "avg_hdv_travel_time", "cumulative_cav_lane_changes"],
+            (
+                [float_cell(s.t), float_cell(s.cumulative_bus_travel_time),
+                 float_cell(s.avg_cav_travel_time), float_cell(s.avg_hdv_travel_time),
+                 s.cumulative_cav_lane_changes]
+                for s in metrics.series
+            ),
         ),
-    )
-    written.append(path)
-
-    path = out / "lane_changes.csv"
-    write_csv(
-        path,
-        ["t", "vehicle", "edge", "m", "lane_from", "lane_to", "reason"],
-        (
-            [_sec(e[0]), e[1], e[2], e[3], e[4], e[5], e[6]]
-            for e in metrics.lane_change_events
+        write_table(
+            out_dir, "lane_changes.csv",
+            ["t", "vehicle", "edge", "m", "lane_from", "lane_to", "reason"],
+            ([float_cell(e[0]), *e[1:]] for e in metrics.lane_change_events),
         ),
-    )
-    written.append(path)
-
-    path = out / "summary.csv"
-    write_csv(path, list(summary.keys()), [[_format_summary_value(v) for v in summary.values()]])
-    written.append(path)
-    return written
+        write_summaries([summary], out_dir),
+    ]
 
 
-def _format_summary_value(v):
+def _summary_cell(v):
     if isinstance(v, bool):
         return int(v)
-    if isinstance(v, float):
-        return f"{v:.6f}"
-    if v is None:
-        return ""
+    if v is None or isinstance(v, float):
+        return float_cell(v)
     return v
 
 
-def write_combined_summary(rows: list[dict], out_dir: str | Path) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "summary.csv"
-    if not rows:
-        write_csv(path, [], [])
-        return path
-    header = list(rows[0].keys())
-    write_csv(
-        path, header,
-        ([_format_summary_value(row.get(k)) for k in header] for row in rows),
+def write_summaries(rows: list[dict], out_dir: str | Path) -> Path:
+    """Write `summary.csv`: one row per run, columns from the first row."""
+    header = list(rows[0])
+    return write_table(
+        out_dir, "summary.csv", header,
+        ([_summary_cell(row.get(k)) for k in header] for row in rows),
     )
-    return path

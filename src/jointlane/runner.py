@@ -10,7 +10,7 @@ horizon and the run drains until all vehicles finish or twice the horizon.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -31,39 +31,19 @@ from .network import Lane, SegmentRef, VehicleClass
 from .scenario import Scenario, ScenarioError, apply_overrides, load_scenario, resolve_scenario
 
 
-@dataclass
-class RunConfig:
-    scenario: str
-    strategy: str = "proposed"
-    seed: int = 1
-    horizon: Optional[float] = None
-    out_dir: Optional[str] = None
-    overrides: dict = field(default_factory=dict)
-    log_events: bool = False
-    log_decisions: bool = False
-    log_predictions: bool = False
+def run(scenario: str, out_dir: str | Path, log_decisions: bool = False,
+        **simulate_kwargs) -> RunResult:
+    """Simulate a scenario (bundled name or path) and write its reports.
 
-
-def run(config: RunConfig) -> RunResult:
-    """Execute one configured run and write its reports."""
-    import os
-
-    scenario = load_scenario(resolve_scenario(config.scenario))
-    result = simulate(
-        scenario,
-        strategy=config.strategy,
-        seed=config.seed,
-        horizon=config.horizon,
-        overrides=config.overrides,
-        log_events=config.log_events,
-        log_predictions=config.log_predictions,
-    )
-    out = Path(config.out_dir or os.environ.get("JOINTLANE_OUT", "out"))
-    write_run_reports(result, out)
-    if config.log_decisions:
-        write_decision_log(result, out)
-    if config.log_predictions:
-        write_prediction_log(result, out)
+    Writes the standard reports, plus the event, decision and prediction
+    logs when `log_events`, `log_decisions` and `log_predictions` are set.
+    """
+    result = simulate(load_scenario(resolve_scenario(scenario)), **simulate_kwargs)
+    write_run_reports(result, out_dir)
+    if log_decisions:
+        write_decision_log(result, out_dir)
+    if simulate_kwargs.get("log_predictions"):
+        write_prediction_log(result, out_dir)
     return result
 
 
@@ -161,7 +141,6 @@ def simulate(
     started = time.perf_counter()
 
     world = World(model, clock)
-    world.count_forced_in_log = params.count_forced_changes
     if log_events:
         world.events = []
     view = _ProtectionView()
@@ -206,13 +185,14 @@ def simulate(
             if not world.vehicles and bus_ptr >= len(bus_departures):
                 break
 
+        is_control = tick % steps_control == 0
         if tick % steps_bus == 0:
             windows = pr.build_bus_windows(world, scenario.protection)
-            if snapshot is not None:
+            # a control tick rebuilds the snapshot below, which would discard a refresh
+            if snapshot is not None and not is_control:
                 snapshot = pr.refresh_conflicts(world, snapshot, windows)
                 view.update(snapshot, params)
 
-        is_control = tick % steps_control == 0
         if is_control:
             snapshot = pr.build_snapshot(
                 world, windows, scenario.bpr, scenario.protection, clock.dt_control
@@ -449,53 +429,39 @@ def _build_summary(
 
 
 def write_run_reports(result: RunResult, out_dir: str | Path) -> list[Path]:
-    """Standard report files plus any enabled logs."""
-    out = Path(out_dir)
-    written = mt.write_reports(result.metrics, result.summary, out)
+    """Standard report files plus the event log when it was enabled."""
+    written = mt.write_reports(result.metrics, result.summary, out_dir)
     if result.world.events is not None:
-        path = out / "events.csv"
-        mt.write_csv(
-            path,
+        written.append(mt.write_table(
+            out_dir, "events.csv",
             ["t", "event", "vehicle", "class", "edge", "lane", "m", "offset", "detail"],
             ([f"{e[0]:.6f}", *e[1:]] for e in result.world.events),
-        )
-        written.append(path)
+        ))
     return written
 
 
 def write_decision_log(result: RunResult, out_dir: str | Path) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "decisions.csv"
-    mt.write_csv(
-        path,
+    return mt.write_table(
+        out_dir, "decisions.csv",
         ["t", "vehicle", "edge", "lane", "m", "action", "forced",
          "utility", "u1", "u2", "u3", "executed"],
         (
             [f"{r[0]:.6f}", r[1], r[2], r[3], r[4], r[5], r[6],
-             _opt(r[7]), _opt(r[8]), _opt(r[9]), _opt(r[10]), r[11]]
+             mt.float_cell(r[7]), mt.float_cell(r[8]), mt.float_cell(r[9]),
+             mt.float_cell(r[10]), r[11]]
             for r in result.decision_rows
         ),
     )
-    return path
 
 
 def write_prediction_log(result: RunResult, out_dir: str | Path) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "predictions.csv"
-    mt.write_csv(
-        path,
+    return mt.write_table(
+        out_dir, "predictions.csv",
         ["t", "edge", "lane", "m", "inflow", "hdv_entries", "predicted_time",
          "conflict_inflow", "bus_time"],
         (
             [f"{r[0]:.6f}", r[1], r[2], r[3], f"{r[4]:.6f}", r[5], f"{r[6]:.6f}",
-             _opt(r[7]), _opt(r[8])]
+             mt.float_cell(r[7]), mt.float_cell(r[8])]
             for r in result.prediction_rows
         ),
     )
-    return path
-
-
-def _opt(x) -> str:
-    return "" if x is None else f"{x:.6f}"

@@ -151,6 +151,7 @@ def from_dict(data: Any, source: str = "<scenario>") -> Scenario:
     for i, item in enumerate(raw_nodes):
         ctx = f"nodes[{i}]"
         if isinstance(item, dict):
+            _check_keys(item, {"id"}, ctx)
             nodes.append(_int(_require(item, "id", ctx), ctx))
         else:
             nodes.append(_int(item, ctx))
@@ -389,7 +390,6 @@ _CONTROL_KEYS: dict[str, tuple[str, str, Any]] = {
     "gamma": ("control", "reroute_tolerance", 0.3),
     "T": ("control", "change_horizon", 120.0),
     "theta": ("control", "hysteresis", 0.05),
-    "count_forced_changes": ("control", "count_forced_changes", True),
     "alpha": ("bpr", "alpha", 0.15),
     "beta": ("bpr", "beta", 4.0),
     "dT_b": ("protection", "horizon", 30.0),
@@ -416,12 +416,7 @@ def _parse_control(raw: Any) -> tuple[ControlParams, BprParams, ProtectionHorizo
             for key, (field_name, attr, default) in _CONTROL_KEYS.items():
                 if field_name != owner:
                     continue
-                if key not in raw:
-                    kwargs[attr] = default
-                elif isinstance(default, bool):
-                    kwargs[attr] = bool(raw[key])
-                else:
-                    kwargs[attr] = _number(raw[key], f"control.{key}")
+                kwargs[attr] = _number(raw[key], f"control.{key}") if key in raw else default
             params[owner] = cls(**kwargs)
     except Exception as exc:
         raise ScenarioError(f"control: {exc}") from exc

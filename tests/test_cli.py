@@ -131,6 +131,7 @@ def test_scenario_without_horizon_is_validation_error(capsys, tmp_path):
         ("edges[0].gate", lambda d: d["edges"][0].update(gate=5)),
         ("bus_lines[0].stops[0]", lambda d: d["bus_lines"][0].update(stops=[3])),
         ("edges[0].dl", lambda d: d["edges"][0].update(dl="no")),
+        ("nodes[0]", lambda d: d.update(nodes=[{"id": 1, "junk": 2}, *d["nodes"][1:]])),
     ]
     for field, corrupt in cases:
         data = json.loads(resolve_scenario("desk_small").read_text(encoding="utf-8"))

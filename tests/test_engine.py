@@ -88,6 +88,10 @@ def test_lane_change_same_offset_and_log(dl_chain3):
     assert veh.m == 2
     assert veh.offset == 33.0
     assert veh.lane_change_log == [42.0]
+    world.t = 43.0
+    assert execute_lane_change(world, 0, 1, reason="protect") is True
+    assert veh.lane_change_log == [42.0, 43.0]  # forced changes feed the penalty too
+    assert [row[6] for row in world.lane_changes] == ["utility", "protect"]
 
 
 def test_lane_change_blocked_by_jam():
@@ -346,19 +350,6 @@ def test_bus_blocked_exactly_at_stop_still_serves_it():
     assert any(rec[0] == follower.id for rec in world.stop_arrivals)
 
 
-def test_forced_changes_can_be_kept_out_of_penalty_log(dl_chain3):
-    world = make_world(dl_chain3)
-    world.count_forced_in_log = False
-    veh = put_vehicle(world, 0, VehicleClass.CAV, [0, 1, 2], lane=Lane.RIGHT,
-                      m=1, offset=10.0)
-    assert execute_lane_change(world, 0, -1, reason="protect") is True
-    assert veh.lane_change_log == []           # penalty log skipped
-    assert len(world.lane_changes) == 1        # metrics still see it
-    world.t += 1.0
-    assert execute_lane_change(world, 0, 1, reason="utility") is True
-    assert veh.lane_change_log == [world.t]
-
-
 def test_final_subtick_arrival_counts_unserved(desk_small):
     from jointlane.runner import simulate
     from jointlane.scenario import Scenario
@@ -378,31 +369,28 @@ def test_final_subtick_arrival_counts_unserved(desk_small):
     assert result.world.t <= 61.0
 
 
-def _realign_world(count_forced_in_log=True, jam=None):
+def _realign_world(jam=None):
     """Two-edge chain whose only turn into edge 1 leaves from the right lane."""
     model = make_model(
         [(0, 1, 2, 200.0, 10.0, False), (1, 2, 3, 200.0, 10.0, False)],
         connections={(0, 1): {Lane.RIGHT}},
         jam=jam,
     )
-    world = make_world(model)
-    world.count_forced_in_log = count_forced_in_log
-    return world
+    return make_world(model)
 
 
 def test_turn_realignment_at_edge_end():
-    for count_forced in (True, False):
-        world = _realign_world(count_forced_in_log=count_forced)
-        veh = put_vehicle(world, 0, VehicleClass.CAV, [0, 1], lane=Lane.LEFT,
-                          m=2, offset=95.0)
-        step(world, 1.0)
-        assert (veh.route_index, veh.lane, veh.m) == (0, Lane.RIGHT, 2)
-        assert veh.offset == world.model.edge(0).seg_length
-        assert world.queues[SegmentRef(0, Lane.RIGHT, 2)] == [0]
-        assert world.lane_changes == [(0.0, 0, 0, 2, "L", "R", "align")]
-        assert veh.lane_change_log == ([0.0] if count_forced else [])
-        step(world, 1.0)
-        assert (veh.route_index, veh.m) == (1, 1)  # the turn is now open
+    world = _realign_world()
+    veh = put_vehicle(world, 0, VehicleClass.CAV, [0, 1], lane=Lane.LEFT,
+                      m=2, offset=95.0)
+    step(world, 1.0)
+    assert (veh.route_index, veh.lane, veh.m) == (0, Lane.RIGHT, 2)
+    assert veh.offset == world.model.edge(0).seg_length
+    assert world.queues[SegmentRef(0, Lane.RIGHT, 2)] == [0]
+    assert world.lane_changes == [(0.0, 0, 0, 2, "L", "R", "align")]
+    assert veh.lane_change_log == [0.0]
+    step(world, 1.0)
+    assert (veh.route_index, veh.m) == (1, 1)  # the turn is now open
 
 
 def test_turn_realignment_waits_after_a_lane_change_this_tick():

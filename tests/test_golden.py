@@ -1,4 +1,5 @@
-"""Byte-level regression guard: desk_small seed 1 reports under every strategy.
+"""Byte-level regression guard: desk_small seed 1 reports under every strategy
+and the summaries of a w3 sweep.
 
 The digests pin the five standard reports plus the event, decision and
 prediction logs. A change that alters any of them, for any strategy, must
@@ -58,3 +59,24 @@ def test_desk_small_seed1_reports_match_golden_digests(strategy, tmp_path):
         for name in GOLDEN[strategy]
     }
     assert digests == GOLDEN[strategy]
+
+
+#: `--sweep w3=0.2,0.4 --seed 1`: the combined table and each run's own summary
+SWEEP_GOLDEN = {
+    "summary.csv": "d441538d955af3601d39f90d89ea9e96c47b746c96880ce553d1c3e1e33e7f10",
+    "w3_0.2/summary.csv": "642cc004fb5cee6bbf9baed4508995cd5455ec3385bfed99b4337a4b2dfb619a",
+    "w3_0.4/summary.csv": GOLDEN["proposed"]["summary.csv"],
+}
+
+
+def test_sweep_summaries_match_golden_digests(tmp_path):
+    code = main([
+        "--scenario", "desk_small", "--sweep", "w3=0.2,0.4", "--seed", "1",
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in SWEEP_GOLDEN
+    }
+    assert digests == SWEEP_GOLDEN

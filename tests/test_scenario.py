@@ -144,11 +144,13 @@ def test_apply_overrides_returns_updated_copy(desk_small):
         apply_overrides(desk_small, {"w9": 1.0})
 
 
-def test_bundled_fixture_matches_builder(desk_small_path):
+@pytest.mark.parametrize("preset", ["small", "large"])
+def test_bundled_fixture_matches_builder(preset):
     from jointlane import fixtures
+    from jointlane.scenario import resolve_scenario
 
-    committed = json.loads(desk_small_path.read_text(encoding="utf-8"))
-    assert committed == fixtures.build("small")
+    path = resolve_scenario(f"desk_{preset}")
+    assert json.loads(path.read_text(encoding="utf-8")) == fixtures.build(preset)
 
 
 def test_bundled_large_scenario_loads():
