@@ -144,6 +144,7 @@ class World:
         self.clock = clock
         self.t = 0.0
         self.vehicles: dict[int, VehicleState] = {}
+        self.buses: dict[int, VehicleState] = {}  # active buses, placement order
         self.queues: dict[SegmentRef, list[int]] = {}
         self.retired: list[VehicleState] = []
         self.injected: dict[VehicleClass, int] = {c: 0 for c in VehicleClass}
@@ -222,6 +223,8 @@ class World:
         if target is None:
             return False
         self.vehicles[veh.id] = veh
+        if veh.vclass is VehicleClass.BUS:
+            self.buses[veh.id] = veh
         _enter_queue(self, veh, target, 0.0)
         self.injected[veh.vclass] += 1
         veh.depart_time = self.t
@@ -273,19 +276,28 @@ class World:
 
 
 def inject_demand(world: World, due: Iterable[VehicleState]):
-    """Place pending and newly due vehicles; the rest wait for entry space."""
+    """Place pending and newly due vehicles in creation order; the rest wait
+    for entry space.
+
+    An entry fails only when every lane the vehicle may enter on is full. That
+    lane set depends on its class, first edge and onward edge alone, and
+    occupancy only rises during one call, so once a vehicle of such an entry
+    group fails, the rest of the group waits without another attempt.
+    """
     waiting = world.pending
     world.pending = []
+    full: set[tuple] = set()
     for veh in itertools.chain(waiting, due):
-        if not world.place_new(veh):
+        route = veh.route
+        group = (veh.vclass, route[0], route[1] if len(route) > 1 else None)
+        if group in full or not world.place_new(veh):
+            full.add(group)
             world.pending.append(veh)
 
 
 def bus_service(world: World, t: float):
     """Release bus dwells that have completed; record the departure times."""
-    for veh in world.vehicles.values():
-        if veh.vclass is not VehicleClass.BUS:
-            continue
+    for veh in world.buses.values():
         if veh.dwell_until is not None and t >= veh.dwell_until:
             veh.dwell_until = None
             served = veh.stop_plan[veh.next_stop - 1].stop
@@ -350,7 +362,7 @@ def step(world: World, dt: Optional[float] = None):
             veh = world.vehicles[vid]
             moved.add(vid)
             old_offset = veh.offset
-            if veh.is_dwelling:
+            if veh.dwell_until is not None:
                 veh.speed = 0.0
                 block = veh.offset
                 continue
@@ -359,13 +371,14 @@ def step(world: World, dt: Optional[float] = None):
                 target = min(target, block)
             # bus stop capture; <= so a bus blocked exactly at the stop
             # offset (behind a dwelling leader) still serves the stop
-            stop_off = _next_stop_offset(world, veh, key)
-            if stop_off is not None and veh.offset <= stop_off <= target:
-                veh.offset = stop_off
-                _begin_dwell(world, veh)
-                veh.speed = (veh.offset - old_offset) / dt
-                block = veh.offset
-                continue
+            if veh.vclass is VehicleClass.BUS:
+                stop_off = _next_stop_offset(world, veh, key)
+                if stop_off is not None and veh.offset <= stop_off <= target:
+                    veh.offset = stop_off
+                    _begin_dwell(world, veh)
+                    veh.speed = (veh.offset - old_offset) / dt
+                    block = veh.offset
+                    continue
             if target >= seg_len and block is None:
                 overshoot = min(target - seg_len, seg_len)
                 if _transfer(world, veh, key, overshoot):
@@ -486,6 +499,7 @@ def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
 def _retire(world: World, veh: VehicleState, key: SegmentRef):
     world.queue(key).remove(veh.id)
     del world.vehicles[veh.id]
+    world.buses.pop(veh.id, None)
     veh.arrival_time = world.t
     world.retired.append(veh)
     world.log_event("retire", veh)

@@ -6,6 +6,7 @@ from jointlane.network import (
     Lane,
     NetworkModel,
     SegmentRef,
+    VehicleClass,
     synthesize_connections,
 )
 from jointlane.scenario import load_scenario
@@ -72,6 +73,8 @@ def put_vehicle(
         **extra,
     )
     world.vehicles[vid] = veh
+    if vclass is VehicleClass.BUS:
+        world.buses[vid] = veh
     world._insert_by_offset(SegmentRef(route[route_index], lane, m), veh)
     world.injected[vclass] += 1
     return veh

@@ -7,6 +7,8 @@ from jointlane.engine import (
     EngineClock,
     EngineError,
     StopVisit,
+    VehicleState,
+    World,
     bus_service,
     execute_lane_change,
     generate_arrivals,
@@ -125,13 +127,27 @@ def test_one_lateral_move_per_tick(dl_chain3):
     assert execute_lane_change(world, 0, 1) is True
 
 
-def _bus_world(schedule_arrival, stop_offset=150.0):
-    model = make_model(
+def _new_vehicle(world, vid, vclass, route, **extra):
+    """A created vehicle that waits for injection (not yet on the network)."""
+    first, last = world.model.edge(route[0]), world.model.edge(route[-1])
+    return VehicleState(
+        id=vid, vclass=vclass, route=list(route), route_index=0,
+        lane=Lane.RIGHT if vclass is VehicleClass.BUS else Lane.LEFT, m=1,
+        offset=0.0, speed=first.free_flow_speed, depart_time=world.t,
+        origin=first.frm, destination=last.to, **extra,
+    )
+
+
+def _bus_model(stop_offset=150.0):
+    return make_model(
         [(0, 1, 2, 200.0, 10.0, True), (1, 2, 3, 200.0, 10.0, True)],
         bus_stops=[__import__("jointlane.network", fromlist=["BusStop"]).BusStop(
             id=0, edge=0, offset=stop_offset)],
     )
-    world = make_world(model)
+
+
+def _bus_world(schedule_arrival, stop_offset=150.0):
+    world = make_world(_bus_model(stop_offset))
     bus = put_vehicle(
         world, 0, VehicleClass.BUS, [0, 1], lane=Lane.RIGHT, m=1, offset=0.0,
         stop_plan=(StopVisit(0, schedule_arrival),), dwell=60.0,
@@ -162,6 +178,21 @@ def test_bus_on_time_dwells_exactly():
         bus_service(world, world.t)
         step(world, 1.0)
     assert bus.dwell_until == 15.0 + 60.0
+
+
+def test_buses_released_together_depart_in_placement_order():
+    world = make_world(_bus_model())
+    plan = (StopVisit(0, 45.0),)
+    # the higher id is placed first; the second bus stops behind it at the stop
+    for vid in (7, 3):
+        bus = _new_vehicle(world, vid, VehicleClass.BUS, [0, 1], stop_plan=plan, dwell=60.0)
+        assert world.place_new(bus)
+        step(world, 1.0)
+    while world.t <= 105.0:
+        bus_service(world, world.t)
+        step(world, 1.0)
+    assert [rec[0] for rec in world.stop_arrivals] == [7, 3]
+    assert world.stop_departures == [(105.0, 7, 0), (105.0, 3, 0)]
 
 
 def test_bus_late_arrival_keeps_full_dwell():
@@ -217,21 +248,55 @@ def test_demand_respects_horizon():
     assert [a[0] for a in arrivals] == [10.0, 899.9]
 
 
-def test_injection_pends_when_entry_jammed():
+def test_injection_pends_when_entry_jammed(monkeypatch):
     model = make_model([(0, 1, 2, 200.0, 10.0, False)], jam=1)
     world = make_world(model)
-    put_vehicle(world, 0, VehicleClass.CAV, [0], lane=Lane.LEFT, offset=1.0)
+    # the left occupant crosses into the second half-segment on the next step
+    put_vehicle(world, 0, VehicleClass.CAV, [0], lane=Lane.LEFT, offset=99.5)
     put_vehicle(world, 1, VehicleClass.CAV, [0], lane=Lane.RIGHT, offset=1.0)
-    from jointlane.engine import VehicleState
-
-    newcomer = VehicleState(
-        id=99, vclass=VehicleClass.CAV, route=[0], route_index=0,
-        lane=Lane.LEFT, m=1, offset=0.0, speed=10.0, depart_time=0.0,
-        origin=1, destination=2,
+    tried = []  # the id of every vehicle place_new is asked to place
+    place_new = World.place_new
+    monkeypatch.setattr(
+        World, "place_new", lambda self, veh: tried.append(veh.id) or place_new(self, veh)
     )
-    inject_demand(world, [newcomer])
-    assert world.pending == [newcomer]
+    backlog = [_new_vehicle(world, vid, VehicleClass.CAV, [0]) for vid in range(10, 15)]
+
+    inject_demand(world, backlog)
+    assert world.pending == backlog
     assert world.injected[VehicleClass.CAV] == 2  # placement deferred
+    assert tried == [10]  # the rest of a full entry group is not retried
+    inject_demand(world, [])
+    assert world.pending == backlog
+    assert tried == [10, 10]
+
+    step(world, 1.0)  # frees the left entry segment only
+    tried.clear()
+    inject_demand(world, [])
+    assert backlog[0].id in world.vehicles
+    assert backlog[0].lane is Lane.LEFT  # the oldest waiting vehicle takes it
+    assert world.pending == backlog[1:]
+    assert tried == [10, 11]
+
+
+def test_injection_retries_other_onward_edges_behind_a_full_entry():
+    # edge 0 turns into edge 1 from its right lane only, into edge 2 from its left
+    model = make_model(
+        [(0, 1, 2, 200.0, 10.0, False), (1, 2, 3, 200.0, 10.0, False),
+         (2, 2, 4, 200.0, 10.0, False)],
+        connections={(0, 1): {Lane.RIGHT}, (0, 2): {Lane.LEFT}},
+        jam=1,
+    )
+    world = make_world(model)
+    put_vehicle(world, 0, VehicleClass.HDV, [0, 1], lane=Lane.RIGHT, offset=1.0)
+    first = _new_vehicle(world, 10, VehicleClass.HDV, [0, 1])
+    other = _new_vehicle(world, 11, VehicleClass.HDV, [0, 2])
+    last = _new_vehicle(world, 12, VehicleClass.HDV, [0, 1])
+    world.pending = [first]
+
+    inject_demand(world, [other, last])
+    assert other.id in world.vehicles
+    assert other.lane is Lane.LEFT
+    assert world.pending == [first, last]  # creation order kept
 
 
 def test_clock_requires_integer_multiples():
