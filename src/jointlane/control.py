@@ -13,7 +13,7 @@ Three strategies share one interface:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import routing
 from .engine import World
@@ -114,8 +114,7 @@ def protection_actions(snapshot: PredictionSnapshot, params: ControlParams) -> P
         for vid in sorted(snapshot.overlap):
             if seg not in snapshot.overlap[vid]:
                 continue
-            view = snapshot.vehicles[vid]
-            if view.segment == seg:
+            if snapshot.vehicles[vid].segment == seg:
                 forced.append((vid, seg))
             else:
                 banned.add((vid, seg))
@@ -148,17 +147,17 @@ def u2_turn_feasibility(snapshot: PredictionSnapshot, vid: int, target_lane: Lan
     deferred (the vehicle would still be on the upstream half, leaving one
     change-back opportunity before the turn).
     """
-    view = snapshot.vehicles[vid]
-    seg = view.segment
+    veh = snapshot.vehicles[vid]
+    seg = veh.segment
     if seg.m == 1:
         return 1
-    if view.route_index + 1 >= len(view.route):
+    if veh.route_index + 1 >= len(veh.route):
         return 1
-    nxt = view.route[view.route_index + 1]
+    nxt = veh.route[veh.route_index + 1]
     return 1 if snapshot.model.connects(seg.edge, target_lane, nxt) else 0
 
 
-def u3_change_rate_penalty(log: tuple[float, ...], t: float, horizon: float, dt: float) -> float:
+def u3_change_rate_penalty(log: Sequence[float], t: float, horizon: float, dt: float) -> float:
     """Negative share of recent control steps spent changing lanes."""
     n = sum(1 for x in log if t - horizon < x <= t)
     return -n / (horizon / dt)
@@ -175,11 +174,10 @@ def utility(
     seg: SegmentRef,
     target: SegmentRef,
 ) -> tuple[float, tuple[float, float, float]]:
-    view = snapshot.vehicles[vid]
     t1 = u1_time_benefit(snapshot, seg, target)
     t2 = float(u2_turn_feasibility(snapshot, vid, target.lane))
     t3 = u3_change_rate_penalty(
-        view.lane_change_log, snapshot.t, params.change_horizon, snapshot.dt
+        snapshot.vehicles[vid].lane_change_log, snapshot.t, params.change_horizon, snapshot.dt
     )
     return weighted_score(params, t1, t2, t3), (t1, t2, t3)
 
@@ -212,9 +210,8 @@ def build_candidates(
         return []
     target = SegmentRef(seg.edge, seg.lane.other, seg.m)
     out = []
-    for vid in sorted(snapshot.vehicles):
-        view = snapshot.vehicles[vid]
-        if view.vclass is not VehicleClass.CAV or view.segment != seg:
+    for vid, veh in snapshot.vehicles.items():
+        if veh.vclass is not VehicleClass.CAV or veh.segment != seg:
             continue
         if vid in excluded or (vid, target) in banned:
             continue
@@ -236,9 +233,9 @@ def select_lane_changes(snapshot: PredictionSnapshot, params: ControlParams) -> 
     """Hard protection plus one positively scored winner per segment."""
     decision, forced_ids = _protected_decision(snapshot, params)
     occupied: dict[SegmentRef, bool] = {}
-    for view in snapshot.vehicles.values():
-        if view.vclass is VehicleClass.CAV:
-            occupied[view.segment] = True
+    for veh in snapshot.vehicles.values():
+        if veh.vclass is VehicleClass.CAV:
+            occupied[veh.segment] = True
     for seg in sorted(occupied):
         candidates = build_candidates(snapshot, seg, decision.banned, excluded=forced_ids)
         if not candidates:
@@ -337,20 +334,16 @@ def rerouting_escalation(
         for vid in sorted(snapshot.overlap):
             if seg not in snapshot.overlap[vid] or vid in taken:
                 continue
-            view = snapshot.vehicles[vid]
-            own = view.segment
+            own = snapshot.vehicles[vid].segment
             tau = 0.0 if (own.edge, own.m) == (seg.edge, seg.m) else snapshot.tau[vid].get(seg, 0.0)
             members.append((vid, tau))
         members.sort(key=lambda item: (-item[1], item[0]))
         for vid, _ in members:
             if cleared():
                 break
-            view = snapshot.vehicles[vid]
-            if view.route[view.route_index] == seg.edge:
+            veh = snapshot.vehicles[vid]
+            if veh.edge_id == seg.edge:
                 continue  # cannot avoid the edge it is already on
-            veh = world.vehicles.get(vid)
-            if veh is None:
-                continue
             new_route = routing.reroute(
                 model,
                 veh.route,
@@ -386,11 +379,10 @@ def myopic_lane_actions(
 ) -> list[LaneAction]:
     """Hop to the adjacent permitted lane when it is currently strictly faster."""
     actions = []
-    for vid in sorted(snapshot.vehicles):
-        view = snapshot.vehicles[vid]
-        if view.vclass is not VehicleClass.CAV or vid in excluded:
+    for vid, veh in snapshot.vehicles.items():
+        if veh.vclass is not VehicleClass.CAV or vid in excluded:
             continue
-        seg = view.segment
+        seg = veh.segment
         target = SegmentRef(seg.edge, seg.lane.other, seg.m)
         if (vid, target) in banned:
             continue
@@ -405,12 +397,8 @@ def reactive_reroutes(
 ) -> list[RouteAssignment]:
     """Per-CAV shortest-path recomputation with switch hysteresis."""
     out = []
-    for vid in sorted(snapshot.vehicles):
-        view = snapshot.vehicles[vid]
-        if view.vclass is not VehicleClass.CAV:
-            continue
-        veh = world.vehicles.get(vid)
-        if veh is None or veh.route_index + 1 >= len(veh.route):
+    for vid, veh in snapshot.vehicles.items():
+        if veh.vclass is not VehicleClass.CAV or veh.route_index + 1 >= len(veh.route):
             continue
         current_cost = routing.path_cost(veh.route[veh.route_index + 1 :], costs)
         candidate = routing.reroute(

@@ -97,13 +97,12 @@ class VehicleState:
     vclass: VehicleClass
     route: list[int]                   # edge ids, traversed prefix preserved on reroute
     route_index: int
-    lane: Lane
-    m: int
     offset: float                      # meters within the current segment
     speed: float
     depart_time: float
     origin: int
     destination: int
+    segment: Optional[SegmentRef] = None  # set only by _enter_queue and _lateral_move
     arrival_time: Optional[float] = None
     lane_change_log: list[float] = field(default_factory=list)
     reroute_count: int = 0
@@ -121,16 +120,12 @@ class VehicleState:
         return self.route[self.route_index]
 
     @property
-    def segment(self) -> SegmentRef:
-        return SegmentRef(self.edge_id, self.lane, self.m)
-
-    @property
     def is_dwelling(self) -> bool:
         return self.dwell_until is not None
 
     def pos_in_edge(self, model: NetworkModel) -> float:
         half = model.edge(self.edge_id).seg_length
-        return self.offset + (0.0 if self.m == 1 else half)
+        return self.offset + (0.0 if self.segment.m == 1 else half)
 
 
 EntryChooser = Callable[["World", VehicleState, int], tuple[Lane, ...]]
@@ -196,7 +191,7 @@ class World:
         if self.events is not None:
             self.events.append(
                 (self.t, kind, veh.id, veh.vclass.value, veh.edge_id,
-                 veh.lane.tag, veh.m, f"{veh.offset:.6f}", detail)
+                 veh.segment.lane.tag, veh.segment.m, f"{veh.offset:.6f}", detail)
             )
 
     def active_counts(self) -> dict[VehicleClass, int]:
@@ -321,7 +316,7 @@ def execute_lane_change(
     if direction not in (-1, 1):
         raise EngineError(f"vehicle {vehicle_id}: invalid direction {direction}")
     target_lane = Lane.RIGHT if direction == 1 else Lane.LEFT
-    if target_lane is veh.lane:
+    if target_lane is veh.segment.lane:
         raise EngineError(
             f"vehicle {vehicle_id}: already on the {target_lane.tag} lane"
         )
@@ -464,8 +459,7 @@ def _enter_queue(world: World, veh: VehicleState, target: SegmentRef, overshoot:
     stop_off = _next_stop_offset(world, veh, target)
     if stop_off is not None:
         offset = min(offset, stop_off)
-    veh.lane = target.lane
-    veh.m = target.m
+    veh.segment = target
     veh.offset = max(0.0, offset)
     q.append(veh.id)
     if stop_off is not None and veh.offset >= stop_off:
@@ -485,12 +479,12 @@ def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
     if world.count(target) >= world.model.edge(source.edge).jam_count:
         return False
     world.queue(source).remove(veh.id)
-    veh.lane = target.lane
+    veh.segment = target
     world._insert_by_offset(target, veh)
     veh.lane_change_log.append(world.t)
     veh._last_change_tick = world.t
     world.lane_changes.append(
-        (world.t, veh.id, veh.edge_id, veh.m, source.lane.tag, target.lane.tag, reason)
+        (world.t, veh.id, source.edge, source.m, source.lane.tag, target.lane.tag, reason)
     )
     world.log_event("lane_change", veh, detail=reason)
     return True

@@ -152,6 +152,7 @@ class NetworkModel:
         for (src, dst) in sorted(self.connections):
             self._next.setdefault(src, ())
             self._next[src] = self._next[src] + (dst,)
+        self._segments = tuple(seg for eid in self.edges for seg in self.segments(eid))
 
     # -- structural equality (used by load idempotency checks) ----------------
 
@@ -204,11 +205,8 @@ class NetworkModel:
             SegmentRef(edge_id, Lane.RIGHT, 2),
         )
 
-    def all_segments(self) -> list[SegmentRef]:
-        out = []
-        for eid in self.edges:
-            out.extend(self.segments(eid))
-        return out
+    def all_segments(self) -> tuple[SegmentRef, ...]:
+        return self._segments
 
     def t0(self, seg: SegmentRef) -> float:
         return self.edge(seg.edge).t0

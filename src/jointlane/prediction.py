@@ -81,8 +81,9 @@ def entry_indicator(tau: Optional[float], dt: float) -> int:
 def _continuation_lane(model: NetworkModel, veh: VehicleState, edge_id: int) -> Lane:
     if veh.vclass is VehicleClass.BUS:
         return Lane.RIGHT
-    if veh.lane in model.permitted_lanes(veh.vclass, edge_id):
-        return veh.lane
+    lane = veh.segment.lane
+    if lane in model.permitted_lanes(veh.vclass, edge_id):
+        return lane
     return Lane.LEFT
 
 
@@ -97,10 +98,11 @@ def projected_entries(
     no forward entrance and is not listed.
     """
     out: list[tuple[SegmentRef, float]] = []
-    edge = model.edge(veh.edge_id)
+    seg = veh.segment
+    edge = model.edge(seg.edge)
     pos = veh.pos_in_edge(model)
-    if veh.m == 1:
-        out.append((SegmentRef(veh.edge_id, veh.lane, 2), edge.seg_length - pos))
+    if seg.m == 1:
+        out.append((SegmentRef(seg.edge, seg.lane, 2), edge.seg_length - pos))
     ahead = edge.length - pos
     for eid in veh.route[veh.route_index + 1 :]:
         e = model.edge(eid)
@@ -236,22 +238,14 @@ def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows
 
 
 @dataclass
-class VehicleView:
-    """Per-vehicle kinematics frozen into a snapshot."""
-
-    id: int
-    vclass: VehicleClass
-    segment: SegmentRef
-    offset: float
-    speed: float
-    route: tuple[int, ...]
-    route_index: int
-    lane_change_log: tuple[float, ...]
-
-
-@dataclass
 class PredictionSnapshot:
-    """All predicted quantities a controller consumes at one control step."""
+    """All predicted quantities a controller consumes at one control step.
+
+    `vehicles` holds the live records of the vehicles present when the
+    snapshot was built, in id order. They are exact for the decision made in
+    the same tick: nothing moves between the build and the decision, and a
+    vehicle injected in between is not in the dict.
+    """
 
     t: float
     dt: float
@@ -259,7 +253,7 @@ class PredictionSnapshot:
     bpr: BprParams
     protection: ProtectionHorizon
     windows: BusWindows
-    vehicles: dict[int, VehicleView]
+    vehicles: dict[int, VehicleState]
     tau: dict[int, dict[SegmentRef, float]]          # projected entry times
     inflow: dict[SegmentRef, float]                   # veh/s, per segment
     hdv_entries: dict[SegmentRef, int]                # projected HDV entries
@@ -278,23 +272,6 @@ class PredictionSnapshot:
 
 def bus_overlap_indicator(snapshot: PredictionSnapshot, vid: int, seg: SegmentRef) -> int:
     return 1 if snapshot.overlaps(vid, seg) else 0
-
-
-def _vehicle_views(world: World) -> dict[int, VehicleView]:
-    views: dict[int, VehicleView] = {}
-    for vid in sorted(world.vehicles):
-        veh = world.vehicles[vid]
-        views[vid] = VehicleView(
-            id=vid,
-            vclass=veh.vclass,
-            segment=veh.segment,
-            offset=veh.offset,
-            speed=veh.speed,
-            route=tuple(veh.route),
-            route_index=veh.route_index,
-            lane_change_log=tuple(veh.lane_change_log),
-        )
-    return views
 
 
 def _window_conflicts(
@@ -347,8 +324,8 @@ def refresh_conflicts(
 ) -> PredictionSnapshot:
     """Recompute window overlaps against fresh windows and current positions.
 
-    Inflow and travel-time fields are kept from the last control-step build;
-    this runs on the finer bus-monitoring cadence.
+    Inflow, travel-time and vehicle fields are kept from the last
+    control-step build; this runs on the finer bus-monitoring cadence.
     """
     overlap, conflict, bus_time = _window_conflicts(
         world, windows, snapshot.tau, snapshot.t, snapshot.bpr, snapshot.protection
@@ -356,7 +333,6 @@ def refresh_conflicts(
     return replace(
         snapshot,
         windows=windows,
-        vehicles=_vehicle_views(world),
         overlap=overlap,
         conflict=conflict,
         bus_time=bus_time,
@@ -380,8 +356,8 @@ def build_snapshot(
     tau: dict[int, dict[SegmentRef, float]] = {}
     cav_entries: dict[SegmentRef, int] = {}
     hdv_entries: dict[SegmentRef, int] = {}
-    for vid in sorted(world.vehicles):
-        veh = world.vehicles[vid]
+    vehicles = {vid: world.vehicles[vid] for vid in sorted(world.vehicles)}
+    for vid, veh in vehicles.items():
         if veh.vclass is VehicleClass.BUS:
             continue
         speed = max(veh.speed, MIN_PROJECTION_SPEED)
@@ -413,7 +389,7 @@ def build_snapshot(
         bpr=bpr,
         protection=protection,
         windows=windows,
-        vehicles=_vehicle_views(world),
+        vehicles=vehicles,
         tau=tau,
         inflow=inflow,
         hdv_entries=hdv_entries,

@@ -221,10 +221,11 @@ def simulate(
 
         if is_control and snapshot is not None:
             decision = ctl.strategy_step(strategy, world, snapshot, params)
+            _audit_forced_exits(snapshot, decision, audit)
             executed = _apply_decision(world, strategy, decision, decision_rows)
+            _audit_banned_entries(snapshot, decision, executed, audit)
             reroute_total += len(decision.reroutes)
             escalation_exhausted += decision.escalation_exhausted
-            _audit_step(snapshot, decision, executed, audit)
             if observer is not None:
                 observer(world, snapshot, decision, executed)
             if log_predictions:
@@ -264,8 +265,6 @@ def _make_bus(world: World, line, trip: int) -> VehicleState:
         vclass=VehicleClass.BUS,
         route=route,
         route_index=0,
-        lane=Lane.RIGHT,
-        m=1,
         offset=0.0,
         speed=model.edge(route[0]).free_flow_speed,
         depart_time=world.t,
@@ -295,8 +294,6 @@ def _make_vehicle(world: World, entry, view: _ProtectionView, hdv_routes) -> Veh
         vclass=entry.vclass,
         route=list(route),
         route_index=0,
-        lane=Lane.LEFT,
-        m=1,
         offset=0.0,
         speed=model.edge(route[0]).free_flow_speed,
         depart_time=world.t,
@@ -338,19 +335,29 @@ def _apply_decision(
     return executed
 
 
-def _audit_step(
-    snapshot: pr.PredictionSnapshot,
-    decision: ctl.ControlDecision,
-    executed: list[tuple[ctl.LaneAction, bool]],
-    audit: dict,
+def _audit_forced_exits(
+    snapshot: pr.PredictionSnapshot, decision: ctl.ControlDecision, audit: dict
 ):
-    """Independent recount of the hard-constraint obligations."""
+    """Independent recount of the forced exits, against decision-time segments.
+
+    The snapshot's vehicles are live records, so this runs before the decision
+    is applied.
+    """
     forced_vehicles = {a.vehicle for a in decision.actions if a.forced}
     for seg in decision.warned:
         for vid, segs in snapshot.overlap.items():
             if seg in segs and snapshot.vehicles[vid].segment == seg:
                 if vid not in forced_vehicles:
                     audit["forced_missing"] += 1
+
+
+def _audit_banned_entries(
+    snapshot: pr.PredictionSnapshot,
+    decision: ctl.ControlDecision,
+    executed: list[tuple[ctl.LaneAction, bool]],
+    audit: dict,
+):
+    """Independent recount of executed moves onto a banned segment."""
     for action, ok in executed:
         if not ok or action.forced or action.direction != 1:
             continue

@@ -63,8 +63,7 @@ def put_vehicle(
         vclass=vclass,
         route=list(route),
         route_index=route_index,
-        lane=lane,
-        m=m,
+        segment=SegmentRef(route[route_index], lane, m),
         offset=offset,
         speed=edge.free_flow_speed if speed is None else speed,
         depart_time=world.t,
@@ -75,7 +74,7 @@ def put_vehicle(
     world.vehicles[vid] = veh
     if vclass is VehicleClass.BUS:
         world.buses[vid] = veh
-    world._insert_by_offset(SegmentRef(route[route_index], lane, m), veh)
+    world._insert_by_offset(veh.segment, veh)
     world.injected[vclass] += 1
     return veh
 

@@ -23,6 +23,7 @@ from jointlane.control import (
     warned_segments,
     weighted_score,
 )
+from jointlane.engine import VehicleState
 from jointlane.network import Lane, SegmentRef, VehicleClass
 from jointlane.prediction import BprParams, ProtectionHorizon, build_bus_windows, build_snapshot
 
@@ -140,6 +141,22 @@ def test_selection_scale_invariance():
         scaled = pick_winner([(i, u * c) for i, u in scored])
         assert scaled[0] == base[0]
         assert (scaled[1] > 0) == (base[1] > 0)
+
+
+def test_snapshot_keeps_the_vehicles_present_at_build(dl_chain3):
+    world = make_world(dl_chain3)
+    put_vehicle(world, 0, VehicleClass.CAV, [0, 1, 2], lane=Lane.RIGHT, m=1, offset=50.0)
+    snap = snapshot_of(world)
+    # injected later in the same tick, onto the dedicated-lane edge
+    late = VehicleState(id=1, vclass=VehicleClass.CAV, route=[0, 1, 2], route_index=0,
+                        offset=0.0, speed=10.0, depart_time=world.t, origin=1,
+                        destination=4)
+    assert world.place_new(late)
+    assert world.model.edge(late.edge_id).dl
+    assert list(snap.vehicles) == [0]
+    assert [a.vehicle for a in select_lane_changes(snap, PAR).actions] == [0]
+    # the next snapshot scores it as a candidate like any other CAV
+    assert {a.vehicle for a in select_lane_changes(snapshot_of(world), PAR).actions} == {0, 1}
 
 
 def _protection_world():

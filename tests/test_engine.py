@@ -46,7 +46,7 @@ def test_spillback_blocks_transfer():
     put_vehicle(world, 1, VehicleClass.CAV, [0], m=2, offset=40.0)
     waiting = put_vehicle(world, 2, VehicleClass.CAV, [0], m=1, offset=100.0)
     step(world, 1.0)
-    assert waiting.m == 1
+    assert waiting.segment.m == 1
     assert waiting.offset == 100.0
     assert waiting.speed == 0.0
 
@@ -62,7 +62,7 @@ def test_fifo_order_never_changes(chain3):
         new = world.queues.get(key, [])
         shared = [v for v in new if v in order]
         assert shared == [v for v in order if v in new]
-        assert follow.offset <= lead.offset or lead.m > follow.m
+        assert follow.offset <= lead.offset or lead.segment.m > follow.segment.m
 
 
 def test_follower_capped_by_slow_leader(chain3):
@@ -76,7 +76,7 @@ def test_follower_capped_by_slow_leader(chain3):
     # follower may never pass the leader
     for _ in range(20):
         step(world, 1.0)
-        if follow.m == lead.m and follow.segment == lead.segment:
+        if follow.segment.m == lead.segment.m and follow.segment == lead.segment:
             assert follow.offset <= lead.offset
 
 
@@ -86,8 +86,8 @@ def test_lane_change_same_offset_and_log(dl_chain3):
                       m=2, offset=33.0)
     world.t = 42.0
     assert execute_lane_change(world, 0, -1) is True
-    assert veh.lane is Lane.LEFT
-    assert veh.m == 2
+    assert veh.segment.lane is Lane.LEFT
+    assert veh.segment.m == 2
     assert veh.offset == 33.0
     assert veh.lane_change_log == [42.0]
     world.t = 43.0
@@ -102,7 +102,7 @@ def test_lane_change_blocked_by_jam():
     put_vehicle(world, 0, VehicleClass.CAV, [0], lane=Lane.LEFT, offset=10.0)
     mover = put_vehicle(world, 1, VehicleClass.CAV, [0], lane=Lane.RIGHT, offset=5.0)
     assert execute_lane_change(world, 1, -1) is False
-    assert mover.lane is Lane.RIGHT
+    assert mover.segment.lane is Lane.RIGHT
     assert mover.lane_change_log == []
 
 
@@ -132,7 +132,6 @@ def _new_vehicle(world, vid, vclass, route, **extra):
     first, last = world.model.edge(route[0]), world.model.edge(route[-1])
     return VehicleState(
         id=vid, vclass=vclass, route=list(route), route_index=0,
-        lane=Lane.RIGHT if vclass is VehicleClass.BUS else Lane.LEFT, m=1,
         offset=0.0, speed=first.free_flow_speed, depart_time=world.t,
         origin=first.frm, destination=last.to, **extra,
     )
@@ -273,7 +272,7 @@ def test_injection_pends_when_entry_jammed(monkeypatch):
     tried.clear()
     inject_demand(world, [])
     assert backlog[0].id in world.vehicles
-    assert backlog[0].lane is Lane.LEFT  # the oldest waiting vehicle takes it
+    assert backlog[0].segment.lane is Lane.LEFT  # the oldest waiting vehicle takes it
     assert world.pending == backlog[1:]
     assert tried == [10, 11]
 
@@ -295,7 +294,7 @@ def test_injection_retries_other_onward_edges_behind_a_full_entry():
 
     inject_demand(world, [other, last])
     assert other.id in world.vehicles
-    assert other.lane is Lane.LEFT
+    assert other.segment.lane is Lane.LEFT
     assert world.pending == [first, last]  # creation order kept
 
 
@@ -337,15 +336,50 @@ def test_run_invariants_on_desk_scenario(desk_small):
         for key, queue in world.queues.items():
             assert len(queue) <= model.edge(key.edge).jam_count
         for veh in world.vehicles.values():
+            assert veh.id in world.queues[veh.segment]
+            assert veh.segment.edge == veh.edge_id
             if veh.vclass is VehicleClass.BUS:
-                assert veh.lane is Lane.RIGHT
+                assert veh.segment.lane is Lane.RIGHT
             if veh.vclass is VehicleClass.HDV and model.edge(veh.edge_id).dl:
-                assert veh.lane is Lane.LEFT
+                assert veh.segment.lane is Lane.LEFT
         seen["checked"] += 1
 
     simulate(desk_small, strategy="proposed", seed=1, horizon=400.0,
              observer=observer)
     assert seen["checked"] > 10
+
+
+def test_forced_exit_audit_reads_decision_time_segments(desk_small, monkeypatch):
+    # turn every due forced exit into the same move, unforced: the vehicle
+    # still leaves the warned segment, but the obligation was not issued
+    from dataclasses import replace
+
+    from jointlane import runner
+
+    strategy_step = runner.ctl.strategy_step
+    dropped = set()
+
+    def without_forced_exits(strategy, world, snapshot, params):
+        decision = strategy_step(strategy, world, snapshot, params)
+        for i, action in enumerate(decision.actions):
+            if action.forced:
+                dropped.add((decision.t, action.vehicle))
+                decision.actions[i] = replace(action, forced=False)
+        return decision
+
+    moved_off = {"n": 0}
+
+    def observer(world, snapshot, decision, executed):
+        moved_off["n"] += sum(
+            ok for action, ok in executed if (decision.t, action.vehicle) in dropped
+        )
+
+    monkeypatch.setattr(runner.ctl, "strategy_step", without_forced_exits)
+    result = runner.simulate(desk_small, strategy="proposed", seed=1, horizon=200.0,
+                             observer=observer)
+    assert moved_off["n"] >= 1
+    assert result.audit["forced_missing"] >= 1
+    assert result.audit["forced_missing"] == len(dropped)
 
 
 def test_event_log_bit_identical_across_runs(desk_small):
@@ -378,16 +412,16 @@ def test_hdv_entry_prefers_emptier_lane_then_left(chain3):
     from jointlane.engine import VehicleState
 
     hdv = VehicleState(id=9, vclass=VehicleClass.HDV, route=[0, 1, 2],
-                       route_index=0, lane=Lane.LEFT, m=1, offset=0.0,
+                       route_index=0, offset=0.0,
                        speed=10.0, depart_time=0.0, origin=1, destination=4)
     inject_demand(world, [hdv])
-    assert hdv.lane is Lane.RIGHT
+    assert hdv.segment.lane is Lane.RIGHT
     # balance the lanes: ties go left
     hdv2 = VehicleState(id=10, vclass=VehicleClass.HDV, route=[0, 1, 2],
-                        route_index=0, lane=Lane.LEFT, m=1, offset=0.0,
+                        route_index=0, offset=0.0,
                         speed=10.0, depart_time=0.0, origin=1, destination=4)
     inject_demand(world, [hdv2])
-    assert hdv2.lane is Lane.LEFT
+    assert hdv2.segment.lane is Lane.LEFT
 
 
 def test_bus_blocked_exactly_at_stop_still_serves_it():
@@ -449,13 +483,13 @@ def test_turn_realignment_at_edge_end():
     veh = put_vehicle(world, 0, VehicleClass.CAV, [0, 1], lane=Lane.LEFT,
                       m=2, offset=95.0)
     step(world, 1.0)
-    assert (veh.route_index, veh.lane, veh.m) == (0, Lane.RIGHT, 2)
+    assert (veh.route_index, veh.segment.lane, veh.segment.m) == (0, Lane.RIGHT, 2)
     assert veh.offset == world.model.edge(0).seg_length
     assert world.queues[SegmentRef(0, Lane.RIGHT, 2)] == [0]
     assert world.lane_changes == [(0.0, 0, 0, 2, "L", "R", "align")]
     assert veh.lane_change_log == [0.0]
     step(world, 1.0)
-    assert (veh.route_index, veh.m) == (1, 1)  # the turn is now open
+    assert (veh.route_index, veh.segment.m) == (1, 1)  # the turn is now open
 
 
 def test_turn_realignment_waits_after_a_lane_change_this_tick():
@@ -464,11 +498,11 @@ def test_turn_realignment_waits_after_a_lane_change_this_tick():
                       m=2, offset=95.0)
     assert execute_lane_change(world, 0, -1) is True
     step(world, 1.0)
-    assert veh.lane is Lane.LEFT
+    assert veh.segment.lane is Lane.LEFT
     assert veh.offset == world.model.edge(0).seg_length
     assert [row[6] for row in world.lane_changes] == ["utility"]
     step(world, 1.0)
-    assert veh.lane is Lane.RIGHT
+    assert veh.segment.lane is Lane.RIGHT
     assert world.lane_changes[-1] == (1.0, 0, 0, 2, "L", "R", "align")
 
 
@@ -478,7 +512,7 @@ def test_turn_realignment_blocked_by_jammed_target():
                       m=2, offset=95.0)
     put_vehicle(world, 1, VehicleClass.HDV, [0, 1], lane=Lane.RIGHT, m=2, offset=10.0)
     step(world, 1.0)
-    assert veh.lane is Lane.LEFT
+    assert veh.segment.lane is Lane.LEFT
     assert veh.offset == world.model.edge(0).seg_length
     assert veh.speed == 5.0  # it waits at the edge end
     assert world.lane_changes == []

@@ -347,7 +347,7 @@ def test_refresh_counts_occupants_now_and_others_at_snapshot_time(dl_chain3):
     assert seg not in snap.tau[1]
     assert snap.tau[2][seg] == 20.0 and snap.tau[3][seg] == 50.0
     step(world, 1.0)
-    assert world.t == 1.0 and (mover.edge_id, mover.m) == (1, 1)
+    assert world.t == 1.0 and (mover.edge_id, mover.segment.m) == (1, 1)
     # one span around now, one ending at the stored entry of vehicle 2
     # (counted from snapshot.t = 0, not from world.t = 1)
     windows = BusWindows(t=world.t, windows={seg: [(9, 0.5, 1.5), (9, 15.0, 20.0)]})
