@@ -206,7 +206,7 @@ def build_candidates(
     lane have no candidates (the baselines' myopic hops are not limited this
     way).
     """
-    if not snapshot.model.edge(seg.edge).dl:
+    if not snapshot.model.edges[seg.edge].dl:
         return []
     target = SegmentRef(seg.edge, seg.lane.other, seg.m)
     out = []
@@ -283,12 +283,11 @@ def instantaneous_cost_view(world: World) -> dict[int, float]:
     """Edge costs from current segment speeds (reactive view)."""
     model = world.model
     return _edge_costs(
-        model, lambda seg: model.edge(seg.edge).seg_length / world.segment_speed(seg)
+        model, lambda seg: model.edges[seg.edge].seg_length / world.segment_speed(seg)
     )
 
 
 def rerouting_escalation(
-    world: World,
     snapshot: PredictionSnapshot,
     params: ControlParams,
     warned: frozenset[SegmentRef],
@@ -442,7 +441,7 @@ def strategy_step(
         raise ControlError(f"unknown strategy {strategy!r}")
     costs = predicted_cost_view(snapshot)
     decision.reroutes, decision.escalation_exhausted = rerouting_escalation(
-        world, snapshot, params, decision.warned, costs,
+        snapshot, params, decision.warned, costs,
         require_gpl_gate=strategy == "proposed",
     )
     return decision

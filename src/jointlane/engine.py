@@ -124,7 +124,7 @@ class VehicleState:
         return self.dwell_until is not None
 
     def pos_in_edge(self, model: NetworkModel) -> float:
-        half = model.edge(self.edge_id).seg_length
+        half = model.edges[self.edge_id].seg_length
         return self.offset + (0.0 if self.segment.m == 1 else half)
 
 
@@ -175,7 +175,7 @@ class World:
 
     def segment_speed(self, key: SegmentRef, n: Optional[int] = None) -> float:
         """Speed-density law with a floor: ffs * clamp(1 - n/Njam, floor, 1)."""
-        edge = self.model.edge(key.edge)
+        edge = self.model.edges[key.edge]
         if n is None:
             n = self.count(key)
         frac = 1.0 - n / edge.jam_count
@@ -229,7 +229,7 @@ class World:
     def _entry_segment(self, veh: VehicleState, i: int) -> Optional[SegmentRef]:
         """First segment of route edge `i` with room, in lane preference order."""
         edge_id = veh.route[i]
-        jam = self.model.edge(edge_id).jam_count
+        jam = self.model.edges[edge_id].jam_count
         for lane in self._entry_lanes(veh, i):
             key = SegmentRef(edge_id, lane, 1)
             if self.count(key) < jam:
@@ -245,8 +245,6 @@ class World:
         model = self.model
         edge_id = veh.route[i]
         onward = veh.route[i + 1] if i + 1 < len(veh.route) else None
-        if veh.vclass is VehicleClass.BUS:
-            return (Lane.RIGHT,)
         permitted = model.permitted_lanes(veh.vclass, edge_id)
         if onward is not None:
             connecting = tuple(
@@ -346,7 +344,7 @@ def step(world: World, dt: Optional[float] = None):
     }
     for key in sorted(speeds):
         q = world.queues[key]
-        seg_len = model.edge(key.edge).seg_length
+        seg_len = model.edges[key.edge].seg_length
         v_seg = speeds[key]
         block: Optional[float] = None  # offset of the nearest vehicle that stays ahead
         for vid in list(q):
@@ -393,13 +391,8 @@ def _next_stop_offset(world: World, veh: VehicleState, key: SegmentRef) -> Optio
     """Offset (within this segment) of the bus's next stop, if it lies here."""
     if veh.vclass is not VehicleClass.BUS or veh.next_stop >= len(veh.stop_plan):
         return None
-    visit = veh.stop_plan[veh.next_stop]
-    stop = world.model.bus_stops[visit.stop]
-    if stop.edge != key.edge:
-        return None
-    if world.model.segment_of(stop.edge, key.lane, stop.offset).m != key.m:
-        return None
-    return stop.offset - (0.0 if key.m == 1 else world.model.edge(key.edge).seg_length)
+    edge, m, offset = world.model.stop_places[veh.stop_plan[veh.next_stop].stop]
+    return offset if edge == key.edge and m == key.m else None
 
 
 def _begin_dwell(world: World, veh: VehicleState):
@@ -417,7 +410,7 @@ def _begin_dwell(world: World, veh: VehicleState):
 def _transfer(world: World, veh: VehicleState, key: SegmentRef, overshoot: float) -> bool:
     """Move a front vehicle across its segment boundary. False means it waits."""
     model = world.model
-    edge = model.edge(key.edge)
+    edge = model.edges[key.edge]
     if key.m == 1:
         target = SegmentRef(key.edge, key.lane, 2)
         if world.count(target) >= edge.jam_count:
@@ -453,7 +446,7 @@ def _enter_queue(world: World, veh: VehicleState, target: SegmentRef, overshoot:
     """Longitudinal entry: append `veh` at the tail of `target`, `overshoot`
     meters in but never past the vehicle ahead or its own next bus stop."""
     q = world.queue(target)
-    offset = min(overshoot, world.model.edge(target.edge).seg_length)
+    offset = min(overshoot, world.model.edges[target.edge].seg_length)
     if q:
         offset = min(offset, world.vehicles[q[-1]].offset)
     stop_off = _next_stop_offset(world, veh, target)
@@ -476,7 +469,7 @@ def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
         return False  # one lateral move per vehicle per tick
     source = veh.segment
     target = SegmentRef(source.edge, source.lane.other, source.m)
-    if world.count(target) >= world.model.edge(source.edge).jam_count:
+    if world.count(target) >= world.model.edges[source.edge].jam_count:
         return False
     world.queue(source).remove(veh.id)
     veh.segment = target

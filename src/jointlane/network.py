@@ -10,7 +10,7 @@ of prediction and control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import NamedTuple, Optional, Sequence
 
@@ -60,6 +60,8 @@ class Edge:
     capacity: float            # veh/s, per lane per segment
     jam_count: int             # storage limit, vehicles per lane per segment
     gate: Optional[tuple[float, float, float]] = None  # (cycle, green, offset) seconds
+    seg_length: float = field(init=False, repr=False)  # meters, one half edge
+    t0: float = field(init=False, repr=False)  # free-flow traversal time of one segment
 
     def __post_init__(self):
         if self.length <= 0:
@@ -74,15 +76,8 @@ class Edge:
             cycle, green, _ = self.gate
             if cycle <= 0 or green < 0 or green > cycle:
                 raise NetworkError(f"edge {self.id}: gate needs 0 <= green <= cycle")
-
-    @property
-    def seg_length(self) -> float:
-        return self.length / 2.0
-
-    @property
-    def t0(self) -> float:
-        """Free-flow traversal time of one segment (half edge)."""
-        return self.seg_length / self.free_flow_speed
+        object.__setattr__(self, "seg_length", self.length / 2.0)
+        object.__setattr__(self, "t0", self.seg_length / self.free_flow_speed)
 
     def gate_open(self, t: float) -> bool:
         """Whether the downstream end of this edge admits transfers at time t."""
@@ -147,12 +142,33 @@ class NetworkModel:
         self._out: dict[int, tuple[int, ...]] = {n: () for n in self.nodes}
         for e in self.edges.values():
             self._out[e.frm] = self._out[e.frm] + (e.id,)
-        # successor edges per edge, any lane
-        self._next: dict[int, tuple[int, ...]] = {}
-        for (src, dst) in sorted(self.connections):
-            self._next.setdefault(src, ())
-            self._next[src] = self._next[src] + (dst,)
         self._segments = tuple(seg for eid in self.edges for seg in self.segments(eid))
+        # lanes per (class, edge): buses run only on a dedicated right lane,
+        # HDVs only on general-purpose lanes, CAVs on both; an edge without
+        # a dedicated lane has no bus entry
+        both = (Lane.LEFT, Lane.RIGHT)
+        self._lanes: dict[tuple[VehicleClass, int], tuple[Lane, ...]] = {}
+        for eid, e in self.edges.items():
+            self._lanes[VehicleClass.CAV, eid] = both
+            self._lanes[VehicleClass.HDV, eid] = (Lane.LEFT,) if e.dl else both
+            if e.dl:
+                self._lanes[VehicleClass.BUS, eid] = (Lane.RIGHT,)
+        # successor edges per (class, edge), ascending: linked through some
+        # lane the class may use on the upstream edge
+        self._next: dict[tuple[VehicleClass, int], tuple[int, ...]] = {}
+        for (src, dst), lanes in sorted(self.connections.items()):
+            for vclass in VehicleClass:
+                if any(l in lanes for l in self._lanes.get((vclass, src), ())):
+                    self._next[vclass, src] = self._next.get((vclass, src), ()) + (dst,)
+        self.dl_segments: frozenset[SegmentRef] = frozenset(
+            seg for seg in self._segments if seg.lane is Lane.RIGHT and self.edges[seg.edge].dl
+        )
+        # bus stop id -> (edge, half m, offset within that half)
+        self.stop_places: dict[int, tuple[int, int, float]] = {}
+        for s in self.bus_stops.values():
+            m = self.segment_of(s.edge, Lane.RIGHT, s.offset).m
+            half = 0.0 if m == 1 else self.edges[s.edge].seg_length
+            self.stop_places[s.id] = (s.edge, m, s.offset - half)
 
     # -- structural equality (used by load idempotency checks) ----------------
 
@@ -166,22 +182,14 @@ class NetworkModel:
             and self.bus_stops == other.bus_stops
         )
 
-    def __hash__(self):
-        return hash((self.nodes, tuple(self.edges)))
-
     # -- queries ---------------------------------------------------------------
-
-    def edge(self, edge_id: int) -> Edge:
-        try:
-            return self.edges[edge_id]
-        except KeyError:
-            raise NetworkError(f"unknown edge {edge_id}") from None
 
     def out_edges(self, node: int) -> tuple[int, ...]:
         return self._out.get(node, ())
 
-    def next_edges(self, edge_id: int) -> tuple[int, ...]:
-        return self._next.get(edge_id, ())
+    def next_edges(self, edge_id: int, vclass: VehicleClass) -> tuple[int, ...]:
+        """Successor edges the class can turn into, ascending; empty when none."""
+        return self._next.get((vclass, edge_id), ())
 
     def connects(self, from_edge: int, lane: Lane, to_edge: int) -> bool:
         lanes = self.connections.get((from_edge, to_edge))
@@ -189,7 +197,7 @@ class NetworkModel:
 
     def segment_of(self, edge_id: int, lane: Lane, offset: float) -> SegmentRef:
         """Map an in-edge offset to its segment; the midpoint belongs to m=2."""
-        edge = self.edge(edge_id)
+        edge = self.edges[edge_id]
         if not (0 <= offset <= edge.length):
             raise NetworkError(
                 f"offset {offset} outside [0, {edge.length}] on edge {edge_id}"
@@ -209,42 +217,18 @@ class NetworkModel:
         return self._segments
 
     def t0(self, seg: SegmentRef) -> float:
-        return self.edge(seg.edge).t0
+        return self.edges[seg.edge].t0
 
     def capacity(self, seg: SegmentRef) -> float:
-        return self.edge(seg.edge).capacity
-
-    def is_dl_segment(self, seg: SegmentRef) -> bool:
-        return seg.lane is Lane.RIGHT and self.edge(seg.edge).dl
+        return self.edges[seg.edge].capacity
 
     def permitted_lanes(self, vclass: VehicleClass, edge_id: int) -> tuple[Lane, ...]:
-        """Lanes a vehicle class may occupy on an edge.
-
-        Buses run only on the dedicated right lane; HDVs use general-purpose
-        lanes only; CAVs may use both lanes including a joint dedicated lane.
-        """
-        edge = self.edge(edge_id)
-        if vclass is VehicleClass.BUS:
-            if not edge.dl:
-                raise NetworkError(f"edge {edge_id}: bus requires a dedicated right lane")
-            return (Lane.RIGHT,)
-        if vclass is VehicleClass.CAV:
-            return (Lane.LEFT, Lane.RIGHT)
-        # HDV
-        if edge.dl:
-            return (Lane.LEFT,)
-        return (Lane.LEFT, Lane.RIGHT)
-
-    def class_connects(self, vclass: VehicleClass, from_edge: int, to_edge: int) -> bool:
-        """Whether some lane permitted to the class links the two edges."""
-        lanes = self.connections.get((from_edge, to_edge))
-        if not lanes:
-            return False
+        """Lanes a vehicle class may occupy on an edge, from the table built
+        in ``__init__``; raises for a bus on an edge without a dedicated lane."""
         try:
-            permitted = self.permitted_lanes(vclass, from_edge)
-        except NetworkError:
-            return False  # e.g. a bus on an edge without a dedicated lane
-        return any(l in lanes for l in permitted)
+            return self._lanes[vclass, edge_id]
+        except KeyError:
+            raise NetworkError(f"edge {edge_id}: no lane open to class {vclass.value}") from None
 
     def bus_route_lane_path(self, route_edges: Sequence[int]) -> list[SegmentRef]:
         """Right-lane segment sequence for a bus route given as edge ids.
@@ -256,7 +240,7 @@ class NetworkModel:
             raise NetworkError("empty bus route")
         path: list[SegmentRef] = []
         for i, eid in enumerate(route_edges):
-            edge = self.edge(eid)
+            edge = self.edges[eid]
             if not edge.dl:
                 raise NetworkError(
                     f"bus route edge {eid} ({edge.frm} -> {edge.to}): right lane is not "
@@ -264,7 +248,7 @@ class NetworkModel:
                 )
             if i > 0:
                 prev = route_edges[i - 1]
-                if self.edge(prev).to != edge.frm:
+                if self.edges[prev].to != edge.frm:
                     raise NetworkError(
                         f"bus route edges {prev} -> {eid} are not adjacent"
                     )

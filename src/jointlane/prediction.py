@@ -79,8 +79,6 @@ def entry_indicator(tau: Optional[float], dt: float) -> int:
 
 
 def _continuation_lane(model: NetworkModel, veh: VehicleState, edge_id: int) -> Lane:
-    if veh.vclass is VehicleClass.BUS:
-        return Lane.RIGHT
     lane = veh.segment.lane
     if lane in model.permitted_lanes(veh.vclass, edge_id):
         return lane
@@ -99,13 +97,13 @@ def projected_entries(
     """
     out: list[tuple[SegmentRef, float]] = []
     seg = veh.segment
-    edge = model.edge(seg.edge)
+    edge = model.edges[seg.edge]
     pos = veh.pos_in_edge(model)
     if seg.m == 1:
         out.append((SegmentRef(seg.edge, seg.lane, 2), edge.seg_length - pos))
     ahead = edge.length - pos
     for eid in veh.route[veh.route_index + 1 :]:
-        e = model.edge(eid)
+        e = model.edges[eid]
         lane = _continuation_lane(model, veh, eid)
         out.append((SegmentRef(eid, lane, 1), ahead))
         out.append((SegmentRef(eid, lane, 2), ahead + e.seg_length))
@@ -202,9 +200,9 @@ def _free_flow_time(model: NetworkModel, veh: VehicleState, dist: float) -> floa
     pos = veh.pos_in_edge(model)
     total = 0.0
     remaining = dist
-    span = model.edge(veh.edge_id).length - pos
+    span = model.edges[veh.edge_id].length - pos
     for eid in [veh.edge_id] + list(veh.route[veh.route_index + 1 :]):
-        e = model.edge(eid)
+        e = model.edges[eid]
         if eid != veh.edge_id:
             span = e.length
         take = min(remaining, span)
@@ -226,7 +224,7 @@ def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows
         entries = projected_entries(model, veh)
         stops = _stop_distances(model, veh, entries)
         for seg, dist in [(veh.segment, None), *entries]:
-            if not model.is_dl_segment(seg):
+            if seg not in model.dl_segments:
                 continue
             tau = 0.0 if dist is None else _eta_at(model, veh, dist, stops, world.t)
             lo, hi = protection_window(tau, protection.horizon)
@@ -373,7 +371,7 @@ def build_snapshot(
     inflow: dict[SegmentRef, float] = {}
     predicted_time: dict[SegmentRef, float] = {}
     for seg in model.all_segments():
-        if model.is_dl_segment(seg):
+        if seg in model.dl_segments:
             flow = cav_entries.get(seg, 0) / dt
         else:
             flow = (cav_entries.get(seg, 0) + hdv_entries.get(seg, 0)) / dt

@@ -42,11 +42,7 @@ def shortest_path(
     if prev_edge is None:
         starts = [e for e in model.out_edges(origin) if e not in forbidden]
     else:
-        starts = [
-            e
-            for e in model.next_edges(prev_edge)
-            if e not in forbidden and model.class_connects(vclass, prev_edge, e)
-        ]
+        starts = [e for e in model.next_edges(prev_edge, vclass) if e not in forbidden]
     heap: list[tuple[float, tuple[int, ...], int]] = []
     for e in sorted(starts):
         cost = costs[e]
@@ -60,10 +56,10 @@ def shortest_path(
         if seen is not None and (seen[0] < cost or (seen[0] == cost and seen[1] <= path)):
             continue
         best[edge] = (cost, path)
-        if model.edge(edge).to == destination:
+        if model.edges[edge].to == destination:
             return list(path)
-        for nxt in model.next_edges(edge):
-            if nxt in forbidden or not model.class_connects(vclass, edge, nxt):
+        for nxt in model.next_edges(edge, vclass):
+            if nxt in forbidden:
                 continue
             ncost = cost + costs[nxt]
             seen = best.get(nxt)
@@ -111,7 +107,7 @@ def reroute(
         return None
     current = route[route_index]
     forbidden = frozenset(forbidden) - {current}
-    node = model.edge(current).to
+    node = model.edges[current].to
     suffix = shortest_path(
         model, node, destination, vclass, costs, forbidden=forbidden, prev_edge=current
     )

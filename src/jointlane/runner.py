@@ -100,7 +100,7 @@ def _make_entry_chooser(strategy: str, view: _ProtectionView):
     cost = predicted if strategy == "proposed" else slowness
 
     def choose(world: World, veh: VehicleState, edge_id: int) -> tuple[Lane, ...]:
-        if ban and world.model.edge(edge_id).dl and view.dl_entry_banned(edge_id, world.t):
+        if ban and world.model.edges[edge_id].dl and view.dl_entry_banned(edge_id, world.t):
             # the dedicated lane stays as a last resort so the vehicle does
             # not stall at the upstream boundary and block the bus itself
             return (Lane.LEFT, Lane.RIGHT)
@@ -266,10 +266,10 @@ def _make_bus(world: World, line, trip: int) -> VehicleState:
         route=route,
         route_index=0,
         offset=0.0,
-        speed=model.edge(route[0]).free_flow_speed,
+        speed=model.edges[route[0]].free_flow_speed,
         depart_time=world.t,
-        origin=model.edge(route[0]).frm,
-        destination=model.edge(route[-1]).to,
+        origin=model.edges[route[0]].frm,
+        destination=model.edges[route[-1]].to,
         line=line.id,
         trip=trip,
         stop_plan=line.stop_plans[trip] if line.stop_plans else (),
@@ -295,7 +295,7 @@ def _make_vehicle(world: World, entry, view: _ProtectionView, hdv_routes) -> Veh
         route=list(route),
         route_index=0,
         offset=0.0,
-        speed=model.edge(route[0]).free_flow_speed,
+        speed=model.edges[route[0]].free_flow_speed,
         depart_time=world.t,
         origin=entry.origin,
         destination=entry.destination,

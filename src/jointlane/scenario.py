@@ -320,7 +320,7 @@ def _parse_bus_line(item: Any, ctx: str, model: NetworkModel) -> BusLineSpec:
         stop = model.bus_stops[sid]
         if stop.edge not in route_edges:
             _fail(sctx, f"stop {sid} is not on the line's route")
-        pos = sum(model.edge(e).length for e in route_edges[: route_edges.index(stop.edge)])
+        pos = sum(model.edges[e].length for e in route_edges[: route_edges.index(stop.edge)])
         stop_positions.append(pos + stop.offset)
         arrivals = [
             _number(v, sctx + ".arrivals")

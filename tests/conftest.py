@@ -57,7 +57,7 @@ def put_vehicle(
     speed=None,
     **extra,
 ):
-    edge = world.model.edge(route[route_index])
+    edge = world.model.edges[route[route_index]]
     veh = VehicleState(
         id=vid,
         vclass=vclass,
@@ -67,8 +67,8 @@ def put_vehicle(
         offset=offset,
         speed=edge.free_flow_speed if speed is None else speed,
         depart_time=world.t,
-        origin=world.model.edge(route[0]).frm,
-        destination=world.model.edge(route[-1]).to,
+        origin=world.model.edges[route[0]].frm,
+        destination=world.model.edges[route[-1]].to,
         **extra,
     )
     world.vehicles[vid] = veh

@@ -14,8 +14,8 @@ left lane; right turns onto the downward connectors are open to both lanes so
 vehicles leaving the middle row do not have to cross the bus lane. Capacities
 and the warning tolerance are tuned so that a bus plus a couple of converging
 CAVs trips the protection at this scale; jam counts on the middle row are
-lowered so queues bite. Run ``python -m jointlane.fixtures`` to regenerate the
-bundled JSON files.
+lowered so queues bite. Run ``python tests/desk_fixtures.py`` to regenerate
+the bundled JSON files in ``src/jointlane/scenarios``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ DEMAND = [
 def _edges() -> list[dict]:
     rows = []
 
-    def edge(eid, frm, to, length, speed, dl=False, capacity=SIDE_CAPACITY, jam=None):
+    def add_edge(eid, frm, to, length, speed, dl=False, capacity=SIDE_CAPACITY, jam=None):
         item = {
             "id": eid, "from": frm, "to": to, "length": length,
             "free_flow_speed": speed, "dl": dl, "capacity": capacity,
@@ -73,25 +73,25 @@ def _edges() -> list[dict]:
         rows.append(item)
 
     for i in range(5):  # top row 1..6
-        edge(i, 1 + i, 2 + i, TOP_EDGE_LEN, SIDE_SPEED)
+        add_edge(i, 1 + i, 2 + i, TOP_EDGE_LEN, SIDE_SPEED)
     for i in range(5):  # bottom row 16..21
-        edge(5 + i, 16 + i, 17 + i, TOP_EDGE_LEN, SIDE_SPEED)
+        add_edge(5 + i, 16 + i, 17 + i, TOP_EDGE_LEN, SIDE_SPEED)
     for i in range(8):  # middle row 7..15, dedicated right lane
-        edge(10 + i, 7 + i, 8 + i, MID_EDGE_LEN, ROW_SPEED, dl=True,
-             capacity=MID_CAPACITY, jam=MID_JAM)
+        add_edge(10 + i, 7 + i, 8 + i, MID_EDGE_LEN, ROW_SPEED, dl=True,
+                 capacity=MID_CAPACITY, jam=MID_JAM)
     # connectors: (down from top, up to top) then (up from bottom, down to bottom)
     top_pairs = [(2, 8), (3, 10), (4, 12), (5, 14)]
     for k, (t, m) in enumerate(top_pairs):
-        edge(18 + 2 * k, t, m, CONNECTOR_LEN, CONNECTOR_SPEED)   # top -> middle
-        edge(19 + 2 * k, m, t, CONNECTOR_LEN, CONNECTOR_SPEED)   # middle -> top
+        add_edge(18 + 2 * k, t, m, CONNECTOR_LEN, CONNECTOR_SPEED)   # top -> middle
+        add_edge(19 + 2 * k, m, t, CONNECTOR_LEN, CONNECTOR_SPEED)   # middle -> top
     bottom_pairs = [(17, 8), (18, 10), (19, 12), (20, 14)]
     for k, (b, m) in enumerate(bottom_pairs):
-        edge(26 + 2 * k, b, m, CONNECTOR_LEN, CONNECTOR_SPEED)   # bottom -> middle
-        edge(27 + 2 * k, m, b, CONNECTOR_LEN, CONNECTOR_SPEED)   # middle -> bottom
+        add_edge(26 + 2 * k, b, m, CONNECTOR_LEN, CONNECTOR_SPEED)   # bottom -> middle
+        add_edge(27 + 2 * k, m, b, CONNECTOR_LEN, CONNECTOR_SPEED)   # middle -> bottom
     # exit-column slip connectors into the middle exit, so the last middle edge
     # is not the only way to reach node 15
-    edge(34, 6, 15, CONNECTOR_LEN, CONNECTOR_SPEED)
-    edge(35, 21, 15, CONNECTOR_LEN, CONNECTOR_SPEED)
+    add_edge(34, 6, 15, CONNECTOR_LEN, CONNECTOR_SPEED)
+    add_edge(35, 21, 15, CONNECTOR_LEN, CONNECTOR_SPEED)
     return rows
 
 
@@ -202,7 +202,7 @@ def build(preset: str = "small") -> dict:
 
 def write_bundled(directory: str | Path | None = None) -> list[Path]:
     if directory is None:
-        directory = Path(__file__).parent / "scenarios"
+        directory = Path(__file__).resolve().parent.parent / "src" / "jointlane" / "scenarios"
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []

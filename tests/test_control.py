@@ -152,7 +152,7 @@ def test_snapshot_keeps_the_vehicles_present_at_build(dl_chain3):
                         offset=0.0, speed=10.0, depart_time=world.t, origin=1,
                         destination=4)
     assert world.place_new(late)
-    assert world.model.edge(late.edge_id).dl
+    assert world.model.edges[late.edge_id].dl
     assert list(snap.vehicles) == [0]
     assert [a.vehicle for a in select_lane_changes(snap, PAR).actions] == [0]
     # the next snapshot scores it as a candidate like any other CAV
@@ -286,7 +286,7 @@ def test_escalation_reroutes_minimal_subset():
     assert target in warned
     costs = predicted_cost_view(snap)
     assignments, exhausted = rerouting_escalation(
-        world, snap, PAR, frozenset({target}), costs, require_gpl_gate=False
+        snap, PAR, frozenset({target}), costs, require_gpl_gate=False
     )
     # with capacity 0.02 the warning needs q > ~0.0215, i.e. two or more
     # conflicting vehicles: removing enough to get below that clears it
@@ -306,7 +306,7 @@ def test_escalation_noop_when_clear(dl_chain3):
     snap = snapshot_of(world)
     costs = predicted_cost_view(snap)
     assignments, exhausted = rerouting_escalation(
-        world, snap, PAR, frozenset(), costs
+        snap, PAR, frozenset(), costs
     )
     assert assignments == []
     assert exhausted == 0
@@ -328,7 +328,7 @@ def test_escalation_exhaustion_without_alternatives():
     assert SegmentRef(1, Lane.RIGHT, 1) in warned
     costs = predicted_cost_view(snap)
     assignments, exhausted = rerouting_escalation(
-        world, snap, PAR, warned, costs, require_gpl_gate=False
+        snap, PAR, warned, costs, require_gpl_gate=False
     )
     assert assignments == []
     assert exhausted >= 1
@@ -433,7 +433,7 @@ def test_escalation_greedy_takes_farthest_first():
     target = SegmentRef(1, Lane.RIGHT, 1)
     costs = predicted_cost_view(snap)
     assignments, _ = rerouting_escalation(
-        world, snap, PAR, frozenset({target}), costs, require_gpl_gate=False
+        snap, PAR, frozenset({target}), costs, require_gpl_gate=False
     )
     assert assignments, "expected at least one reroute"
     # vehicle 3 sits farthest upstream, hence largest predicted entry time

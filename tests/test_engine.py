@@ -129,7 +129,7 @@ def test_one_lateral_move_per_tick(dl_chain3):
 
 def _new_vehicle(world, vid, vclass, route, **extra):
     """A created vehicle that waits for injection (not yet on the network)."""
-    first, last = world.model.edge(route[0]), world.model.edge(route[-1])
+    first, last = world.model.edges[route[0]], world.model.edges[route[-1]]
     return VehicleState(
         id=vid, vclass=vclass, route=list(route), route_index=0,
         offset=0.0, speed=first.free_flow_speed, depart_time=world.t,
@@ -171,12 +171,19 @@ def test_bus_early_arrival_holds_to_schedule():
     assert world.stop_departures[0][0] >= 45.0 + 60.0
 
 
-def test_bus_on_time_dwells_exactly():
-    world, bus = _bus_world(schedule_arrival=15.0)
-    for _ in range(16):
+@pytest.mark.parametrize("stop_offset", [50.0, 100.0, 150.0, 200.0])
+def test_bus_on_time_dwells_exactly(stop_offset):
+    # free flow 10 m/s on a 200 m edge: the midpoint stop belongs to m=2
+    arrival = stop_offset / 10.0
+    world, bus = _bus_world(schedule_arrival=arrival, stop_offset=stop_offset)
+    for _ in range(int(arrival) + 1):
         bus_service(world, world.t)
         step(world, 1.0)
-    assert bus.dwell_until == 15.0 + 60.0
+    m = 1 if stop_offset < 100.0 else 2
+    assert bus.is_dwelling
+    assert bus.segment == SegmentRef(0, Lane.RIGHT, m)
+    assert bus.offset == stop_offset - (0.0 if m == 1 else 100.0)
+    assert bus.dwell_until == arrival + 60.0
 
 
 def test_buses_released_together_depart_in_placement_order():
@@ -310,7 +317,7 @@ def test_gate_blocks_edge_end():
     model = make_model(
         [(0, 1, 2, 20.0, 10.0, False), (1, 2, 3, 20.0, 10.0, False)]
     )
-    gated = model.edge(0)
+    gated = model.edges[0]
     object.__setattr__(gated, "gate", (100.0, 0.0, 0.0))  # always red
     world = make_world(model)
     veh = put_vehicle(world, 0, VehicleClass.CAV, [0, 1], m=2, offset=9.0)
@@ -334,13 +341,13 @@ def test_run_invariants_on_desk_scenario(desk_small):
     def observer(world, snapshot, decision, executed):
         model = world.model
         for key, queue in world.queues.items():
-            assert len(queue) <= model.edge(key.edge).jam_count
+            assert len(queue) <= model.edges[key.edge].jam_count
         for veh in world.vehicles.values():
             assert veh.id in world.queues[veh.segment]
             assert veh.segment.edge == veh.edge_id
             if veh.vclass is VehicleClass.BUS:
                 assert veh.segment.lane is Lane.RIGHT
-            if veh.vclass is VehicleClass.HDV and model.edge(veh.edge_id).dl:
+            if veh.vclass is VehicleClass.HDV and model.edges[veh.edge_id].dl:
                 assert veh.segment.lane is Lane.LEFT
         seen["checked"] += 1
 
@@ -484,7 +491,7 @@ def test_turn_realignment_at_edge_end():
                       m=2, offset=95.0)
     step(world, 1.0)
     assert (veh.route_index, veh.segment.lane, veh.segment.m) == (0, Lane.RIGHT, 2)
-    assert veh.offset == world.model.edge(0).seg_length
+    assert veh.offset == world.model.edges[0].seg_length
     assert world.queues[SegmentRef(0, Lane.RIGHT, 2)] == [0]
     assert world.lane_changes == [(0.0, 0, 0, 2, "L", "R", "align")]
     assert veh.lane_change_log == [0.0]
@@ -499,7 +506,7 @@ def test_turn_realignment_waits_after_a_lane_change_this_tick():
     assert execute_lane_change(world, 0, -1) is True
     step(world, 1.0)
     assert veh.segment.lane is Lane.LEFT
-    assert veh.offset == world.model.edge(0).seg_length
+    assert veh.offset == world.model.edges[0].seg_length
     assert [row[6] for row in world.lane_changes] == ["utility"]
     step(world, 1.0)
     assert veh.segment.lane is Lane.RIGHT
@@ -513,7 +520,7 @@ def test_turn_realignment_blocked_by_jammed_target():
     put_vehicle(world, 1, VehicleClass.HDV, [0, 1], lane=Lane.RIGHT, m=2, offset=10.0)
     step(world, 1.0)
     assert veh.segment.lane is Lane.LEFT
-    assert veh.offset == world.model.edge(0).seg_length
+    assert veh.offset == world.model.edges[0].seg_length
     assert veh.speed == 5.0  # it waits at the edge end
     assert world.lane_changes == []
     assert veh.lane_change_log == []

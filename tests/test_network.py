@@ -41,7 +41,7 @@ def test_segment_of_boundaries():
 
 def test_segment_spans_cover_edge():
     model = make_model([(0, 1, 2, 333.0, 9.0, False)])
-    length = model.edge(0).length
+    length = model.edges[0].length
     step = length / 1000
     for i in range(1001):
         offset = min(i * step, length)
@@ -52,7 +52,7 @@ def test_segment_spans_cover_edge():
 
 def test_free_flow_time_times_speed_is_half_length():
     model = make_model([(0, 1, 2, 300.0, 7.0, False)])
-    edge = model.edge(0)
+    edge = model.edges[0]
     assert edge.t0 * edge.free_flow_speed == edge.length / 2
     for length, speed in [(123.4, 3.7), (991.0, 13.9), (75.0, 10.0)]:
         e = Edge(id=9, frm=1, to=2, length=length, free_flow_speed=speed,
@@ -162,14 +162,14 @@ def test_desk_fixture_counts(desk_small):
     assert len(model.nodes) == 21
     assert len(model.edges) == 36
     assert len(model.bus_stops) == 3
-    assert all(model.edge(e).dl for e in range(10, 18))
+    assert all(model.edges[e].dl for e in range(10, 18))
     for line in desk_small.bus_lines:
         model.bus_route_lane_path(list(line.route))
 
 
-def test_class_connects_total_for_buses():
+def test_next_edges_total_for_buses():
     model = make_model(
         [(0, 1, 2, 100.0, 10.0, False), (1, 2, 3, 100.0, 10.0, True)]
     )
-    # a bus can never be on edge 0, so the query is simply false, not an error
-    assert model.class_connects(VehicleClass.BUS, 0, 1) is False
+    # a bus can never be on edge 0, so the query is simply empty, not an error
+    assert model.next_edges(0, VehicleClass.BUS) == ()

@@ -194,7 +194,7 @@ def test_bus_eta_while_dwelling_uses_free_flow_plus_residual():
     assert bus.is_dwelling
     eta = bus_eta(model, bus, SegmentRef(2, Lane.RIGHT, 1), now=world.t)
     residual = bus.dwell_until - world.t
-    remaining = model.edge(1).length - bus.pos_in_edge(model)
+    remaining = model.edges[1].length - bus.pos_in_edge(model)
     assert eta == pytest.approx(residual + remaining / 10.0)
 
 

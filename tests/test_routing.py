@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from jointlane.network import Lane, VehicleClass
+from jointlane.network import Lane, SegmentRef, VehicleClass
 from jointlane.routing import (
     RoutingError,
     free_flow_costs,
@@ -74,14 +74,61 @@ def test_turn_restriction_respected_per_class():
     assert shortest_path(model, 1, 3, VehicleClass.HDV, costs) is None
 
 
-def _random_network(rng):
+def _random_network(rng, dl=False):
+    """Random small graph with all-lane turns; with `dl`, each edge's right
+    lane is dedicated at random and each turn opens a random lane set."""
     n_nodes = rng.randrange(3, 9)
     nodes = list(range(n_nodes))
     pairs = [(a, b) for a in nodes for b in nodes if a != b]
     rng.shuffle(pairs)
     n_edges = rng.randrange(2, 15)
-    rows = [(i, a, b, 100.0, 10.0, False) for i, (a, b) in enumerate(pairs[:n_edges])]
-    return make_model(rows)
+    rows = [
+        (i, a, b, 100.0, 10.0, dl and rng.random() < 0.5)
+        for i, (a, b) in enumerate(pairs[:n_edges])
+    ]
+    if not dl:
+        return make_model(rows)
+    lane_sets = [(Lane.LEFT,), (Lane.RIGHT,), (Lane.LEFT, Lane.RIGHT)]
+    connections = {
+        (src[0], dst[0]): rng.choice(lane_sets)
+        for src in rows
+        for dst in rows
+        if src[2] == dst[1]
+    }
+    return make_model(rows, connections=connections)
+
+
+# the paper's lane-access rules: lanes per class on (a general-purpose edge,
+# an edge whose right lane is dedicated)
+CLASS_LANES = {
+    VehicleClass.CAV: ((Lane.LEFT, Lane.RIGHT), (Lane.LEFT, Lane.RIGHT)),
+    VehicleClass.HDV: ((Lane.LEFT, Lane.RIGHT), (Lane.LEFT,)),
+    VehicleClass.BUS: ((), (Lane.RIGHT,)),
+}
+
+
+def test_class_tables_match_brute_force_on_random_networks():
+    rng = random.Random(5)
+    for dl in (False, True):
+        for _ in range(100):
+            model = _random_network(rng, dl=dl)
+            for vclass in VehicleClass:
+                for eid, edge in model.edges.items():
+                    lanes = CLASS_LANES[vclass][edge.dl]
+                    expected = tuple(sorted(
+                        dst
+                        for (src, dst), turn in model.connections.items()
+                        if src == eid and any(l in turn for l in lanes)
+                    ))
+                    assert model.next_edges(eid, vclass) == expected
+                    if lanes:
+                        assert model.permitted_lanes(vclass, eid) == lanes
+            assert model.dl_segments == {
+                SegmentRef(eid, Lane.RIGHT, m)
+                for eid, edge in model.edges.items()
+                if edge.dl
+                for m in (1, 2)
+            }
 
 
 def _enumerate_simple_paths(model, origin, destination, costs):
@@ -90,7 +137,7 @@ def _enumerate_simple_paths(model, origin, destination, costs):
     while stack:
         node, path, visited = stack.pop()
         for eid in model.out_edges(node):
-            edge = model.edge(eid)
+            edge = model.edges[eid]
             if edge.to in visited:
                 continue
             cost = path_cost(path + [eid], costs)
@@ -140,16 +187,18 @@ def test_forbidding_edges_never_reduces_cost():
 
 def test_returned_routes_respect_turn_connectivity():
     rng = random.Random(31)
-    for _ in range(100):
-        model = _random_network(rng)
-        costs = {eid: rng.uniform(1.0, 100.0) for eid in model.edges}
-        origin, destination = rng.sample(model.nodes, 2)
-        for vclass in (VehicleClass.CAV, VehicleClass.HDV):
-            route = shortest_path(model, origin, destination, vclass, costs)
-            if route is None:
-                continue
-            for a, b in zip(route, route[1:]):
-                assert model.class_connects(vclass, a, b)
+    for dl in (False, True):
+        for _ in range(100):
+            model = _random_network(rng, dl=dl)
+            costs = {eid: rng.uniform(1.0, 100.0) for eid in model.edges}
+            origin, destination = rng.sample(model.nodes, 2)
+            for vclass in (VehicleClass.CAV, VehicleClass.HDV):
+                route = shortest_path(model, origin, destination, vclass, costs)
+                if route is None:
+                    continue
+                for a, b in zip(route, route[1:]):
+                    turn = model.connections[(a, b)]
+                    assert any(l in turn for l in model.permitted_lanes(vclass, a))
 
 
 def test_initial_route_prefers_cheap_detour(chain3):

@@ -66,7 +66,7 @@ def test_capacity_unit_conversion():
     data = minimal_scenario()
     data["edges"][0]["capacity"] = {"value": 720.0, "unit": "veh/h"}
     scn = from_dict(data)
-    assert scn.model.edge(0).capacity == pytest.approx(0.2)
+    assert scn.model.edges[0].capacity == pytest.approx(0.2)
     data["edges"][0]["capacity"] = {"value": 0.2, "unit": "furlongs"}
     with pytest.raises(ScenarioError, match="unit"):
         from_dict(data)
@@ -146,11 +146,11 @@ def test_apply_overrides_returns_updated_copy(desk_small):
 
 @pytest.mark.parametrize("preset", ["small", "large"])
 def test_bundled_fixture_matches_builder(preset):
-    from jointlane import fixtures
+    import desk_fixtures
     from jointlane.scenario import resolve_scenario
 
     path = resolve_scenario(f"desk_{preset}")
-    assert json.loads(path.read_text(encoding="utf-8")) == fixtures.build(preset)
+    assert json.loads(path.read_text(encoding="utf-8")) == desk_fixtures.build(preset)
 
 
 def test_bundled_large_scenario_loads():

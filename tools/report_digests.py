@@ -1,0 +1,80 @@
+"""Print SHA-256 digests of every report written by the byte-identity gate runs.
+
+The gate is 16 runs, each with the event, decision and prediction logs on:
+desk_small seeds 1-5 under drp, prp and proposed, plus desk_large proposed
+seed 1. Each run writes eight CSVs, so the output is 128 lines of
+``sha256  run/file``, sorted by path. Diff the output of two checkouts to
+show that a change left every report byte-identical:
+
+    python tools/report_digests.py > after.txt
+    python tools/report_digests.py --src ../parent/src > before.txt
+    diff before.txt after.txt
+
+``--src`` names the ``src`` directory whose ``jointlane`` package runs
+(default: the one beside this script). Runs go one at a time, each as a
+``python -m jointlane.cli`` subprocess, into a temporary directory that is
+removed afterwards. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SMALL_SEEDS = range(1, 6)
+SMALL_STRATEGIES = ("drp", "prp", "proposed")
+LOGS = ("--log-events", "--log-decisions", "--log-predictions")
+
+
+def gate_runs() -> list[tuple[str, str, int]]:
+    """(scenario, strategy, seed) of every gate run."""
+    runs = [
+        ("desk_small", strategy, seed)
+        for strategy in SMALL_STRATEGIES
+        for seed in SMALL_SEEDS
+    ]
+    runs.append(("desk_large", "proposed", 1))
+    return runs
+
+
+def run_digests(
+    src: Path, scenario: str, strategy: str, seed: int, out: Path
+) -> list[tuple[str, str]]:
+    """Run one gate run into `out` and return (path, digest) per report."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-m", "jointlane.cli", "--scenario", scenario,
+         "--strategy", strategy, "--seed", str(seed), "--out", str(out), *LOGS],
+        env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+    return [
+        (f"{out.name}/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest())
+        for path in sorted(out.glob("*.csv"))
+    ]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+        help="src directory holding the jointlane package to run",
+    )
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    rows: list[tuple[str, str]] = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for scenario, strategy, seed in gate_runs():
+            out = Path(tmp) / f"{scenario}_{strategy}_seed{seed}"
+            rows.extend(run_digests(src, scenario, strategy, seed, out))
+    for path, digest in sorted(rows):
+        print(f"{digest}  {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
