@@ -17,6 +17,8 @@ from .control import STRATEGIES, ControlError
 from .engine import EngineError
 from .metrics import write_summaries
 from .network import NetworkError
+from .prediction import PredictionError
+from .routing import RoutingError
 from .scenario import BUNDLED_SCENARIOS, ScenarioError, resolve_scenario
 
 
@@ -124,7 +126,7 @@ def main(argv=None) -> int:
     except (NetworkError, ControlError) as exc:
         print(f"jointlane: validation error: {exc}", file=sys.stderr)
         return 2
-    except EngineError as exc:
+    except (EngineError, PredictionError, RoutingError) as exc:
         print(f"jointlane: runtime invariant violated: {exc}", file=sys.stderr)
         return 3
 

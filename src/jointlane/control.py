@@ -12,7 +12,7 @@ Three strategies share one interface:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from . import routing
@@ -94,42 +94,27 @@ def warned_segments(snapshot: PredictionSnapshot, params: ControlParams) -> froz
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ProtectionActions:
-    warned: frozenset[SegmentRef]
-    forced: tuple[tuple[int, SegmentRef], ...]       # overlapping DL occupants
-    banned: frozenset[tuple[int, SegmentRef]]        # overlapping non-occupants
+def protection_actions(
+    snapshot: PredictionSnapshot, warned: frozenset[SegmentRef]
+) -> ControlDecision:
+    """Hard constraints on every warned segment, as a decision.
 
-
-def protection_actions(snapshot: PredictionSnapshot, params: ControlParams) -> ProtectionActions:
-    """Hard constraints on every warned segment.
-
-    Every overlapping CAV already on the segment must leave toward the GPL;
-    every other overlapping CAV may not move onto it this step.
+    Every overlapping CAV already on the segment must leave toward the GPL
+    (a forced action); every other overlapping CAV may not move onto it this
+    step (a ban).
     """
-    warned = warned_segments(snapshot, params)
-    forced: list[tuple[int, SegmentRef]] = []
+    decision = ControlDecision(t=snapshot.t, warned=warned)
     banned: set[tuple[int, SegmentRef]] = set()
     for seg in sorted(warned):
         for vid in sorted(snapshot.overlap):
             if seg not in snapshot.overlap[vid]:
                 continue
             if snapshot.vehicles[vid].segment == seg:
-                forced.append((vid, seg))
+                decision.actions.append(LaneAction(vid, seg, -1, forced=True))
             else:
                 banned.add((vid, seg))
-    return ProtectionActions(warned, tuple(forced), frozenset(banned))
-
-
-def _protected_decision(
-    snapshot: PredictionSnapshot, params: ControlParams
-) -> tuple[ControlDecision, frozenset[int]]:
-    """A decision holding the forced exits and bans, plus the forced vehicle ids."""
-    prot = protection_actions(snapshot, params)
-    decision = ControlDecision(t=snapshot.t, warned=prot.warned, banned=prot.banned)
-    for vid, seg in prot.forced:
-        decision.actions.append(LaneAction(vid, seg, -1, forced=True))
-    return decision, frozenset(vid for vid, _ in prot.forced)
+    decision.banned = frozenset(banned)
+    return decision
 
 
 # -- utility terms ----------------------------------------------------------------
@@ -185,21 +170,14 @@ def utility(
 # -- candidate selection ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Candidate:
-    vehicle: int
-    segment: SegmentRef
-    target: SegmentRef
-    direction: int
-
-
 def build_candidates(
     snapshot: PredictionSnapshot,
     seg: SegmentRef,
+    cavs: Sequence[int],
     banned: frozenset[tuple[int, SegmentRef]],
-    excluded: frozenset[int] = frozenset(),
-) -> list[Candidate]:
-    """CAVs on a segment whose cross-lane move is admissible this step.
+    excluded: frozenset[int],
+) -> list[LaneAction]:
+    """Unscored cross-lane moves of the CAVs `cavs` on `seg` admissible this step.
 
     Scored switching exists to manage joint dedicated-lane usage, so the
     evaluated move is always DL->GPL or GPL->DL; edges without a dedicated
@@ -209,15 +187,12 @@ def build_candidates(
     if not snapshot.model.edges[seg.edge].dl:
         return []
     target = SegmentRef(seg.edge, seg.lane.other, seg.m)
-    out = []
-    for vid, veh in snapshot.vehicles.items():
-        if veh.vclass is not VehicleClass.CAV or veh.segment != seg:
-            continue
-        if vid in excluded or (vid, target) in banned:
-            continue
-        direction = 1 if target.lane is Lane.RIGHT else -1
-        out.append(Candidate(vid, seg, target, direction))
-    return out
+    direction = 1 if target.lane is Lane.RIGHT else -1
+    return [
+        LaneAction(vid, seg, direction, forced=False)
+        for vid in cavs
+        if vid not in excluded and (vid, target) not in banned
+    ]
 
 
 def pick_winner(scored: list[tuple[int, float]]) -> Optional[tuple[int, float]]:
@@ -229,33 +204,29 @@ def pick_winner(scored: list[tuple[int, float]]) -> Optional[tuple[int, float]]:
     return best
 
 
-def select_lane_changes(snapshot: PredictionSnapshot, params: ControlParams) -> ControlDecision:
+def select_lane_changes(
+    snapshot: PredictionSnapshot, params: ControlParams, warned: frozenset[SegmentRef]
+) -> ControlDecision:
     """Hard protection plus one positively scored winner per segment."""
-    decision, forced_ids = _protected_decision(snapshot, params)
-    occupied: dict[SegmentRef, bool] = {}
-    for veh in snapshot.vehicles.values():
+    decision = protection_actions(snapshot, warned)
+    forced_ids = frozenset(a.vehicle for a in decision.actions)
+    cavs_on: dict[SegmentRef, list[int]] = {}
+    for vid, veh in snapshot.vehicles.items():  # id order
         if veh.vclass is VehicleClass.CAV:
-            occupied[veh.segment] = True
-    for seg in sorted(occupied):
-        candidates = build_candidates(snapshot, seg, decision.banned, excluded=forced_ids)
-        if not candidates:
-            continue
-        scored = []
-        details = {}
-        for cand in candidates:
-            u, terms = utility(snapshot, params, cand.vehicle, seg, cand.target)
-            scored.append((cand.vehicle, u))
-            details[cand.vehicle] = (u, terms, cand.direction)
-        winner = pick_winner(scored)
+            cavs_on.setdefault(veh.segment, []).append(vid)
+    for seg in sorted(cavs_on):
+        target = SegmentRef(seg.edge, seg.lane.other, seg.m)
+        scored = {}
+        for cand in build_candidates(snapshot, seg, cavs_on[seg], decision.banned, forced_ids):
+            u, terms = utility(snapshot, params, cand.vehicle, seg, target)
+            scored[cand.vehicle] = replace(cand, utility=u, terms=terms)
+        winner = pick_winner([(vid, a.utility) for vid, a in scored.items()])
         if winner is None:
             continue
         vid, u = winner
         decision.winners[seg] = (vid, u)
         if u > 0:
-            _, terms, direction = details[vid]
-            decision.actions.append(
-                LaneAction(vid, seg, direction, forced=False, utility=u, terms=terms)
-            )
+            decision.actions.append(scored[vid])
     return decision
 
 
@@ -420,28 +391,34 @@ def strategy_step(
     world: World,
     snapshot: PredictionSnapshot,
     params: ControlParams,
+    warned: frozenset[SegmentRef],
+    costs: dict[int, float],
 ) -> ControlDecision:
-    """One control step of the chosen strategy."""
+    """One control step of the chosen strategy.
+
+    `warned` and `costs` are the snapshot's warned segments and predicted
+    edge costs, derived once by the caller. drp reads neither: it has no bus
+    protection and reroutes on the current speeds, after this tick's
+    injection.
+    """
     if strategy == "drp":
-        decision = ControlDecision(t=snapshot.t)
-        decision.actions.extend(
-            myopic_lane_actions(world, snapshot, frozenset(), excluded=frozenset())
+        return ControlDecision(
+            t=snapshot.t,
+            actions=myopic_lane_actions(world, snapshot, frozenset(), frozenset()),
+            reroutes=reactive_reroutes(world, snapshot, params, instantaneous_cost_view(world)),
         )
-        costs = instantaneous_cost_view(world)
-        decision.reroutes = reactive_reroutes(world, snapshot, params, costs)
-        return decision
     if strategy == "proposed":
-        decision = select_lane_changes(snapshot, params)
+        decision = select_lane_changes(snapshot, params, warned)
     elif strategy == "prp":
-        decision, forced_ids = _protected_decision(snapshot, params)
+        decision = protection_actions(snapshot, warned)
+        forced_ids = frozenset(a.vehicle for a in decision.actions)
         decision.actions.extend(
             myopic_lane_actions(world, snapshot, decision.banned, excluded=forced_ids)
         )
     else:
         raise ControlError(f"unknown strategy {strategy!r}")
-    costs = predicted_cost_view(snapshot)
     decision.reroutes, decision.escalation_exhausted = rerouting_escalation(
-        snapshot, params, decision.warned, costs,
+        snapshot, params, warned, costs,
         require_gpl_gate=strategy == "proposed",
     )
     return decision

@@ -113,7 +113,6 @@ class VehicleState:
     next_stop: int = 0
     dwell: float = 0.0
     dwell_until: Optional[float] = None
-    _last_change_tick: Optional[float] = None
 
     @property
     def edge_id(self) -> int:
@@ -128,6 +127,8 @@ class VehicleState:
         return self.offset + (0.0 if self.segment.m == 1 else half)
 
 
+# A CAV's lane preference for entering an edge: it must order both lanes, as
+# World._entry_lanes tries only the permitted lanes it lists.
 EntryChooser = Callable[["World", VehicleState, int], tuple[Lane, ...]]
 
 
@@ -254,11 +255,7 @@ class World:
                 permitted = connecting
         if veh.vclass is VehicleClass.CAV and self.cav_entry_chooser is not None:
             chosen = self.cav_entry_chooser(self, veh, edge_id)
-            ordered = tuple(l for l in chosen if l in permitted)
-            if ordered:
-                # fall back to the remaining permitted lanes if all choices jam
-                rest = tuple(l for l in permitted if l not in ordered)
-                return ordered + rest
+            return tuple(l for l in chosen if l in permitted)
         # fewest vehicles on the lane, ties resolved left first
         return tuple(
             sorted(permitted, key=lambda l: (self.lane_count(edge_id, l), int(l)))
@@ -465,7 +462,7 @@ def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
     Returns False (state unchanged) when the vehicle already moved laterally
     this tick or the target segment is at its storage limit.
     """
-    if veh._last_change_tick == world.t:
+    if veh.lane_change_log and veh.lane_change_log[-1] == world.t:
         return False  # one lateral move per vehicle per tick
     source = veh.segment
     target = SegmentRef(source.edge, source.lane.other, source.m)
@@ -475,7 +472,6 @@ def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
     veh.segment = target
     world._insert_by_offset(target, veh)
     veh.lane_change_log.append(world.t)
-    veh._last_change_tick = world.t
     world.lane_changes.append(
         (world.t, veh.id, source.edge, source.m, source.lane.tag, target.lane.tag, reason)
     )

@@ -65,22 +65,17 @@ class RunMetrics:
 
 
 def collect_trips(world: World) -> list[TripRecord]:
-    changes_by_vehicle: dict[int, int] = {}
-    for event in world.lane_changes:
-        changes_by_vehicle[event[1]] = changes_by_vehicle.get(event[1], 0) + 1
-    out = []
-    for veh in world.retired:
-        out.append(
-            TripRecord(
-                vehicle=veh.id,
-                vclass=veh.vclass,
-                depart_time=veh.depart_time,
-                arrival_time=veh.arrival_time,
-                lane_change_count=changes_by_vehicle.get(veh.id, 0),
-                reroute_count=veh.reroute_count,
-            )
+    return [
+        TripRecord(
+            vehicle=veh.id,
+            vclass=veh.vclass,
+            depart_time=veh.depart_time,
+            arrival_time=veh.arrival_time,
+            lane_change_count=len(veh.lane_change_log),
+            reroute_count=veh.reroute_count,
         )
-    return out
+        for veh in world.retired
+    ]
 
 
 def collect_bus_arrivals(world: World) -> list[BusStopArrival]:

@@ -255,12 +255,13 @@ class PredictionSnapshot:
     tau: dict[int, dict[SegmentRef, float]]          # projected entry times
     inflow: dict[SegmentRef, float]                   # veh/s, per segment
     hdv_entries: dict[SegmentRef, int]                # projected HDV entries
-    predicted_time: dict[SegmentRef, float]           # seconds, per segment
+    predicted_time: dict[SegmentRef, float]           # seconds, segments with inflow
     overlap: dict[int, set[SegmentRef]]               # CAV id -> windowed segments hit
     conflict: dict[SegmentRef, float]                 # veh/s into bus windows
     bus_time: dict[SegmentRef, float]                 # predicted bus traversal time
 
     def predicted(self, seg: SegmentRef) -> float:
+        """BPR travel time; the free-flow time where no inflow is predicted."""
         t = self.predicted_time.get(seg)
         return t if t is not None else self.model.t0(seg)
 
@@ -377,7 +378,7 @@ def build_snapshot(
             flow = (cav_entries.get(seg, 0) + hdv_entries.get(seg, 0)) / dt
         if flow:
             inflow[seg] = flow
-        predicted_time[seg] = bpr_time(model.t0(seg), flow, model.capacity(seg), bpr)
+            predicted_time[seg] = bpr_time(model.t0(seg), flow, model.capacity(seg), bpr)
 
     overlap, conflict, bus_time = _window_conflicts(world, windows, tau, t, bpr, protection)
     return PredictionSnapshot(

@@ -65,7 +65,8 @@ Observer = Callable[[World, pr.PredictionSnapshot, ctl.ControlDecision, list], N
 
 
 class _ProtectionView:
-    """Latest snapshot and its warned segments, for entry decisions between steps."""
+    """The latest snapshot, its warned segments and edge costs, derived once
+    for the entry chooser, the routing of new CAVs and the control step."""
 
     def __init__(self):
         self.snapshot: Optional[pr.PredictionSnapshot] = None
@@ -75,6 +76,14 @@ class _ProtectionView:
     def update(self, snapshot: pr.PredictionSnapshot, params: ctl.ControlParams):
         self.snapshot = snapshot
         self.warned = ctl.warned_segments(snapshot, params)
+
+    def update_costs(self, world: World, strategy: str):
+        """At a control tick, before injection: drp's edge costs come from
+        current speeds, prp's and proposed's from the snapshot's prediction."""
+        if strategy == "drp":
+            self.costs = ctl.instantaneous_cost_view(world)
+        else:
+            self.costs = ctl.predicted_cost_view(self.snapshot)
 
     def dl_entry_banned(self, edge_id: int, now: float) -> bool:
         seg = SegmentRef(edge_id, Lane.RIGHT, 1)
@@ -198,10 +207,7 @@ def simulate(
                 world, windows, scenario.bpr, scenario.protection, clock.dt_control
             )
             view.update(snapshot, params)
-            if strategy == "drp":
-                view.costs = ctl.instantaneous_cost_view(world)
-            else:
-                view.costs = ctl.predicted_cost_view(snapshot)
+            view.update_costs(world, strategy)
 
         if t < horizon:
             while bus_ptr < len(bus_departures) and bus_departures[bus_ptr][0] <= t:
@@ -220,7 +226,9 @@ def simulate(
         bus_service(world, t)
 
         if is_control and snapshot is not None:
-            decision = ctl.strategy_step(strategy, world, snapshot, params)
+            decision = ctl.strategy_step(
+                strategy, world, snapshot, params, view.warned, view.costs
+            )
             _audit_forced_exits(snapshot, decision, audit)
             executed = _apply_decision(world, strategy, decision, decision_rows)
             _audit_banned_entries(snapshot, decision, executed, audit)

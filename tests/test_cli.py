@@ -3,6 +3,9 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
+from jointlane import prediction, routing
 from jointlane.cli import main, resolve_scenario
 
 
@@ -144,3 +147,19 @@ def test_scenario_without_horizon_is_validation_error(capsys, tmp_path):
         assert "scenario error" in err and field in err, (field, err)
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("module, name, error", [
+    (prediction, "build_snapshot", prediction.PredictionError),
+    (routing, "initial_route", routing.RoutingError),
+])
+def test_prediction_and_routing_errors_in_a_run_exit_3(capsys, tmp_path, monkeypatch,
+                                                      module, name, error):
+    def broken(*args, **kwargs):
+        raise error("injected failure")
+
+    monkeypatch.setattr(module, name, broken)
+    code = run_cli(["--scenario", "desk_small", "--horizon", "60", "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "jointlane: runtime invariant violated: injected failure\n"

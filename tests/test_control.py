@@ -38,6 +38,16 @@ def snapshot_of(world, dt=15.0, horizon=30.0):
     return build_snapshot(world, windows, BprParams(), protection, dt)
 
 
+def cavs_on(snap, seg):
+    """Ids of the snapshot's CAVs on `seg`, in id order."""
+    return [vid for vid, veh in snap.vehicles.items()
+            if veh.vclass is VehicleClass.CAV and veh.segment == seg]
+
+
+def forced_of(decision):
+    return [(a.vehicle, a.segment) for a in decision.actions if a.forced]
+
+
 def test_bus_warning_strict_inequality():
     assert bus_warning(25.0, 20.0, 0.2) is True       # 25 > 24
     assert bus_warning(24.0, 20.0, 0.2) is False      # boundary excluded
@@ -154,9 +164,12 @@ def test_snapshot_keeps_the_vehicles_present_at_build(dl_chain3):
     assert world.place_new(late)
     assert world.model.edges[late.edge_id].dl
     assert list(snap.vehicles) == [0]
-    assert [a.vehicle for a in select_lane_changes(snap, PAR).actions] == [0]
+    decision = select_lane_changes(snap, PAR, warned_segments(snap, PAR))
+    assert [a.vehicle for a in decision.actions] == [0]
     # the next snapshot scores it as a candidate like any other CAV
-    assert {a.vehicle for a in select_lane_changes(snapshot_of(world), PAR).actions} == {0, 1}
+    snap = snapshot_of(world)
+    decision = select_lane_changes(snap, PAR, warned_segments(snap, PAR))
+    assert {a.vehicle for a in decision.actions} == {0, 1}
 
 
 def _protection_world():
@@ -177,33 +190,42 @@ def _protection_world():
 def test_protection_forces_occupants_and_bans_neighbors():
     world = _protection_world()
     snap = snapshot_of(world)
-    prot = protection_actions(snap, PAR)
+    prot = protection_actions(snap, warned_segments(snap, PAR))
     seg = SegmentRef(0, Lane.RIGHT, 1)
     assert seg in prot.warned
-    forced_ids = {vid for vid, s in prot.forced if s == seg}
+    forced_ids = {vid for vid, s in forced_of(prot) if s == seg}
     assert forced_ids == {1, 2}
     assert (3, seg) in prot.banned
+
+
+def test_protection_reads_only_the_warned_set_it_is_given():
+    world = _protection_world()
+    snap = snapshot_of(world)
+    assert warned_segments(snap, PAR)
+    decision = protection_actions(snap, frozenset())
+    assert forced_of(decision) == []
+    assert decision.banned == frozenset()
 
 
 def test_no_warning_no_actions(dl_chain3):
     world = make_world(dl_chain3)
     put_vehicle(world, 0, VehicleClass.CAV, [0, 1, 2], lane=Lane.RIGHT, m=1)
     snap = snapshot_of(world)
-    prot = protection_actions(snap, PAR)
+    prot = protection_actions(snap, warned_segments(snap, PAR))
     assert prot.warned == frozenset()
-    assert prot.forced == ()
+    assert forced_of(prot) == []
     assert prot.banned == frozenset()
 
 
 def test_candidates_exclude_hdv_banned_and_plain_edges():
     world = _protection_world()
     snap = snapshot_of(world)
-    prot = protection_actions(snap, PAR)
+    prot = protection_actions(snap, warned_segments(snap, PAR))
     seg_gpl = SegmentRef(0, Lane.LEFT, 1)
-    cands = build_candidates(snap, seg_gpl, prot.banned)
+    cands = build_candidates(snap, seg_gpl, cavs_on(snap, seg_gpl), prot.banned, frozenset())
     assert [c.vehicle for c in cands] == []  # vehicle 3 is banned from entering
     # without the ban it would be a candidate
-    cands = build_candidates(snap, seg_gpl, frozenset())
+    cands = build_candidates(snap, seg_gpl, cavs_on(snap, seg_gpl), frozenset(), frozenset())
     assert [c.vehicle for c in cands] == [3]
     assert cands[0].direction == 1
     # HDVs are never candidates; plain edges have none at all
@@ -212,7 +234,8 @@ def test_candidates_exclude_hdv_banned_and_plain_edges():
     put_vehicle(w2, 0, VehicleClass.HDV, [0], lane=Lane.LEFT, m=1)
     put_vehicle(w2, 1, VehicleClass.CAV, [0], lane=Lane.LEFT, m=1)
     snap2 = snapshot_of(w2)
-    assert build_candidates(snap2, SegmentRef(0, Lane.LEFT, 1), frozenset()) == []
+    seg2 = SegmentRef(0, Lane.LEFT, 1)
+    assert build_candidates(snap2, seg2, cavs_on(snap2, seg2), frozenset(), frozenset()) == []
 
 
 def test_candidate_set_size_three(dl_chain3):
@@ -221,7 +244,8 @@ def test_candidate_set_size_three(dl_chain3):
         put_vehicle(world, vid, VehicleClass.CAV, [0, 1, 2], lane=Lane.RIGHT,
                     m=1, offset=off)
     snap = snapshot_of(world)
-    cands = build_candidates(snap, SegmentRef(0, Lane.RIGHT, 1), frozenset())
+    seg = SegmentRef(0, Lane.RIGHT, 1)
+    cands = build_candidates(snap, seg, cavs_on(snap, seg), frozenset(), frozenset())
     assert len(cands) == 3
 
 
@@ -234,7 +258,7 @@ def test_select_lane_changes_winner_and_gate(dl_chain3):
     target = SegmentRef(0, Lane.RIGHT, 1)
     snap.predicted_time[seg] = 16.0   # 0.6 normalized benefit to move right
     snap.predicted_time[target] = 10.0
-    decision = select_lane_changes(snap, PAR)
+    decision = select_lane_changes(snap, PAR, warned_segments(snap, PAR))
     utility_actions = [a for a in decision.actions if not a.forced]
     assert len(utility_actions) == 1
     assert utility_actions[0].vehicle == 0  # tie on terms, lowest id wins
@@ -242,7 +266,7 @@ def test_select_lane_changes_winner_and_gate(dl_chain3):
     # adverse move: nobody fires even though a winner exists
     snap.predicted_time[seg] = 10.0
     snap.predicted_time[target] = 26.0
-    decision = select_lane_changes(snap, PAR)
+    decision = select_lane_changes(snap, PAR, warned_segments(snap, PAR))
     assert [a for a in decision.actions if not a.forced] == []
     assert decision.winners[seg][1] < 0
 
@@ -250,7 +274,7 @@ def test_select_lane_changes_winner_and_gate(dl_chain3):
 def test_forced_exits_exempt_from_single_winner_cap():
     world = _protection_world()
     snap = snapshot_of(world)
-    decision = select_lane_changes(snap, PAR)
+    decision = select_lane_changes(snap, PAR, warned_segments(snap, PAR))
     forced = [a for a in decision.actions if a.forced]
     assert {a.vehicle for a in forced} == {1, 2}
     assert all(a.direction == -1 for a in forced)
@@ -393,7 +417,7 @@ def test_strategy_step_rejects_unknown(dl_chain3):
     world = make_world(dl_chain3)
     snap = snapshot_of(world)
     with pytest.raises(ControlError):
-        strategy_step("nope", world, snap, PAR)
+        strategy_step("nope", world, snap, PAR, frozenset(), predicted_cost_view(snap))
 
 
 def test_params_validation():
@@ -421,7 +445,8 @@ def test_cost_views_bounded_below_by_free_flow(desk_small):
 def test_proposed_idle_on_empty_network(dl_chain3):
     world = make_world(dl_chain3)
     snap = snapshot_of(world)
-    decision = strategy_step("proposed", world, snap, PAR)
+    decision = strategy_step("proposed", world, snap, PAR,
+                             warned_segments(snap, PAR), predicted_cost_view(snap))
     assert decision.actions == []
     assert decision.reroutes == []
     assert decision.warned == frozenset()
@@ -438,3 +463,33 @@ def test_escalation_greedy_takes_farthest_first():
     assert assignments, "expected at least one reroute"
     # vehicle 3 sits farthest upstream, hence largest predicted entry time
     assert assignments[0].vehicle == 3
+
+
+@pytest.mark.parametrize("strategy", ["prp", "proposed"])
+def test_strategy_step_reroutes_on_the_costs_it_is_given(strategy, monkeypatch):
+    import jointlane.control as control
+
+    world = _escalation_world()
+    snap = snapshot_of(world)
+    snap.predicted_time[SegmentRef(1, Lane.LEFT, 1)] = 100.0  # opens proposed's GPL gate
+    warned = warned_segments(snap, PAR)
+    assert SegmentRef(1, Lane.RIGHT, 1) in warned
+    costs = predicted_cost_view(snap)
+
+    def derived_again(*args, **kwargs):
+        raise AssertionError("the control step derived a view it was given")
+
+    reroute = control.routing.reroute
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(args[5])
+        return reroute(*args, **kwargs)
+
+    monkeypatch.setattr(control, "predicted_cost_view", derived_again)
+    monkeypatch.setattr(control, "warned_segments", derived_again)
+    monkeypatch.setattr(control.routing, "reroute", spy)
+    decision = strategy_step(strategy, world, snap, PAR, warned, costs)
+    assert decision.warned == warned
+    assert decision.reroutes
+    assert seen and all(c is costs for c in seen)

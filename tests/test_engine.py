@@ -366,8 +366,8 @@ def test_forced_exit_audit_reads_decision_time_segments(desk_small, monkeypatch)
     strategy_step = runner.ctl.strategy_step
     dropped = set()
 
-    def without_forced_exits(strategy, world, snapshot, params):
-        decision = strategy_step(strategy, world, snapshot, params)
+    def without_forced_exits(strategy, world, snapshot, params, warned, costs):
+        decision = strategy_step(strategy, world, snapshot, params, warned, costs)
         for i, action in enumerate(decision.actions):
             if action.forced:
                 dropped.add((decision.t, action.vehicle))
