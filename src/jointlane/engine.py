@@ -128,7 +128,7 @@ class VehicleState:
 
 
 # A CAV's lane preference for entering an edge: it must order both lanes, as
-# World._entry_lanes tries only the permitted lanes it lists.
+# World._entry_segment tries only the candidate lanes it lists.
 EntryChooser = Callable[["World", VehicleState, int], tuple[Lane, ...]]
 
 
@@ -142,6 +142,8 @@ class World:
         self.vehicles: dict[int, VehicleState] = {}
         self.buses: dict[int, VehicleState] = {}  # active buses, placement order
         self.queues: dict[SegmentRef, list[int]] = {}
+        # length of each queue's packed front, kept by step and _remove
+        self.packed: dict[SegmentRef, int] = {}
         self.retired: list[VehicleState] = []
         self.injected: dict[VehicleClass, int] = {c: 0 for c in VehicleClass}
         self.pending: list[VehicleState] = []   # created but waiting for entry space
@@ -204,7 +206,11 @@ class World:
     # -- placement -------------------------------------------------------------
 
     def _insert_by_offset(self, key: SegmentRef, veh: VehicleState):
-        """Keep queues ordered front(=downstream)-first; ties go behind."""
+        """Keep queues ordered front(=downstream)-first; ties go behind.
+
+        It inserts only ahead of a vehicle whose offset is smaller, so never
+        inside the packed front, whose vehicles sit at the segment end.
+        """
         q = self.queue(key)
         idx = len(q)
         for i, vid in enumerate(q):
@@ -228,38 +234,31 @@ class World:
         return True
 
     def _entry_segment(self, veh: VehicleState, i: int) -> Optional[SegmentRef]:
-        """First segment of route edge `i` with room, in lane preference order."""
-        edge_id = veh.route[i]
-        jam = self.model.edges[edge_id].jam_count
-        for lane in self._entry_lanes(veh, i):
-            key = SegmentRef(edge_id, lane, 1)
-            if self.count(key) < jam:
-                return key
-        return None
+        """First segment of route edge `i` with room, in lane preference order.
 
-    def _entry_lanes(self, veh: VehicleState, i: int) -> tuple[Lane, ...]:
-        """Ordered lane preference for entering route edge `i`.
-
-        Lanes with a turn connection to the route edge after it are preferred
-        so vehicles do not strand themselves.
+        The candidates are the permitted lanes, narrowed to those with a turn
+        connection to the route edge after it when there are any, so vehicles
+        do not strand themselves. The preference only orders the candidates,
+        without side effects, so it is asked only when more than one of them
+        has room: a full entry fails, and a single open lane is taken, at once.
         """
         model = self.model
         edge_id = veh.route[i]
         onward = veh.route[i + 1] if i + 1 < len(veh.route) else None
-        permitted = model.permitted_lanes(veh.vclass, edge_id)
+        lanes = model.permitted_lanes(veh.vclass, edge_id)
         if onward is not None:
-            connecting = tuple(
-                l for l in permitted if model.connects(edge_id, l, onward)
-            )
+            connecting = tuple(l for l in lanes if model.connects(edge_id, l, onward))
             if connecting:
-                permitted = connecting
-        if veh.vclass is VehicleClass.CAV and self.cav_entry_chooser is not None:
-            chosen = self.cav_entry_chooser(self, veh, edge_id)
-            return tuple(l for l in chosen if l in permitted)
-        # fewest vehicles on the lane, ties resolved left first
-        return tuple(
-            sorted(permitted, key=lambda l: (self.lane_count(edge_id, l), int(l)))
-        )
+                lanes = connecting
+        jam = model.edges[edge_id].jam_count
+        room = [l for l in lanes if self.count(SegmentRef(edge_id, l, 1)) < jam]
+        if len(room) > 1:
+            if veh.vclass is VehicleClass.CAV and self.cav_entry_chooser is not None:
+                room = [l for l in self.cav_entry_chooser(self, veh, edge_id) if l in room]
+            else:
+                # fewest vehicles on the lane, ties resolved left first
+                room.sort(key=lambda l: (self.lane_count(edge_id, l), int(l)))
+        return SegmentRef(edge_id, room[0], 1) if room else None
 
 
 # -- public operations ----------------------------------------------------------
@@ -327,10 +326,20 @@ def step(world: World, dt: Optional[float] = None):
     vehicle ahead in the same lane segment, transfer across segment and edge
     boundaries only when the target has storage (spillback otherwise), stop at
     bus stops, and retire at the end of their last route edge.
+
+    Each queue's packed front costs about one vehicle per step. A packed
+    vehicle is not a bus, sits at the segment end (`offset == seg_length`)
+    and has speed 0; `world.packed[key]` counts vehicles at the front of
+    `queues[key]` that are all packed. Inside that front every vehicle in turn
+    tries to cross the boundary, and once one waits, the rest would stay where
+    they are at speed 0, so the walk resumes behind the front. The count is
+    recomputed when a queue's front waits and `_remove` keeps it when a
+    vehicle leaves; entries land behind the front and leave it valid.
     """
     if dt is None:
         dt = world.clock.dt_sim
     model = world.model
+    packed = world.packed
     t = world.t
     moved: set[int] = set()
     # motion speeds from start-of-step occupancy, excluding the mover itself
@@ -344,7 +353,9 @@ def step(world: World, dt: Optional[float] = None):
         seg_len = model.edges[key.edge].seg_length
         v_seg = speeds[key]
         block: Optional[float] = None  # offset of the nearest vehicle that stays ahead
-        for vid in list(q):
+        held = False  # the front waited at the segment end
+        rest = iter(list(q))
+        for vid in rest:
             if vid in moved:
                 # entered this segment earlier in this step; it may still block
                 block = world.vehicles[vid].offset
@@ -377,10 +388,26 @@ def step(world: World, dt: Optional[float] = None):
                     continue
                 veh.offset = seg_len
                 block = seg_len
+                held = True
+                # every vehicle ahead of it has left, so if it led the packed
+                # front, the rest of that front stays where it is at speed 0
+                skip = packed.get(key, 0) - 1
+                if skip > 0:
+                    next(itertools.islice(rest, skip, skip), None)
             else:
                 veh.offset = min(target, seg_len)
                 block = veh.offset
             veh.speed = (veh.offset - old_offset) / dt
+        if held:
+            # what is left of the old front, then those behind it that
+            # stayed at the segment end through the whole step
+            n = packed.get(key, 0)
+            while n < len(q):
+                veh = world.vehicles[q[n]]
+                if veh.speed != 0.0 or veh.offset != seg_len or veh.vclass is VehicleClass.BUS:
+                    break
+                n += 1
+            packed[key] = n
     world.t = t + dt
 
 
@@ -433,7 +460,7 @@ def _transfer(world: World, veh: VehicleState, key: SegmentRef, overshoot: float
         if target is None:
             return False
         veh.route_index += 1
-    world.queue(key).remove(veh.id)
+    _remove(world, key, veh.id)
     _enter_queue(world, veh, target, overshoot)
     world.log_event("transfer", veh)
     return True
@@ -441,7 +468,8 @@ def _transfer(world: World, veh: VehicleState, key: SegmentRef, overshoot: float
 
 def _enter_queue(world: World, veh: VehicleState, target: SegmentRef, overshoot: float):
     """Longitudinal entry: append `veh` at the tail of `target`, `overshoot`
-    meters in but never past the vehicle ahead or its own next bus stop."""
+    meters in but never past the vehicle ahead or its own next bus stop.
+    The tail is behind the packed front, so its count stays valid."""
     q = world.queue(target)
     offset = min(overshoot, world.model.edges[target.edge].seg_length)
     if q:
@@ -468,7 +496,7 @@ def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
     target = SegmentRef(source.edge, source.lane.other, source.m)
     if world.count(target) >= world.model.edges[source.edge].jam_count:
         return False
-    world.queue(source).remove(veh.id)
+    _remove(world, source, veh.id)
     veh.segment = target
     world._insert_by_offset(target, veh)
     veh.lane_change_log.append(world.t)
@@ -479,8 +507,17 @@ def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
     return True
 
 
+def _remove(world: World, key: SegmentRef, vid: int):
+    """Take `vid` out of its queue; the packed front loses it if it was there."""
+    q = world.queues[key]
+    i = q.index(vid)
+    del q[i]
+    if i < world.packed.get(key, 0):
+        world.packed[key] -= 1
+
+
 def _retire(world: World, veh: VehicleState, key: SegmentRef):
-    world.queue(key).remove(veh.id)
+    _remove(world, key, veh.id)
     del world.vehicles[veh.id]
     world.buses.pop(veh.id, None)
     veh.arrival_time = world.t

@@ -111,17 +111,6 @@ def projected_entries(
     return out
 
 
-def entry_time(model: NetworkModel, veh: VehicleState, seg: SegmentRef) -> Optional[float]:
-    """Constant-speed time for the vehicle to reach the entrance of `seg`.
-
-    None when the segment is not ahead on the projected path.
-    """
-    for ref, dist in projected_entries(model, veh):
-        if ref == seg:
-            return dist / max(veh.speed, MIN_PROJECTION_SPEED)
-    return None
-
-
 # -- bus windows ------------------------------------------------------------------
 
 
@@ -177,23 +166,6 @@ def _eta_at(
         residual = 0.0
     dwells = veh.dwell * sum(1 for ahead in stops if ahead < dist)
     return travel + residual + dwells
-
-
-def bus_eta(model: NetworkModel, veh: VehicleState, seg: SegmentRef, now: float) -> Optional[float]:
-    """Predicted time for a bus to enter a segment on its remaining route.
-
-    Constant current speed (floored) while moving; remaining free-flow times
-    while dwelling, plus the residual dwell, plus one full dwell for every
-    intermediate stop before the segment. The currently occupied segment gets
-    an ETA of zero.
-    """
-    if veh.segment == seg:
-        return 0.0
-    entries = projected_entries(model, veh)
-    for ref, dist in entries:
-        if (ref.edge, ref.m) == (seg.edge, seg.m):
-            return _eta_at(model, veh, dist, _stop_distances(model, veh, entries), now)
-    return None
 
 
 def _free_flow_time(model: NetworkModel, veh: VehicleState, dist: float) -> float:
@@ -267,10 +239,6 @@ class PredictionSnapshot:
 
     def overlaps(self, vid: int, seg: SegmentRef) -> bool:
         return seg in self.overlap.get(vid, ())
-
-
-def bus_overlap_indicator(snapshot: PredictionSnapshot, vid: int, seg: SegmentRef) -> int:
-    return 1 if snapshot.overlaps(vid, seg) else 0
 
 
 def _window_conflicts(

@@ -100,8 +100,7 @@ def _make_entry_chooser(strategy: str, view: _ProtectionView):
     ban = strategy in ("prp", "proposed")
 
     def predicted(world: World, seg: SegmentRef) -> float:
-        snap = view.snapshot
-        return snap.predicted(seg) if snap else world.model.t0(seg)
+        return view.snapshot.predicted(seg)
 
     def slowness(world: World, seg: SegmentRef) -> float:
         return -world.segment_speed(seg)
@@ -176,8 +175,6 @@ def simulate(
     steps_control = round(clock.dt_control / clock.dt_sim)
     steps_bus = round(clock.dt_bus / clock.dt_sim)
     drain_limit = 2.0 * horizon
-    snapshot: Optional[pr.PredictionSnapshot] = None
-    windows = pr.BusWindows(t=0.0)
 
     tick = 0
     while True:
@@ -197,8 +194,9 @@ def simulate(
         is_control = tick % steps_control == 0
         if tick % steps_bus == 0:
             windows = pr.build_bus_windows(world, scenario.protection)
-            # a control tick rebuilds the snapshot below, which would discard a refresh
-            if snapshot is not None and not is_control:
+            # a control tick rebuilds the snapshot below, which would discard a
+            # refresh; tick 0 is one, so a snapshot exists from then on
+            if not is_control:
                 snapshot = pr.refresh_conflicts(world, snapshot, windows)
                 view.update(snapshot, params)
 
@@ -225,7 +223,7 @@ def simulate(
 
         bus_service(world, t)
 
-        if is_control and snapshot is not None:
+        if is_control:
             decision = ctl.strategy_step(
                 strategy, world, snapshot, params, view.warned, view.costs
             )

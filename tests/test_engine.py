@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from jointlane.engine import (
@@ -524,3 +526,220 @@ def test_turn_realignment_blocked_by_jammed_target():
     assert veh.speed == 5.0  # it waits at the edge end
     assert world.lane_changes == []
     assert veh.lane_change_log == []
+
+
+# -- packed front ---------------------------------------------------------------
+
+
+def assert_packed_front(world):
+    """The first `world.packed[key]` vehicles of every queue are packed: not
+    buses, at the segment end and at speed 0."""
+    for key, n in world.packed.items():
+        queue = world.queues[key]
+        assert 0 <= n <= len(queue)
+        seg_len = world.model.edges[key.edge].seg_length
+        for vid in queue[:n]:
+            veh = world.vehicles[vid]
+            assert veh.vclass is not VehicleClass.BUS
+            assert (veh.offset, veh.speed) == (seg_len, 0.0)
+
+
+def _plant_state(world):
+    return (
+        world.t,
+        {key: list(q) for key, q in world.queues.items() if q},
+        {vid: (v.segment, v.offset, v.speed, v.route_index, v.dwell_until)
+         for vid, v in world.vehicles.items()},
+        [v.id for v in world.retired],
+        list(world.lane_changes),
+        list(world.stop_arrivals),
+    )
+
+
+def _step_against_full_walk(build, ticks, before_step=None):
+    """Step a world and a twin whose packed counts are cleared before every
+    step, so the twin walks every vehicle; both must stay identical. Returns
+    the world and the largest packed count seen."""
+    world, twin = build(), build()
+    peak = 0
+    for tick in range(ticks):
+        if before_step is not None:
+            assert before_step(world, tick) == before_step(twin, tick)
+        assert_packed_front(world)
+        twin.packed.clear()
+        step(world, 1.0)
+        step(twin, 1.0)
+        assert_packed_front(world)
+        assert _plant_state(world) == _plant_state(twin)
+        peak = max(peak, max(world.packed.values(), default=0))
+    return world, peak
+
+
+def _gated_world():
+    """Edge 0's end is red for t in [0, 15) and [20, 35), green in [15, 20);
+    its downstream half holds 3 vehicles."""
+    model = make_model(
+        [(0, 1, 2, 100.0, 10.0, False), (1, 2, 3, 400.0, 10.0, False)], jam=3
+    )
+    object.__setattr__(model.edges[0], "gate", (20.0, 5.0, 5.0))
+    world = make_world(model)
+    for vid, (m, offset) in enumerate([(2, 45.0), (2, 30.0), (2, 20.0),
+                                       (1, 40.0), (1, 25.0), (1, 5.0)]):
+        put_vehicle(world, vid, VehicleClass.CAV, [0, 1], m=m, offset=offset)
+    return world
+
+
+def test_packed_front_held_by_gate_and_full_half_then_released():
+    world, peak = _step_against_full_walk(_gated_world, 40)
+    assert peak == 3  # both halves packed full while the gate was red
+    assert len(world.retired) + len(world.vehicles) == 6
+    assert all(v.route_index == 1 for v in world.vehicles.values())
+
+
+def test_packed_front_counts_behind_a_held_front():
+    world = _gated_world()
+    down, up = SegmentRef(0, Lane.LEFT, 2), SegmentRef(0, Lane.LEFT, 1)
+    for _ in range(9):
+        step(world, 1.0)
+    # a vehicle that reached the end in this step still has a speed; it
+    # joins the packed front once it has waited there for a step
+    third = world.vehicles[world.queues[down][2]]
+    assert third.offset == 50.0 and third.speed > 0.0
+    assert world.packed[down] == 2
+    step(world, 1.0)
+    assert world.packed[down] == 3
+    for _ in range(5):
+        step(world, 1.0)
+    assert world.packed[up] == 3  # held by the full downstream half
+    step(world, 1.0)  # green at t=15: the whole downstream half leaves
+    assert (world.queues[down], world.packed[down]) == ([], 0)
+    assert world.packed[up] == 3  # walked first, it still found the half full
+    step(world, 1.0)
+    assert world.queues[down] == [3, 4, 5]
+    assert (world.queues[up], world.packed[up]) == ([], 0)
+    assert_packed_front(world)
+
+
+def _dl_gated_world(bus_at=None):
+    """A dedicated-lane edge whose end stays red for 30 s; four vehicles queue
+    on its right downstream half (CAVs, or a bus at index `bus_at`), two HDVs
+    on the left."""
+    model = make_model(
+        [(0, 1, 2, 100.0, 10.0, True), (1, 2, 3, 400.0, 10.0, True)], jam=6
+    )
+    object.__setattr__(model.edges[0], "gate", (60.0, 30.0, 30.0))
+    world = make_world(model)
+    for vid, offset in enumerate([45.0, 40.0, 35.0, 30.0]):
+        vclass = VehicleClass.BUS if vid == bus_at else VehicleClass.CAV
+        put_vehicle(world, vid, vclass, [0, 1], lane=Lane.RIGHT, m=2, offset=offset)
+    for vid, offset in ((10, 40.0), (11, 20.0)):
+        put_vehicle(world, vid, VehicleClass.HDV, [0, 1], lane=Lane.LEFT, m=2,
+                    offset=offset)
+    return world
+
+
+def test_lane_change_out_of_a_packed_front():
+    key = SegmentRef(0, Lane.RIGHT, 2)
+
+    def change_at_tick_10(world, tick):
+        if tick != 10:
+            return None
+        assert world.packed[key] == 4
+        ok = execute_lane_change(world, 2, -1)
+        assert world.packed[key] == 3  # the vehicles behind it move up
+        assert world.queues[key] == [0, 1, 3]
+        assert_packed_front(world)
+        return ok
+
+    world, peak = _step_against_full_walk(_dl_gated_world, 45, change_at_tick_10)
+    assert peak == 4
+    assert world.lane_changes[0][1:6] == (2, 0, 2, "R", "L")
+
+
+@pytest.mark.parametrize("bus_at", [0, 1])
+def test_bus_in_a_jam_is_never_packed(bus_at):
+    key = SegmentRef(0, Lane.RIGHT, 2)
+    world, _ = _step_against_full_walk(lambda: _dl_gated_world(bus_at), 20)
+    assert [world.vehicles[vid].offset for vid in world.queues[key]] == [50.0] * 4
+    assert world.packed[key] == bus_at  # the bus ends the packed front
+
+
+def test_align_into_a_packed_queue():
+    # only the right lane turns into edge 1, whose halves stay full until its
+    # end turns green at t=40
+    model = make_model(
+        [(0, 1, 2, 100.0, 10.0, False), (1, 2, 3, 100.0, 10.0, False)],
+        connections={(0, 1): {Lane.RIGHT}}, jam=2,
+    )
+    object.__setattr__(model.edges[1], "gate", (80.0, 40.0, 40.0))
+    key = SegmentRef(0, Lane.RIGHT, 2)
+
+    def build():
+        world = make_world(model)
+        fillers = itertools.count(100)
+        for lane in Lane:
+            for m in (1, 2):
+                for _ in range(2):
+                    put_vehicle(world, next(fillers), VehicleClass.HDV, [1],
+                                lane=lane, m=m, offset=50.0)
+        put_vehicle(world, 0, VehicleClass.CAV, [0, 1], lane=Lane.RIGHT, m=2,
+                    offset=45.0)
+        put_vehicle(world, 1, VehicleClass.CAV, [0, 1], lane=Lane.LEFT, m=2,
+                    offset=20.0)
+        return world
+
+    def check(world, tick):
+        if tick == 3:  # vehicle 1 aligned in the last step, behind the front
+            assert world.queues[key] == [0, 1]
+            assert world.packed[key] == 1
+        return None
+
+    world, peak = _step_against_full_walk(build, 60, check)
+    assert peak == 2
+    assert [row[1] for row in world.lane_changes] == [1]
+    assert world.lane_changes[0][6] == "align"
+    assert {0, 1} <= {v.id for v in world.retired}
+
+
+def test_full_entry_fails_before_the_cav_chooser_is_asked():
+    model = make_model([(0, 1, 2, 200.0, 10.0, False)], jam=1)
+    world = make_world(model)
+    calls = []
+
+    def chooser(world, veh, edge_id):
+        calls.append(veh.id)
+        return (Lane.RIGHT, Lane.LEFT)
+
+    world.cav_entry_chooser = chooser
+    put_vehicle(world, 0, VehicleClass.CAV, [0], lane=Lane.LEFT, offset=1.0)
+    put_vehicle(world, 1, VehicleClass.CAV, [0], lane=Lane.RIGHT, offset=1.0)
+    assert world.place_new(_new_vehicle(world, 10, VehicleClass.CAV, [0])) is False
+    assert calls == []  # every candidate lane is full
+    world = make_world(model)
+    world.cav_entry_chooser = chooser
+    put_vehicle(world, 0, VehicleClass.CAV, [0], lane=Lane.LEFT, offset=1.0)
+    veh = _new_vehicle(world, 11, VehicleClass.CAV, [0])
+    assert world.place_new(veh) is True
+    assert veh.segment.lane is Lane.RIGHT and calls == []  # one open lane
+    world = make_world(model)
+    world.cav_entry_chooser = chooser
+    veh = _new_vehicle(world, 12, VehicleClass.CAV, [0])
+    assert world.place_new(veh) is True
+    assert veh.segment.lane is Lane.RIGHT and calls == [12]  # it orders two
+
+
+def test_packed_front_invariant_on_desk_large_jam():
+    from jointlane.runner import simulate
+    from jointlane.scenario import load_scenario, resolve_scenario
+
+    seen = {"checked": 0, "packed": 0}
+
+    def observer(world, snapshot, decision, executed):
+        assert_packed_front(world)
+        seen["checked"] += 1
+        seen["packed"] = max(seen["packed"], sum(world.packed.values()))
+
+    simulate(load_scenario(resolve_scenario("desk_large")), strategy="proposed",
+             seed=1, horizon=600.0, observer=observer)
+    assert seen["checked"] >= 40
+    assert seen["packed"] > 20
