@@ -73,7 +73,6 @@ class ControlDecision:
     reroutes: list[RouteAssignment] = field(default_factory=list)
     warned: frozenset[SegmentRef] = frozenset()
     banned: frozenset[tuple[int, SegmentRef]] = frozenset()
-    winners: dict[SegmentRef, tuple[int, float]] = field(default_factory=dict)
     escalation_exhausted: int = 0
 
 
@@ -106,9 +105,7 @@ def protection_actions(
     decision = ControlDecision(t=snapshot.t, warned=warned)
     banned: set[tuple[int, SegmentRef]] = set()
     for seg in sorted(warned):
-        for vid in sorted(snapshot.overlap):
-            if seg not in snapshot.overlap[vid]:
-                continue
+        for vid in snapshot.overlap.get(seg, {}):
             if snapshot.vehicles[vid].segment == seg:
                 decision.actions.append(LaneAction(vid, seg, -1, forced=True))
             else:
@@ -224,7 +221,6 @@ def select_lane_changes(
         if winner is None:
             continue
         vid, u = winner
-        decision.winners[seg] = (vid, u)
         if u > 0:
             decision.actions.append(scored[vid])
     return decision
@@ -288,7 +284,8 @@ def rerouting_escalation(
         bus_time = snapshot.bus_time.get(seg)
         if bus_time is None:
             continue
-        conflict_n = round(snapshot.conflict.get(seg, 0.0) * two_h)
+        members = snapshot.overlap.get(seg, {})
+        conflict_n = len(members)
         gpl_flow = snapshot.inflow.get(adjacent, 0.0)
 
         def cleared() -> bool:
@@ -300,15 +297,10 @@ def rerouting_escalation(
 
         if cleared():
             continue
-        members = []
-        for vid in sorted(snapshot.overlap):
-            if seg not in snapshot.overlap[vid] or vid in taken:
-                continue
-            own = snapshot.vehicles[vid].segment
-            tau = 0.0 if (own.edge, own.m) == (seg.edge, seg.m) else snapshot.tau[vid].get(seg, 0.0)
-            members.append((vid, tau))
-        members.sort(key=lambda item: (-item[1], item[0]))
-        for vid, _ in members:
+        farthest_first = sorted(
+            (vid for vid in members if vid not in taken), key=lambda vid: (-members[vid], vid)
+        )
+        for vid in farthest_first:
             if cleared():
                 break
             veh = snapshot.vehicles[vid]

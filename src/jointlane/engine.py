@@ -185,11 +185,6 @@ class World:
         frac = min(1.0, max(SPEED_FLOOR, frac))
         return edge.free_flow_speed * frac
 
-    def travel_speed(self, key: SegmentRef, n: int) -> float:
-        """Motion speed for one of n occupants: the mover itself is not its
-        own congestion, so a lone vehicle runs at free flow."""
-        return self.segment_speed(key, max(0, n - 1))
-
     def log_event(self, kind: str, veh: VehicleState, detail: str = ""):
         if self.events is not None:
             self.events.append(
@@ -342,9 +337,10 @@ def step(world: World, dt: Optional[float] = None):
     packed = world.packed
     t = world.t
     moved: set[int] = set()
-    # motion speeds from start-of-step occupancy, excluding the mover itself
+    # motion speeds from start-of-step occupancy: the mover is not its own
+    # congestion, so a lone vehicle runs at free flow
     speeds = {
-        key: world.travel_speed(key, len(q))
+        key: world.segment_speed(key, len(q) - 1)
         for key, q in world.queues.items()
         if q
     }

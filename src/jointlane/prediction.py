@@ -118,7 +118,6 @@ def projected_entries(
 class BusWindows:
     """Absolute-time protection windows per dedicated-lane segment."""
 
-    t: float
     # seg -> list of (bus vehicle id, window start, window end), absolute seconds
     windows: dict[SegmentRef, list[tuple[int, float, float]]] = field(default_factory=dict)
 
@@ -188,7 +187,7 @@ def _free_flow_time(model: NetworkModel, veh: VehicleState, dist: float) -> floa
 def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows:
     """Windows around every active bus's predicted entry into each DL segment."""
     model = world.model
-    out = BusWindows(t=world.t)
+    out = BusWindows()
     for vid in sorted(world.vehicles):
         veh = world.vehicles[vid]
         if veh.vclass is not VehicleClass.BUS:
@@ -224,11 +223,11 @@ class PredictionSnapshot:
     protection: ProtectionHorizon
     windows: BusWindows
     vehicles: dict[int, VehicleState]
-    tau: dict[int, dict[SegmentRef, float]]          # projected entry times
+    tau: dict[int, dict[SegmentRef, float]]          # CAV entries: DL, or within dt
     inflow: dict[SegmentRef, float]                   # veh/s, per segment
     hdv_entries: dict[SegmentRef, int]                # projected HDV entries
     predicted_time: dict[SegmentRef, float]           # seconds, segments with inflow
-    overlap: dict[int, set[SegmentRef]]               # CAV id -> windowed segments hit
+    overlap: dict[SegmentRef, dict[int, float]]       # seg -> CAV id (asc) -> entry time
     conflict: dict[SegmentRef, float]                 # veh/s into bus windows
     bus_time: dict[SegmentRef, float]                 # predicted bus traversal time
 
@@ -236,9 +235,6 @@ class PredictionSnapshot:
         """BPR travel time; the free-flow time where no inflow is predicted."""
         t = self.predicted_time.get(seg)
         return t if t is not None else self.model.t0(seg)
-
-    def overlaps(self, vid: int, seg: SegmentRef) -> bool:
-        return seg in self.overlap.get(vid, ())
 
 
 def _window_conflicts(
@@ -248,39 +244,39 @@ def _window_conflicts(
     since: float,
     bpr: BprParams,
     protection: ProtectionHorizon,
-) -> tuple[dict[int, set[SegmentRef]], dict[SegmentRef, float], dict[SegmentRef, float]]:
+) -> tuple[dict[SegmentRef, dict[int, float]], dict[SegmentRef, float], dict[SegmentRef, float]]:
     """Window overlaps, conflict inflow and bus time per windowed segment.
 
-    A CAV on the same span as the segment counts at the current time; any
-    other CAV counts at its projected entry, taken from `tau` measured at
-    time `since`.
+    A CAV on the same span as the segment counts at the current time, with
+    entry time 0; any other CAV counts at its projected entry, taken from
+    `tau` measured at time `since`. Segments without members are left out of
+    the overlap table.
     """
     model = world.model
     t = world.t
     cavs = [
-        (vid, world.vehicles[vid].segment)
-        for vid in sorted(world.vehicles)
-        if world.vehicles[vid].vclass is VehicleClass.CAV
+        (vid, veh.segment, tau.get(vid, {}))
+        for vid, veh in sorted(world.vehicles.items())
+        if veh.vclass is VehicleClass.CAV
     ]
-    overlap: dict[int, set[SegmentRef]] = {}
-    conflict_counts: dict[SegmentRef, int] = {}
-    for seg in sorted(windows.windows):
-        spans = windows.covering(seg)
-        for vid, own in cavs:
-            if (own.edge, own.m) == (seg.edge, seg.m):
-                when = t
-            else:
-                tau_v = tau.get(vid, {}).get(seg)
-                if tau_v is None:
-                    continue
-                when = since + tau_v
-            if any(lo <= when <= hi for _, lo, hi in spans):
-                overlap.setdefault(vid, set()).add(seg)
-                conflict_counts[seg] = conflict_counts.get(seg, 0) + 1
+    overlap: dict[SegmentRef, dict[int, float]] = {}
     conflict: dict[SegmentRef, float] = {}
     bus_time: dict[SegmentRef, float] = {}
     for seg in windows.windows:
-        q = conflict_counts.get(seg, 0) / (2.0 * protection.horizon)
+        members: dict[int, float] = {}
+        for vid, own, times in cavs:
+            if (own.edge, own.m) == (seg.edge, seg.m):
+                entry, when = 0.0, t
+            else:
+                entry = times.get(seg)
+                if entry is None:
+                    continue
+                when = since + entry
+            if windows.contains(seg, when):
+                members[vid] = entry
+        if members:
+            overlap[seg] = members
+        q = len(members) / (2.0 * protection.horizon)
         conflict[seg] = q
         bus_time[seg] = bpr_time(model.t0(seg), q, model.capacity(seg), bpr)
     return overlap, conflict, bus_time
@@ -328,14 +324,19 @@ def build_snapshot(
         if veh.vclass is VehicleClass.BUS:
             continue
         speed = max(veh.speed, MIN_PROJECTION_SPEED)
-        times: dict[SegmentRef, float] = {}
-        for ref, dist in projected_entries(model, veh):
-            times[ref] = dist / speed
-        tau[vid] = times
-        bucket = cav_entries if veh.vclass is VehicleClass.CAV else hdv_entries
+        times = {ref: dist / speed for ref, dist in projected_entries(model, veh)}
+        is_cav = veh.vclass is VehicleClass.CAV
+        bucket = cav_entries if is_cav else hdv_entries
+        kept: dict[SegmentRef, float] = {}
         for ref, tau_v in times.items():
-            if entry_indicator(tau_v, dt):
+            soon = entry_indicator(tau_v, dt)
+            if soon:
                 bucket[ref] = bucket.get(ref, 0) + 1
+            # window conflicts read DL entries; the escalation, entries within dt
+            if is_cav and (soon or ref in model.dl_segments):
+                kept[ref] = tau_v
+        if is_cav:
+            tau[vid] = kept
 
     inflow: dict[SegmentRef, float] = {}
     predicted_time: dict[SegmentRef, float] = {}

@@ -351,10 +351,9 @@ def _audit_forced_exits(
     """
     forced_vehicles = {a.vehicle for a in decision.actions if a.forced}
     for seg in decision.warned:
-        for vid, segs in snapshot.overlap.items():
-            if seg in segs and snapshot.vehicles[vid].segment == seg:
-                if vid not in forced_vehicles:
-                    audit["forced_missing"] += 1
+        for vid in snapshot.overlap.get(seg, {}):
+            if snapshot.vehicles[vid].segment == seg and vid not in forced_vehicles:
+                audit["forced_missing"] += 1
 
 
 def _audit_banned_entries(
@@ -368,7 +367,7 @@ def _audit_banned_entries(
         if not ok or action.forced or action.direction != 1:
             continue
         target = SegmentRef(action.segment.edge, Lane.RIGHT, action.segment.m)
-        if target in decision.warned and snapshot.overlaps(action.vehicle, target):
+        if target in decision.warned and action.vehicle in snapshot.overlap.get(target, {}):
             audit["banned_entries"] += 1
 
 

@@ -381,21 +381,22 @@ def _parse_demand(item: Any, ctx: str, model: NetworkModel) -> DemandEntry:
     return DemandEntry(origin, destination, vclass, rate=rate, times=times, seed=seed)
 
 
-#: control key -> (Scenario field of the owning params object, attribute, default)
-_CONTROL_KEYS: dict[str, tuple[str, str, Any]] = {
-    "w1": ("control", "w1", 0.3),
-    "w2": ("control", "w2", 0.3),
-    "w3": ("control", "w3", 0.4),
-    "lambda": ("control", "bus_tolerance", 0.2),
-    "gamma": ("control", "reroute_tolerance", 0.3),
-    "T": ("control", "change_horizon", 120.0),
-    "theta": ("control", "hysteresis", 0.05),
-    "alpha": ("bpr", "alpha", 0.15),
-    "beta": ("bpr", "beta", 4.0),
-    "dT_b": ("protection", "horizon", 30.0),
-    "dt_sim": ("clock", "dt_sim", 1.0),
-    "dt": ("clock", "dt_control", 15.0),
-    "dt_b": ("clock", "dt_bus", 10.0),
+#: control key -> (Scenario field of the owning params object, attribute);
+#: an absent key takes the params class's own default
+_CONTROL_KEYS: dict[str, tuple[str, str]] = {
+    "w1": ("control", "w1"),
+    "w2": ("control", "w2"),
+    "w3": ("control", "w3"),
+    "lambda": ("control", "bus_tolerance"),
+    "gamma": ("control", "reroute_tolerance"),
+    "T": ("control", "change_horizon"),
+    "theta": ("control", "hysteresis"),
+    "alpha": ("bpr", "alpha"),
+    "beta": ("bpr", "beta"),
+    "dT_b": ("protection", "horizon"),
+    "dt_sim": ("clock", "dt_sim"),
+    "dt": ("clock", "dt_control"),
+    "dt_b": ("clock", "dt_bus"),
 }
 _PARAM_TYPES = {
     "control": ControlParams,
@@ -412,11 +413,11 @@ def _parse_control(raw: Any) -> tuple[ControlParams, BprParams, ProtectionHorizo
     params = {}
     try:
         for owner, cls in _PARAM_TYPES.items():
-            kwargs = {}
-            for key, (field_name, attr, default) in _CONTROL_KEYS.items():
-                if field_name != owner:
-                    continue
-                kwargs[attr] = _number(raw[key], f"control.{key}") if key in raw else default
+            kwargs = {
+                attr: _number(raw[key], f"control.{key}")
+                for key, (field_name, attr) in _CONTROL_KEYS.items()
+                if field_name == owner and key in raw
+            }
             params[owner] = cls(**kwargs)
     except Exception as exc:
         raise ScenarioError(f"control: {exc}") from exc
@@ -434,7 +435,7 @@ def apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenario
         raise ScenarioError(f"unknown override key '{sorted(unknown)[0]}'")
     merged: dict[str, Any] = {
         key: getattr(getattr(scenario, field_name), attr)
-        for key, (field_name, attr, _) in _CONTROL_KEYS.items()
+        for key, (field_name, attr) in _CONTROL_KEYS.items()
     }
     merged.update(overrides)
     return replace(scenario, **dict(zip(_PARAM_TYPES, _parse_control(merged))))

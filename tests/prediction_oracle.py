@@ -53,4 +53,4 @@ def bus_eta(model: NetworkModel, veh: VehicleState, seg: SegmentRef, now: float)
 
 
 def bus_overlap_indicator(snapshot: PredictionSnapshot, vid: int, seg: SegmentRef) -> int:
-    return 1 if snapshot.overlaps(vid, seg) else 0
+    return 1 if vid in snapshot.overlap.get(seg, {}) else 0

@@ -268,7 +268,7 @@ def test_select_lane_changes_winner_and_gate(dl_chain3):
     snap.predicted_time[target] = 26.0
     decision = select_lane_changes(snap, PAR, warned_segments(snap, PAR))
     assert [a for a in decision.actions if not a.forced] == []
-    assert decision.winners[seg][1] < 0
+    assert all(utility(snap, PAR, vid, seg, target)[0] < 0 for vid in (0, 1))
 
 
 def test_forced_exits_exempt_from_single_winner_cap():

@@ -260,6 +260,7 @@ def test_conflict_inflow_matches_brute_force_on_random_worlds():
     )
     for trial in range(50):
         world = make_world(model)
+        world.t = 10.0 * trial
         put_vehicle(world, 0, VehicleClass.BUS, [0, 1, 2, 3], lane=Lane.RIGHT,
                     m=rng.choice((1, 2)), offset=rng.uniform(0, 100),
                     speed=rng.uniform(2, 10))
@@ -272,16 +273,24 @@ def test_conflict_inflow_matches_brute_force_on_random_worlds():
                 m=rng.choice((1, 2)), offset=rng.uniform(0, 100),
                 speed=rng.uniform(0.5, 12),
             )
+        for vid in range(n + 1, n + 1 + rng.randrange(0, 4)):
+            put_vehicle(
+                world, vid, VehicleClass.HDV, list(range(rng.randrange(0, 3), 4)),
+                m=rng.choice((1, 2)), offset=rng.uniform(0, 100),
+                speed=rng.uniform(0.5, 12),
+            )
         protection = ProtectionHorizon(30.0)
         windows = build_bus_windows(world, protection)
-        snap = build_snapshot(world, windows, PARAMS, protection, 15.0)
+        dt = 15.0
+        snap = build_snapshot(world, windows, PARAMS, protection, dt)
         for seg in windows.windows:
-            expected = 0
-            for vid, veh in world.vehicles.items():
+            expected = {}
+            for vid, veh in sorted(world.vehicles.items()):
                 if veh.vclass is not VehicleClass.CAV:
                     continue
                 own = veh.segment
                 if (own.edge, own.m) == (seg.edge, seg.m):
+                    tau = 0.0
                     when = world.t
                 else:
                     tau = entry_time(model, veh, seg)
@@ -289,8 +298,14 @@ def test_conflict_inflow_matches_brute_force_on_random_worlds():
                         continue
                     when = world.t + tau
                 if any(lo <= when <= hi for _, lo, hi in windows.covering(seg)):
-                    expected += 1
-            assert snap.conflict[seg] == pytest.approx(expected / 60.0)
+                    expected[vid] = tau
+            assert snap.conflict[seg] == pytest.approx(len(expected) / 60.0)
+            assert snap.overlap.get(seg, {}) == expected
+            assert list(snap.overlap.get(seg, {})) == sorted(expected)
+        for vid, times in snap.tau.items():
+            assert world.vehicles[vid].vclass is VehicleClass.CAV
+            for seg, tau in times.items():
+                assert seg in model.dl_segments or tau < dt
 
 
 def test_snapshot_rebuild_is_idempotent(dl_chain3):
@@ -348,9 +363,9 @@ def test_refresh_counts_occupants_now_and_others_at_snapshot_time(dl_chain3):
     assert world.t == 1.0 and (mover.edge_id, mover.segment.m) == (1, 1)
     # one span around now, one ending at the stored entry of vehicle 2
     # (counted from snapshot.t = 0, not from world.t = 1)
-    windows = BusWindows(t=world.t, windows={seg: [(9, 0.5, 1.5), (9, 15.0, 20.0)]})
+    windows = BusWindows(windows={seg: [(9, 0.5, 1.5), (9, 15.0, 20.0)]})
     fresh = refresh_conflicts(world, snap, windows)
-    assert fresh.overlap == {1: {seg}, 2: {seg}}
+    assert fresh.overlap == {seg: {1: 0.0, 2: 20.0}}
     assert fresh.conflict == {seg: pytest.approx(2 / 60)}
     assert fresh.bus_time[seg] == bpr_time(
         dl_chain3.t0(seg), 2 / 60, dl_chain3.capacity(seg), PARAMS

@@ -127,6 +127,18 @@ def test_protection_horizon_must_cover_monitor_step():
         from_dict(data)
 
 
+def test_empty_control_takes_the_params_defaults():
+    from jointlane.control import ControlParams
+    from jointlane.engine import EngineClock
+    from jointlane.prediction import BprParams, ProtectionHorizon
+
+    scn = from_dict(minimal_scenario(control={}))
+    assert scn.control == ControlParams()
+    assert scn.bpr == BprParams()
+    assert scn.protection == ProtectionHorizon()
+    assert scn.clock == EngineClock()
+
+
 def test_loading_is_idempotent(desk_small_path):
     a = load_scenario(desk_small_path)
     b = load_scenario(desk_small_path)
