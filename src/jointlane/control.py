@@ -13,7 +13,7 @@ Three strategies share one interface:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import routing
 from .engine import World
@@ -229,10 +229,13 @@ def select_lane_changes(
 # -- rerouting ------------------------------------------------------------------
 
 
-def _edge_costs(model: NetworkModel, seg_time: Callable[[SegmentRef], float]) -> dict[int, float]:
-    """Per edge, the sum over both halves of the fastest CAV-permitted lane."""
-    costs: dict[int, float] = {}
-    for eid in model.edges:
+def _edge_costs(
+    model: NetworkModel, seg_time: Callable[[SegmentRef], float], edges: Iterable[int]
+) -> dict[int, float]:
+    """Per edge, the sum over both halves of the fastest CAV-permitted lane; an
+    edge not in `edges` keeps its free-flow cost `2.0 * t0`, `(0.0 + t0) + t0`."""
+    costs = routing.free_flow_costs(model)
+    for eid in edges:
         lanes = model.permitted_lanes(VehicleClass.CAV, eid)
         total = 0.0
         for m in (1, 2):
@@ -242,15 +245,19 @@ def _edge_costs(model: NetworkModel, seg_time: Callable[[SegmentRef], float]) ->
 
 
 def predicted_cost_view(snapshot: PredictionSnapshot) -> dict[int, float]:
-    """Edge costs from the same short-horizon prediction used for monitoring."""
-    return _edge_costs(snapshot.model, snapshot.predicted)
+    """Edge costs from the same short-horizon prediction used for monitoring;
+    a segment without inflow takes `t0`, so only edges with inflow are priced."""
+    edges = {seg.edge for seg in snapshot.predicted_time}
+    return _edge_costs(snapshot.model, snapshot.predicted, edges)
 
 
 def instantaneous_cost_view(world: World) -> dict[int, float]:
-    """Edge costs from current segment speeds (reactive view)."""
+    """Edge costs from current segment speeds (reactive view); an empty segment
+    runs at `ffs * 1.0` and takes `t0`, so only occupied edges are priced."""
     model = world.model
+    edges = {key.edge for key, q in world.queues.items() if q}
     return _edge_costs(
-        model, lambda seg: model.edges[seg.edge].seg_length / world.segment_speed(seg)
+        model, lambda seg: model.edges[seg.edge].seg_length / world.segment_speed(seg), edges
     )
 
 

@@ -142,6 +142,11 @@ class NetworkModel:
         self._out: dict[int, tuple[int, ...]] = {n: () for n in self.nodes}
         for e in self.edges.values():
             self._out[e.frm] = self._out[e.frm] + (e.id,)
+        # segment refs per edge, indexed [lane][m - 1]
+        self.halves: dict[int, tuple[tuple[SegmentRef, SegmentRef], ...]] = {
+            eid: tuple((SegmentRef(eid, lane, 1), SegmentRef(eid, lane, 2)) for lane in Lane)
+            for eid in self.edges
+        }
         self._segments = tuple(seg for eid in self.edges for seg in self.segments(eid))
         # lanes per (class, edge): buses run only on a dedicated right lane,
         # HDVs only on general-purpose lanes, CAVs on both; an edge without
@@ -206,12 +211,8 @@ class NetworkModel:
         return SegmentRef(edge_id, lane, m)
 
     def segments(self, edge_id: int) -> tuple[SegmentRef, ...]:
-        return (
-            SegmentRef(edge_id, Lane.LEFT, 1),
-            SegmentRef(edge_id, Lane.LEFT, 2),
-            SegmentRef(edge_id, Lane.RIGHT, 1),
-            SegmentRef(edge_id, Lane.RIGHT, 2),
-        )
+        left, right = self.halves[edge_id]
+        return left + right
 
     def all_segments(self) -> tuple[SegmentRef, ...]:
         return self._segments
@@ -256,8 +257,7 @@ class NetworkModel:
                     raise NetworkError(
                         f"bus route edges {prev} -> {eid} lack a right-lane connection"
                     )
-            path.append(SegmentRef(eid, Lane.RIGHT, 1))
-            path.append(SegmentRef(eid, Lane.RIGHT, 2))
+            path.extend(self.halves[eid][Lane.RIGHT])
         return path
 
 

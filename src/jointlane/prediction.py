@@ -11,7 +11,7 @@ lane segment it has yet to traverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Iterator
 
 from .engine import VehicleState, World
 from .network import Lane, NetworkModel, SegmentRef, VehicleClass
@@ -65,50 +65,32 @@ def protection_window(tau: float, horizon: float) -> tuple[float, float]:
     return (max(0.0, tau - horizon), tau + horizon)
 
 
-def entry_indicator(tau: Optional[float], dt: float) -> int:
-    """1 when a vehicle is predicted to enter within the next control interval.
-
-    The interval is half-open: tau == dt does not count.
-    """
-    if tau is None:
-        return 0
-    return 1 if 0 <= tau < dt else 0
-
-
 # -- per-vehicle projection -------------------------------------------------------
 
 
-def _continuation_lane(model: NetworkModel, veh: VehicleState, edge_id: int) -> Lane:
-    lane = veh.segment.lane
-    if lane in model.permitted_lanes(veh.vclass, edge_id):
-        return lane
-    return Lane.LEFT
-
-
-def projected_entries(
-    model: NetworkModel, veh: VehicleState
-) -> list[tuple[SegmentRef, float]]:
+def _walk_entries(model: NetworkModel, veh: VehicleState) -> Iterator[tuple[SegmentRef, float]]:
     """(segment, distance-to-entrance) along the vehicle's projected path.
 
     Covers strictly-ahead segment entrances: the downstream half of the
     current edge (in the current lane) and both halves of every remaining
-    route edge in the continuation lane. The currently occupied segment has
-    no forward entrance and is not listed.
+    route edge in the continuation lane (the current lane where the class may
+    use it, else the left lane). The currently occupied segment has no
+    forward entrance and is not listed. Distances are the left-to-right sums
+    `(L0 - pos) + L1 + ...`, and they never decrease along the walk.
     """
-    out: list[tuple[SegmentRef, float]] = []
     seg = veh.segment
     edge = model.edges[seg.edge]
     pos = veh.pos_in_edge(model)
     if seg.m == 1:
-        out.append((SegmentRef(seg.edge, seg.lane, 2), edge.seg_length - pos))
+        yield model.halves[seg.edge][seg.lane][1], edge.seg_length - pos
     ahead = edge.length - pos
     for eid in veh.route[veh.route_index + 1 :]:
         e = model.edges[eid]
-        lane = _continuation_lane(model, veh, eid)
-        out.append((SegmentRef(eid, lane, 1), ahead))
-        out.append((SegmentRef(eid, lane, 2), ahead + e.seg_length))
+        lane = seg.lane if seg.lane in model.permitted_lanes(veh.vclass, eid) else Lane.LEFT
+        upstream, downstream = model.halves[eid][lane]
+        yield upstream, ahead
+        yield downstream, ahead + e.seg_length
         ahead += e.length
-    return out
 
 
 # -- bus windows ------------------------------------------------------------------
@@ -188,11 +170,9 @@ def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows
     """Windows around every active bus's predicted entry into each DL segment."""
     model = world.model
     out = BusWindows()
-    for vid in sorted(world.vehicles):
-        veh = world.vehicles[vid]
-        if veh.vclass is not VehicleClass.BUS:
-            continue
-        entries = projected_entries(model, veh)
+    for vid in sorted(world.buses):
+        veh = world.buses[vid]
+        entries = list(_walk_entries(model, veh))
         stops = _stop_distances(model, veh, entries)
         for seg, dist in [(veh.segment, None), *entries]:
             if seg not in model.dl_segments:
@@ -249,33 +229,33 @@ def _window_conflicts(
 
     A CAV on the same span as the segment counts at the current time, with
     entry time 0; any other CAV counts at its projected entry, taken from
-    `tau` measured at time `since`. Segments without members are left out of
+    `tau` measured at time `since`. Each CAV, in id order, tests its own
+    span's segments and its stored entries elsewhere, so members stay in
+    ascending id order; an entry stored for its own span (it moved on since)
+    is left to the same-span test. Segments without members are left out of
     the overlap table.
     """
     model = world.model
     t = world.t
-    cavs = [
-        (vid, veh.segment, tau.get(vid, {}))
-        for vid, veh in sorted(world.vehicles.items())
-        if veh.vclass is VehicleClass.CAV
-    ]
-    overlap: dict[SegmentRef, dict[int, float]] = {}
+    found: dict[SegmentRef, dict[int, float]] = {seg: {} for seg in windows.windows}
+    spans: dict[tuple[int, int], list[SegmentRef]] = {}
+    for seg in found:
+        spans.setdefault((seg.edge, seg.m), []).append(seg)
+    for vid in sorted(world.vehicles):
+        veh = world.vehicles[vid]
+        if veh.vclass is not VehicleClass.CAV:
+            continue
+        span = (veh.segment.edge, veh.segment.m)
+        for seg in spans.get(span, ()):
+            if windows.contains(seg, t):
+                found[seg][vid] = 0.0
+        for seg, entry in tau.get(vid, {}).items():
+            if seg in found and (seg.edge, seg.m) != span and windows.contains(seg, since + entry):
+                found[seg][vid] = entry
+    overlap = {seg: members for seg, members in found.items() if members}
     conflict: dict[SegmentRef, float] = {}
     bus_time: dict[SegmentRef, float] = {}
-    for seg in windows.windows:
-        members: dict[int, float] = {}
-        for vid, own, times in cavs:
-            if (own.edge, own.m) == (seg.edge, seg.m):
-                entry, when = 0.0, t
-            else:
-                entry = times.get(seg)
-                if entry is None:
-                    continue
-                when = since + entry
-            if windows.contains(seg, when):
-                members[vid] = entry
-        if members:
-            overlap[seg] = members
+    for seg, members in found.items():
         q = len(members) / (2.0 * protection.horizon)
         conflict[seg] = q
         bus_time[seg] = bpr_time(model.t0(seg), q, model.capacity(seg), bpr)
@@ -313,6 +293,13 @@ def build_snapshot(
 
     Inflow and travel-time fields refresh at the control cadence; the bus
     windows passed in may come from the finer bus-monitoring cadence.
+
+    Each walk stops exactly: its distances, and so its times at one positive
+    speed, never decrease, so past the first entry `dt` or more away none
+    counts toward inflow. Only a right-lane CAV walks on, keeping its DL
+    entries for the window conflicts: a CAV may use both lanes of every edge,
+    so it keeps its lane, and a left-lane CAV has no DL entry ahead. A route
+    is a cheapest path over positive costs, so no segment recurs in a walk.
     """
     model = world.model
     t = world.t
@@ -324,16 +311,20 @@ def build_snapshot(
         if veh.vclass is VehicleClass.BUS:
             continue
         speed = max(veh.speed, MIN_PROJECTION_SPEED)
-        times = {ref: dist / speed for ref, dist in projected_entries(model, veh)}
         is_cav = veh.vclass is VehicleClass.CAV
         bucket = cav_entries if is_cav else hdv_entries
+        # window conflicts read DL entries; the escalation, entries within dt
+        dl_walk = is_cav and veh.segment.lane is Lane.RIGHT
         kept: dict[SegmentRef, float] = {}
-        for ref, tau_v in times.items():
-            soon = entry_indicator(tau_v, dt)
-            if soon:
+        for ref, dist in _walk_entries(model, veh):
+            tau_v = dist / speed
+            if tau_v < dt:
                 bucket[ref] = bucket.get(ref, 0) + 1
-            # window conflicts read DL entries; the escalation, entries within dt
-            if is_cav and (soon or ref in model.dl_segments):
+                if is_cav:
+                    kept[ref] = tau_v
+            elif not dl_walk:
+                break
+            elif ref in model.dl_segments:
                 kept[ref] = tau_v
         if is_cav:
             tau[vid] = kept

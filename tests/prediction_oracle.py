@@ -5,8 +5,9 @@ one pass per snapshot (`jointlane.prediction.build_snapshot` and
 `build_bus_windows`). These functions answer one (vehicle, segment) query at a
 time from the same projection, so the tests can check the paper's
 definitions on hand-built cases: a vehicle's constant-speed entry time into a
-segment, a bus's predicted entry with its dwells, and the bus overlap
-indicator of a CAV on a protected segment.
+segment, the entry indicator over one control interval, a bus's predicted
+entry with its dwells, and the bus overlap indicator of a CAV on a protected
+segment.
 """
 
 from __future__ import annotations
@@ -20,8 +21,18 @@ from jointlane.prediction import (
     PredictionSnapshot,
     _eta_at,
     _stop_distances,
-    projected_entries,
+    _walk_entries,
 )
+
+
+def entry_indicator(tau: Optional[float], dt: float) -> int:
+    """1 when a vehicle is predicted to enter within the next control interval.
+
+    The interval is half-open: tau == dt does not count.
+    """
+    if tau is None:
+        return 0
+    return 1 if 0 <= tau < dt else 0
 
 
 def entry_time(model: NetworkModel, veh: VehicleState, seg: SegmentRef) -> Optional[float]:
@@ -29,7 +40,7 @@ def entry_time(model: NetworkModel, veh: VehicleState, seg: SegmentRef) -> Optio
 
     None when the segment is not ahead on the projected path.
     """
-    for ref, dist in projected_entries(model, veh):
+    for ref, dist in _walk_entries(model, veh):
         if ref == seg:
             return dist / max(veh.speed, MIN_PROJECTION_SPEED)
     return None
@@ -45,7 +56,7 @@ def bus_eta(model: NetworkModel, veh: VehicleState, seg: SegmentRef, now: float)
     """
     if veh.segment == seg:
         return 0.0
-    entries = projected_entries(model, veh)
+    entries = list(_walk_entries(model, veh))
     for ref, dist in entries:
         if (ref.edge, ref.m) == (seg.edge, seg.m):
             return _eta_at(model, veh, dist, _stop_distances(model, veh, entries), now)

@@ -1,0 +1,331 @@
+"""Plain, full-walk forms of the predictor's and the cost views' shortcuts.
+
+The simulator's prediction walks stop early, its window conflicts are found
+per CAV, and its edge-cost views price only the edges with traffic. Each of
+these rests on an exactness argument, given in `jointlane.prediction` and
+`jointlane.control`. This module keeps the plain versions they replaced:
+
+* `build_snapshot`, which projects every non-bus vehicle over its whole
+  remaining route;
+* `_window_conflicts`, and `refresh_conflicts` on top of it, which scan every
+  CAV for each windowed segment;
+* `build_bus_windows`, which walks every vehicle and skips the non-buses;
+* `predicted_cost_view` and `instantaneous_cost_view`, which price every
+  edge.
+
+`install_shadow` patches the simulator so that each of these calls made by
+the runner computes both the fast and the plain result, asserts that they
+are equal, and goes on with the fast one.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from typing import Callable
+
+from jointlane import control, prediction
+from jointlane.engine import VehicleState, World
+from jointlane.network import Lane, NetworkModel, SegmentRef, VehicleClass
+from jointlane.prediction import (
+    MIN_PROJECTION_SPEED,
+    BprParams,
+    BusWindows,
+    PredictionSnapshot,
+    ProtectionHorizon,
+    _eta_at,
+    _stop_distances,
+    bpr_time,
+    protection_window,
+)
+from prediction_oracle import entry_indicator
+
+
+def _continuation_lane(model: NetworkModel, veh: VehicleState, edge_id: int) -> Lane:
+    lane = veh.segment.lane
+    if lane in model.permitted_lanes(veh.vclass, edge_id):
+        return lane
+    return Lane.LEFT
+
+
+def projected_entries(
+    model: NetworkModel, veh: VehicleState
+) -> list[tuple[SegmentRef, float]]:
+    """(segment, distance-to-entrance) along the vehicle's projected path.
+
+    Covers strictly-ahead segment entrances: the downstream half of the
+    current edge (in the current lane) and both halves of every remaining
+    route edge in the continuation lane. The currently occupied segment has
+    no forward entrance and is not listed.
+    """
+    out: list[tuple[SegmentRef, float]] = []
+    seg = veh.segment
+    edge = model.edges[seg.edge]
+    pos = veh.pos_in_edge(model)
+    if seg.m == 1:
+        out.append((SegmentRef(seg.edge, seg.lane, 2), edge.seg_length - pos))
+    ahead = edge.length - pos
+    for eid in veh.route[veh.route_index + 1 :]:
+        e = model.edges[eid]
+        lane = _continuation_lane(model, veh, eid)
+        out.append((SegmentRef(eid, lane, 1), ahead))
+        out.append((SegmentRef(eid, lane, 2), ahead + e.seg_length))
+        ahead += e.length
+    return out
+
+
+def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows:
+    """Windows around every active bus's predicted entry into each DL segment."""
+    model = world.model
+    out = BusWindows()
+    for vid in sorted(world.vehicles):
+        veh = world.vehicles[vid]
+        if veh.vclass is not VehicleClass.BUS:
+            continue
+        entries = projected_entries(model, veh)
+        stops = _stop_distances(model, veh, entries)
+        for seg, dist in [(veh.segment, None), *entries]:
+            if seg not in model.dl_segments:
+                continue
+            tau = 0.0 if dist is None else _eta_at(model, veh, dist, stops, world.t)
+            lo, hi = protection_window(tau, protection.horizon)
+            out.windows.setdefault(seg, []).append((vid, world.t + lo, world.t + hi))
+    return out
+
+
+def _window_conflicts(
+    world: World,
+    windows: BusWindows,
+    tau: dict[int, dict[SegmentRef, float]],
+    since: float,
+    bpr: BprParams,
+    protection: ProtectionHorizon,
+) -> tuple[dict[SegmentRef, dict[int, float]], dict[SegmentRef, float], dict[SegmentRef, float]]:
+    """Window overlaps, conflict inflow and bus time per windowed segment.
+
+    A CAV on the same span as the segment counts at the current time, with
+    entry time 0; any other CAV counts at its projected entry, taken from
+    `tau` measured at time `since`. Segments without members are left out of
+    the overlap table.
+    """
+    model = world.model
+    t = world.t
+    cavs = [
+        (vid, veh.segment, tau.get(vid, {}))
+        for vid, veh in sorted(world.vehicles.items())
+        if veh.vclass is VehicleClass.CAV
+    ]
+    overlap: dict[SegmentRef, dict[int, float]] = {}
+    conflict: dict[SegmentRef, float] = {}
+    bus_time: dict[SegmentRef, float] = {}
+    for seg in windows.windows:
+        members: dict[int, float] = {}
+        for vid, own, times in cavs:
+            if (own.edge, own.m) == (seg.edge, seg.m):
+                entry, when = 0.0, t
+            else:
+                entry = times.get(seg)
+                if entry is None:
+                    continue
+                when = since + entry
+            if windows.contains(seg, when):
+                members[vid] = entry
+        if members:
+            overlap[seg] = members
+        q = len(members) / (2.0 * protection.horizon)
+        conflict[seg] = q
+        bus_time[seg] = bpr_time(model.t0(seg), q, model.capacity(seg), bpr)
+    return overlap, conflict, bus_time
+
+
+def refresh_conflicts(
+    world: World, snapshot: PredictionSnapshot, windows: BusWindows
+) -> PredictionSnapshot:
+    """Recompute window overlaps against fresh windows and current positions.
+
+    Inflow, travel-time and vehicle fields are kept from the last
+    control-step build; this runs on the finer bus-monitoring cadence.
+    """
+    overlap, conflict, bus_time = _window_conflicts(
+        world, windows, snapshot.tau, snapshot.t, snapshot.bpr, snapshot.protection
+    )
+    return replace(
+        snapshot,
+        windows=windows,
+        overlap=overlap,
+        conflict=conflict,
+        bus_time=bus_time,
+    )
+
+
+def build_snapshot(
+    world: World,
+    windows: BusWindows,
+    bpr: BprParams,
+    protection: ProtectionHorizon,
+    dt: float,
+) -> PredictionSnapshot:
+    """Assemble the full prediction state from the current world.
+
+    Inflow and travel-time fields refresh at the control cadence; the bus
+    windows passed in may come from the finer bus-monitoring cadence.
+    """
+    model = world.model
+    t = world.t
+    tau: dict[int, dict[SegmentRef, float]] = {}
+    cav_entries: dict[SegmentRef, int] = {}
+    hdv_entries: dict[SegmentRef, int] = {}
+    vehicles = {vid: world.vehicles[vid] for vid in sorted(world.vehicles)}
+    for vid, veh in vehicles.items():
+        if veh.vclass is VehicleClass.BUS:
+            continue
+        speed = max(veh.speed, MIN_PROJECTION_SPEED)
+        times = {ref: dist / speed for ref, dist in projected_entries(model, veh)}
+        is_cav = veh.vclass is VehicleClass.CAV
+        bucket = cav_entries if is_cav else hdv_entries
+        kept: dict[SegmentRef, float] = {}
+        for ref, tau_v in times.items():
+            soon = entry_indicator(tau_v, dt)
+            if soon:
+                bucket[ref] = bucket.get(ref, 0) + 1
+            # window conflicts read DL entries; the escalation, entries within dt
+            if is_cav and (soon or ref in model.dl_segments):
+                kept[ref] = tau_v
+        if is_cav:
+            tau[vid] = kept
+
+    inflow: dict[SegmentRef, float] = {}
+    predicted_time: dict[SegmentRef, float] = {}
+    for seg in model.all_segments():
+        if seg in model.dl_segments:
+            flow = cav_entries.get(seg, 0) / dt
+        else:
+            flow = (cav_entries.get(seg, 0) + hdv_entries.get(seg, 0)) / dt
+        if flow:
+            inflow[seg] = flow
+            predicted_time[seg] = bpr_time(model.t0(seg), flow, model.capacity(seg), bpr)
+
+    overlap, conflict, bus_time = _window_conflicts(world, windows, tau, t, bpr, protection)
+    return PredictionSnapshot(
+        t=t,
+        dt=dt,
+        model=model,
+        bpr=bpr,
+        protection=protection,
+        windows=windows,
+        vehicles=vehicles,
+        tau=tau,
+        inflow=inflow,
+        hdv_entries=hdv_entries,
+        predicted_time=predicted_time,
+        overlap=overlap,
+        conflict=conflict,
+        bus_time=bus_time,
+    )
+
+
+def _edge_costs(model: NetworkModel, seg_time: Callable[[SegmentRef], float]) -> dict[int, float]:
+    """Per edge, the sum over both halves of the fastest CAV-permitted lane."""
+    costs: dict[int, float] = {}
+    for eid in model.edges:
+        lanes = model.permitted_lanes(VehicleClass.CAV, eid)
+        total = 0.0
+        for m in (1, 2):
+            total += min(seg_time(SegmentRef(eid, l, m)) for l in lanes)
+        costs[eid] = total
+    return costs
+
+
+def predicted_cost_view(snapshot: PredictionSnapshot) -> dict[int, float]:
+    """Edge costs from the same short-horizon prediction used for monitoring."""
+    return _edge_costs(snapshot.model, snapshot.predicted)
+
+
+def instantaneous_cost_view(world: World) -> dict[int, float]:
+    """Edge costs from current segment speeds (reactive view)."""
+    model = world.model
+    return _edge_costs(
+        model, lambda seg: model.edges[seg.edge].seg_length / world.segment_speed(seg)
+    )
+
+
+# -- fast against plain -------------------------------------------------------------
+
+
+def assert_same_windows(fast: BusWindows, slow: BusWindows):
+    assert list(fast.windows.items()) == list(slow.windows.items())
+
+
+def assert_same_conflicts(fast: PredictionSnapshot, slow: PredictionSnapshot):
+    """Overlap keys and members in the same order, and equal floats."""
+    assert [(seg, list(m.items())) for seg, m in fast.overlap.items()] == [
+        (seg, list(m.items())) for seg, m in slow.overlap.items()
+    ]
+    assert list(fast.conflict.items()) == list(slow.conflict.items())
+    assert list(fast.bus_time.items()) == list(slow.bus_time.items())
+
+
+def assert_same_snapshot(fast: PredictionSnapshot, slow: PredictionSnapshot):
+    assert [(vid, list(kept.items())) for vid, kept in fast.tau.items()] == [
+        (vid, list(kept.items())) for vid, kept in slow.tau.items()
+    ]
+    assert list(fast.inflow.items()) == list(slow.inflow.items())
+    assert list(fast.hdv_entries.items()) == list(slow.hdv_entries.items())
+    assert list(fast.predicted_time.items()) == list(slow.predicted_time.items())
+    assert_same_conflicts(fast, slow)
+
+
+def assert_same_costs(fast: dict[int, float], slow: dict[int, float]):
+    assert list(fast.items()) == list(slow.items())
+
+
+def install_shadow(monkeypatch) -> dict[str, int]:
+    """Run the plain form beside every fast one the runner calls.
+
+    Returns the number of checked calls per function, filled in as the run
+    goes, so a test can tell that the net was in place.
+    """
+    calls = dict.fromkeys(
+        ("bus_windows", "snapshot", "refresh", "predicted_costs", "instantaneous_costs"), 0
+    )
+    fast_windows = prediction.build_bus_windows
+    fast_snapshot = prediction.build_snapshot
+    fast_refresh = prediction.refresh_conflicts
+    fast_predicted = control.predicted_cost_view
+    fast_instantaneous = control.instantaneous_cost_view
+
+    def windows(world, protection):
+        out = fast_windows(world, protection)
+        assert_same_windows(out, build_bus_windows(world, protection))
+        calls["bus_windows"] += 1
+        return out
+
+    def snapshot(world, windows, bpr, protection, dt):
+        out = fast_snapshot(world, windows, bpr, protection, dt)
+        assert_same_snapshot(out, build_snapshot(world, windows, bpr, protection, dt))
+        calls["snapshot"] += 1
+        return out
+
+    def refresh(world, snapshot, windows):
+        out = fast_refresh(world, snapshot, windows)
+        assert_same_conflicts(out, refresh_conflicts(world, snapshot, windows))
+        calls["refresh"] += 1
+        return out
+
+    def predicted(snapshot):
+        out = fast_predicted(snapshot)
+        assert_same_costs(out, predicted_cost_view(snapshot))
+        calls["predicted_costs"] += 1
+        return out
+
+    def instantaneous(world):
+        out = fast_instantaneous(world)
+        assert_same_costs(out, instantaneous_cost_view(world))
+        calls["instantaneous_costs"] += 1
+        return out
+
+    monkeypatch.setattr(prediction, "build_bus_windows", windows)
+    monkeypatch.setattr(prediction, "build_snapshot", snapshot)
+    monkeypatch.setattr(prediction, "refresh_conflicts", refresh)
+    monkeypatch.setattr(control, "predicted_cost_view", predicted)
+    monkeypatch.setattr(control, "instantaneous_cost_view", instantaneous)
+    return calls

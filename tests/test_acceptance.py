@@ -12,8 +12,9 @@ import pytest
 
 from jointlane.control import pick_winner, bus_warning
 from jointlane.network import Lane, SegmentRef, VehicleClass
-from jointlane.prediction import BprParams, bpr_time, entry_indicator
+from jointlane.prediction import BprParams, bpr_time
 from jointlane.runner import simulate, write_run_reports
+from prediction_oracle import entry_indicator
 
 SEEDS = (1, 2, 3, 4, 5)
 STRATEGIES = ("drp", "prp", "proposed")

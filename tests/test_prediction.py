@@ -12,13 +12,12 @@ from jointlane.prediction import (
     bpr_time,
     build_bus_windows,
     build_snapshot,
-    entry_indicator,
     protection_window,
     refresh_conflicts,
 )
 
 from conftest import make_model, make_world, put_vehicle
-from prediction_oracle import bus_eta, bus_overlap_indicator, entry_time
+from prediction_oracle import bus_eta, bus_overlap_indicator, entry_indicator, entry_time
 
 PARAMS = BprParams()
 
