@@ -8,6 +8,7 @@ JOINTLANE_OUT environment variable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -34,8 +35,18 @@ def _positive_seconds(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
 
 
@@ -49,9 +60,10 @@ def build_parser() -> _Parser:
         help=f"scenario file path, or a bundled name: {', '.join(BUNDLED_SCENARIOS)}",
     )
     parser.add_argument("--strategy", choices=STRATEGIES, default="proposed")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=_seed, default=1, help="demand seed, >= 0")
     parser.add_argument("--horizon", type=_positive_seconds, default=None,
-                        help="injection horizon in seconds, > 0 (default: scenario meta)")
+                        help="injection horizon in seconds, > 0 and finite "
+                             "(default: scenario meta)")
     parser.add_argument("--out", default=None,
                         help="output directory (default: $JOINTLANE_OUT or ./out)")
     parser.add_argument("--set", dest="sets", action="append", default=[],
@@ -129,6 +141,9 @@ def main(argv=None) -> int:
     except (EngineError, PredictionError, RoutingError) as exc:
         print(f"jointlane: runtime invariant violated: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the output directory cannot be made or written
+        print(f"jointlane: error: cannot write reports: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Optional
 
+from .network import SPEED_FLOOR  # noqa: F401  (re-exported with the plant's other names)
 from .network import Lane, NetworkModel, SegmentRef, VehicleClass
-
-#: fraction of free-flow speed retained at jam density (also avoids 1/0 in
-#: downstream travel-time predictions)
-SPEED_FLOOR = 0.05
 
 
 class EngineError(RuntimeError):
@@ -132,6 +130,38 @@ class VehicleState:
 EntryChooser = Callable[["World", VehicleState, int], tuple[Lane, ...]]
 
 
+def entry_group(veh: VehicleState) -> tuple:
+    """(class, first edge, onward edge): the entry lanes depend on these alone."""
+    route = veh.route
+    return (veh.vclass, route[0], route[1] if len(route) > 1 else None)
+
+
+class Backlog:
+    """Vehicles created but waiting for entry space, per entry group.
+
+    Each group's list is in creation (id) order and never empty; iteration
+    merges the groups by id. Vehicles are appended in creation order.
+    """
+
+    def __init__(self):
+        self.groups: dict[tuple, list[VehicleState]] = {}
+
+    def __len__(self) -> int:
+        return sum(map(len, self.groups.values()))
+
+    def __bool__(self) -> bool:
+        return bool(self.groups)
+
+    def __iter__(self) -> Iterator[VehicleState]:
+        return iter(sorted(itertools.chain(*self.groups.values()), key=attrgetter("id")))
+
+    def append(self, veh: VehicleState):
+        self.groups.setdefault(entry_group(veh), []).append(veh)
+
+    def clear(self):
+        self.groups.clear()
+
+
 class World:
     """Mutable simulation state: vehicles, per-segment FIFO queues, records."""
 
@@ -141,12 +171,14 @@ class World:
         self.t = 0.0
         self.vehicles: dict[int, VehicleState] = {}
         self.buses: dict[int, VehicleState] = {}  # active buses, placement order
-        self.queues: dict[SegmentRef, list[int]] = {}
+        # one FIFO queue per segment, in model.all_segments() order, which is
+        # sorted (edge, lane, m) order
+        self.queues: dict[SegmentRef, list[int]] = {seg: [] for seg in model.all_segments()}
         # length of each queue's packed front, kept by step and _remove
         self.packed: dict[SegmentRef, int] = {}
         self.retired: list[VehicleState] = []
         self.injected: dict[VehicleClass, int] = {c: 0 for c in VehicleClass}
-        self.pending: list[VehicleState] = []   # created but waiting for entry space
+        self.pending = Backlog()                # created but waiting for entry space
         self.unserved: int = 0                  # pending dropped at injection cutoff
         self._id_counter = itertools.count()
         # (vehicle, line, trip, stop, scheduled, actual)
@@ -164,12 +196,8 @@ class World:
     def new_id(self) -> int:
         return next(self._id_counter)
 
-    def queue(self, key: SegmentRef) -> list[int]:
-        return self.queues.setdefault(key, [])
-
     def count(self, key: SegmentRef) -> int:
-        q = self.queues.get(key)
-        return len(q) if q else 0
+        return len(self.queues[key])
 
     def lane_count(self, edge_id: int, lane: Lane) -> int:
         return self.count(SegmentRef(edge_id, lane, 1)) + self.count(
@@ -177,13 +205,12 @@ class World:
         )
 
     def segment_speed(self, key: SegmentRef, n: Optional[int] = None) -> float:
-        """Speed-density law with a floor: ffs * clamp(1 - n/Njam, floor, 1)."""
-        edge = self.model.edges[key.edge]
+        """Speed-density law with a floor, ffs * clamp(1 - n/Njam, floor, 1),
+        read from the edge's table; n past Njam keeps the floor speed."""
+        speeds = self.model.edges[key.edge].speeds
         if n is None:
-            n = self.count(key)
-        frac = 1.0 - n / edge.jam_count
-        frac = min(1.0, max(SPEED_FLOOR, frac))
-        return edge.free_flow_speed * frac
+            n = len(self.queues[key])
+        return speeds[n] if n < len(speeds) else speeds[-1]
 
     def log_event(self, kind: str, veh: VehicleState, detail: str = ""):
         if self.events is not None:
@@ -206,7 +233,7 @@ class World:
         It inserts only ahead of a vehicle whose offset is smaller, so never
         inside the packed front, whose vehicles sit at the segment end.
         """
-        q = self.queue(key)
+        q = self.queues[key]
         idx = len(q)
         for i, vid in enumerate(q):
             if self.vehicles[vid].offset < veh.offset:
@@ -228,25 +255,36 @@ class World:
         self.log_event("inject", veh)
         return True
 
+    def _has_room(self, group: tuple) -> bool:
+        """Whether the first segment of some entry lane of an entry group
+        (class, edge, onward edge) has room."""
+        vclass, edge_id, onward = group
+        model = self.model
+        jam = model.edges[edge_id].jam_count
+        halves = model.halves[edge_id]
+        queues = self.queues
+        for l in model.entry_lanes(vclass, edge_id, onward):
+            if len(queues[halves[l][0]]) < jam:
+                return True
+        return False
+
     def _entry_segment(self, veh: VehicleState, i: int) -> Optional[SegmentRef]:
         """First segment of route edge `i` with room, in lane preference order.
 
-        The candidates are the permitted lanes, narrowed to those with a turn
-        connection to the route edge after it when there are any, so vehicles
-        do not strand themselves. The preference only orders the candidates,
-        without side effects, so it is asked only when more than one of them
-        has room: a full entry fails, and a single open lane is taken, at once.
+        The candidates are `NetworkModel.entry_lanes`. The preference only
+        orders them, without side effects, so it is asked only when more than
+        one of them has room: a full entry fails, and a single open lane is
+        taken, at once.
         """
         model = self.model
         edge_id = veh.route[i]
         onward = veh.route[i + 1] if i + 1 < len(veh.route) else None
-        lanes = model.permitted_lanes(veh.vclass, edge_id)
-        if onward is not None:
-            connecting = tuple(l for l in lanes if model.connects(edge_id, l, onward))
-            if connecting:
-                lanes = connecting
         jam = model.edges[edge_id].jam_count
-        room = [l for l in lanes if self.count(SegmentRef(edge_id, l, 1)) < jam]
+        halves = model.halves[edge_id]
+        room = [
+            l for l in model.entry_lanes(veh.vclass, edge_id, onward)
+            if len(self.queues[halves[l][0]]) < jam
+        ]
         if len(room) > 1:
             if veh.vclass is VehicleClass.CAV and self.cav_entry_chooser is not None:
                 room = [l for l in self.cav_entry_chooser(self, veh, edge_id) if l in room]
@@ -264,19 +302,37 @@ def inject_demand(world: World, due: Iterable[VehicleState]):
     for entry space.
 
     An entry fails only when every lane the vehicle may enter on is full. That
-    lane set depends on its class, first edge and onward edge alone, and
-    occupancy only rises during one call, so once a vehicle of such an entry
-    group fails, the rest of the group waits without another attempt.
+    lane set depends on its entry group (class, first edge and onward edge)
+    alone, and occupancy only rises during one call, so a group that is full
+    at the start of the call stays full: its waiting vehicles are not visited
+    and its due ones are not tried. The open groups' vehicles are taken out of
+    the backlog and merged by id, which is creation order; every due vehicle
+    was created after them. Once a vehicle of a group fails, the rest of that
+    group waits without another attempt, and every vehicle that waits goes
+    back to its group in the order visited, so each group stays in id order.
     """
-    waiting = world.pending
-    world.pending = []
+    pending = world.pending
     full: set[tuple] = set()
+    waiting: list[VehicleState] = []
+    if pending:
+        groups = pending.groups
+        opened = []
+        for group in groups:
+            if world._has_room(group):
+                opened.append(group)
+            else:
+                full.add(group)
+        if len(opened) == 1:
+            waiting = groups.pop(opened[0])
+        elif opened:
+            waiting = sorted(
+                itertools.chain(*[groups.pop(group) for group in opened]), key=attrgetter("id")
+            )
     for veh in itertools.chain(waiting, due):
-        route = veh.route
-        group = (veh.vclass, route[0], route[1] if len(route) > 1 else None)
+        group = entry_group(veh)
         if group in full or not world.place_new(veh):
             full.add(group)
-            world.pending.append(veh)
+            pending.append(veh)
 
 
 def bus_service(world: World, t: float):
@@ -322,6 +378,12 @@ def step(world: World, dt: Optional[float] = None):
     boundaries only when the target has storage (spillback otherwise), stop at
     bus stops, and retire at the end of their last route edge.
 
+    The walk is table-driven and exact. The queues occupied at the start of
+    the step are taken from `world.queues`, whose keys are in sorted (edge,
+    lane, m) order, so they are walked in that order without a sort. A queue
+    of n vehicles moves at `edge.speeds[n - 1]` (the mover is not its own
+    congestion), the float the speed-density expression gives for n - 1.
+
     Each queue's packed front costs about one vehicle per step. A packed
     vehicle is not a bus, sits at the segment end (`offset == seg_length`)
     and has speed 0; `world.packed[key]` counts vehicles at the front of
@@ -333,42 +395,41 @@ def step(world: World, dt: Optional[float] = None):
     """
     if dt is None:
         dt = world.clock.dt_sim
-    model = world.model
+    edges = world.model.edges
+    vehicles = world.vehicles
     packed = world.packed
     t = world.t
+    bus = VehicleClass.BUS
     moved: set[int] = set()
-    # motion speeds from start-of-step occupancy: the mover is not its own
-    # congestion, so a lone vehicle runs at free flow
-    speeds = {
-        key: world.segment_speed(key, len(q) - 1)
-        for key, q in world.queues.items()
-        if q
-    }
-    for key in sorted(speeds):
-        q = world.queues[key]
-        seg_len = model.edges[key.edge].seg_length
-        v_seg = speeds[key]
+    # occupancy at the start of the step sets each queue's speed
+    occupied = [(key, q, len(q)) for key, q in world.queues.items() if q]
+    for key, q, n in occupied:
+        edge = edges[key.edge]
+        seg_len = edge.seg_length
+        speeds = edge.speeds
+        v_seg = speeds[n - 1] if n < len(speeds) else speeds[-1]
         block: Optional[float] = None  # offset of the nearest vehicle that stays ahead
         held = False  # the front waited at the segment end
         rest = iter(list(q))
         for vid in rest:
             if vid in moved:
                 # entered this segment earlier in this step; it may still block
-                block = world.vehicles[vid].offset
+                block = vehicles[vid].offset
                 continue
-            veh = world.vehicles[vid]
+            veh = vehicles[vid]
             moved.add(vid)
             old_offset = veh.offset
             if veh.dwell_until is not None:
                 veh.speed = 0.0
-                block = veh.offset
+                block = old_offset
                 continue
-            target = veh.offset + v_seg * dt
-            if block is not None:
-                target = min(target, block)
+            # plain comparisons pick the same float min() would
+            target = old_offset + v_seg * dt
+            if block is not None and block < target:
+                target = block
             # bus stop capture; <= so a bus blocked exactly at the stop
             # offset (behind a dwelling leader) still serves the stop
-            if veh.vclass is VehicleClass.BUS:
+            if veh.vclass is bus:
                 stop_off = _next_stop_offset(world, veh, key)
                 if stop_off is not None and veh.offset <= stop_off <= target:
                     veh.offset = stop_off
@@ -377,7 +438,9 @@ def step(world: World, dt: Optional[float] = None):
                     block = veh.offset
                     continue
             if target >= seg_len and block is None:
-                overshoot = min(target - seg_len, seg_len)
+                overshoot = target - seg_len
+                if seg_len < overshoot:
+                    overshoot = seg_len
                 if _transfer(world, veh, key, overshoot):
                     # moved on (or retired); distance includes the carried part
                     veh.speed = v_seg
@@ -391,16 +454,17 @@ def step(world: World, dt: Optional[float] = None):
                 if skip > 0:
                     next(itertools.islice(rest, skip, skip), None)
             else:
-                veh.offset = min(target, seg_len)
-                block = veh.offset
+                if seg_len < target:
+                    target = seg_len
+                veh.offset = block = target
             veh.speed = (veh.offset - old_offset) / dt
         if held:
             # what is left of the old front, then those behind it that
             # stayed at the segment end through the whole step
             n = packed.get(key, 0)
             while n < len(q):
-                veh = world.vehicles[q[n]]
-                if veh.speed != 0.0 or veh.offset != seg_len or veh.vclass is VehicleClass.BUS:
+                veh = vehicles[q[n]]
+                if veh.speed != 0.0 or veh.offset != seg_len or veh.vclass is bus:
                     break
                 n += 1
             packed[key] = n
@@ -466,7 +530,7 @@ def _enter_queue(world: World, veh: VehicleState, target: SegmentRef, overshoot:
     """Longitudinal entry: append `veh` at the tail of `target`, `overshoot`
     meters in but never past the vehicle ahead or its own next bus stop.
     The tail is behind the packed front, so its count stays valid."""
-    q = world.queue(target)
+    q = world.queues[target]
     offset = min(overshoot, world.model.edges[target.edge].seg_length)
     if q:
         offset = min(offset, world.vehicles[q[-1]].offset)

@@ -11,11 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum, IntEnum
 from typing import NamedTuple, Optional, Sequence
 
 #: default jam spacing used when a scenario does not give a storage limit
 JAM_SPACING_M = 7.5
+
+#: fraction of free-flow speed retained at jam density (also avoids 1/0 in
+#: downstream travel-time predictions)
+SPEED_FLOOR = 0.05
 
 
 class NetworkError(ValueError):
@@ -78,6 +83,16 @@ class Edge:
                 raise NetworkError(f"edge {self.id}: gate needs 0 <= green <= cycle")
         object.__setattr__(self, "seg_length", self.length / 2.0)
         object.__setattr__(self, "t0", self.seg_length / self.free_flow_speed)
+
+    @cached_property
+    def speeds(self) -> tuple[float, ...]:
+        """Segment speed at occupancy n = 0..jam_count, built on first use with
+        the speed-density expression ffs * clamp(1 - n/jam_count, floor, 1), so
+        each entry is the float that expression gives."""
+        return tuple(
+            self.free_flow_speed * min(1.0, max(SPEED_FLOOR, 1.0 - n / self.jam_count))
+            for n in range(self.jam_count + 1)
+        )
 
     def gate_open(self, t: float) -> bool:
         """Whether the downstream end of this edge admits transfers at time t."""
@@ -165,6 +180,8 @@ class NetworkModel:
             for vclass in VehicleClass:
                 if any(l in lanes for l in self._lanes.get((vclass, src), ())):
                     self._next[vclass, src] = self._next.get((vclass, src), ()) + (dst,)
+        # entry lanes per (class, edge, onward edge), filled by entry_lanes
+        self._entry: dict[tuple[VehicleClass, int, Optional[int]], tuple[Lane, ...]] = {}
         self.dl_segments: frozenset[SegmentRef] = frozenset(
             seg for seg in self._segments if seg.lane is Lane.RIGHT and self.edges[seg.edge].dl
         )
@@ -230,6 +247,23 @@ class NetworkModel:
             return self._lanes[vclass, edge_id]
         except KeyError:
             raise NetworkError(f"edge {edge_id}: no lane open to class {vclass.value}") from None
+
+    def entry_lanes(
+        self, vclass: VehicleClass, edge_id: int, onward: Optional[int]
+    ) -> tuple[Lane, ...]:
+        """Lanes a vehicle of the class may enter an edge on, given the edge it
+        takes next (None at the end of its route): the permitted lanes,
+        narrowed to those with a turn connection to the onward edge when there
+        are any, so vehicles do not strand themselves. Each answer is kept in
+        a table on first use; the lane rules never change."""
+        key = (vclass, edge_id, onward)
+        lanes = self._entry.get(key)
+        if lanes is None:
+            lanes = self.permitted_lanes(vclass, edge_id)
+            if onward is not None:
+                lanes = tuple(l for l in lanes if self.connects(edge_id, l, onward)) or lanes
+            self._entry[key] = lanes
+        return lanes
 
     def bus_route_lane_path(self, route_edges: Sequence[int]) -> list[SegmentRef]:
         """Right-lane segment sequence for a bus route given as edge ids.

@@ -9,6 +9,7 @@ horizon and the run drains until all vehicles finish or twice the horizon.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,8 +142,8 @@ def simulate(
         horizon = scenario.meta.get("horizon")
         if horizon is None:
             raise ScenarioError("no horizon given and the scenario meta has none")
-    if horizon <= 0:
-        raise ValueError("a positive horizon is required (config or scenario meta)")
+    if not 0 < horizon < math.inf:
+        raise ValueError("a positive finite horizon is required (config or scenario meta)")
     model = scenario.model
     params = scenario.control
     clock = scenario.clock
@@ -184,7 +185,7 @@ def simulate(
         if t >= horizon:
             if world.pending:
                 world.unserved += len(world.pending)
-                world.pending = []
+                world.pending.clear()
             if arrival_ptr < len(arrivals):  # due inside the final sub-tick gap
                 world.unserved += len(arrivals) - arrival_ptr
                 arrival_ptr = len(arrivals)

@@ -9,6 +9,7 @@ vehicles/second unless a value carries an explicit unit tag.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
@@ -142,8 +143,9 @@ def from_dict(data: Any, source: str = "<scenario>") -> Scenario:
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         _fail("meta", "must be an object")
-    if meta.get("horizon") is not None and _number(meta["horizon"], "meta.horizon") <= 0:
-        _fail("meta.horizon", "must be > 0")
+    horizon = meta.get("horizon")
+    if horizon is not None and not 0 < _number(horizon, "meta.horizon") < math.inf:
+        _fail("meta.horizon", "must be > 0 and finite")
 
     # nodes: bare ids or {"id": n}
     raw_nodes = _list(_require(data, "nodes", source), "nodes")

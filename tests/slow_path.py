@@ -1,10 +1,18 @@
-"""Plain, full-walk forms of the predictor's and the cost views' shortcuts.
+"""Plain, full-walk forms of the plant's, the predictor's and the cost views'
+shortcuts.
 
-The simulator's prediction walks stop early, its window conflicts are found
+The simulator's motion step reads speeds from per-edge tables and walks the
+queues in their stored order, its injection visits only the entry groups
+with room, its prediction walks stop early, its window conflicts are found
 per CAV, and its edge-cost views price only the edges with traffic. Each of
-these rests on an exactness argument, given in `jointlane.prediction` and
-`jointlane.control`. This module keeps the plain versions they replaced:
+these rests on an exactness argument, given in `jointlane.engine`,
+`jointlane.prediction` and `jointlane.control`. This module keeps the plain
+versions they replaced:
 
+* `segment_speed`, the speed-density expression evaluated on every call;
+* `step`, which evaluates it for every occupied queue and walks the queues
+  in `sorted()` order;
+* `inject_demand`, which walks the whole pending list on every call;
 * `build_snapshot`, which projects every non-bus vehicle over its whole
   remaining route;
 * `_window_conflicts`, and `refresh_conflicts` on top of it, which scan every
@@ -13,18 +21,30 @@ these rests on an exactness argument, given in `jointlane.prediction` and
 * `predicted_cost_view` and `instantaneous_cost_view`, which price every
   edge.
 
-`install_shadow` patches the simulator so that each of these calls made by
-the runner computes both the fast and the plain result, asserts that they
-are equal, and goes on with the fast one.
+`install_shadow` patches the simulator so that each prediction and cost-view
+call made by the runner computes both the fast and the plain result, asserts
+that they are equal, and goes on with the fast one; it also checks the
+plant's tables (`assert_plant_tables`) before every motion step.
+`install_plain` patches every plain form in instead, so a whole run can be
+compared with a fast one report by report.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Iterable, Optional
 
-from jointlane import control, prediction
-from jointlane.engine import VehicleState, World
+from jointlane import control, prediction, runner
+from jointlane.engine import (
+    SPEED_FLOOR,
+    VehicleState,
+    World,
+    _begin_dwell,
+    _next_stop_offset,
+    _transfer,
+    entry_group,
+)
 from jointlane.network import Lane, NetworkModel, SegmentRef, VehicleClass
 from jointlane.prediction import (
     MIN_PROJECTION_SPEED,
@@ -38,6 +58,158 @@ from jointlane.prediction import (
     protection_window,
 )
 from prediction_oracle import entry_indicator
+
+
+# -- plant ---------------------------------------------------------------------------
+
+
+def segment_speed(world: World, key: SegmentRef, n: Optional[int] = None) -> float:
+    """Speed-density law with a floor: ffs * clamp(1 - n/Njam, floor, 1)."""
+    edge = world.model.edges[key.edge]
+    if n is None:
+        n = world.count(key)
+    frac = 1.0 - n / edge.jam_count
+    frac = min(1.0, max(SPEED_FLOOR, frac))
+    return edge.free_flow_speed * frac
+
+
+def inject_demand(world: World, due: Iterable[VehicleState]):
+    """Place pending and newly due vehicles in creation order; the rest wait
+    for entry space.
+
+    An entry fails only when every lane the vehicle may enter on is full. That
+    lane set depends on its class, first edge and onward edge alone, and
+    occupancy only rises during one call, so once a vehicle of such an entry
+    group fails, the rest of the group waits without another attempt.
+    """
+    waiting = world.pending
+    world.pending = []
+    full: set[tuple] = set()
+    for veh in itertools.chain(waiting, due):
+        route = veh.route
+        group = (veh.vclass, route[0], route[1] if len(route) > 1 else None)
+        if group in full or not world.place_new(veh):
+            full.add(group)
+            world.pending.append(veh)
+
+
+def step(world: World, dt: Optional[float] = None):
+    """Advance every vehicle one motion step, with each occupied queue's speed
+    from `segment_speed` and the queues walked in `sorted()` order."""
+    if dt is None:
+        dt = world.clock.dt_sim
+    model = world.model
+    packed = world.packed
+    t = world.t
+    moved: set[int] = set()
+    # motion speeds from start-of-step occupancy: the mover is not its own
+    # congestion, so a lone vehicle runs at free flow
+    speeds = {
+        key: segment_speed(world, key, len(q) - 1)
+        for key, q in world.queues.items()
+        if q
+    }
+    for key in sorted(speeds):
+        q = world.queues[key]
+        seg_len = model.edges[key.edge].seg_length
+        v_seg = speeds[key]
+        block: Optional[float] = None  # offset of the nearest vehicle that stays ahead
+        held = False  # the front waited at the segment end
+        rest = iter(list(q))
+        for vid in rest:
+            if vid in moved:
+                # entered this segment earlier in this step; it may still block
+                block = world.vehicles[vid].offset
+                continue
+            veh = world.vehicles[vid]
+            moved.add(vid)
+            old_offset = veh.offset
+            if veh.dwell_until is not None:
+                veh.speed = 0.0
+                block = veh.offset
+                continue
+            target = veh.offset + v_seg * dt
+            if block is not None:
+                target = min(target, block)
+            # bus stop capture; <= so a bus blocked exactly at the stop
+            # offset (behind a dwelling leader) still serves the stop
+            if veh.vclass is VehicleClass.BUS:
+                stop_off = _next_stop_offset(world, veh, key)
+                if stop_off is not None and veh.offset <= stop_off <= target:
+                    veh.offset = stop_off
+                    _begin_dwell(world, veh)
+                    veh.speed = (veh.offset - old_offset) / dt
+                    block = veh.offset
+                    continue
+            if target >= seg_len and block is None:
+                overshoot = min(target - seg_len, seg_len)
+                if _transfer(world, veh, key, overshoot):
+                    # moved on (or retired); distance includes the carried part
+                    veh.speed = v_seg
+                    continue
+                veh.offset = seg_len
+                block = seg_len
+                held = True
+                # every vehicle ahead of it has left, so if it led the packed
+                # front, the rest of that front stays where it is at speed 0
+                skip = packed.get(key, 0) - 1
+                if skip > 0:
+                    next(itertools.islice(rest, skip, skip), None)
+            else:
+                veh.offset = min(target, seg_len)
+                block = veh.offset
+            veh.speed = (veh.offset - old_offset) / dt
+        if held:
+            # what is left of the old front, then those behind it that
+            # stayed at the segment end through the whole step
+            n = packed.get(key, 0)
+            while n < len(q):
+                veh = world.vehicles[q[n]]
+                if veh.speed != 0.0 or veh.offset != seg_len or veh.vclass is VehicleClass.BUS:
+                    break
+                n += 1
+            packed[key] = n
+    world.t = t + dt
+
+
+PlainTables = tuple[list[SegmentRef], dict[int, tuple[float, ...]]]
+
+
+def plain_tables(world: World) -> PlainTables:
+    """What the fast plant's tables must hold, from the plain forms: the
+    segments in sorted order, and per edge the speed at each occupancy from
+    0 to one past `jam_count` (an overfull queue keeps the floor speed)."""
+    model = world.model
+    speeds = {}
+    for eid, edge in model.edges.items():
+        key = model.halves[eid][Lane.LEFT][0]
+        speeds[eid] = tuple(segment_speed(world, key, n) for n in range(edge.jam_count + 2))
+    return sorted(model.all_segments()), speeds
+
+
+def assert_plant_tables(world: World, expected: PlainTables):
+    """The tables the fast plant reads: one queue per segment, in the model's
+    segment order, which is sorted order; a backlog whose groups are
+    id-ordered, non-empty and hold only their own members; and per-edge speed
+    tables equal to the plain expression for every occupancy up to
+    `jam_count`, with the floor speed past it."""
+    model = world.model
+    order, speeds = expected
+    assert list(world.queues) == list(model.all_segments()) == order
+    groups = world.pending.groups
+    assert len(world.pending) == sum(len(members) for members in groups.values())
+    for group, members in groups.items():
+        ids = [veh.id for veh in members]
+        assert ids and ids == sorted(set(ids))
+        assert all(entry_group(veh) == group for veh in members)
+    for eid, edge in model.edges.items():
+        assert edge.speeds == speeds[eid][:-1]
+        key = model.halves[eid][Lane.LEFT][0]
+        beyond = edge.jam_count + 1
+        assert World.segment_speed(world, key, beyond) == speeds[eid][beyond]
+
+
+# -- prediction ----------------------------------------------------------------------
 
 
 def _continuation_lane(model: NetworkModel, veh: VehicleState, edge_id: int) -> Lane:
@@ -279,14 +451,17 @@ def assert_same_costs(fast: dict[int, float], slow: dict[int, float]):
 
 
 def install_shadow(monkeypatch) -> dict[str, int]:
-    """Run the plain form beside every fast one the runner calls.
+    """Run the plain form beside every fast prediction and cost-view call the
+    runner makes, and check the plant's tables before every motion step.
 
     Returns the number of checked calls per function, filled in as the run
     goes, so a test can tell that the net was in place.
     """
     calls = dict.fromkeys(
-        ("bus_windows", "snapshot", "refresh", "predicted_costs", "instantaneous_costs"), 0
+        ("bus_windows", "snapshot", "refresh", "predicted_costs", "instantaneous_costs",
+         "step"), 0
     )
+    fast_step = runner.step
     fast_windows = prediction.build_bus_windows
     fast_snapshot = prediction.build_snapshot
     fast_refresh = prediction.refresh_conflicts
@@ -323,9 +498,32 @@ def install_shadow(monkeypatch) -> dict[str, int]:
         calls["instantaneous_costs"] += 1
         return out
 
+    expected: dict[int, PlainTables] = {}  # by id of the model
+
+    def checked_step(world, dt=None):
+        tables = expected.get(id(world.model))
+        if tables is None:
+            tables = expected[id(world.model)] = plain_tables(world)
+        assert_plant_tables(world, tables)
+        fast_step(world, dt)
+        calls["step"] += 1
+
+    monkeypatch.setattr(runner, "step", checked_step)
     monkeypatch.setattr(prediction, "build_bus_windows", windows)
     monkeypatch.setattr(prediction, "build_snapshot", snapshot)
     monkeypatch.setattr(prediction, "refresh_conflicts", refresh)
     monkeypatch.setattr(control, "predicted_cost_view", predicted)
     monkeypatch.setattr(control, "instantaneous_cost_view", instantaneous)
     return calls
+
+
+def install_plain(monkeypatch):
+    """Patch every plain form in place of its fast one for whole runs."""
+    monkeypatch.setattr(World, "segment_speed", segment_speed)
+    monkeypatch.setattr(runner, "step", step)
+    monkeypatch.setattr(runner, "inject_demand", inject_demand)
+    monkeypatch.setattr(prediction, "build_bus_windows", build_bus_windows)
+    monkeypatch.setattr(prediction, "build_snapshot", build_snapshot)
+    monkeypatch.setattr(prediction, "refresh_conflicts", refresh_conflicts)
+    monkeypatch.setattr(control, "predicted_cost_view", predicted_cost_view)
+    monkeypatch.setattr(control, "instantaneous_cost_view", instantaneous_cost_view)

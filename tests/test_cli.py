@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from jointlane import prediction, routing
-from jointlane.cli import main, resolve_scenario
+from jointlane.cli import build_parser, main, resolve_scenario
 
 
 def run_cli(args):
@@ -120,6 +120,37 @@ def test_non_positive_horizon_is_usage_error(capsys, tmp_path):
         err = capsys.readouterr().err
         assert "usage" in err and "--horizon" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+def test_non_finite_horizon_is_usage_error(capsys, value):
+    # parsed only: an infinite horizon would never finish a run
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--scenario", "desk_small", f"--horizon={value}"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "--horizon" in err and "finite" in err
+
+
+def test_negative_seed_is_usage_error(capsys, tmp_path):
+    code = run_cli(["--scenario", "desk_small", "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage" in err and "--seed" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_out_under_a_regular_file_is_usage_error(capsys, tmp_path):
+    blocker = tmp_path / "reports"
+    blocker.write_text("not a directory", encoding="utf-8")
+    code = run_cli(["--scenario", "desk_small", "--horizon", "30",
+                    "--out", str(blocker / "run1")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("jointlane: error: cannot write reports:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
 
 
 def test_scenario_without_horizon_is_validation_error(capsys, tmp_path):

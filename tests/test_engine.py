@@ -270,19 +270,19 @@ def test_injection_pends_when_entry_jammed(monkeypatch):
     backlog = [_new_vehicle(world, vid, VehicleClass.CAV, [0]) for vid in range(10, 15)]
 
     inject_demand(world, backlog)
-    assert world.pending == backlog
+    assert list(world.pending) == backlog
     assert world.injected[VehicleClass.CAV] == 2  # placement deferred
     assert tried == [10]  # the rest of a full entry group is not retried
     inject_demand(world, [])
-    assert world.pending == backlog
-    assert tried == [10, 10]
+    assert list(world.pending) == backlog
+    assert tried == [10]  # a group full at the start of a call is not visited
 
     step(world, 1.0)  # frees the left entry segment only
     tried.clear()
     inject_demand(world, [])
     assert backlog[0].id in world.vehicles
     assert backlog[0].segment.lane is Lane.LEFT  # the oldest waiting vehicle takes it
-    assert world.pending == backlog[1:]
+    assert list(world.pending) == backlog[1:]
     assert tried == [10, 11]
 
 
@@ -299,12 +299,50 @@ def test_injection_retries_other_onward_edges_behind_a_full_entry():
     first = _new_vehicle(world, 10, VehicleClass.HDV, [0, 1])
     other = _new_vehicle(world, 11, VehicleClass.HDV, [0, 2])
     last = _new_vehicle(world, 12, VehicleClass.HDV, [0, 1])
-    world.pending = [first]
+    world.pending.append(first)
 
     inject_demand(world, [other, last])
     assert other.id in world.vehicles
     assert other.segment.lane is Lane.LEFT
-    assert world.pending == [first, last]  # creation order kept
+    assert list(world.pending) == [first, last]  # creation order kept
+
+
+def test_backlog_across_groups_iterates_and_places_in_creation_order(monkeypatch):
+    # two entry edges, one vehicle per lane segment; each entry is full
+    model = make_model([(0, 1, 2, 200.0, 10.0, False), (1, 3, 4, 200.0, 10.0, False)],
+                       jam=1)
+    world = make_world(model)
+    for vid, (edge, lane) in enumerate(itertools.product((0, 1), Lane)):
+        put_vehicle(world, vid, VehicleClass.CAV, [edge], lane=lane, offset=99.5)
+    tried = []
+    place_new = World.place_new
+    monkeypatch.setattr(
+        World, "place_new", lambda self, veh: tried.append(veh.id) or place_new(self, veh)
+    )
+    kinds = [(VehicleClass.CAV, 0), (VehicleClass.HDV, 1), (VehicleClass.HDV, 0),
+             (VehicleClass.CAV, 1)] * 2
+    backlog = [_new_vehicle(world, 10 + i, vclass, [edge])
+               for i, (vclass, edge) in enumerate(kinds)]
+
+    inject_demand(world, backlog)
+    assert tried == [10, 11, 12, 13]  # one failed attempt per entry group
+    assert len(world.pending.groups) == 4
+    assert len(world.pending) == 8
+    assert list(world.pending) == backlog
+
+    step(world, 1.0)  # every occupant crosses into its downstream half
+    tried.clear()
+    late = _new_vehicle(world, 18, VehicleClass.CAV, [0])
+    inject_demand(world, [late])
+    # the oldest vehicle of every group goes first, in id order across groups,
+    # and takes the slots before any younger one
+    assert tried == [10, 11, 12, 13, 14, 15, 16, 17]
+    assert [world.vehicles[vid].segment for vid in (10, 11, 12, 13)] == [
+        SegmentRef(0, Lane.LEFT, 1), SegmentRef(1, Lane.LEFT, 1),
+        SegmentRef(0, Lane.RIGHT, 1), SegmentRef(1, Lane.RIGHT, 1),
+    ]
+    assert list(world.pending) == backlog[4:] + [late]
+    assert len(world.pending) == 5
 
 
 def test_clock_requires_integer_multiples():

@@ -171,3 +171,14 @@ def test_bundled_large_scenario_loads():
     scn = load_scenario(resolve_scenario("desk_large"))
     assert scn.meta["horizon"] == 3600.0
     assert len(scn.bus_lines[0].departures) == 10
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_meta_horizon_is_a_scenario_error(tmp_path, value):
+    # loaded only: an infinite horizon would never finish a run
+    path = tmp_path / "horizon.json"
+    path.write_text(json.dumps(minimal_scenario(meta={"horizon": value})), encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    assert "Infinity" in text or "NaN" in text  # JSON extensions json.loads accepts
+    with pytest.raises(ScenarioError, match="meta.horizon"):
+        load_scenario(path)
