@@ -17,7 +17,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from .network import SPEED_FLOOR  # noqa: F401  (re-exported with the plant's other names)
-from .network import Lane, NetworkModel, SegmentRef, VehicleClass
+from .network import Edge, Lane, NetworkModel, SegmentRef, VehicleClass
 
 
 class EngineError(RuntimeError):
@@ -174,6 +174,10 @@ class World:
         # one FIFO queue per segment, in model.all_segments() order, which is
         # sorted (edge, lane, m) order
         self.queues: dict[SegmentRef, list[int]] = {seg: [] for seg in model.all_segments()}
+        # (key, queue, edge) per segment, in the same order, read by step
+        self.queue_rows: list[tuple[SegmentRef, list[int], Edge]] = [
+            (key, q, model.edges[key.edge]) for key, q in self.queues.items()
+        ]
         # length of each queue's packed front, kept by step and _remove
         self.packed: dict[SegmentRef, int] = {}
         self.retired: list[VehicleState] = []
@@ -379,10 +383,20 @@ def step(world: World, dt: Optional[float] = None):
     bus stops, and retire at the end of their last route edge.
 
     The walk is table-driven and exact. The queues occupied at the start of
-    the step are taken from `world.queues`, whose keys are in sorted (edge,
-    lane, m) order, so they are walked in that order without a sort. A queue
-    of n vehicles moves at `edge.speeds[n - 1]` (the mover is not its own
-    congestion), the float the speed-density expression gives for n - 1.
+    the step are taken from `world.queue_rows`, which holds each segment's
+    queue and edge in sorted (edge, lane, m) order, so they are walked in that
+    order without a sort. A queue of n vehicles moves at `edge.speeds[n - 1]`
+    (the mover is not its own congestion), the float the speed-density
+    expression gives for n - 1, and each vehicle's reach `v_seg * dt` is
+    computed once per queue: `offset + reach` is the same sum.
+
+    A non-bus vehicle never dwells and has no stop, so it takes a fast path
+    past the dwell and stop-capture tests. Each queue is walked once, from
+    a copy taken when its turn comes, so a vehicle that stays in its queue is
+    never met again; only one that left its queue during the step (onto the
+    next segment, or across at an edge end to align) is put in `moved`, and
+    it is skipped, though it may still block, if it is met in a queue walked
+    later.
 
     Each queue's packed front costs about one vehicle per step. A packed
     vehicle is not a bus, sits at the segment end (`offset == seg_length`)
@@ -395,19 +409,18 @@ def step(world: World, dt: Optional[float] = None):
     """
     if dt is None:
         dt = world.clock.dt_sim
-    edges = world.model.edges
     vehicles = world.vehicles
     packed = world.packed
     t = world.t
     bus = VehicleClass.BUS
-    moved: set[int] = set()
+    moved: set[int] = set()  # vehicles that left their queue during this step
     # occupancy at the start of the step sets each queue's speed
-    occupied = [(key, q, len(q)) for key, q in world.queues.items() if q]
-    for key, q, n in occupied:
-        edge = edges[key.edge]
+    occupied = [(key, q, edge, len(q)) for key, q, edge in world.queue_rows if q]
+    for key, q, edge, n in occupied:
         seg_len = edge.seg_length
         speeds = edge.speeds
         v_seg = speeds[n - 1] if n < len(speeds) else speeds[-1]
+        reach = v_seg * dt
         block: Optional[float] = None  # offset of the nearest vehicle that stays ahead
         held = False  # the front waited at the segment end
         rest = iter(list(q))
@@ -417,21 +430,20 @@ def step(world: World, dt: Optional[float] = None):
                 block = vehicles[vid].offset
                 continue
             veh = vehicles[vid]
-            moved.add(vid)
             old_offset = veh.offset
-            if veh.dwell_until is not None:
-                veh.speed = 0.0
-                block = old_offset
-                continue
             # plain comparisons pick the same float min() would
-            target = old_offset + v_seg * dt
+            target = old_offset + reach
             if block is not None and block < target:
                 target = block
-            # bus stop capture; <= so a bus blocked exactly at the stop
-            # offset (behind a dwelling leader) still serves the stop
             if veh.vclass is bus:
+                if veh.dwell_until is not None:
+                    veh.speed = 0.0
+                    block = old_offset
+                    continue
+                # bus stop capture; <= so a bus blocked exactly at the stop
+                # offset (behind a dwelling leader) still serves the stop
                 stop_off = _next_stop_offset(world, veh, key)
-                if stop_off is not None and veh.offset <= stop_off <= target:
+                if stop_off is not None and old_offset <= stop_off <= target:
                     veh.offset = stop_off
                     _begin_dwell(world, veh)
                     veh.speed = (veh.offset - old_offset) / dt
@@ -443,6 +455,7 @@ def step(world: World, dt: Optional[float] = None):
                     overshoot = seg_len
                 if _transfer(world, veh, key, overshoot):
                     # moved on (or retired); distance includes the carried part
+                    moved.add(vid)
                     veh.speed = v_seg
                     continue
                 veh.offset = seg_len

@@ -11,7 +11,7 @@ lane segment it has yet to traverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .engine import VehicleState, World
 from .network import Lane, NetworkModel, SegmentRef, VehicleClass
@@ -107,7 +107,10 @@ class BusWindows:
         return self.windows.get(seg, [])
 
     def contains(self, seg: SegmentRef, when: float) -> bool:
-        return any(lo <= when <= hi for _, lo, hi in self.covering(seg))
+        for _, lo, hi in self.covering(seg):
+            if lo <= when <= hi:
+                return True
+        return False
 
 
 def _stop_distances(
@@ -185,6 +188,16 @@ def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows
 
 # -- snapshot ---------------------------------------------------------------------
 
+# One vehicle's projection: its key (segment, offset, speed, route index), its
+# route list, the entries within dt, and the entry times kept for a CAV (None
+# for an HDV).
+Walk = tuple[
+    tuple[SegmentRef, float, float, int],
+    list[int],
+    list[SegmentRef],
+    Optional[dict[SegmentRef, float]],
+]
+
 
 @dataclass
 class PredictionSnapshot:
@@ -210,6 +223,7 @@ class PredictionSnapshot:
     overlap: dict[SegmentRef, dict[int, float]]       # seg -> CAV id (asc) -> entry time
     conflict: dict[SegmentRef, float]                 # veh/s into bus windows
     bus_time: dict[SegmentRef, float]                 # predicted bus traversal time
+    walks: dict[int, Walk] = field(default_factory=dict)  # non-bus id -> projection
 
     def predicted(self, seg: SegmentRef) -> float:
         """BPR travel time; the free-flow time where no inflow is predicted."""
@@ -232,23 +246,25 @@ def _window_conflicts(
     `tau` measured at time `since`. Each CAV, in id order, tests its own
     span's segments and its stored entries elsewhere, so members stay in
     ascending id order; an entry stored for its own span (it moved on since)
-    is left to the same-span test. Segments without members are left out of
-    the overlap table.
+    is left to the same-span test. That test reads only the segment and `t`,
+    so each window is tested at `t` once per call, and a CAV takes the
+    segments of its span whose window holds `t`. Segments without members
+    are left out of the overlap table.
     """
     model = world.model
     t = world.t
     found: dict[SegmentRef, dict[int, float]] = {seg: {} for seg in windows.windows}
-    spans: dict[tuple[int, int], list[SegmentRef]] = {}
+    live: dict[tuple[int, int], list[SegmentRef]] = {}  # span -> windows holding t
     for seg in found:
-        spans.setdefault((seg.edge, seg.m), []).append(seg)
+        if windows.contains(seg, t):
+            live.setdefault((seg.edge, seg.m), []).append(seg)
     for vid in sorted(world.vehicles):
         veh = world.vehicles[vid]
         if veh.vclass is not VehicleClass.CAV:
             continue
         span = (veh.segment.edge, veh.segment.m)
-        for seg in spans.get(span, ()):
-            if windows.contains(seg, t):
-                found[seg][vid] = 0.0
+        for seg in live.get(span, ()):
+            found[seg][vid] = 0.0
         for seg, entry in tau.get(vid, {}).items():
             if seg in found and (seg.edge, seg.m) != span and windows.contains(seg, since + entry):
                 found[seg][vid] = entry
@@ -282,12 +298,35 @@ def refresh_conflicts(
     )
 
 
+def _project(
+    model: NetworkModel, veh: VehicleState, key: tuple, is_cav: bool, dt: float
+) -> Walk:
+    """Walk one non-bus vehicle's projected entries (see `build_snapshot`)."""
+    speed = max(veh.speed, MIN_PROJECTION_SPEED)
+    # window conflicts read DL entries; the escalation, entries within dt
+    dl_walk = is_cav and veh.segment.lane is Lane.RIGHT
+    soon: list[SegmentRef] = []
+    kept: dict[SegmentRef, float] = {}
+    for ref, dist in _walk_entries(model, veh):
+        tau_v = dist / speed
+        if tau_v < dt:
+            soon.append(ref)
+            if is_cav:
+                kept[ref] = tau_v
+        elif not dl_walk:
+            break
+        elif ref in model.dl_segments:
+            kept[ref] = tau_v
+    return key, veh.route, soon, kept if is_cav else None
+
+
 def build_snapshot(
     world: World,
     windows: BusWindows,
     bpr: BprParams,
     protection: ProtectionHorizon,
     dt: float,
+    previous: Optional[PredictionSnapshot] = None,
 ) -> PredictionSnapshot:
     """Assemble the full prediction state from the current world.
 
@@ -300,9 +339,20 @@ def build_snapshot(
     entries for the window conflicts: a CAV may use both lanes of every edge,
     so it keeps its lane, and a left-lane CAV has no DL entry ahead. A route
     is a cheapest path over positive costs, so no segment recurs in a walk.
+
+    A walk reads only the vehicle's segment, offset, speed, route index and
+    route list, and `dt`. Each snapshot keeps every walk in `walks`, and a
+    vehicle whose key (segment, offset, speed, route index) equals its key in
+    `previous`, whose route is the same list object, under the same `dt`,
+    takes its stored entries and `tau` instead of walking again. The list
+    identity is exact because a reroute replaces the list and nothing edits a
+    route in place. Stored entries are counted in walk order, as a walk
+    would count them.
     """
     model = world.model
     t = world.t
+    reusable = previous.walks if previous is not None and previous.dt == dt else {}
+    walks: dict[int, Walk] = {}
     tau: dict[int, dict[SegmentRef, float]] = {}
     cav_entries: dict[SegmentRef, int] = {}
     hdv_entries: dict[SegmentRef, int] = {}
@@ -310,24 +360,17 @@ def build_snapshot(
     for vid, veh in vehicles.items():
         if veh.vclass is VehicleClass.BUS:
             continue
-        speed = max(veh.speed, MIN_PROJECTION_SPEED)
         is_cav = veh.vclass is VehicleClass.CAV
+        key = (veh.segment, veh.offset, veh.speed, veh.route_index)
+        walk = reusable.get(vid)
+        if walk is None or walk[0] != key or walk[1] is not veh.route:
+            walk = _project(model, veh, key, is_cav, dt)
+        walks[vid] = walk
         bucket = cav_entries if is_cav else hdv_entries
-        # window conflicts read DL entries; the escalation, entries within dt
-        dl_walk = is_cav and veh.segment.lane is Lane.RIGHT
-        kept: dict[SegmentRef, float] = {}
-        for ref, dist in _walk_entries(model, veh):
-            tau_v = dist / speed
-            if tau_v < dt:
-                bucket[ref] = bucket.get(ref, 0) + 1
-                if is_cav:
-                    kept[ref] = tau_v
-            elif not dl_walk:
-                break
-            elif ref in model.dl_segments:
-                kept[ref] = tau_v
+        for ref in walk[2]:
+            bucket[ref] = bucket.get(ref, 0) + 1
         if is_cav:
-            tau[vid] = kept
+            tau[vid] = walk[3]
 
     inflow: dict[SegmentRef, float] = {}
     predicted_time: dict[SegmentRef, float] = {}
@@ -356,4 +399,5 @@ def build_snapshot(
         overlap=overlap,
         conflict=conflict,
         bus_time=bus_time,
+        walks=walks,
     )

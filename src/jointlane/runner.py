@@ -177,6 +177,7 @@ def simulate(
     steps_bus = round(clock.dt_bus / clock.dt_sim)
     drain_limit = 2.0 * horizon
 
+    snapshot: Optional[pr.PredictionSnapshot] = None
     tick = 0
     while True:
         t = tick * clock.dt_sim
@@ -203,7 +204,8 @@ def simulate(
 
         if is_control:
             snapshot = pr.build_snapshot(
-                world, windows, scenario.bpr, scenario.protection, clock.dt_control
+                world, windows, scenario.bpr, scenario.protection, clock.dt_control,
+                previous=snapshot,
             )
             view.update(snapshot, params)
             view.update_costs(world, strategy)

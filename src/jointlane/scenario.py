@@ -62,8 +62,11 @@ def _require(data: dict, key: str, ctx: str):
 
 
 def _number(value: Any, ctx: str) -> float:
+    """A finite JSON or override number; json.loads accepts Infinity and NaN."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(ctx, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        _fail(ctx, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -144,8 +147,8 @@ def from_dict(data: Any, source: str = "<scenario>") -> Scenario:
     if not isinstance(meta, dict):
         _fail("meta", "must be an object")
     horizon = meta.get("horizon")
-    if horizon is not None and not 0 < _number(horizon, "meta.horizon") < math.inf:
-        _fail("meta.horizon", "must be > 0 and finite")
+    if horizon is not None and _number(horizon, "meta.horizon") <= 0:
+        _fail("meta.horizon", "must be > 0")
 
     # nodes: bare ids or {"id": n}
     raw_nodes = _list(_require(data, "nodes", source), "nodes")
@@ -412,13 +415,14 @@ def _parse_control(raw: Any) -> tuple[ControlParams, BprParams, ProtectionHorizo
     if not isinstance(raw, dict):
         _fail("control", "must be an object")
     _check_keys(raw, set(_CONTROL_KEYS), "control")
+    values = {key: _number(value, f"control.{key}") for key, value in raw.items()}
     params = {}
     try:
         for owner, cls in _PARAM_TYPES.items():
             kwargs = {
-                attr: _number(raw[key], f"control.{key}")
+                attr: values[key]
                 for key, (field_name, attr) in _CONTROL_KEYS.items()
-                if field_name == owner and key in raw
+                if field_name == owner and key in values
             }
             params[owner] = cls(**kwargs)
     except Exception as exc:

@@ -14,7 +14,8 @@ versions they replaced:
   in `sorted()` order;
 * `inject_demand`, which walks the whole pending list on every call;
 * `build_snapshot`, which projects every non-bus vehicle over its whole
-  remaining route;
+  remaining route on every call, ignoring the previous snapshot whose walks
+  the fast one reuses;
 * `_window_conflicts`, and `refresh_conflicts` on top of it, which scan every
   CAV for each windowed segment;
 * `build_bus_windows`, which walks every vehicle and skips the non-buses;
@@ -24,7 +25,8 @@ versions they replaced:
 `install_shadow` patches the simulator so that each prediction and cost-view
 call made by the runner computes both the fast and the plain result, asserts
 that they are equal, and goes on with the fast one; it also checks the
-plant's tables (`assert_plant_tables`) before every motion step.
+plant's tables (`assert_plant_tables`) and invariants
+(`assert_plant_invariants`) before every motion step.
 `install_plain` patches every plain form in instead, so a whole run can be
 compared with a fast one report by report.
 """
@@ -189,13 +191,19 @@ def plain_tables(world: World) -> PlainTables:
 
 def assert_plant_tables(world: World, expected: PlainTables):
     """The tables the fast plant reads: one queue per segment, in the model's
-    segment order, which is sorted order; a backlog whose groups are
-    id-ordered, non-empty and hold only their own members; and per-edge speed
-    tables equal to the plain expression for every occupancy up to
-    `jam_count`, with the floor speed past it."""
+    segment order, which is sorted order, with rows holding each queue itself
+    and its edge in the same order; a backlog whose groups are id-ordered,
+    non-empty and hold only their own members; and per-edge speed tables
+    equal to the plain expression for every occupancy up to `jam_count`, with
+    the floor speed past it."""
     model = world.model
     order, speeds = expected
     assert list(world.queues) == list(model.all_segments()) == order
+    assert [key for key, _, _ in world.queue_rows] == order
+    assert all(
+        q is world.queues[key] and edge is model.edges[key.edge]
+        for key, q, edge in world.queue_rows
+    )
     groups = world.pending.groups
     assert len(world.pending) == sum(len(members) for members in groups.values())
     for group, members in groups.items():
@@ -207,6 +215,36 @@ def assert_plant_tables(world: World, expected: PlainTables):
         key = model.halves[eid][Lane.LEFT][0]
         beyond = edge.jam_count + 1
         assert World.segment_speed(world, key, beyond) == speeds[eid][beyond]
+
+
+def assert_plant_invariants(world: World):
+    """Conservation per class (injected = retired + active); each active
+    vehicle in exactly the queue of its stored segment, on its route edge;
+    offsets non-increasing along every queue; occupancy at most `jam_count`;
+    and the first `packed[key]` vehicles of each queue packed (not a bus, at
+    the segment end, speed 0)."""
+    model = world.model
+    for vclass in VehicleClass:
+        retired = sum(1 for veh in world.retired if veh.vclass is vclass)
+        active = sum(1 for veh in world.vehicles.values() if veh.vclass is vclass)
+        assert world.injected[vclass] == retired + active, vclass
+    where: dict[int, SegmentRef] = {}
+    for key, q in world.queues.items():
+        edge = model.edges[key.edge]
+        assert len(q) <= edge.jam_count, key
+        offsets = []
+        for vid in q:
+            assert vid not in where, vid
+            where[vid] = key
+            offsets.append(world.vehicles[vid].offset)
+        assert offsets == sorted(offsets, reverse=True), key
+        for vid in q[: world.packed.get(key, 0)]:
+            veh = world.vehicles[vid]
+            assert veh.vclass is not VehicleClass.BUS, (key, vid)
+            assert veh.offset == edge.seg_length and veh.speed == 0.0, (key, vid)
+    assert sorted(where) == sorted(world.vehicles)
+    for vid, veh in world.vehicles.items():
+        assert where[vid] == veh.segment and veh.segment.edge == veh.edge_id, vid
 
 
 # -- prediction ----------------------------------------------------------------------
@@ -335,11 +373,13 @@ def build_snapshot(
     bpr: BprParams,
     protection: ProtectionHorizon,
     dt: float,
+    previous: Optional[PredictionSnapshot] = None,
 ) -> PredictionSnapshot:
     """Assemble the full prediction state from the current world.
 
     Inflow and travel-time fields refresh at the control cadence; the bus
-    windows passed in may come from the finer bus-monitoring cadence.
+    windows passed in may come from the finer bus-monitoring cadence. Every
+    vehicle is walked; `previous` is ignored.
     """
     model = world.model
     t = world.t
@@ -450,16 +490,25 @@ def assert_same_costs(fast: dict[int, float], slow: dict[int, float]):
     assert list(fast.items()) == list(slow.items())
 
 
+def reused_walks(snapshot: PredictionSnapshot, previous: Optional[PredictionSnapshot]) -> int:
+    """How many of the snapshot's walks are the previous snapshot's own."""
+    if previous is None:
+        return 0
+    return sum(1 for vid, walk in snapshot.walks.items() if previous.walks.get(vid) is walk)
+
+
 def install_shadow(monkeypatch) -> dict[str, int]:
     """Run the plain form beside every fast prediction and cost-view call the
-    runner makes, and check the plant's tables before every motion step.
+    runner makes, and check the plant's tables and invariants before every
+    motion step.
 
     Returns the number of checked calls per function, filled in as the run
-    goes, so a test can tell that the net was in place.
+    goes, so a test can tell that the net was in place; `reused_walks` counts
+    the walks the fast snapshots took from the previous one.
     """
     calls = dict.fromkeys(
         ("bus_windows", "snapshot", "refresh", "predicted_costs", "instantaneous_costs",
-         "step"), 0
+         "step", "reused_walks"), 0
     )
     fast_step = runner.step
     fast_windows = prediction.build_bus_windows
@@ -474,10 +523,11 @@ def install_shadow(monkeypatch) -> dict[str, int]:
         calls["bus_windows"] += 1
         return out
 
-    def snapshot(world, windows, bpr, protection, dt):
-        out = fast_snapshot(world, windows, bpr, protection, dt)
-        assert_same_snapshot(out, build_snapshot(world, windows, bpr, protection, dt))
+    def snapshot(world, windows, bpr, protection, dt, previous=None):
+        out = fast_snapshot(world, windows, bpr, protection, dt, previous=previous)
+        assert_same_snapshot(out, build_snapshot(world, windows, bpr, protection, dt, previous))
         calls["snapshot"] += 1
+        calls["reused_walks"] += reused_walks(out, previous)
         return out
 
     def refresh(world, snapshot, windows):
@@ -505,6 +555,7 @@ def install_shadow(monkeypatch) -> dict[str, int]:
         if tables is None:
             tables = expected[id(world.model)] = plain_tables(world)
         assert_plant_tables(world, tables)
+        assert_plant_invariants(world)
         fast_step(world, dt)
         calls["step"] += 1
 

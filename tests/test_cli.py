@@ -51,6 +51,17 @@ def test_run_writes_reports(tmp_path):
         assert (tmp_path / name).exists(), name
 
 
+@pytest.mark.parametrize("key, value", [("dT_b", "inf"), ("w1", "nan"), ("dt", "nan")])
+def test_non_finite_override_is_validation_error(capsys, tmp_path, key, value):
+    code = run_cli(["--scenario", "desk_small", "--horizon", "30", "--set", f"{key}={value}",
+                    "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"control.{key}: expected a finite number, got {value}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_set_override_lands_in_summary(tmp_path):
     code = run_cli(["--scenario", "desk_small", "--seed", "1", "--horizon", "120",
                     "--set", "w3=0.55", "--out", str(tmp_path)])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -181,4 +182,19 @@ def test_non_finite_meta_horizon_is_a_scenario_error(tmp_path, value):
     text = path.read_text(encoding="utf-8")
     assert "Infinity" in text or "NaN" in text  # JSON extensions json.loads accepts
     with pytest.raises(ScenarioError, match="meta.horizon"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("field, corrupt", [
+    ("edges[0].length", lambda d: d["edges"][0].update(length=float("inf"))),
+    ("control.w1", lambda d: d.update(control={"w1": float("nan")})),
+])
+def test_non_finite_numbers_are_scenario_errors(tmp_path, field, corrupt):
+    data = minimal_scenario()
+    corrupt(data)
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    assert "Infinity" in text or "NaN" in text  # JSON extensions json.loads accepts
+    with pytest.raises(ScenarioError, match=rf"^{re.escape(field)}: expected a finite number"):
         load_scenario(path)

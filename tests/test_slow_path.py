@@ -30,6 +30,7 @@ PARAMS = BprParams()
 def _assert_checked(calls, strategy):
     assert calls["bus_windows"] and calls["snapshot"] and calls["refresh"] and calls["step"]
     assert calls["instantaneous_costs" if strategy == "drp" else "predicted_costs"]
+    assert calls["reused_walks"] > 0
 
 
 @pytest.mark.parametrize("strategy", ("drp", "prp", "proposed"))
@@ -211,3 +212,34 @@ def test_random_worlds_fast_paths_match_plain(rng):
         instantaneous_cost_view(world), slow_path.instantaneous_cost_view(world)
     )
     _check_injection(rng.getrandbits(32))
+    # vehicles held at a segment end keep segment, offset and route index, and
+    # some of them lose their speed; those whose key is unchanged reuse walks
+    snap = _check_memo(world, windows, protection, dt, snap)
+    # a reroute and a stop with nothing else moved: every other walk is
+    # reusable, unless dt changed
+    others = [veh for veh in world.vehicles.values() if veh.vclass is not VehicleClass.BUS]
+    changed = set()
+    rerouted = [veh for veh in others if veh.route_index + 1 < len(veh.route)]
+    if rerouted:
+        veh = rng.choice(rerouted)
+        veh.route = veh.route[: veh.route_index + 1]
+        changed.add(veh.id)
+    moving = [veh for veh in others if veh.speed > MIN_PROJECTION_SPEED]
+    if moving:
+        veh = rng.choice(moving)
+        veh.speed = 0.0  # as a step leaves a vehicle held where it stands
+        changed.add(veh.id)
+    again = rng.choice((7.5, 15.0))
+    memo = _check_memo(world, windows, protection, again, snap)
+    if again == dt:
+        assert all(
+            (walk is snap.walks[vid]) == (vid not in changed) for vid, walk in memo.walks.items()
+        )
+
+
+def _check_memo(world, windows, protection, dt, previous):
+    snap = build_snapshot(world, windows, PARAMS, protection, dt, previous=previous)
+    slow_path.assert_same_snapshot(
+        snap, slow_path.build_snapshot(world, windows, PARAMS, protection, dt)
+    )
+    return snap

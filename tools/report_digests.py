@@ -10,6 +10,18 @@ show that a change left every report byte-identical:
     python tools/report_digests.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
+``--check`` compares the digests with the committed
+``tools/report_digests.sha256`` instead of printing them, names every report
+whose digest differs, is missing or is new, and exits 1 if any does, so a
+change can show byte identity without a checkout of its parent:
+
+    python tools/report_digests.py --check
+
+A change that alters outputs on purpose (ROADMAP item 1) refreshes that file
+along with the golden digests in the tests:
+
+    python tools/report_digests.py > tools/report_digests.sha256
+
 ``--src`` names the ``src`` directory whose ``jointlane`` package runs
 (default: the one beside this script). Runs go one at a time, each as a
 ``python -m jointlane.cli`` subprocess, into a temporary directory that is
@@ -29,6 +41,7 @@ from pathlib import Path
 SMALL_SEEDS = range(1, 6)
 SMALL_STRATEGIES = ("drp", "prp", "proposed")
 LOGS = ("--log-events", "--log-decisions", "--log-predictions")
+COMMITTED = Path(__file__).resolve().with_suffix(".sha256")
 
 
 def gate_runs() -> list[tuple[str, str, int]]:
@@ -64,6 +77,10 @@ def main(argv=None) -> int:
         "--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
         help="src directory holding the jointlane package to run",
     )
+    parser.add_argument(
+        "--check", action="store_true",
+        help=f"compare with {COMMITTED.name} and exit 1 if any report differs",
+    )
     args = parser.parse_args(argv)
     src = args.src.resolve()
     rows: list[tuple[str, str]] = []
@@ -71,9 +88,30 @@ def main(argv=None) -> int:
         for scenario, strategy, seed in gate_runs():
             out = Path(tmp) / f"{scenario}_{strategy}_seed{seed}"
             rows.extend(run_digests(src, scenario, strategy, seed, out))
+    if args.check:
+        return check(dict(rows), COMMITTED)
     for path, digest in sorted(rows):
         print(f"{digest}  {path}")
     return 0
+
+
+def read_digests(listing: Path) -> dict[str, str]:
+    """Path -> digest from a ``sha256  path`` listing such as this tool prints."""
+    lines = listing.read_text(encoding="utf-8").splitlines()
+    return {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
+
+
+def check(digests: dict[str, str], committed: Path) -> int:
+    """Compare report digests with a committed ``sha256  path`` listing."""
+    expected = read_digests(committed)
+    differ = sorted(
+        path for path in expected.keys() | digests.keys()
+        if expected.get(path) != digests.get(path)
+    )
+    for path in differ:
+        print(f"differs: {path}")
+    print(f"{len(differ)} of {len(expected | digests)} reports differ from {committed.name}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
