@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .network import SPEED_FLOOR  # noqa: F401  (re-exported with the plant's other names)
 from .network import Edge, Lane, NetworkModel, SegmentRef, VehicleClass
@@ -139,8 +139,8 @@ def entry_group(veh: VehicleState) -> tuple:
 class Backlog:
     """Vehicles created but waiting for entry space, per entry group.
 
-    Each group's list is in creation (id) order and never empty; iteration
-    merges the groups by id. Vehicles are appended in creation order.
+    Each group's list is in creation (id) order and never empty. Vehicles
+    are appended in creation order.
     """
 
     def __init__(self):
@@ -151,9 +151,6 @@ class Backlog:
 
     def __bool__(self) -> bool:
         return bool(self.groups)
-
-    def __iter__(self) -> Iterator[VehicleState]:
-        return iter(sorted(itertools.chain(*self.groups.values()), key=attrgetter("id")))
 
     def append(self, veh: VehicleState):
         self.groups.setdefault(entry_group(veh), []).append(veh)
@@ -208,12 +205,12 @@ class World:
             SegmentRef(edge_id, lane, 2)
         )
 
-    def segment_speed(self, key: SegmentRef, n: Optional[int] = None) -> float:
+    def segment_speed(self, key: SegmentRef) -> float:
         """Speed-density law with a floor, ffs * clamp(1 - n/Njam, floor, 1),
-        read from the edge's table; n past Njam keeps the floor speed."""
+        at the segment's occupancy n, read from the edge's table; n past Njam
+        keeps the floor speed."""
         speeds = self.model.edges[key.edge].speeds
-        if n is None:
-            n = len(self.queues[key])
+        n = len(self.queues[key])
         return speeds[n] if n < len(speeds) else speeds[-1]
 
     def log_event(self, kind: str, veh: VehicleState, detail: str = ""):
@@ -259,18 +256,19 @@ class World:
         self.log_event("inject", veh)
         return True
 
-    def _has_room(self, group: tuple) -> bool:
-        """Whether the first segment of some entry lane of an entry group
-        (class, edge, onward edge) has room."""
-        vclass, edge_id, onward = group
+    def _open_lanes(
+        self, vclass: VehicleClass, edge_id: int, onward: Optional[int]
+    ) -> list[Lane]:
+        """The entry lanes of (class, edge, onward edge) whose first segment
+        has room, in `NetworkModel.entry_lanes` order."""
         model = self.model
         jam = model.edges[edge_id].jam_count
         halves = model.halves[edge_id]
         queues = self.queues
-        for l in model.entry_lanes(vclass, edge_id, onward):
-            if len(queues[halves[l][0]]) < jam:
-                return True
-        return False
+        return [
+            l for l in model.entry_lanes(vclass, edge_id, onward)
+            if len(queues[halves[l][0]]) < jam
+        ]
 
     def _entry_segment(self, veh: VehicleState, i: int) -> Optional[SegmentRef]:
         """First segment of route edge `i` with room, in lane preference order.
@@ -280,15 +278,9 @@ class World:
         one of them has room: a full entry fails, and a single open lane is
         taken, at once.
         """
-        model = self.model
         edge_id = veh.route[i]
         onward = veh.route[i + 1] if i + 1 < len(veh.route) else None
-        jam = model.edges[edge_id].jam_count
-        halves = model.halves[edge_id]
-        room = [
-            l for l in model.entry_lanes(veh.vclass, edge_id, onward)
-            if len(self.queues[halves[l][0]]) < jam
-        ]
+        room = self._open_lanes(veh.vclass, edge_id, onward)
         if len(room) > 1:
             if veh.vclass is VehicleClass.CAV and self.cav_entry_chooser is not None:
                 room = [l for l in self.cav_entry_chooser(self, veh, edge_id) if l in room]
@@ -322,7 +314,7 @@ def inject_demand(world: World, due: Iterable[VehicleState]):
         groups = pending.groups
         opened = []
         for group in groups:
-            if world._has_room(group):
+            if world._open_lanes(*group):
                 opened.append(group)
             else:
                 full.add(group)

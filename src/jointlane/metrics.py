@@ -101,14 +101,11 @@ def per_stop_on_time(arrivals: Iterable[BusStopArrival]) -> dict[int, float]:
     return {stop: on_time_rate(group) for stop, group in sorted(by_stop.items())}
 
 
-def avg_completed_travel_time(
-    trips: Iterable[TripRecord], vclass: VehicleClass, up_to: float
-) -> Optional[float]:
-    """Mean travel time of trips completed by `up_to`; None without samples."""
-    done = [t.travel_time for t in trips if t.vclass is vclass and t.arrival_time <= up_to]
-    if not done:
-        return None
-    return sum(done) / len(done)
+def mean_travel_time(finished: Iterable, vclass: VehicleClass) -> Optional[float]:
+    """Mean arrival minus departure time over the finished vehicles or trip
+    records of a class; None without samples."""
+    done = [f.arrival_time - f.depart_time for f in finished if f.vclass is vclass]
+    return sum(done) / len(done) if done else None
 
 
 def sample_kpis(world: World, t: float) -> KpiSample:
@@ -117,20 +114,11 @@ def sample_kpis(world: World, t: float) -> KpiSample:
         for v in world.retired
         if v.vclass is VehicleClass.BUS
     )
-
-    def class_avg(vclass: VehicleClass) -> Optional[float]:
-        done = [
-            v.arrival_time - v.depart_time
-            for v in world.retired
-            if v.vclass is vclass
-        ]
-        return sum(done) / len(done) if done else None
-
     return KpiSample(
         t=t,
         cumulative_bus_travel_time=bus_total,
-        avg_cav_travel_time=class_avg(VehicleClass.CAV),
-        avg_hdv_travel_time=class_avg(VehicleClass.HDV),
+        avg_cav_travel_time=mean_travel_time(world.retired, VehicleClass.CAV),
+        avg_hdv_travel_time=mean_travel_time(world.retired, VehicleClass.HDV),
         cumulative_cav_lane_changes=len(world.lane_changes),
     )
 

@@ -20,6 +20,7 @@ from . import metrics as mt
 from . import prediction as pr
 from . import routing
 from .engine import (
+    EntryChooser,
     VehicleState,
     World,
     bus_service,
@@ -65,60 +66,32 @@ class RunResult:
 Observer = Callable[[World, pr.PredictionSnapshot, ctl.ControlDecision, list], None]
 
 
-class _ProtectionView:
-    """The latest snapshot, its warned segments and edge costs, derived once
-    for the entry chooser, the routing of new CAVs and the control step."""
-
-    def __init__(self):
-        self.snapshot: Optional[pr.PredictionSnapshot] = None
-        self.warned: frozenset[SegmentRef] = frozenset()
-        self.costs: Optional[dict[int, float]] = None
-
-    def update(self, snapshot: pr.PredictionSnapshot, params: ctl.ControlParams):
-        self.snapshot = snapshot
-        self.warned = ctl.warned_segments(snapshot, params)
-
-    def update_costs(self, world: World, strategy: str):
-        """At a control tick, before injection: drp's edge costs come from
-        current speeds, prp's and proposed's from the snapshot's prediction."""
-        if strategy == "drp":
-            self.costs = ctl.instantaneous_cost_view(world)
-        else:
-            self.costs = ctl.predicted_cost_view(self.snapshot)
-
-    def dl_entry_banned(self, edge_id: int, now: float) -> bool:
-        seg = SegmentRef(edge_id, Lane.RIGHT, 1)
-        return seg in self.warned and self.snapshot.windows.contains(seg, now)
-
-
-def _make_entry_chooser(strategy: str, view: _ProtectionView):
+def _entry_chooser(
+    strategy: str, snapshot: pr.PredictionSnapshot, warned: frozenset[SegmentRef]
+) -> EntryChooser:
     """Lane preference when a CAV enters an edge, per strategy.
 
-    proposed orders lanes by predicted travel time, drp and prp by current
-    speed; ties go left first. Under prp and proposed a CAV prefers the GPL
-    during a protection window on the edge's dedicated lane.
+    The right lane goes first only when its upstream half is strictly
+    better: a lower predicted travel time under proposed, a higher current
+    speed under drp and prp; ties go left first. Under prp and proposed a
+    CAV prefers the GPL while the edge's upstream DL half is warned and
+    inside a live protection window. Only DL segments have windows, so only
+    they are ever warned.
     """
-    ban = strategy in ("prp", "proposed")
-
-    def predicted(world: World, seg: SegmentRef) -> float:
-        return view.snapshot.predicted(seg)
-
-    def slowness(world: World, seg: SegmentRef) -> float:
-        return -world.segment_speed(seg)
-
-    cost = predicted if strategy == "proposed" else slowness
+    banned = frozenset() if strategy == "drp" else warned
+    by_prediction = strategy == "proposed"
 
     def choose(world: World, veh: VehicleState, edge_id: int) -> tuple[Lane, ...]:
-        if ban and world.model.edges[edge_id].dl and view.dl_entry_banned(edge_id, world.t):
+        (left, _), (right, _) = world.model.halves[edge_id]
+        if right in banned and snapshot.windows.contains(right, world.t):
             # the dedicated lane stays as a last resort so the vehicle does
             # not stall at the upstream boundary and block the bus itself
             return (Lane.LEFT, Lane.RIGHT)
-        return tuple(
-            sorted(
-                (Lane.LEFT, Lane.RIGHT),
-                key=lambda l: (cost(world, SegmentRef(edge_id, l, 1)), int(l)),
-            )
-        )
+        if by_prediction:
+            right_first = snapshot.predicted(right) < snapshot.predicted(left)
+        else:
+            right_first = world.segment_speed(right) > world.segment_speed(left)
+        return (Lane.RIGHT, Lane.LEFT) if right_first else (Lane.LEFT, Lane.RIGHT)
 
     return choose
 
@@ -152,8 +125,6 @@ def simulate(
     world = World(model, clock)
     if log_events:
         world.events = []
-    view = _ProtectionView()
-    world.cav_entry_chooser = _make_entry_chooser(strategy, view)
 
     arrivals = generate_arrivals(scenario.demand, seed, horizon)
     arrival_ptr = 0
@@ -200,15 +171,22 @@ def simulate(
             # refresh; tick 0 is one, so a snapshot exists from then on
             if not is_control:
                 snapshot = pr.refresh_conflicts(world, snapshot, windows)
-                view.update(snapshot, params)
+                warned = ctl.warned_segments(snapshot, params)
+                world.cav_entry_chooser = _entry_chooser(strategy, snapshot, warned)
 
         if is_control:
             snapshot = pr.build_snapshot(
                 world, windows, scenario.bpr, scenario.protection, clock.dt_control,
                 previous=snapshot,
             )
-            view.update(snapshot, params)
-            view.update_costs(world, strategy)
+            warned = ctl.warned_segments(snapshot, params)
+            world.cav_entry_chooser = _entry_chooser(strategy, snapshot, warned)
+            # edge costs, before injection: drp's come from current speeds,
+            # prp's and proposed's from the snapshot's prediction
+            if strategy == "drp":
+                costs = ctl.instantaneous_cost_view(world)
+            else:
+                costs = ctl.predicted_cost_view(snapshot)
 
         if t < horizon:
             while bus_ptr < len(bus_departures) and bus_departures[bus_ptr][0] <= t:
@@ -221,15 +199,13 @@ def simulate(
             while arrival_ptr < len(arrivals) and arrivals[arrival_ptr][0] <= t:
                 _, _, entry = arrivals[arrival_ptr]
                 arrival_ptr += 1
-                due.append(_make_vehicle(world, entry, view, hdv_routes))
+                due.append(_make_vehicle(world, entry, costs, hdv_routes))
             inject_demand(world, due)
 
         bus_service(world, t)
 
         if is_control:
-            decision = ctl.strategy_step(
-                strategy, world, snapshot, params, view.warned, view.costs
-            )
+            decision = ctl.strategy_step(strategy, world, snapshot, params, warned, costs)
             _audit_forced_exits(snapshot, decision, audit)
             executed = _apply_decision(world, strategy, decision, decision_rows)
             _audit_banned_entries(snapshot, decision, executed, audit)
@@ -266,19 +242,30 @@ def simulate(
     )
 
 
-def _make_bus(world: World, line, trip: int) -> VehicleState:
-    route = list(line.route)
-    model = world.model
+def _new_vehicle(
+    world: World, vclass: VehicleClass, route, origin: int, destination: int, **bus
+) -> VehicleState:
+    """A vehicle created now at the start of its first route edge, at that
+    edge's free-flow speed; `bus` holds a bus's line, trip and stop fields."""
     return VehicleState(
         id=world.new_id(),
-        vclass=VehicleClass.BUS,
-        route=route,
+        vclass=vclass,
+        route=list(route),
         route_index=0,
         offset=0.0,
-        speed=model.edges[route[0]].free_flow_speed,
+        speed=world.model.edges[route[0]].free_flow_speed,
         depart_time=world.t,
-        origin=model.edges[route[0]].frm,
-        destination=model.edges[route[-1]].to,
+        origin=origin,
+        destination=destination,
+        **bus,
+    )
+
+
+def _make_bus(world: World, line, trip: int) -> VehicleState:
+    edges = world.model.edges
+    return _new_vehicle(
+        world, VehicleClass.BUS, line.route,
+        edges[line.route[0]].frm, edges[line.route[-1]].to,
         line=line.id,
         trip=trip,
         stop_plan=line.stop_plans[trip] if line.stop_plans else (),
@@ -286,7 +273,9 @@ def _make_bus(world: World, line, trip: int) -> VehicleState:
     )
 
 
-def _make_vehicle(world: World, entry, view: _ProtectionView, hdv_routes) -> VehicleState:
+def _make_vehicle(
+    world: World, entry, costs: Optional[dict[int, float]], hdv_routes
+) -> VehicleState:
     model = world.model
     if entry.vclass is VehicleClass.HDV:
         key = (entry.origin, entry.destination)
@@ -296,19 +285,9 @@ def _make_vehicle(world: World, entry, view: _ProtectionView, hdv_routes) -> Veh
             hdv_routes[key] = route
     else:
         route = routing.initial_route(
-            model, entry.origin, entry.destination, entry.vclass, costs=view.costs
+            model, entry.origin, entry.destination, entry.vclass, costs=costs
         )
-    return VehicleState(
-        id=world.new_id(),
-        vclass=entry.vclass,
-        route=list(route),
-        route_index=0,
-        offset=0.0,
-        speed=model.edges[route[0]].free_flow_speed,
-        depart_time=world.t,
-        origin=entry.origin,
-        destination=entry.destination,
-    )
+    return _new_vehicle(world, entry.vclass, route, entry.origin, entry.destination)
 
 
 def _apply_decision(
@@ -426,9 +405,7 @@ def _build_summary(
         summary[f"injected_{cls.value}"] = world.injected[cls]
         summary[f"retired_{cls.value}"] = retired[cls]
         summary[f"active_end_{cls.value}"] = active[cls]
-        summary[f"avg_travel_time_{cls.value}"] = mt.avg_completed_travel_time(
-            run_metrics.trips, cls, float("inf")
-        )
+        summary[f"avg_travel_time_{cls.value}"] = mt.mean_travel_time(run_metrics.trips, cls)
     summary["unserved"] = world.unserved
     summary["total_lane_changes"] = len(world.lane_changes)
     for reason in ("utility", "myopic", "protect", "align"):

@@ -15,8 +15,8 @@ from pathlib import Path
 from typing import Any
 
 from . import routing
-from .control import ControlParams
-from .engine import BusLineSpec, DemandEntry, EngineClock, StopVisit
+from .control import ControlError, ControlParams
+from .engine import BusLineSpec, DemandEntry, EngineClock, EngineError, StopVisit
 from .network import (
     BusStop,
     Edge,
@@ -27,7 +27,7 @@ from .network import (
     default_jam_count,
     synthesize_connections,
 )
-from .prediction import BprParams, ProtectionHorizon
+from .prediction import BprParams, PredictionError, ProtectionHorizon
 
 
 class ScenarioError(ValueError):
@@ -234,21 +234,13 @@ def _parse_edge(item: Any, ctx: str) -> Edge:
         ctx,
     )
     length = _number(_require(item, "length", ctx), ctx + ".length")
-    if length <= 0:
-        _fail(ctx, "length must be > 0")
     speed = _number(_require(item, "free_flow_speed", ctx), ctx + ".free_flow_speed")
-    if speed <= 0:
-        _fail(ctx, "free_flow_speed must be > 0")
     capacity = _flow(_require(item, "capacity", ctx), ctx + ".capacity")
-    if capacity <= 0:
-        _fail(ctx, "capacity must be > 0")
     jam = item.get("jam_count")
     if jam is None:
         jam = default_jam_count(length / 2.0)
     else:
         jam = _int(jam, ctx + ".jam_count")
-        if jam < 1:
-            _fail(ctx, "jam_count must be >= 1")
     dl = item.get("dl", False)
     if not isinstance(dl, bool):
         _fail(ctx + ".dl", f"expected true or false, got {dl!r}")
@@ -351,7 +343,7 @@ def _parse_bus_line(item: Any, ctx: str, model: NetworkModel) -> BusLineSpec:
             dwell=dwell,
             stop_plans=stop_plans,
         )
-    except Exception as exc:
+    except EngineError as exc:
         raise ScenarioError(f"{ctx}: {exc}") from exc
 
 
@@ -425,7 +417,7 @@ def _parse_control(raw: Any) -> tuple[ControlParams, BprParams, ProtectionHorizo
                 if field_name == owner and key in values
             }
             params[owner] = cls(**kwargs)
-    except Exception as exc:
+    except (ControlError, PredictionError, EngineError) as exc:
         raise ScenarioError(f"control: {exc}") from exc
     if params["protection"].horizon < params["clock"].dt_bus:
         _fail("control", "protection horizon dT_b must be >= the bus monitoring step dt_b")

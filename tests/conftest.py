@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from jointlane.engine import EngineClock, VehicleState, World
@@ -10,6 +13,32 @@ from jointlane.network import (
     synthesize_connections,
 )
 from jointlane.scenario import load_scenario
+
+
+def _load_report_digests():
+    """`tools/report_digests.py`, which is a script rather than a package."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+report_digests = _load_report_digests()
+
+#: the gate runs' committed report digests, "run/file" -> SHA-256
+COMMITTED_DIGESTS = report_digests.read_digests(report_digests.COMMITTED)
+
+#: the five standard reports, then the event, decision and prediction logs
+STANDARD_REPORTS = ("trips.csv", "bus_arrivals.csv", "timeseries.csv",
+                    "lane_changes.csv", "summary.csv")
+LOG_REPORTS = ("events.csv", "decisions.csv", "predictions.csv")
+
+
+def committed_digests(run: str, names) -> dict[str, str]:
+    """The committed digests of the reports `names` of gate run `run`, e.g.
+    ``desk_small_proposed_seed1``."""
+    return {name: COMMITTED_DIGESTS[f"{run}/{name}"] for name in names}
 
 
 def make_model(edge_rows, connections=None, bus_stops=(), capacity=0.25, jam=None):

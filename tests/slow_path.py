@@ -12,7 +12,8 @@ versions they replaced:
 * `segment_speed`, the speed-density expression evaluated on every call;
 * `step`, which evaluates it for every occupied queue and walks the queues
   in `sorted()` order;
-* `inject_demand`, which walks the whole pending list on every call;
+* `inject_demand`, which walks the whole backlog, merged in creation order,
+  on every call;
 * `build_snapshot`, which projects every non-bus vehicle over its whole
   remaining route on every call, ignoring the previous snapshot whose walks
   the fast one reuses;
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from jointlane import control, prediction, runner
@@ -84,8 +86,8 @@ def inject_demand(world: World, due: Iterable[VehicleState]):
     occupancy only rises during one call, so once a vehicle of such an entry
     group fails, the rest of the group waits without another attempt.
     """
-    waiting = world.pending
-    world.pending = []
+    waiting = pending_in_order(world)
+    world.pending.clear()
     full: set[tuple] = set()
     for veh in itertools.chain(waiting, due):
         route = veh.route
@@ -93,6 +95,12 @@ def inject_demand(world: World, due: Iterable[VehicleState]):
         if group in full or not world.place_new(veh):
             full.add(group)
             world.pending.append(veh)
+
+
+def pending_in_order(world: World) -> list[VehicleState]:
+    """The backlog's vehicles, merged across entry groups in creation (id)
+    order."""
+    return sorted(itertools.chain(*world.pending.groups.values()), key=attrgetter("id"))
 
 
 def step(world: World, dt: Optional[float] = None):
@@ -212,9 +220,8 @@ def assert_plant_tables(world: World, expected: PlainTables):
         assert all(entry_group(veh) == group for veh in members)
     for eid, edge in model.edges.items():
         assert edge.speeds == speeds[eid][:-1]
-        key = model.halves[eid][Lane.LEFT][0]
-        beyond = edge.jam_count + 1
-        assert World.segment_speed(world, key, beyond) == speeds[eid][beyond]
+        # an overfull queue keeps the floor speed, the table's last entry
+        assert edge.speeds[-1] == speeds[eid][edge.jam_count + 1]
 
 
 def assert_plant_invariants(world: World):

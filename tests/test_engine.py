@@ -20,6 +20,7 @@ from jointlane.engine import (
 from jointlane.network import Lane, SegmentRef, VehicleClass
 
 from conftest import make_model, make_world, put_vehicle
+from slow_path import pending_in_order
 
 
 def test_uncongested_advance_covers_speed_times_dt(chain3):
@@ -270,11 +271,11 @@ def test_injection_pends_when_entry_jammed(monkeypatch):
     backlog = [_new_vehicle(world, vid, VehicleClass.CAV, [0]) for vid in range(10, 15)]
 
     inject_demand(world, backlog)
-    assert list(world.pending) == backlog
+    assert pending_in_order(world) == backlog
     assert world.injected[VehicleClass.CAV] == 2  # placement deferred
     assert tried == [10]  # the rest of a full entry group is not retried
     inject_demand(world, [])
-    assert list(world.pending) == backlog
+    assert pending_in_order(world) == backlog
     assert tried == [10]  # a group full at the start of a call is not visited
 
     step(world, 1.0)  # frees the left entry segment only
@@ -282,7 +283,7 @@ def test_injection_pends_when_entry_jammed(monkeypatch):
     inject_demand(world, [])
     assert backlog[0].id in world.vehicles
     assert backlog[0].segment.lane is Lane.LEFT  # the oldest waiting vehicle takes it
-    assert list(world.pending) == backlog[1:]
+    assert pending_in_order(world) == backlog[1:]
     assert tried == [10, 11]
 
 
@@ -304,7 +305,7 @@ def test_injection_retries_other_onward_edges_behind_a_full_entry():
     inject_demand(world, [other, last])
     assert other.id in world.vehicles
     assert other.segment.lane is Lane.LEFT
-    assert list(world.pending) == [first, last]  # creation order kept
+    assert pending_in_order(world) == [first, last]  # creation order kept
 
 
 def test_backlog_across_groups_iterates_and_places_in_creation_order(monkeypatch):
@@ -328,7 +329,7 @@ def test_backlog_across_groups_iterates_and_places_in_creation_order(monkeypatch
     assert tried == [10, 11, 12, 13]  # one failed attempt per entry group
     assert len(world.pending.groups) == 4
     assert len(world.pending) == 8
-    assert list(world.pending) == backlog
+    assert pending_in_order(world) == backlog
 
     step(world, 1.0)  # every occupant crosses into its downstream half
     tried.clear()
@@ -341,7 +342,7 @@ def test_backlog_across_groups_iterates_and_places_in_creation_order(monkeypatch
         SegmentRef(0, Lane.LEFT, 1), SegmentRef(1, Lane.LEFT, 1),
         SegmentRef(0, Lane.RIGHT, 1), SegmentRef(1, Lane.RIGHT, 1),
     ]
-    assert list(world.pending) == backlog[4:] + [late]
+    assert pending_in_order(world) == backlog[4:] + [late]
     assert len(world.pending) == 5
 
 

@@ -4,7 +4,7 @@ from jointlane.metrics import (
     BusStopArrival,
     RunMetrics,
     TripRecord,
-    avg_completed_travel_time,
+    mean_travel_time,
     on_time_rate,
     per_stop_on_time,
     write_reports,
@@ -43,15 +43,19 @@ def test_per_stop_rates():
     assert rates == {0: 50.0, 1: 100.0}
 
 
+def completed_by(trips, cut):
+    return [t for t in trips if t.arrival_time <= cut]
+
+
 def test_avg_completed_travel_time():
     trips = [trip(120.0)]
-    assert avg_completed_travel_time(trips, VehicleClass.CAV, 1e9) == 120.0
+    assert mean_travel_time(trips, VehicleClass.CAV) == 120.0
     trips = [trip(100.0, vid=0), trip(200.0, vid=1)]
-    assert avg_completed_travel_time(trips, VehicleClass.CAV, 1e9) == 150.0
-    assert avg_completed_travel_time(trips, VehicleClass.HDV, 1e9) is None
+    assert mean_travel_time(trips, VehicleClass.CAV) == 150.0
+    assert mean_travel_time(trips, VehicleClass.HDV) is None
     # only trips completed by the cut-off count
     trips = [trip(100.0, depart=0.0), trip(100.0, depart=500.0, vid=1)]
-    assert avg_completed_travel_time(trips, VehicleClass.CAV, 150.0) == 100.0
+    assert mean_travel_time(completed_by(trips, 150.0), VehicleClass.CAV) == 100.0
 
 
 def test_cumulative_lane_changes_prefix():
@@ -111,6 +115,15 @@ def test_trip_counts_match_injections(desk_small):
         assert world.injected[cls] == done + active
 
 
+def test_mean_travel_time_reads_vehicles_and_trips(desk_small):
+    from jointlane.runner import simulate
+
+    result = simulate(desk_small, strategy="prp", seed=2, horizon=300.0)
+    means = [mean_travel_time(result.metrics.trips, cls) for cls in VehicleClass]
+    assert None not in means[:2]  # HDV and CAV trips finish by 300 s
+    assert [mean_travel_time(result.world.retired, cls) for cls in VehicleClass] == means
+
+
 def test_lane_change_series_matches_event_log(desk_small):
     from jointlane.runner import simulate
 
@@ -145,7 +158,7 @@ def test_avg_travel_time_tail_grows_under_ramp_demand():
     result = simulate(base, strategy="drp", seed=1)
     trips = result.metrics.trips
     cuts = [120.0, 200.0, 300.0, 400.0]
-    averages = [avg_completed_travel_time(trips, VehicleClass.HDV, c) for c in cuts]
+    averages = [mean_travel_time(completed_by(trips, c), VehicleClass.HDV) for c in cuts]
     averages = [a for a in averages if a is not None]
     assert len(averages) >= 3
     assert all(b >= a - 1e-9 for a, b in zip(averages, averages[1:]))

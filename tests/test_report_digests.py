@@ -1,12 +1,6 @@
 """`tools/report_digests.py --check` against its committed digest file."""
 
-import importlib.util
-from pathlib import Path
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
-spec = importlib.util.spec_from_file_location("report_digests", TOOL)
-report_digests = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(report_digests)
+from conftest import report_digests
 
 
 def test_committed_file_lists_every_gate_report():

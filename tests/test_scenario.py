@@ -198,3 +198,59 @@ def test_non_finite_numbers_are_scenario_errors(tmp_path, field, corrupt):
     assert "Infinity" in text or "NaN" in text  # JSON extensions json.loads accepts
     with pytest.raises(ScenarioError, match=rf"^{re.escape(field)}: expected a finite number"):
         load_scenario(path)
+
+
+def _bus_scenario(line_id):
+    data = minimal_scenario(bus_lines=[{"id": line_id, "route": [1, 2], "departures": [0.0]}])
+    data["edges"][0]["dl"] = True
+    return data
+
+
+def test_bus_line_field_error_has_one_prefix():
+    from_dict(_bus_scenario(3))
+    with pytest.raises(ScenarioError) as err:
+        from_dict(_bus_scenario("x"))
+    assert str(err.value) == "bus_lines[0].id: expected an integer, got 'x'"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("length", 0.0, "length must be > 0"),
+    ("free_flow_speed", -1.0, "free_flow_speed must be > 0"),
+    ("capacity", 0.0, "capacity must be > 0"),
+    ("jam_count", 0, "jam_count must be >= 1"),
+])
+def test_edge_range_errors_name_the_edge(field, value, message):
+    data = minimal_scenario()
+    data["edges"][0][field] = value
+    with pytest.raises(ScenarioError) as err:
+        from_dict(data)
+    assert str(err.value) == f"edges[0]: edge 0: {message}"
+
+
+def test_parameter_errors_are_scenario_errors_with_one_prefix():
+    with pytest.raises(ScenarioError) as err:
+        from_dict(minimal_scenario(control={"dt": 15.5}))
+    assert str(err.value) == "control: dt_control must be a positive integer multiple of dt_sim"
+    with pytest.raises(ScenarioError) as err:
+        from_dict(minimal_scenario(control={"alpha": -1.0}))
+    assert str(err.value) == "control: alpha and beta must be positive and finite"
+    with pytest.raises(ScenarioError) as err:
+        from_dict(minimal_scenario(control={"w1": -1.0}))
+    assert str(err.value) == "control: weights must be >= 0"
+
+
+def _broken(**kwargs):
+    raise ZeroDivisionError("a fault in the program, not in the scenario")
+
+
+def test_program_faults_are_not_scenario_errors(monkeypatch):
+    import jointlane.scenario as scenario
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario, "BusLineSpec", _broken)
+        with pytest.raises(ZeroDivisionError):
+            from_dict(_bus_scenario(3))
+    with monkeypatch.context() as patch:
+        patch.setitem(scenario._PARAM_TYPES, "bpr", _broken)
+        with pytest.raises(ZeroDivisionError):
+            from_dict(minimal_scenario())

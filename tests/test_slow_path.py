@@ -132,7 +132,7 @@ def _plant_state(world):
         [(key, list(q)) for key, q in world.queues.items() if q],
         [(v.id, v.segment, v.offset, v.speed, v.route_index, v.depart_time)
          for v in world.vehicles.values()],
-        [v.id for v in world.pending],
+        [v.id for v in slow_path.pending_in_order(world)],
         dict(world.injected),
         [v.id for v in world.retired],
     )
@@ -173,7 +173,10 @@ def _check_injection(seed):
                     world.pending.append(veh)
             inject(world, due)
         next_id += len(arrivals)
-        slow_path.assert_plant_tables(fast, tables)
+        # the plain form keeps its backlog in the same store: its groups
+        # must be id-ordered too
+        for world in (fast, plain):
+            slow_path.assert_plant_tables(world, tables)
         assert _plant_state(fast) == _plant_state(plain)
         for _ in range(rng.randrange(1, 12)):  # entries drain, some groups open
             dt = rng.choice((1.0, 2.5, 5.0))

@@ -17,10 +17,13 @@ change can show byte identity without a checkout of its parent:
 
     python tools/report_digests.py --check
 
-A change that alters outputs on purpose (ROADMAP item 1) refreshes that file
-along with the golden digests in the tests:
+The tests read their desk_small digests from that file, so a change that
+alters outputs on purpose refreshes it,
 
     python tools/report_digests.py > tools/report_digests.sha256
+
+plus the digests no gate run writes: ``JAMMED_GOLDEN`` and the two w3 sweep
+digests in ``tests/test_golden.py``, and ``benchmark/reference.json``.
 
 ``--src`` names the ``src`` directory whose ``jointlane`` package runs
 (default: the one beside this script). Runs go one at a time, each as a
