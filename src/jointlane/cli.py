@@ -20,7 +20,7 @@ from .metrics import write_summaries
 from .network import NetworkError
 from .prediction import PredictionError
 from .routing import RoutingError
-from .scenario import BUNDLED_SCENARIOS, ScenarioError, resolve_scenario
+from .scenario import BUNDLED_SCENARIOS, CONTROL_KEYS, ScenarioError, resolve_scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,8 +68,8 @@ def build_parser() -> _Parser:
                         help="output directory (default: $JOINTLANE_OUT or ./out)")
     parser.add_argument("--set", dest="sets", action="append", default=[],
                         metavar="KEY=VALUE",
-                        help="override a control parameter (w1 w2 w3 lambda gamma T "
-                             "theta dT_b dt dt_b dt_sim alpha beta); repeatable")
+                        help=f"override a control parameter ({' '.join(CONTROL_KEYS)}); "
+                             "repeatable")
     parser.add_argument("--sweep", default=None, metavar="KEY=V1,V2,...",
                         help="run once per value of one parameter, shared seed")
     parser.add_argument("--log-events", action="store_true")
@@ -120,9 +120,17 @@ def main(argv=None) -> int:
         if not values:
             print("jointlane: error: --sweep needs KEY=V1,V2,...", file=sys.stderr)
             return 1
-        rows = []
+        run_dirs: dict[str, float] = {}
         for value in values:
-            out_dir = out_root / f"{key}_{value:g}"
+            name = f"{key}_{value:g}"
+            if name in run_dirs:
+                print(f"jointlane: error: --sweep values {run_dirs[name]!r} and {value!r} "
+                      f"share the run directory {name}", file=sys.stderr)
+                return 1
+            run_dirs[name] = value
+        rows = []
+        for name, value in run_dirs.items():
+            out_dir = out_root / name
             result = runner.run(
                 args.scenario, out_dir, overrides={**overrides, key: value}, **run_kwargs
             )

@@ -1,6 +1,9 @@
 """Lane-change and rerouting control for CAVs around protected bus operations.
 
-Three strategies share one interface:
+Three strategies share one interface, and every per-strategy choice lives
+here: the lane order of a CAV entering an edge (`entry_chooser`), the edge
+costs new CAVs are routed on (`routing_costs`) and the control step
+(`strategy_step`):
 
 * ``drp``: reactive rerouting on instantaneous costs plus myopic lane hops
   toward whichever adjacent lane is currently faster; no bus awareness.
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import routing
-from .engine import World
+from .engine import EntryChooser, VehicleState, World
 from .network import Lane, NetworkModel, SegmentRef, VehicleClass
 from .prediction import PredictionSnapshot, bpr_time
 
@@ -112,6 +115,36 @@ def protection_actions(
                 banned.add((vid, seg))
     decision.banned = frozenset(banned)
     return decision
+
+
+def entry_chooser(
+    strategy: str, snapshot: PredictionSnapshot, warned: frozenset[SegmentRef]
+) -> EntryChooser:
+    """Lane preference when a CAV enters an edge, per strategy.
+
+    The right lane goes first only when its upstream half is strictly
+    better: a lower predicted travel time under proposed, a higher current
+    speed under drp and prp; ties go left first. Under prp and proposed a
+    CAV prefers the GPL while the edge's upstream DL half is warned and
+    inside a live protection window. Only DL segments have windows, so only
+    they are ever warned.
+    """
+    banned = frozenset() if strategy == "drp" else warned
+    by_prediction = strategy == "proposed"
+
+    def choose(world: World, veh: VehicleState, edge_id: int) -> tuple[Lane, ...]:
+        (left, _), (right, _) = world.model.halves[edge_id]
+        if right in banned and snapshot.windows.contains(right, world.t):
+            # the dedicated lane stays as a last resort so the vehicle does
+            # not stall at the upstream boundary and block the bus itself
+            return (Lane.LEFT, Lane.RIGHT)
+        if by_prediction:
+            right_first = snapshot.predicted(right) < snapshot.predicted(left)
+        else:
+            right_first = world.segment_speed(right) > world.segment_speed(left)
+        return (Lane.RIGHT, Lane.LEFT) if right_first else (Lane.LEFT, Lane.RIGHT)
+
+    return choose
 
 
 # -- utility terms ----------------------------------------------------------------
@@ -383,6 +416,13 @@ def reactive_reroutes(
 
 
 # -- strategy dispatch ------------------------------------------------------------
+
+
+def routing_costs(strategy: str, world: World, snapshot: PredictionSnapshot) -> dict[int, float]:
+    """Edge costs for routing new CAVs: current speeds under drp, else the prediction."""
+    if strategy == "drp":
+        return instantaneous_cost_view(world)
+    return predicted_cost_view(snapshot)
 
 
 def strategy_step(

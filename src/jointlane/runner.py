@@ -20,7 +20,6 @@ from . import metrics as mt
 from . import prediction as pr
 from . import routing
 from .engine import (
-    EntryChooser,
     VehicleState,
     World,
     bus_service,
@@ -30,7 +29,14 @@ from .engine import (
     step,
 )
 from .network import Lane, SegmentRef, VehicleClass
-from .scenario import Scenario, ScenarioError, apply_overrides, load_scenario, resolve_scenario
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    apply_overrides,
+    control_values,
+    load_scenario,
+    resolve_scenario,
+)
 
 
 def run(scenario: str, out_dir: str | Path, log_decisions: bool = False,
@@ -66,36 +72,6 @@ class RunResult:
 Observer = Callable[[World, pr.PredictionSnapshot, ctl.ControlDecision, list], None]
 
 
-def _entry_chooser(
-    strategy: str, snapshot: pr.PredictionSnapshot, warned: frozenset[SegmentRef]
-) -> EntryChooser:
-    """Lane preference when a CAV enters an edge, per strategy.
-
-    The right lane goes first only when its upstream half is strictly
-    better: a lower predicted travel time under proposed, a higher current
-    speed under drp and prp; ties go left first. Under prp and proposed a
-    CAV prefers the GPL while the edge's upstream DL half is warned and
-    inside a live protection window. Only DL segments have windows, so only
-    they are ever warned.
-    """
-    banned = frozenset() if strategy == "drp" else warned
-    by_prediction = strategy == "proposed"
-
-    def choose(world: World, veh: VehicleState, edge_id: int) -> tuple[Lane, ...]:
-        (left, _), (right, _) = world.model.halves[edge_id]
-        if right in banned and snapshot.windows.contains(right, world.t):
-            # the dedicated lane stays as a last resort so the vehicle does
-            # not stall at the upstream boundary and block the bus itself
-            return (Lane.LEFT, Lane.RIGHT)
-        if by_prediction:
-            right_first = snapshot.predicted(right) < snapshot.predicted(left)
-        else:
-            right_first = world.segment_speed(right) > world.segment_speed(left)
-        return (Lane.RIGHT, Lane.LEFT) if right_first else (Lane.LEFT, Lane.RIGHT)
-
-    return choose
-
-
 def simulate(
     scenario: Scenario,
     strategy: str = "proposed",
@@ -109,20 +85,18 @@ def simulate(
     """Run one scenario under one strategy; deterministic given the seed."""
     if strategy not in ctl.STRATEGIES:
         raise ctl.ControlError(f"unknown strategy {strategy!r}")
-    if overrides:
-        scenario = apply_overrides(scenario, overrides)
+    scenario = apply_overrides(scenario, overrides)
     if horizon is None:
         horizon = scenario.meta.get("horizon")
         if horizon is None:
             raise ScenarioError("no horizon given and the scenario meta has none")
     if not 0 < horizon < math.inf:
         raise ValueError("a positive finite horizon is required (config or scenario meta)")
-    model = scenario.model
     params = scenario.control
     clock = scenario.clock
     started = time.perf_counter()
 
-    world = World(model, clock)
+    world = World(scenario.model, clock)
     if log_events:
         world.events = []
 
@@ -165,28 +139,20 @@ def simulate(
                 break
 
         is_control = tick % steps_control == 0
-        if tick % steps_bus == 0:
+        is_bus = tick % steps_bus == 0
+        if is_bus:
             windows = pr.build_bus_windows(world, scenario.protection)
-            # a control tick rebuilds the snapshot below, which would discard a
-            # refresh; tick 0 is one, so a snapshot exists from then on
-            if not is_control:
-                snapshot = pr.refresh_conflicts(world, snapshot, windows)
-                warned = ctl.warned_segments(snapshot, params)
-                world.cav_entry_chooser = _entry_chooser(strategy, snapshot, warned)
-
         if is_control:
             snapshot = pr.build_snapshot(
                 world, windows, scenario.bpr, scenario.protection, clock.dt_control,
                 previous=snapshot,
             )
+            costs = ctl.routing_costs(strategy, world, snapshot)
+        elif is_bus:  # tick 0 is a control tick, so a snapshot exists by now
+            snapshot = pr.refresh_conflicts(world, snapshot, windows)
+        if is_control or is_bus:
             warned = ctl.warned_segments(snapshot, params)
-            world.cav_entry_chooser = _entry_chooser(strategy, snapshot, warned)
-            # edge costs, before injection: drp's come from current speeds,
-            # prp's and proposed's from the snapshot's prediction
-            if strategy == "drp":
-                costs = ctl.instantaneous_cost_view(world)
-            else:
-                costs = ctl.predicted_cost_view(snapshot)
+            world.cav_entry_chooser = ctl.entry_chooser(strategy, snapshot, warned)
 
         if t < horizon:
             while bus_ptr < len(bus_departures) and bus_departures[bus_ptr][0] <= t:
@@ -207,7 +173,7 @@ def simulate(
         if is_control:
             decision = ctl.strategy_step(strategy, world, snapshot, params, warned, costs)
             _audit_forced_exits(snapshot, decision, audit)
-            executed = _apply_decision(world, strategy, decision, decision_rows)
+            executed = _apply_decision(world, decision, decision_rows)
             _audit_banned_entries(snapshot, decision, executed, audit)
             reroute_total += len(decision.reroutes)
             escalation_exhausted += decision.escalation_exhausted
@@ -291,19 +257,17 @@ def _make_vehicle(
 
 
 def _apply_decision(
-    world: World, strategy: str, decision: ctl.ControlDecision, rows: list
+    world: World, decision: ctl.ControlDecision, rows: list
 ) -> list[tuple[ctl.LaneAction, bool]]:
     executed: list[tuple[ctl.LaneAction, bool]] = []
-    reason_free = "utility" if strategy == "proposed" else "myopic"
     for action in decision.actions:
         if action.vehicle not in world.vehicles:
             continue
-        ok = execute_lane_change(
-            world,
-            action.vehicle,
-            action.direction,
-            reason="protect" if action.forced else reason_free,
-        )
+        if action.forced:
+            reason = "protect"
+        else:  # only proposed's selection scores a move
+            reason = "myopic" if action.utility is None else "utility"
+        ok = execute_lane_change(world, action.vehicle, action.direction, reason=reason)
         executed.append((action, ok))
         seg = action.segment
         terms = action.terms or (None, None, None)
@@ -378,7 +342,6 @@ def _build_summary(
     reroute_total: int,
     escalation_exhausted: int,
 ) -> dict:
-    p = scenario.control
     active = world.active_counts()
     retired = {c: 0 for c in VehicleClass}
     for veh in world.retired:
@@ -393,13 +356,7 @@ def _build_summary(
         "strategy": strategy,
         "seed": seed,
         "horizon": float(horizon),
-        "w1": p.w1, "w2": p.w2, "w3": p.w3,
-        "lambda": p.bus_tolerance, "gamma": p.reroute_tolerance,
-        "T": p.change_horizon, "theta": p.hysteresis,
-        "dT_b": scenario.protection.horizon,
-        "alpha": scenario.bpr.alpha, "beta": scenario.bpr.beta,
-        "dt": scenario.clock.dt_control, "dt_b": scenario.clock.dt_bus,
-        "dt_sim": scenario.clock.dt_sim,
+        **control_values(scenario),
     }
     for cls in (VehicleClass.CAV, VehicleClass.HDV, VehicleClass.BUS):
         summary[f"injected_{cls.value}"] = world.injected[cls]

@@ -362,12 +362,8 @@ def _parse_demand(item: Any, ctx: str, model: NetworkModel) -> DemandEntry:
     vclass = _CLASSES[cls_raw]
     rate = item.get("rate")
     times = item.get("times")
-    if (rate is None) == (times is None):
-        _fail(ctx, "exactly one of rate or times is required")
     if rate is not None:
         rate = _flow(rate, ctx + ".rate")
-        if rate < 0:
-            _fail(ctx, "rate must be >= 0")
     if times is not None:
         times = tuple(_number(v, ctx + ".times") for v in _list(times, ctx + ".times"))
     seed = item.get("seed")
@@ -375,12 +371,15 @@ def _parse_demand(item: Any, ctx: str, model: NetworkModel) -> DemandEntry:
         seed = _int(seed, ctx + ".seed")
     if routing.initial_route(model, origin, destination, vclass) is None:
         _fail(ctx, f"no {cls_raw} route from node {origin} to node {destination}")
-    return DemandEntry(origin, destination, vclass, rate=rate, times=times, seed=seed)
+    try:
+        return DemandEntry(origin, destination, vclass, rate=rate, times=times, seed=seed)
+    except EngineError as exc:
+        raise ScenarioError(f"{ctx}: {exc}") from exc
 
 
 #: control key -> (Scenario field of the owning params object, attribute);
 #: an absent key takes the params class's own default
-_CONTROL_KEYS: dict[str, tuple[str, str]] = {
+CONTROL_KEYS: dict[str, tuple[str, str]] = {
     "w1": ("control", "w1"),
     "w2": ("control", "w2"),
     "w3": ("control", "w3"),
@@ -388,12 +387,12 @@ _CONTROL_KEYS: dict[str, tuple[str, str]] = {
     "gamma": ("control", "reroute_tolerance"),
     "T": ("control", "change_horizon"),
     "theta": ("control", "hysteresis"),
+    "dT_b": ("protection", "horizon"),
     "alpha": ("bpr", "alpha"),
     "beta": ("bpr", "beta"),
-    "dT_b": ("protection", "horizon"),
-    "dt_sim": ("clock", "dt_sim"),
     "dt": ("clock", "dt_control"),
     "dt_b": ("clock", "dt_bus"),
+    "dt_sim": ("clock", "dt_sim"),
 }
 _PARAM_TYPES = {
     "control": ControlParams,
@@ -406,14 +405,14 @@ _PARAM_TYPES = {
 def _parse_control(raw: Any) -> tuple[ControlParams, BprParams, ProtectionHorizon, EngineClock]:
     if not isinstance(raw, dict):
         _fail("control", "must be an object")
-    _check_keys(raw, set(_CONTROL_KEYS), "control")
+    _check_keys(raw, set(CONTROL_KEYS), "control")
     values = {key: _number(value, f"control.{key}") for key, value in raw.items()}
     params = {}
     try:
         for owner, cls in _PARAM_TYPES.items():
             kwargs = {
                 attr: values[key]
-                for key, (field_name, attr) in _CONTROL_KEYS.items()
+                for key, (field_name, attr) in CONTROL_KEYS.items()
                 if field_name == owner and key in values
             }
             params[owner] = cls(**kwargs)
@@ -424,16 +423,20 @@ def _parse_control(raw: Any) -> tuple[ControlParams, BprParams, ProtectionHorizo
     return params["control"], params["bpr"], params["protection"], params["clock"]
 
 
-def apply_overrides(scenario: Scenario, overrides: dict[str, float]) -> Scenario:
+def apply_overrides(scenario: Scenario, overrides: dict[str, float] | None) -> Scenario:
     """Return a copy of the scenario with control-level keys replaced."""
     if not overrides:
         return scenario
-    unknown = set(overrides) - set(_CONTROL_KEYS)
+    unknown = set(overrides) - set(CONTROL_KEYS)
     if unknown:
         raise ScenarioError(f"unknown override key '{sorted(unknown)[0]}'")
-    merged: dict[str, Any] = {
-        key: getattr(getattr(scenario, field_name), attr)
-        for key, (field_name, attr) in _CONTROL_KEYS.items()
-    }
-    merged.update(overrides)
+    merged = {**control_values(scenario), **overrides}
     return replace(scenario, **dict(zip(_PARAM_TYPES, _parse_control(merged))))
+
+
+def control_values(scenario: Scenario) -> dict[str, float]:
+    """The scenario's control-level parameters by key, in `CONTROL_KEYS` order."""
+    return {
+        key: getattr(getattr(scenario, field_name), attr)
+        for key, (field_name, attr) in CONTROL_KEYS.items()
+    }

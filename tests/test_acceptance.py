@@ -14,8 +14,9 @@ from jointlane.control import pick_winner, bus_warning
 from jointlane.network import Lane, SegmentRef, VehicleClass
 from jointlane.prediction import BprParams, bpr_time
 from jointlane.runner import simulate, write_run_reports
+from jointlane.scenario import CONTROL_KEYS
 from conftest import STANDARD_REPORTS, committed_digests
-from prediction_oracle import entry_indicator
+from slow_path import entry_indicator
 
 SEEDS = (1, 2, 3, 4, 5)
 STRATEGIES = ("drp", "prp", "proposed")
@@ -201,7 +202,7 @@ def test_criterion_08_conservation_and_determinism(matrix, desk_small, tmp_path)
 def test_criterion_09_indicator_boundaries(dl_chain3):
     from conftest import make_world, put_vehicle
     from jointlane.prediction import ProtectionHorizon, build_bus_windows, build_snapshot
-    from prediction_oracle import bus_overlap_indicator
+    from slow_path import bus_overlap_indicator
 
     half_open = entry_indicator(15.0, 15.0) == 0 and entry_indicator(0.0, 15.0) == 1
     world = make_world(dl_chain3)
@@ -269,6 +270,29 @@ def test_matrix_reports_match_golden_digests(matrix, tmp_path):
             for name in MATRIX_DIGESTS[(strategy, seed)]
         }
     assert digests == MATRIX_DIGESTS
+
+
+def test_lane_change_reasons_per_strategy(matrix):
+    """Seed 1's lane-change tags: drp and prp hop myopically, proposed changes
+    by utility; prp and proposed force protective exits; the plant aligns
+    vehicles under every strategy."""
+    expected = {
+        "drp": {"myopic", "align"},
+        "prp": {"myopic", "align", "protect"},
+        "proposed": {"utility", "protect", "align"},
+    }
+    reasons = {
+        strategy: {event[6] for event in matrix[(strategy, 1)].world.lane_changes}
+        for strategy in STRATEGIES
+    }
+    assert reasons == expected
+
+
+def test_summary_parameter_columns_follow_control_keys(matrix, w3_sweep):
+    for run in matrix.values():
+        assert list(run.summary)[4:17] == list(CONTROL_KEYS)
+    assert matrix[("proposed", 1)].summary["w3"] == 0.4
+    assert all(run.summary["w3"] == 0.2 for run in w3_sweep[0.2])
 
 
 #: SHA-256 of the standard reports, per (strategy, seed) of the matrix, from

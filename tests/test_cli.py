@@ -102,6 +102,16 @@ def test_sweep_needs_values(capsys, tmp_path):
                     "--out", str(tmp_path)]) == 1
 
 
+def test_sweep_values_sharing_a_run_directory_are_usage_error(capsys, tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["--scenario", "desk_small", "--horizon", "120",
+                    "--sweep", "w3=0.3,0.4,0.4000001", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "--sweep values 0.4 and 0.4000001 share the run directory w3_0.4" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bundled_names_resolve():
     for name in ("desk_small", "desk_large"):
         assert resolve_scenario(name).exists()

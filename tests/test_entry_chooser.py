@@ -1,4 +1,4 @@
-"""The runner's CAV entry chooser, on hand-built worlds and snapshots.
+"""The CAV entry chooser, on hand-built worlds and snapshots.
 
 The chooser orders the two lanes of the edge a CAV enters. It is compared
 with the rule it replaced, a sort by (cost, lane index) of the two upstream
@@ -10,9 +10,9 @@ from dataclasses import replace
 
 import pytest
 
+from jointlane.control import entry_chooser
 from jointlane.network import Lane, SegmentRef, VehicleClass
 from jointlane.prediction import BprParams, ProtectionHorizon, build_bus_windows, build_snapshot
-from jointlane.runner import _entry_chooser
 
 from conftest import make_model, make_world, put_vehicle
 
@@ -81,7 +81,7 @@ def _old_order(strategy, snapshot, warned, world, edge_id):
 
 
 def _choose(strategy, world, snapshot, warned, edge_id=ENTRY):
-    got = _entry_chooser(strategy, snapshot, warned)(world, None, edge_id)
+    got = entry_chooser(strategy, snapshot, warned)(world, None, edge_id)
     assert got == _old_order(strategy, snapshot, warned, world, edge_id)
     return got
 

@@ -17,7 +17,7 @@ from jointlane.prediction import (
 )
 
 from conftest import make_model, make_world, put_vehicle
-from prediction_oracle import bus_eta, bus_overlap_indicator, entry_indicator, entry_time
+from slow_path import bus_eta, bus_overlap_indicator, entry_indicator, entry_time
 
 PARAMS = BprParams()
 

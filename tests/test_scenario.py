@@ -115,6 +115,13 @@ def test_demand_needs_rate_xor_times():
         from_dict(data)
 
 
+def test_demand_rate_must_be_non_negative():
+    data = minimal_scenario()
+    data["demand"] = [{"origin": 1, "destination": 2, "class": "cav", "rate": -0.1}]
+    with pytest.raises(ScenarioError, match=r"^demand\[0\]: demand rate must be >= 0$"):
+        from_dict(data)
+
+
 def test_demand_class_validation():
     data = minimal_scenario()
     data["demand"] = [{"origin": 1, "destination": 2, "class": "bus", "rate": 0.1}]
