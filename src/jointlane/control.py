@@ -397,21 +397,42 @@ def myopic_lane_actions(
 def reactive_reroutes(
     world: World, snapshot: PredictionSnapshot, params: ControlParams, costs: dict[int, float]
 ) -> list[RouteAssignment]:
-    """Per-CAV shortest-path recomputation with switch hysteresis."""
+    """Per-CAV shortest-path recomputation with switch hysteresis.
+
+    Every CAV reroutes on the same `costs`, as a CAV with nothing forbidden,
+    so its new suffix depends only on its current edge and its destination:
+    one search per (edge, destination) key serves every CAV that shares it.
+    The memo lives for this call and holds the suffix and its cost, or None
+    where no route exists; a hit prepends the vehicle's own prefix, and
+    nothing edits a stored suffix.
+    """
     out = []
+    suffixes: dict[tuple[int, int], Optional[tuple[list[int], float]]] = {}
     for vid, veh in snapshot.vehicles.items():
-        if veh.vclass is not VehicleClass.CAV or veh.route_index + 1 >= len(veh.route):
+        ri = veh.route_index
+        if veh.vclass is not VehicleClass.CAV or ri + 1 >= len(veh.route):
             continue
-        current_cost = routing.path_cost(veh.route[veh.route_index + 1 :], costs)
-        candidate = routing.reroute(
-            world.model, veh.route, veh.route_index, veh.destination,
-            VehicleClass.CAV, costs,
-        )
-        if candidate is None or candidate == veh.route:
+        key = (veh.route[ri], veh.destination)
+        if key in suffixes:
+            found = suffixes[key]
+        else:
+            candidate = routing.reroute(
+                world.model, veh.route, ri, veh.destination, VehicleClass.CAV, costs,
+            )
+            if candidate is None:
+                found = None
+            else:
+                suffix = candidate[ri + 1 :]
+                found = suffix, routing.path_cost(suffix, costs)
+            suffixes[key] = found
+        if found is None:
             continue
-        new_cost = routing.path_cost(candidate[veh.route_index + 1 :], costs)
-        if new_cost < (1.0 - params.hysteresis) * current_cost:
-            out.append(RouteAssignment(vid, tuple(candidate)))
+        suffix, new_cost = found
+        current = veh.route[ri + 1 :]
+        if suffix == current:
+            continue
+        if new_cost < (1.0 - params.hysteresis) * routing.path_cost(current, costs):
+            out.append(RouteAssignment(vid, (*veh.route[: ri + 1], *suffix)))
     return out
 
 

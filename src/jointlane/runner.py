@@ -55,6 +55,18 @@ def run(scenario: str, out_dir: str | Path, log_decisions: bool = False,
     return result
 
 
+#: (t, inflow, hdv_entries, predicted_time, conflict, bus_time) of one
+#: control step's snapshot
+PredictionStep = tuple[
+    float,
+    dict[SegmentRef, float],
+    dict[SegmentRef, int],
+    dict[SegmentRef, float],
+    dict[SegmentRef, float],
+    dict[SegmentRef, float],
+]
+
+
 @dataclass
 class RunResult:
     strategy: str
@@ -65,7 +77,11 @@ class RunResult:
     summary: dict
     audit: dict
     decision_rows: list[tuple]
-    prediction_rows: list[tuple]
+    # one entry per control step when predictions are logged: the snapshot's
+    # own tables, not copies, which is exact because nothing edits a
+    # snapshot's tables once it is built (a refresh replaces the conflict
+    # tables with new ones); `write_prediction_log` formats them
+    prediction_steps: list[PredictionStep]
     wall_time: float
 
 
@@ -115,7 +131,7 @@ def simulate(
     reroute_total = 0
     escalation_exhausted = 0
     decision_rows: list[tuple] = []
-    prediction_rows: list[tuple] = []
+    prediction_steps: list[PredictionStep] = []
     run_metrics = mt.RunMetrics()
 
     steps_control = round(clock.dt_control / clock.dt_sim)
@@ -180,7 +196,10 @@ def simulate(
             if observer is not None:
                 observer(world, snapshot, decision, executed)
             if log_predictions:
-                _dump_predictions(snapshot, prediction_rows)
+                prediction_steps.append((
+                    snapshot.t, snapshot.inflow, snapshot.hdv_entries,
+                    snapshot.predicted_time, snapshot.conflict, snapshot.bus_time,
+                ))
             run_metrics.series.append(mt.sample_kpis(world, t))
 
         step(world, clock.dt_sim)
@@ -203,7 +222,7 @@ def simulate(
         summary=summary,
         audit=audit,
         decision_rows=decision_rows,
-        prediction_rows=prediction_rows,
+        prediction_steps=prediction_steps,
         wall_time=wall,
     )
 
@@ -317,20 +336,6 @@ def _audit_banned_entries(
             audit["banned_entries"] += 1
 
 
-def _dump_predictions(snapshot: pr.PredictionSnapshot, rows: list):
-    for seg in snapshot.model.all_segments():
-        rows.append(
-            (
-                snapshot.t, seg.edge, seg.lane.tag, seg.m,
-                snapshot.inflow.get(seg, 0.0),
-                snapshot.hdv_entries.get(seg, 0),
-                snapshot.predicted(seg),
-                snapshot.conflict.get(seg),
-                snapshot.bus_time.get(seg),
-            )
-        )
-
-
 def _build_summary(
     scenario: Scenario,
     strategy: str,
@@ -404,13 +409,41 @@ def write_decision_log(result: RunResult, out_dir: str | Path) -> Path:
 
 
 def write_prediction_log(result: RunResult, out_dir: str | Path) -> Path:
+    """One row per segment, in `all_segments()` order, per control step.
+
+    The rows are formatted here from the tables `simulate` kept of each
+    control step's snapshot. They still hold that step's values, since
+    nothing edits a snapshot's tables: `build_snapshot` and the window
+    conflicts make fresh dicts on every call, and `refresh_conflicts`
+    replaces the conflict tables rather than editing them. A segment with no
+    inflow, no projected HDV entry and no bus window (`conflict` holds every
+    windowed segment, even one without members) writes the same cells at
+    every step.
+    """
+    model = result.world.model
+    segments = [
+        (seg, seg.edge, seg.lane.tag, seg.m, f"{model.t0(seg):.6f}")
+        for seg in model.all_segments()
+    ]
+
+    def rows():
+        for t, inflow, hdv_entries, predicted_time, conflict, bus_time in result.prediction_steps:
+            when = f"{t:.6f}"
+            for seg, edge, tag, m, free in segments:
+                if seg in inflow or seg in hdv_entries or seg in conflict:
+                    predicted = predicted_time.get(seg)
+                    yield [
+                        when, edge, tag, m, f"{inflow.get(seg, 0.0):.6f}",
+                        hdv_entries.get(seg, 0),
+                        free if predicted is None else f"{predicted:.6f}",
+                        mt.float_cell(conflict.get(seg)), mt.float_cell(bus_time.get(seg)),
+                    ]
+                else:
+                    yield [when, edge, tag, m, "0.000000", 0, free, "", ""]
+
     return mt.write_table(
         out_dir, "predictions.csv",
         ["t", "edge", "lane", "m", "inflow", "hdv_entries", "predicted_time",
          "conflict_inflow", "bus_time"],
-        (
-            [f"{r[0]:.6f}", r[1], r[2], r[3], f"{r[4]:.6f}", r[5], f"{r[6]:.6f}",
-             mt.float_cell(r[7]), mt.float_cell(r[8])]
-            for r in result.prediction_rows
-        ),
+        rows(),
     )

@@ -1,13 +1,14 @@
-"""Plain, full-walk forms of the plant's, the predictor's and the cost views'
-shortcuts.
+"""Plain, full-walk forms of the plant's, the predictor's, the cost views',
+the reactive reroutes' and the prediction log's shortcuts.
 
 The simulator's motion step reads speeds from per-edge tables and walks the
 queues in their stored order, its injection visits only the entry groups
 with room, its prediction walks stop early, its window conflicts are found
-per CAV, and its edge-cost views price only the edges with traffic. Each of
-these rests on an exactness argument, given in `jointlane.engine`,
-`jointlane.prediction` and `jointlane.control`. This module keeps the plain
-versions they replaced:
+per CAV, its edge-cost views price only the edges with traffic, its reactive
+reroutes search once per (current edge, destination), and its prediction log
+keeps the snapshots' tables. Each of these rests on an exactness argument,
+given in `jointlane.engine`, `jointlane.prediction`, `jointlane.control` and
+`jointlane.runner`. This module keeps the plain versions they replaced:
 
 * `segment_speed`, the speed-density expression evaluated on every call;
 * `step`, which evaluates it for every occupied queue and walks the queues
@@ -21,12 +22,17 @@ versions they replaced:
   CAV for each windowed segment;
 * `build_bus_windows`, which walks every vehicle and skips the non-buses;
 * `predicted_cost_view` and `instantaneous_cost_view`, which price every
-  edge.
+  edge;
+* `reactive_reroutes`, which searches a new route for every CAV, where the
+  fast one searches once per (current edge, destination);
+* `dump_predictions` and `prediction_row`, which copy every segment's row out
+  of the snapshot at each control step, where the runner keeps the
+  snapshot's own tables until write time.
 
-`install_shadow` patches the simulator so that each prediction and cost-view
-call made by the runner computes both the fast and the plain result, asserts
-that they are equal, and goes on with the fast one; it also checks the
-plant's tables (`assert_plant_tables`) and invariants
+`install_shadow` patches the simulator so that each prediction, cost-view and
+reactive reroute call made by the runner computes both the fast and the
+plain result, asserts that they are equal, and goes on with the fast one; it
+also checks the plant's tables (`assert_plant_tables`) and invariants
 (`assert_plant_invariants`) before every motion step.
 `install_plain` patches every plain form in instead, so a whole run can be
 compared with a fast one report by report.
@@ -47,7 +53,8 @@ from dataclasses import replace
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
-from jointlane import control, prediction, runner
+from jointlane import control, metrics, prediction, routing, runner
+from jointlane.control import ControlParams, RouteAssignment
 from jointlane.engine import (
     SPEED_FLOOR,
     VehicleState,
@@ -517,6 +524,64 @@ def instantaneous_cost_view(world: World) -> dict[int, float]:
     )
 
 
+# -- control and logs ----------------------------------------------------------------
+
+
+def reactive_reroutes(
+    world: World, snapshot: PredictionSnapshot, params: ControlParams, costs: dict[int, float]
+) -> list[RouteAssignment]:
+    """Per-CAV shortest-path recomputation with switch hysteresis, one search
+    per CAV."""
+    out = []
+    for vid, veh in snapshot.vehicles.items():
+        if veh.vclass is not VehicleClass.CAV or veh.route_index + 1 >= len(veh.route):
+            continue
+        current_cost = routing.path_cost(veh.route[veh.route_index + 1 :], costs)
+        candidate = routing.reroute(
+            world.model, veh.route, veh.route_index, veh.destination,
+            VehicleClass.CAV, costs,
+        )
+        if candidate is None or candidate == veh.route:
+            continue
+        new_cost = routing.path_cost(candidate[veh.route_index + 1 :], costs)
+        if new_cost < (1.0 - params.hysteresis) * current_cost:
+            out.append(RouteAssignment(vid, tuple(candidate)))
+    return out
+
+
+def dump_predictions(snapshot: PredictionSnapshot, rows: list):
+    """Append one row per segment, in `all_segments()` order, copied out of
+    the snapshot now."""
+    for seg in snapshot.model.all_segments():
+        rows.append(
+            (
+                snapshot.t, seg.edge, seg.lane.tag, seg.m,
+                snapshot.inflow.get(seg, 0.0),
+                snapshot.hdv_entries.get(seg, 0),
+                snapshot.predicted(seg),
+                snapshot.conflict.get(seg),
+                snapshot.bus_time.get(seg),
+            )
+        )
+
+
+def prediction_row(r: tuple) -> list:
+    """The cells of one `dump_predictions` row."""
+    return [f"{r[0]:.6f}", r[1], r[2], r[3], f"{r[4]:.6f}", r[5], f"{r[6]:.6f}",
+            metrics.float_cell(r[7]), metrics.float_cell(r[8])]
+
+
+def write_prediction_log(result, out_dir):
+    """`predictions.csv` from the rows the plain `simulate` of
+    `install_plain` dumped at each control step."""
+    return metrics.write_table(
+        out_dir, "predictions.csv",
+        ["t", "edge", "lane", "m", "inflow", "hdv_entries", "predicted_time",
+         "conflict_inflow", "bus_time"],
+        (prediction_row(r) for r in result.prediction_rows),
+    )
+
+
 # -- fast against plain -------------------------------------------------------------
 
 
@@ -555,17 +620,18 @@ def reused_walks(snapshot: PredictionSnapshot, previous: Optional[PredictionSnap
 
 
 def install_shadow(monkeypatch) -> dict[str, int]:
-    """Run the plain form beside every fast prediction and cost-view call the
-    runner makes, and check the plant's tables and invariants before every
-    motion step.
+    """Run the plain form beside every fast prediction, cost-view and reactive
+    reroute call the runner makes, and check the plant's tables and
+    invariants before every motion step.
 
     Returns the number of checked calls per function, filled in as the run
     goes, so a test can tell that the net was in place; `reused_walks` counts
-    the walks the fast snapshots took from the previous one.
+    the walks the fast snapshots took from the previous one, and
+    `reroute_assignments` the reroutes the checked calls assigned.
     """
     calls = dict.fromkeys(
         ("bus_windows", "snapshot", "refresh", "predicted_costs", "instantaneous_costs",
-         "step", "reused_walks"), 0
+         "reactive_reroutes", "reroute_assignments", "step", "reused_walks"), 0
     )
     fast_step = runner.step
     fast_windows = prediction.build_bus_windows
@@ -573,6 +639,7 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     fast_refresh = prediction.refresh_conflicts
     fast_predicted = control.predicted_cost_view
     fast_instantaneous = control.instantaneous_cost_view
+    fast_reroutes = control.reactive_reroutes
 
     def windows(world, protection):
         out = fast_windows(world, protection)
@@ -605,6 +672,13 @@ def install_shadow(monkeypatch) -> dict[str, int]:
         calls["instantaneous_costs"] += 1
         return out
 
+    def reroutes(world, snapshot, params, costs):
+        out = fast_reroutes(world, snapshot, params, costs)
+        assert out == reactive_reroutes(world, snapshot, params, costs)
+        calls["reactive_reroutes"] += 1
+        calls["reroute_assignments"] += len(out)
+        return out
+
     expected: dict[int, PlainTables] = {}  # by id of the model
 
     def checked_step(world, dt=None):
@@ -622,11 +696,33 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(prediction, "refresh_conflicts", refresh)
     monkeypatch.setattr(control, "predicted_cost_view", predicted)
     monkeypatch.setattr(control, "instantaneous_cost_view", instantaneous)
+    monkeypatch.setattr(control, "reactive_reroutes", reroutes)
     return calls
 
 
 def install_plain(monkeypatch):
-    """Patch every plain form in place of its fast one for whole runs."""
+    """Patch every plain form in place of its fast one for whole runs.
+
+    `runner.simulate` then dumps the prediction rows through the observer,
+    which runs at each control step with that step's snapshot, into the
+    result's `prediction_rows`, and `runner.write_prediction_log` writes
+    those rows.
+    """
+    fast_simulate = runner.simulate
+
+    def simulate(*args, log_predictions=False, observer=None, **kwargs):
+        rows: list[tuple] = []
+
+        def dump(world, snapshot, decision, executed):
+            if observer is not None:
+                observer(world, snapshot, decision, executed)
+            if log_predictions:
+                dump_predictions(snapshot, rows)
+
+        result = fast_simulate(*args, observer=dump, **kwargs)
+        result.prediction_rows = rows
+        return result
+
     monkeypatch.setattr(World, "segment_speed", segment_speed)
     monkeypatch.setattr(runner, "step", step)
     monkeypatch.setattr(runner, "inject_demand", inject_demand)
@@ -635,3 +731,6 @@ def install_plain(monkeypatch):
     monkeypatch.setattr(prediction, "refresh_conflicts", refresh_conflicts)
     monkeypatch.setattr(control, "predicted_cost_view", predicted_cost_view)
     monkeypatch.setattr(control, "instantaneous_cost_view", instantaneous_cost_view)
+    monkeypatch.setattr(control, "reactive_reroutes", reactive_reroutes)
+    monkeypatch.setattr(runner, "simulate", simulate)
+    monkeypatch.setattr(runner, "write_prediction_log", write_prediction_log)

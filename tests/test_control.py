@@ -27,6 +27,7 @@ from jointlane.engine import VehicleState
 from jointlane.network import Lane, SegmentRef, VehicleClass
 from jointlane.prediction import BprParams, ProtectionHorizon, build_bus_windows, build_snapshot
 
+import slow_path
 from conftest import make_model, make_world, put_vehicle
 
 PAR = ControlParams()
@@ -395,6 +396,56 @@ def test_reactive_reroute_hysteresis():
     # 95.01 vs the (1 - 0.05) * 100 threshold: stays put
     costs = {0: 10.0, 1: 100.0, 2: 50.0, 3: 45.01}
     assert reactive_reroutes(world, snap, params, costs) == []
+
+
+def test_reactive_reroutes_search_once_per_edge_and_destination(monkeypatch):
+    import jointlane.control as control
+
+    # from node 2 to node 4: direct (edge 1), or via 3 (2-3) or via 6 (4-5);
+    # from node 2 to node 7: direct (edge 6) or via 8 (7-8); edge 9 leads
+    # into edge 0, on which every CAV stands
+    model = make_model(
+        [(0, 1, 2, 100.0, 10.0, False),
+         (1, 2, 4, 100.0, 10.0, False),
+         (2, 2, 3, 100.0, 10.0, False),
+         (3, 3, 4, 100.0, 10.0, False),
+         (4, 2, 6, 100.0, 10.0, False),
+         (5, 6, 4, 100.0, 10.0, False),
+         (6, 2, 7, 100.0, 10.0, False),
+         (7, 2, 8, 100.0, 10.0, False),
+         (8, 8, 7, 100.0, 10.0, False),
+         (9, 0, 1, 100.0, 10.0, False)],
+        jam=10,
+    )
+    world = make_world(model)
+    # the same key (edge 0, node 4) with three suffixes and two prefixes
+    put_vehicle(world, 0, VehicleClass.CAV, [0, 1])        # 100 -> 94: switches
+    put_vehicle(world, 1, VehicleClass.CAV, [0, 4, 5])     # 96 -> 94: inside hysteresis
+    put_vehicle(world, 2, VehicleClass.CAV, [0, 2, 3])     # already on the best suffix
+    put_vehicle(world, 3, VehicleClass.CAV, [9, 0, 1], route_index=1)  # own prefix kept
+    put_vehicle(world, 4, VehicleClass.CAV, [0, 6])        # node 7: 100 -> 20
+    snap = snapshot_of(world)
+    params = ControlParams(hysteresis=0.05)
+    costs = {0: 10.0, 1: 100.0, 2: 50.0, 3: 44.0, 4: 50.0, 5: 46.0, 6: 100.0,
+             7: 10.0, 8: 10.0, 9: 10.0}
+    plain = slow_path.reactive_reroutes(world, snap, params, costs)
+
+    reroute = control.routing.reroute
+    keys = []
+
+    def counted(model, route, route_index, destination, *args, **kwargs):
+        keys.append((route[route_index], destination))
+        return reroute(model, route, route_index, destination, *args, **kwargs)
+
+    monkeypatch.setattr(control.routing, "reroute", counted)
+    out = reactive_reroutes(world, snap, params, costs)
+    assert out == plain
+    assert [(a.vehicle, list(a.route)) for a in out] == [
+        (0, [0, 2, 3]), (3, [9, 0, 2, 3]), (4, [0, 7, 8]),
+    ]
+    assert keys == [(0, 4), (0, 7)]
+    # the stored suffix is not edited by the hits
+    assert reactive_reroutes(world, snap, params, costs) == plain
 
 
 def test_myopic_moves_toward_strictly_faster_lane():

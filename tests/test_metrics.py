@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from jointlane.metrics import (
@@ -9,7 +11,18 @@ from jointlane.metrics import (
     per_stop_on_time,
     write_reports,
 )
-from jointlane.network import VehicleClass
+from jointlane.network import Lane, SegmentRef, VehicleClass
+from jointlane.prediction import (
+    BprParams,
+    ProtectionHorizon,
+    bpr_time,
+    build_bus_windows,
+    build_snapshot,
+)
+from jointlane.runner import RunResult, write_prediction_log
+
+import slow_path
+from conftest import make_world, put_vehicle
 
 
 def arrival(delay, stop=0, vid=0):
@@ -162,3 +175,49 @@ def test_avg_travel_time_tail_grows_under_ramp_demand():
     averages = [a for a in averages if a is not None]
     assert len(averages) >= 3
     assert all(b >= a - 1e-9 for a, b in zip(averages, averages[1:]))
+
+
+def test_prediction_log_formats_the_snapshot_tables(dl_chain3, tmp_path):
+    world = make_world(dl_chain3)
+    world.t = 30.0
+    # a bus windows the dedicated lane ahead; no CAV joins a window, and
+    # the HDV enters its own edge's downstream left half within dt
+    put_vehicle(world, 0, VehicleClass.BUS, [0, 1, 2], lane=Lane.RIGHT, m=1, offset=10.0)
+    put_vehicle(world, 1, VehicleClass.HDV, [0, 1, 2], lane=Lane.LEFT, m=1, offset=50.0)
+    protection = ProtectionHorizon(30.0)
+    snap = build_snapshot(world, build_bus_windows(world, protection), BprParams(),
+                          protection, 15.0)
+    windowed = SegmentRef(1, Lane.RIGHT, 1)
+    busy = SegmentRef(0, Lane.LEFT, 2)
+    idle = SegmentRef(2, Lane.LEFT, 1)
+    assert windowed in snap.conflict and windowed not in snap.overlap
+    assert windowed not in snap.inflow and windowed not in snap.hdv_entries
+    assert busy in snap.inflow and busy not in snap.conflict
+    assert idle not in snap.inflow and idle not in snap.hdv_entries
+    assert idle not in snap.conflict
+
+    result = RunResult(
+        strategy="drp", seed=1, horizon=60.0, world=world, metrics=RunMetrics(),
+        summary={}, audit={}, decision_rows=[],
+        prediction_steps=[(snap.t, snap.inflow, snap.hdv_entries, snap.predicted_time,
+                           snap.conflict, snap.bus_time)],
+        wall_time=0.0,
+    )
+    path = write_prediction_log(result, tmp_path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    cells = {(int(r[1]), r[2], int(r[3])): r for r in rows}
+    t0 = f"{dl_chain3.t0(windowed):.6f}"
+    assert t0 == "10.000000"
+    assert cells[1, "R", 1] == ["30.000000", "1", "R", "1", "0.000000", "0", t0,
+                                "0.000000", t0]
+    flow = 1 / 15.0
+    predicted = f"{bpr_time(10.0, flow, dl_chain3.capacity(busy), BprParams()):.6f}"
+    assert predicted != t0
+    assert cells[0, "L", 2] == ["30.000000", "0", "L", "2", f"{flow:.6f}", "1", predicted,
+                                "", ""]
+    assert cells[2, "L", 1] == ["30.000000", "2", "L", "1", "0.000000", "0", t0, "", ""]
+    # the same rows as the plain per-step dump
+    dumped = []
+    slow_path.dump_predictions(snap, dumped)
+    assert rows == [[str(c) for c in slow_path.prediction_row(r)] for r in dumped]
