@@ -189,13 +189,14 @@ def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows
 # -- snapshot ---------------------------------------------------------------------
 
 # One vehicle's projection: its key (segment, offset, speed, route index), its
-# route list, the entries within dt, and the entry times kept for a CAV (None
-# for an HDV).
+# route list, the entries within dt, the entry times kept for a CAV (None for
+# an HDV), and the kept DL entries as `dl_index` items, (segment, (id, time)).
 Walk = tuple[
     tuple[SegmentRef, float, float, int],
     list[int],
     list[SegmentRef],
     Optional[dict[SegmentRef, float]],
+    list[tuple[SegmentRef, tuple[int, float]]],
 ]
 
 
@@ -224,6 +225,11 @@ class PredictionSnapshot:
     conflict: dict[SegmentRef, float]                 # veh/s into bus windows
     bus_time: dict[SegmentRef, float]                 # predicted bus traversal time
     walks: dict[int, Walk] = field(default_factory=dict)  # non-bus id -> projection
+    # entries within dt per segment, summed over the walks; zeros are kept
+    cav_counts: dict[SegmentRef, int] = field(default_factory=dict)
+    hdv_counts: dict[SegmentRef, int] = field(default_factory=dict)
+    # DL segment -> (CAV id, stored entry time), ascending id
+    dl_index: dict[SegmentRef, list[tuple[int, float]]] = field(default_factory=dict)
 
     def predicted(self, seg: SegmentRef) -> float:
         """BPR travel time; the free-flow time where no inflow is predicted."""
@@ -234,7 +240,7 @@ class PredictionSnapshot:
 def _window_conflicts(
     world: World,
     windows: BusWindows,
-    tau: dict[int, dict[SegmentRef, float]],
+    index: dict[SegmentRef, list[tuple[int, float]]],
     since: float,
     bpr: BprParams,
     protection: ProtectionHorizon,
@@ -242,37 +248,43 @@ def _window_conflicts(
     """Window overlaps, conflict inflow and bus time per windowed segment.
 
     A CAV on the same span as the segment counts at the current time, with
-    entry time 0; any other CAV counts at its projected entry, taken from
-    `tau` measured at time `since`. Each CAV, in id order, tests its own
-    span's segments and its stored entries elsewhere, so members stay in
-    ascending id order; an entry stored for its own span (it moved on since)
-    is left to the same-span test. That test reads only the segment and `t`,
-    so each window is tested at `t` once per call, and a CAV takes the
-    segments of its span whose window holds `t`. Segments without members
-    are left out of the overlap table.
+    entry time 0; any other CAV counts at its projected entry, measured at
+    time `since`. Only the windowed segments are visited, and they are DL
+    segments (`build_bus_windows` skips the rest). Where a window holds `t`,
+    the same-span members are the CAVs in the span's two queues, which also
+    hold a CAV injected since `since`. The others come from `index`, each DL
+    segment's stored entries in id order (see `build_snapshot`): an entry
+    counts while its CAV is active and not on the segment's span (an entry
+    stored for the span it now holds is left to the queues). The few members
+    are sorted into ascending id order. Segments without members are left out
+    of the overlap table.
     """
     model = world.model
     t = world.t
-    found: dict[SegmentRef, dict[int, float]] = {seg: {} for seg in windows.windows}
-    live: dict[tuple[int, int], list[SegmentRef]] = {}  # span -> windows holding t
-    for seg in found:
-        if windows.contains(seg, t):
-            live.setdefault((seg.edge, seg.m), []).append(seg)
-    for vid in sorted(world.vehicles):
-        veh = world.vehicles[vid]
-        if veh.vclass is not VehicleClass.CAV:
-            continue
-        span = (veh.segment.edge, veh.segment.m)
-        for seg in live.get(span, ()):
-            found[seg][vid] = 0.0
-        for seg, entry in tau.get(vid, {}).items():
-            if seg in found and (seg.edge, seg.m) != span and windows.contains(seg, since + entry):
-                found[seg][vid] = entry
-    overlap = {seg: members for seg, members in found.items() if members}
+    vehicles = world.vehicles
+    queues = world.queues
+    overlap: dict[SegmentRef, dict[int, float]] = {}
     conflict: dict[SegmentRef, float] = {}
     bus_time: dict[SegmentRef, float] = {}
-    for seg, members in found.items():
-        q = len(members) / (2.0 * protection.horizon)
+    for seg in windows.windows:
+        edge, m = seg.edge, seg.m
+        found: list[tuple[int, float]] = []
+        if windows.contains(seg, t):
+            for lane in model.halves[edge]:
+                for vid in queues[lane[m - 1]]:
+                    if vehicles[vid].vclass is VehicleClass.CAV:
+                        found.append((vid, 0.0))
+        for vid, entry in index.get(seg, ()):
+            veh = vehicles.get(vid)
+            if veh is None:  # retired since the build
+                continue
+            own = veh.segment
+            if (own.edge != edge or own.m != m) and windows.contains(seg, since + entry):
+                found.append((vid, entry))
+        if found:
+            found.sort()
+            overlap[seg] = dict(found)
+        q = len(found) / (2.0 * protection.horizon)
         conflict[seg] = q
         bus_time[seg] = bpr_time(model.t0(seg), q, model.capacity(seg), bpr)
     return overlap, conflict, bus_time
@@ -284,10 +296,12 @@ def refresh_conflicts(
     """Recompute window overlaps against fresh windows and current positions.
 
     Inflow, travel-time and vehicle fields are kept from the last
-    control-step build; this runs on the finer bus-monitoring cadence.
+    control-step build; this runs on the finer bus-monitoring cadence. The
+    stored entries are read from the build's `dl_index`, which still holds:
+    `tau` changes only at a build.
     """
     overlap, conflict, bus_time = _window_conflicts(
-        world, windows, snapshot.tau, snapshot.t, snapshot.bpr, snapshot.protection
+        world, windows, snapshot.dl_index, snapshot.t, snapshot.bpr, snapshot.protection
     )
     return replace(
         snapshot,
@@ -317,7 +331,10 @@ def _project(
             break
         elif ref in model.dl_segments:
             kept[ref] = tau_v
-    return key, veh.route, soon, kept if is_cav else None
+    if not dl_walk:  # no DL entry ahead in the left lane
+        return key, veh.route, soon, kept if is_cav else None, []
+    dl = [(ref, (veh.id, entry)) for ref, entry in kept.items() if ref in model.dl_segments]
+    return key, veh.route, soon, kept, dl
 
 
 def build_snapshot(
@@ -346,16 +363,29 @@ def build_snapshot(
     `previous`, whose route is the same list object, under the same `dt`,
     takes its stored entries and `tau` instead of walking again. The list
     identity is exact because a reroute replaces the list and nothing edits a
-    route in place. Stored entries are counted in walk order, as a walk
-    would count them.
+    route in place.
+
+    The entries within `dt` are counted per segment in `cav_counts` and
+    `hdv_counts`. Under the same `dt` the counts are carried from `previous`:
+    a re-projected vehicle's old walk is taken off and its new one added, and
+    the walk of a vehicle that left is taken off. The counts are integers, so
+    they equal a fresh sum. `hdv_entries` and `inflow` are then read off in
+    `all_segments()` order, a zero count left out. `dl_index` lists each DL
+    segment's stored CAV entries in ascending id order, for the window
+    conflicts here and at every refresh until the next build.
     """
     model = world.model
     t = world.t
-    reusable = previous.walks if previous is not None and previous.dt == dt else {}
+    dl_segments = model.dl_segments
+    if previous is not None and previous.dt == dt:
+        reusable = previous.walks
+        cav_counts = dict(previous.cav_counts)
+        hdv_counts = dict(previous.hdv_counts)
+    else:
+        reusable, cav_counts, hdv_counts = {}, {}, {}
     walks: dict[int, Walk] = {}
     tau: dict[int, dict[SegmentRef, float]] = {}
-    cav_entries: dict[SegmentRef, int] = {}
-    hdv_entries: dict[SegmentRef, int] = {}
+    dl_index: dict[SegmentRef, list[tuple[int, float]]] = {}
     vehicles = {vid: world.vehicles[vid] for vid in sorted(world.vehicles)}
     for vid, veh in vehicles.items():
         if veh.vclass is VehicleClass.BUS:
@@ -364,26 +394,40 @@ def build_snapshot(
         key = (veh.segment, veh.offset, veh.speed, veh.route_index)
         walk = reusable.get(vid)
         if walk is None or walk[0] != key or walk[1] is not veh.route:
+            counts = cav_counts if is_cav else hdv_counts
+            if walk is not None:
+                for ref in walk[2]:
+                    counts[ref] -= 1
             walk = _project(model, veh, key, is_cav, dt)
+            for ref in walk[2]:
+                counts[ref] = counts.get(ref, 0) + 1
         walks[vid] = walk
-        bucket = cav_entries if is_cav else hdv_entries
-        for ref in walk[2]:
-            bucket[ref] = bucket.get(ref, 0) + 1
         if is_cav:
             tau[vid] = walk[3]
+            for ref, item in walk[4]:
+                dl_index.setdefault(ref, []).append(item)
+    for vid in reusable.keys() - walks.keys():  # left since the previous build
+        walk = reusable[vid]
+        counts = cav_counts if walk[3] is not None else hdv_counts
+        for ref in walk[2]:
+            counts[ref] -= 1
 
     inflow: dict[SegmentRef, float] = {}
+    hdv_entries: dict[SegmentRef, int] = {}
     predicted_time: dict[SegmentRef, float] = {}
     for seg in model.all_segments():
-        if seg in model.dl_segments:
-            flow = cav_entries.get(seg, 0) / dt
+        hdv = hdv_counts.get(seg, 0)
+        if hdv:
+            hdv_entries[seg] = hdv
+        if seg in dl_segments:
+            flow = cav_counts.get(seg, 0) / dt
         else:
-            flow = (cav_entries.get(seg, 0) + hdv_entries.get(seg, 0)) / dt
+            flow = (cav_counts.get(seg, 0) + hdv) / dt
         if flow:
             inflow[seg] = flow
             predicted_time[seg] = bpr_time(model.t0(seg), flow, model.capacity(seg), bpr)
 
-    overlap, conflict, bus_time = _window_conflicts(world, windows, tau, t, bpr, protection)
+    overlap, conflict, bus_time = _window_conflicts(world, windows, dl_index, t, bpr, protection)
     return PredictionSnapshot(
         t=t,
         dt=dt,
@@ -400,4 +444,7 @@ def build_snapshot(
         conflict=conflict,
         bus_time=bus_time,
         walks=walks,
+        cav_counts=cav_counts,
+        hdv_counts=hdv_counts,
+        dl_index=dl_index,
     )

@@ -3,12 +3,14 @@ the reactive reroutes' and the prediction log's shortcuts.
 
 The simulator's motion step reads speeds from per-edge tables and walks the
 queues in their stored order, its injection visits only the entry groups
-with room, its prediction walks stop early, its window conflicts are found
-per CAV, its edge-cost views price only the edges with traffic, its reactive
-reroutes search once per (current edge, destination), and its prediction log
-keeps the snapshots' tables. Each of these rests on an exactness argument,
-given in `jointlane.engine`, `jointlane.prediction`, `jointlane.control` and
-`jointlane.runner`. This module keeps the plain versions they replaced:
+with room, its prediction walks stop early and carry their entry counts from
+one build to the next, its window conflicts read the span's queues and a
+per-segment index of the stored entries, its edge-cost views price only the
+edges with traffic, its reactive reroutes search once per (current edge,
+destination), and its prediction log keeps the snapshots' tables. Each of
+these rests on an exactness argument, given in `jointlane.engine`,
+`jointlane.prediction`, `jointlane.control` and `jointlane.runner`. This
+module keeps the plain versions they replaced:
 
 * `segment_speed`, the speed-density expression evaluated on every call;
 * `step`, which evaluates it for every occupied queue and walks the queues
@@ -16,10 +18,14 @@ given in `jointlane.engine`, `jointlane.prediction`, `jointlane.control` and
 * `inject_demand`, which walks the whole backlog, merged in creation order,
   on every call;
 * `build_snapshot`, which projects every non-bus vehicle over its whole
-  remaining route on every call, ignoring the previous snapshot whose walks
-  the fast one reuses;
+  remaining route and sums the entries afresh on every call, ignoring the
+  previous snapshot whose walks and entry counts the fast one carries
+  forward; its `hdv_entries` are keyed in `all_segments()` order, as the fast
+  build emits them;
 * `_window_conflicts`, and `refresh_conflicts` on top of it, which scan every
-  CAV for each windowed segment;
+  CAV, in id order, for each windowed segment, testing the CAV's own segment
+  and its entries in `tau`, where the fast one takes the same-span members
+  from the span's two queues and the others from the build's DL index;
 * `build_bus_windows`, which walks every vehicle and skips the non-buses;
 * `predicted_cost_view` and `instantaneous_cost_view`, which price every
   edge;
@@ -31,9 +37,12 @@ given in `jointlane.engine`, `jointlane.prediction`, `jointlane.control` and
 
 `install_shadow` patches the simulator so that each prediction, cost-view and
 reactive reroute call made by the runner computes both the fast and the
-plain result, asserts that they are equal, and goes on with the fast one; it
-also checks the plant's tables (`assert_plant_tables`) and invariants
-(`assert_plant_invariants`) before every motion step.
+plain result, asserts that they are equal, and goes on with the fast one. At
+every build it also recomputes the entry counts and the DL index that the
+fast snapshot carries from its own walks and `tau`
+(`assert_carried_state`), so a count that drifts fails before it shows in
+`inflow`. Before every motion step it checks the plant's tables
+(`assert_plant_tables`) and invariants (`assert_plant_invariants`).
 `install_plain` patches every plain form in instead, so a whole run can be
 compared with a fast one report by report.
 
@@ -491,7 +500,7 @@ def build_snapshot(
         vehicles=vehicles,
         tau=tau,
         inflow=inflow,
-        hdv_entries=hdv_entries,
+        hdv_entries={seg: hdv_entries[seg] for seg in model.all_segments() if seg in hdv_entries},
         predicted_time=predicted_time,
         overlap=overlap,
         conflict=conflict,
@@ -612,6 +621,28 @@ def assert_same_costs(fast: dict[int, float], slow: dict[int, float]):
     assert list(fast.items()) == list(slow.items())
 
 
+def assert_carried_state(snapshot: PredictionSnapshot):
+    """The counts a fast snapshot carries to the next build, and its DL
+    index, equal a fresh sum and a fresh index over its own walks and `tau`:
+    per segment, the CAV and the HDV entries within `dt` (a carried zero is
+    no entry), and per DL segment the stored CAV entries in ascending id
+    order."""
+    cav: dict[SegmentRef, int] = {}
+    hdv: dict[SegmentRef, int] = {}
+    for walk in snapshot.walks.values():
+        counts = cav if walk[3] is not None else hdv
+        for ref in walk[2]:
+            counts[ref] = counts.get(ref, 0) + 1
+    assert {seg: n for seg, n in snapshot.cav_counts.items() if n} == cav
+    assert {seg: n for seg, n in snapshot.hdv_counts.items() if n} == hdv
+    index: dict[SegmentRef, list[tuple[int, float]]] = {}
+    for vid in sorted(snapshot.tau):
+        for seg, entry in snapshot.tau[vid].items():
+            if seg in snapshot.model.dl_segments:
+                index.setdefault(seg, []).append((vid, entry))
+    assert snapshot.dl_index == index
+
+
 def reused_walks(snapshot: PredictionSnapshot, previous: Optional[PredictionSnapshot]) -> int:
     """How many of the snapshot's walks are the previous snapshot's own."""
     if previous is None:
@@ -621,8 +652,9 @@ def reused_walks(snapshot: PredictionSnapshot, previous: Optional[PredictionSnap
 
 def install_shadow(monkeypatch) -> dict[str, int]:
     """Run the plain form beside every fast prediction, cost-view and reactive
-    reroute call the runner makes, and check the plant's tables and
-    invariants before every motion step.
+    reroute call the runner makes, check each fast snapshot's carried counts
+    and DL index against its own walks (`assert_carried_state`), and check
+    the plant's tables and invariants before every motion step.
 
     Returns the number of checked calls per function, filled in as the run
     goes, so a test can tell that the net was in place; `reused_walks` counts
@@ -649,6 +681,7 @@ def install_shadow(monkeypatch) -> dict[str, int]:
 
     def snapshot(world, windows, bpr, protection, dt, previous=None):
         out = fast_snapshot(world, windows, bpr, protection, dt, previous=previous)
+        assert_carried_state(out)
         assert_same_snapshot(out, build_snapshot(world, windows, bpr, protection, dt, previous))
         calls["snapshot"] += 1
         calls["reused_walks"] += reused_walks(out, previous)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from jointlane.engine import StopVisit, step
+from jointlane.engine import StopVisit, _retire, step
 from jointlane.network import BusStop, Lane, SegmentRef, VehicleClass
 from jointlane.prediction import (
     BprParams,
@@ -16,6 +16,7 @@ from jointlane.prediction import (
     refresh_conflicts,
 )
 
+import slow_path
 from conftest import make_model, make_world, put_vehicle
 from slow_path import bus_eta, bus_overlap_indicator, entry_indicator, entry_time
 
@@ -371,3 +372,136 @@ def test_refresh_counts_occupants_now_and_others_at_snapshot_time(dl_chain3):
     )
     assert fresh.windows is windows
     assert fresh.vehicles[1].segment.edge == 1
+
+
+# -- window conflicts from the DL index and the queues, against the plain scan --
+
+
+def _refresh_matches_plain(world, snap, windows):
+    fresh = refresh_conflicts(world, snap, windows)
+    slow_path.assert_same_conflicts(fresh, slow_path.refresh_conflicts(world, snap, windows))
+    return fresh
+
+
+def _upstream_cavs(world, ids):
+    """Right-lane CAVs on edge 0 whose stored entries into (1, R, 1) are
+    0.5, 1, 1.5, ... s away, one per id."""
+    for i, vid in enumerate(ids):
+        put_vehicle(world, vid, VehicleClass.CAV, [0, 1, 2], lane=Lane.RIGHT, m=2,
+                    offset=95.0 - 5.0 * i, speed=10.0)
+
+
+def test_refresh_drops_a_cav_retired_since_the_build(dl_chain3):
+    world = make_world(dl_chain3)
+    _upstream_cavs(world, (1, 2, 3))
+    snap = _snapshot(world)
+    seg = SegmentRef(1, Lane.RIGHT, 1)
+    windows = BusWindows(windows={seg: [(9, 0.0, 10.0)]})
+    assert list(_refresh_matches_plain(world, snap, windows).overlap[seg]) == [1, 2, 3]
+    veh = world.vehicles[2]
+    _retire(world, veh, veh.segment)
+    # the DL index still lists vehicle 2's stored entry
+    assert [vid for vid, _ in snap.dl_index[seg]] == [1, 2, 3]
+    assert _refresh_matches_plain(world, snap, windows).overlap == {seg: {1: 0.5, 3: 1.5}}
+
+
+def test_refresh_counts_a_cav_injected_onto_a_live_span(dl_chain3):
+    world = make_world(dl_chain3)
+    _upstream_cavs(world, (1,))
+    snap = _snapshot(world)
+    seg = SegmentRef(1, Lane.RIGHT, 1)
+    # one window holding now, on the span the new CAV enters in the left lane
+    put_vehicle(world, 5, VehicleClass.CAV, [1, 2], lane=Lane.LEFT, m=1,
+                offset=30.0, speed=10.0)
+    assert 5 not in snap.tau
+    windows = BusWindows(windows={seg: [(9, 0.0, 10.0)]})
+    fresh = _refresh_matches_plain(world, snap, windows)
+    assert fresh.overlap == {seg: {1: 0.5, 5: 0.0}}
+
+
+def test_refresh_leaves_an_entry_into_the_own_span_to_the_queues(dl_chain3):
+    world = make_world(dl_chain3)
+    cav = put_vehicle(world, 1, VehicleClass.CAV, [0, 1, 2], lane=Lane.RIGHT, m=2,
+                      offset=95.0, speed=10.0)
+    snap = _snapshot(world)
+    seg = SegmentRef(1, Lane.RIGHT, 1)
+    assert snap.dl_index[seg] == [(1, 0.5)]
+    step(world, 1.0)
+    assert (cav.segment.edge, cav.segment.m) == (1, 1)
+    # the stored entry (at 0.5 s) falls in the window, but the CAV is on the
+    # segment's span now, and at 1 s the window is closed
+    closed = BusWindows(windows={seg: [(9, 0.0, 0.75)]})
+    assert _refresh_matches_plain(world, snap, closed).overlap == {}
+    # a window holding now counts it as an occupant, at entry time 0
+    live = BusWindows(windows={seg: [(9, 0.0, 2.0)]})
+    assert _refresh_matches_plain(world, snap, live).overlap == {seg: {1: 0.0}}
+
+
+def test_refresh_sorts_members_interleaved_across_both_lanes(dl_chain3):
+    world = make_world(dl_chain3)
+    # queue order follows offsets, so each lane's queue is out of id order
+    for vid, lane, off in ((5, Lane.LEFT, 90.0), (1, Lane.LEFT, 50.0), (3, Lane.LEFT, 10.0),
+                           (4, Lane.RIGHT, 80.0), (6, Lane.RIGHT, 40.0), (2, Lane.RIGHT, 20.0)):
+        put_vehicle(world, vid, VehicleClass.CAV, [1, 2], lane=lane, m=1, offset=off,
+                    speed=10.0)
+    put_vehicle(world, 7, VehicleClass.HDV, [1, 2], lane=Lane.LEFT, m=1, offset=30.0,
+                speed=10.0)
+    _upstream_cavs(world, (0, 8))
+    snap = _snapshot(world)
+    seg = SegmentRef(1, Lane.RIGHT, 1)
+    assert world.queues[SegmentRef(1, Lane.LEFT, 1)] == [5, 1, 7, 3]
+    windows = BusWindows(windows={seg: [(9, 0.0, 10.0)]})
+    fresh = _refresh_matches_plain(world, snap, windows)
+    assert list(fresh.overlap[seg].items()) == [
+        (0, 0.5), (1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0), (5, 0.0), (6, 0.0), (8, 1.0)
+    ]
+
+
+def _assert_plain_build(world, snap, windows, protection, dt):
+    slow_path.assert_same_snapshot(
+        snap, slow_path.build_snapshot(world, windows, PARAMS, protection, dt)
+    )
+    slow_path.assert_carried_state(snap)
+
+
+def _mixed_world(model):
+    world = make_world(model)
+    put_vehicle(world, 0, VehicleClass.BUS, [0, 1, 2], lane=Lane.RIGHT, m=1,
+                offset=40.0, speed=8.0)
+    _upstream_cavs(world, (1, 2, 3))
+    for vid, off in ((4, 95.0), (5, 60.0), (6, 97.0)):
+        put_vehicle(world, vid, VehicleClass.HDV, [0, 1, 2], lane=Lane.LEFT, m=2,
+                    offset=off, speed=5.0)
+    put_vehicle(world, 7, VehicleClass.CAV, [0, 1, 2], lane=Lane.LEFT, m=2,
+                offset=99.0, speed=2.0)
+    return world
+
+
+def test_build_after_another_dt_starts_the_counts_afresh(dl_chain3):
+    world = _mixed_world(dl_chain3)
+    protection = ProtectionHorizon(30.0)
+    windows = build_bus_windows(world, protection)
+    first = build_snapshot(world, windows, PARAMS, protection, 7.5)
+    snap = build_snapshot(world, windows, PARAMS, protection, 15.0, previous=first)
+    assert not any(snap.walks[vid] is walk for vid, walk in first.walks.items())
+    _assert_plain_build(world, snap, windows, protection, 15.0)
+
+
+def test_build_after_retirements_and_a_reroute_carries_exact_counts(dl_chain3):
+    world = _mixed_world(dl_chain3)
+    protection = ProtectionHorizon(30.0)
+    windows = build_bus_windows(world, protection)
+    first = build_snapshot(world, windows, PARAMS, protection, 15.0)
+    assert first.hdv_entries[SegmentRef(1, Lane.LEFT, 1)] == 3
+    for vid in (2, 4):  # a CAV and an HDV, both with entries within dt
+        veh = world.vehicles[vid]
+        _retire(world, veh, veh.segment)
+    rerouted = world.vehicles[6]
+    rerouted.route = rerouted.route[:1]  # a new list: no entry past edge 0
+    snap = build_snapshot(world, windows, PARAMS, protection, 15.0, previous=first)
+    assert snap.walks[1] is first.walks[1] and snap.walks[6] is not first.walks[6]
+    assert snap.hdv_entries[SegmentRef(1, Lane.LEFT, 1)] == 1
+    _assert_plain_build(world, snap, windows, protection, 15.0)
+    fresh = build_snapshot(world, windows, PARAMS, protection, 15.0)
+    assert list(snap.inflow.items()) == list(fresh.inflow.items())
+    assert list(snap.hdv_entries.items()) == list(fresh.hdv_entries.items())

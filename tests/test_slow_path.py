@@ -248,4 +248,5 @@ def _check_memo(world, windows, protection, dt, previous):
     slow_path.assert_same_snapshot(
         snap, slow_path.build_snapshot(world, windows, PARAMS, protection, dt)
     )
+    slow_path.assert_carried_state(snap)
     return snap
