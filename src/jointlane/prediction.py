@@ -189,14 +189,13 @@ def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows
 # -- snapshot ---------------------------------------------------------------------
 
 # One vehicle's projection: its key (segment, offset, speed, route index), its
-# route list, the entries within dt, the entry times kept for a CAV (None for
-# an HDV), and the kept DL entries as `dl_index` items, (segment, (id, time)).
+# route list, the entries within dt, and the entry times kept for a CAV (None
+# for an HDV).
 Walk = tuple[
     tuple[SegmentRef, float, float, int],
     list[int],
     list[SegmentRef],
     Optional[dict[SegmentRef, float]],
-    list[tuple[SegmentRef, tuple[int, float]]],
 ]
 
 
@@ -331,10 +330,7 @@ def _project(
             break
         elif ref in model.dl_segments:
             kept[ref] = tau_v
-    if not dl_walk:  # no DL entry ahead in the left lane
-        return key, veh.route, soon, kept if is_cav else None, []
-    dl = [(ref, (veh.id, entry)) for ref, entry in kept.items() if ref in model.dl_segments]
-    return key, veh.route, soon, kept, dl
+    return key, veh.route, soon, kept if is_cav else None
 
 
 def build_snapshot(
@@ -403,9 +399,10 @@ def build_snapshot(
                 counts[ref] = counts.get(ref, 0) + 1
         walks[vid] = walk
         if is_cav:
-            tau[vid] = walk[3]
-            for ref, item in walk[4]:
-                dl_index.setdefault(ref, []).append(item)
+            kept = tau[vid] = walk[3]
+            for ref, entry in kept.items():
+                if ref in dl_segments:
+                    dl_index.setdefault(ref, []).append((vid, entry))
     for vid in reusable.keys() - walks.keys():  # left since the previous build
         walk = reusable[vid]
         counts = cav_counts if walk[3] is not None else hdv_counts
