@@ -214,10 +214,13 @@ class World:
         return speeds[n] if n < len(speeds) else speeds[-1]
 
     def log_event(self, kind: str, veh: VehicleState, detail: str = ""):
+        """Append (t, kind, vehicle, class, edge, lane tag, m, offset, detail)
+        to `events` when it is enabled; the time and the offset are kept as
+        floats and formatted when the log is written."""
         if self.events is not None:
             self.events.append(
                 (self.t, kind, veh.id, veh.vclass.value, veh.edge_id,
-                 veh.segment.lane.tag, veh.segment.m, f"{veh.offset:.6f}", detail)
+                 veh.segment.lane.tag, veh.segment.m, veh.offset, detail)
             )
 
     def active_counts(self) -> dict[VehicleClass, int]:

@@ -108,17 +108,28 @@ def mean_travel_time(finished: Iterable, vclass: VehicleClass) -> Optional[float
     return sum(done) / len(done) if done else None
 
 
-def sample_kpis(world: World, t: float) -> KpiSample:
-    bus_total = sum(
-        v.arrival_time - v.depart_time
-        for v in world.retired
-        if v.vclass is VehicleClass.BUS
-    )
+def sample_kpis(
+    world: World, t: float, travel_times: dict[VehicleClass, list[float]]
+) -> KpiSample:
+    """The KPIs of the vehicles retired by now.
+
+    `travel_times` maps every class to the travel times of its vehicles
+    retired by the previous sample, in retirement order (empty lists before
+    the first). It is extended here from the vehicles retired since, so a
+    sample reads only those. The bus total and the means are `sum()`s over
+    the same floats in the same order as a fresh scan of `world.retired`,
+    so they equal it exactly; with no bus retired the total is the int 0.
+    """
+    seen = sum(map(len, travel_times.values()))
+    for v in world.retired[seen:]:
+        travel_times[v.vclass].append(v.arrival_time - v.depart_time)
+    cav = travel_times[VehicleClass.CAV]
+    hdv = travel_times[VehicleClass.HDV]
     return KpiSample(
         t=t,
-        cumulative_bus_travel_time=bus_total,
-        avg_cav_travel_time=mean_travel_time(world.retired, VehicleClass.CAV),
-        avg_hdv_travel_time=mean_travel_time(world.retired, VehicleClass.HDV),
+        cumulative_bus_travel_time=sum(travel_times[VehicleClass.BUS]),
+        avg_cav_travel_time=sum(cav) / len(cav) if cav else None,
+        avg_hdv_travel_time=sum(hdv) / len(hdv) if hdv else None,
         cumulative_cav_lane_changes=len(world.lane_changes),
     )
 
@@ -131,15 +142,26 @@ def float_cell(x: Optional[float]) -> str:
     return "" if x is None else f"{x:.6f}"
 
 
-def write_csv(path: Path, header: list[str], rows: Iterable[Iterable]):
+def write_csv(path: Path, header: list[str], rows: Iterable[Iterable | str]):
+    """Write `header` and then `rows` to `path`, every report's one writer.
+
+    An item of `rows` that is a `str` is CSV text of one or more whole lines,
+    each ending in `\r\n`, and is written as it is; the caller renders it
+    only from cells that `csv.writer` would write bare (no `,`, `"`, `\r` or
+    `\n`). Any other item is a row of cells written through `csv.writer`.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in rows:
+            if isinstance(row, str):
+                fh.write(row)
+            else:
+                writer.writerow(row)
 
 
 def write_table(
-    out_dir: str | Path, name: str, header: list[str], rows: Iterable[Iterable]
+    out_dir: str | Path, name: str, header: list[str], rows: Iterable[Iterable | str]
 ) -> Path:
     """Write one CSV report `name` into `out_dir`, creating the directory."""
     out = Path(out_dir)

@@ -80,7 +80,7 @@ class RunResult:
     # one entry per control step when predictions are logged: the snapshot's
     # own tables, not copies, which is exact because nothing edits a
     # snapshot's tables once it is built (a refresh replaces the conflict
-    # tables with new ones); `write_prediction_log` formats them
+    # tables with new ones); `write_prediction_log` renders them as CSV text
     prediction_steps: list[PredictionStep]
     wall_time: float
 
@@ -133,6 +133,7 @@ def simulate(
     decision_rows: list[tuple] = []
     prediction_steps: list[PredictionStep] = []
     run_metrics = mt.RunMetrics()
+    travel_times: dict[VehicleClass, list[float]] = {c: [] for c in VehicleClass}
 
     steps_control = round(clock.dt_control / clock.dt_sim)
     steps_bus = round(clock.dt_bus / clock.dt_sim)
@@ -200,7 +201,7 @@ def simulate(
                     snapshot.t, snapshot.inflow, snapshot.hdv_entries,
                     snapshot.predicted_time, snapshot.conflict, snapshot.bus_time,
                 ))
-            run_metrics.series.append(mt.sample_kpis(world, t))
+            run_metrics.series.append(mt.sample_kpis(world, t, travel_times))
 
         step(world, clock.dt_sim)
         tick += 1
@@ -383,67 +384,83 @@ def _build_summary(
 
 
 def write_run_reports(result: RunResult, out_dir: str | Path) -> list[Path]:
-    """Standard report files plus the event log when it was enabled."""
+    """Standard report files plus the event log when it was enabled.
+
+    The event log stays on `csv.writer`: its `detail` cell is text chosen by
+    the callers of `execute_lane_change`, so it may need quoting.
+    """
     written = mt.write_reports(result.metrics, result.summary, out_dir)
     if result.world.events is not None:
         written.append(mt.write_table(
             out_dir, "events.csv",
             ["t", "event", "vehicle", "class", "edge", "lane", "m", "offset", "detail"],
-            ([f"{e[0]:.6f}", *e[1:]] for e in result.world.events),
+            ([f"{e[0]:.6f}", *e[1:7], f"{e[7]:.6f}", e[8]] for e in result.world.events),
         ))
     return written
 
 
 def write_decision_log(result: RunResult, out_dir: str | Path) -> Path:
+    """One line per decided action, rendered here as CSV text.
+
+    Every cell is a number, a six-decimal float, an empty cell or a lane tag,
+    none of which `csv.writer` would quote, so the line is its cells joined
+    by commas and ended by `\r\n`, as `csv.writer` writes it.
+    """
+    fc = mt.float_cell
     return mt.write_table(
         out_dir, "decisions.csv",
         ["t", "vehicle", "edge", "lane", "m", "action", "forced",
          "utility", "u1", "u2", "u3", "executed"],
         (
-            [f"{r[0]:.6f}", r[1], r[2], r[3], r[4], r[5], r[6],
-             mt.float_cell(r[7]), mt.float_cell(r[8]), mt.float_cell(r[9]),
-             mt.float_cell(r[10]), r[11]]
+            f"{r[0]:.6f},{r[1]},{r[2]},{r[3]},{r[4]},{r[5]},{r[6]},"
+            f"{fc(r[7])},{fc(r[8])},{fc(r[9])},{fc(r[10])},{r[11]}\r\n"
             for r in result.decision_rows
         ),
     )
 
 
 def write_prediction_log(result: RunResult, out_dir: str | Path) -> Path:
-    """One row per segment, in `all_segments()` order, per control step.
+    """One line per segment, in `all_segments()` order, per control step.
 
-    The rows are formatted here from the tables `simulate` kept of each
-    control step's snapshot. They still hold that step's values, since
-    nothing edits a snapshot's tables: `build_snapshot` and the window
-    conflicts make fresh dicts on every call, and `refresh_conflicts`
-    replaces the conflict tables rather than editing them. A segment with no
-    inflow, no projected HDV entry and no bus window (`conflict` holds every
-    windowed segment, even one without members) writes the same cells at
-    every step.
+    The lines are rendered here as CSV text, one chunk per control step,
+    from the tables `simulate` kept of each control step's snapshot. They
+    still hold that step's values, since nothing edits a snapshot's tables:
+    `build_snapshot` and the window conflicts make fresh dicts on every call,
+    and `refresh_conflicts` replaces the conflict tables rather than editing
+    them. A segment with no inflow, no projected HDV entry and no bus window
+    (`conflict` holds every windowed segment, even one without members)
+    writes the same cells at every step, so its line is the step's time and
+    a tail built once. Every cell is a number, a six-decimal float, an empty
+    cell or a lane tag, none of which `csv.writer` would quote, so a line is
+    its cells joined by commas and ended by `\r\n`, as `csv.writer` writes it.
     """
     model = result.world.model
-    segments = [
-        (seg, seg.edge, seg.lane.tag, seg.m, f"{model.t0(seg):.6f}")
-        for seg in model.all_segments()
-    ]
+    segments = []
+    for seg in model.all_segments():
+        cells = f",{seg.edge},{seg.lane.tag},{seg.m},"
+        free = f"{model.t0(seg):.6f}"
+        segments.append((seg, cells, free, f"{cells}0.000000,0,{free},,\r\n"))
+    fc = mt.float_cell
 
-    def rows():
+    def chunks():
         for t, inflow, hdv_entries, predicted_time, conflict, bus_time in result.prediction_steps:
             when = f"{t:.6f}"
-            for seg, edge, tag, m, free in segments:
+            lines = []
+            for seg, cells, free, quiet in segments:
                 if seg in inflow or seg in hdv_entries or seg in conflict:
                     predicted = predicted_time.get(seg)
-                    yield [
-                        when, edge, tag, m, f"{inflow.get(seg, 0.0):.6f}",
-                        hdv_entries.get(seg, 0),
-                        free if predicted is None else f"{predicted:.6f}",
-                        mt.float_cell(conflict.get(seg)), mt.float_cell(bus_time.get(seg)),
-                    ]
+                    lines.append(
+                        f"{when}{cells}{inflow.get(seg, 0.0):.6f},{hdv_entries.get(seg, 0)},"
+                        f"{free if predicted is None else f'{predicted:.6f}'},"
+                        f"{fc(conflict.get(seg))},{fc(bus_time.get(seg))}\r\n"
+                    )
                 else:
-                    yield [when, edge, tag, m, "0.000000", 0, free, "", ""]
+                    lines.append(when + quiet)
+            yield "".join(lines)
 
     return mt.write_table(
         out_dir, "predictions.csv",
         ["t", "edge", "lane", "m", "inflow", "hdv_entries", "predicted_time",
          "conflict_inflow", "bus_time"],
-        rows(),
+        chunks(),
     )

@@ -1,5 +1,6 @@
 """Plain, full-walk forms of the plant's, the predictor's, the cost views',
-the reactive reroutes' and the prediction log's shortcuts.
+the reactive reroutes', the KPI sampler's and the two rendered logs'
+shortcuts.
 
 The simulator's motion step reads speeds from per-edge tables and walks the
 queues in their stored order, its injection visits only the entry groups
@@ -7,9 +8,11 @@ with room, its prediction walks stop early and carry their entry counts from
 one build to the next, its window conflicts read the span's queues and a
 per-segment index of the stored entries, its edge-cost views price only the
 edges with traffic, its reactive reroutes search once per (current edge,
-destination), and its prediction log keeps the snapshots' tables. Each of
-these rests on an exactness argument, given in `jointlane.engine`,
-`jointlane.prediction`, `jointlane.control` and `jointlane.runner`. This
+destination), its KPI sampler reads only the vehicles retired since the
+last sample, and its prediction and decision logs are rendered as CSV text
+(the prediction log from the snapshots' kept tables). Each of these rests on
+an exactness argument, given in `jointlane.engine`, `jointlane.prediction`,
+`jointlane.control`, `jointlane.metrics` and `jointlane.runner`. This
 module keeps the plain versions they replaced:
 
 * `segment_speed`, the speed-density expression evaluated on every call;
@@ -31,20 +34,26 @@ module keeps the plain versions they replaced:
   edge;
 * `reactive_reroutes`, which searches a new route for every CAV, where the
   fast one searches once per (current edge, destination);
+* `sample_kpis`, which scans all of `world.retired` for the bus total and
+  each class mean at every sample;
 * `dump_predictions` and `prediction_row`, which copy every segment's row out
   of the snapshot at each control step, where the runner keeps the
-  snapshot's own tables until write time.
+  snapshot's own tables until write time, and `write_prediction_log`, which
+  writes those rows through `csv.writer`;
+* `write_decision_log`, which writes the decision rows through `csv.writer`
+  rather than as rendered text.
 
-`install_shadow` patches the simulator so that each prediction, cost-view and
-reactive reroute call made by the runner computes both the fast and the
-plain result, asserts that they are equal, and goes on with the fast one. At
-every build it also recomputes the entry counts and the DL index that the
-fast snapshot carries from its own walks and `tau`
+`install_shadow` patches the simulator so that each prediction, cost-view,
+reactive reroute and KPI sample call made by the runner computes both the
+fast and the plain result, asserts that they are equal, and goes on with the
+fast one. At every build it also recomputes the entry counts and the DL
+index that the fast snapshot carries from its own walks and `tau`
 (`assert_carried_state`), so a count that drifts fails before it shows in
 `inflow`. Before every motion step it checks the plant's tables
 (`assert_plant_tables`) and invariants (`assert_plant_invariants`).
 `install_plain` patches every plain form in instead, so a whole run can be
-compared with a fast one report by report.
+compared with a fast one report by report, the rendered logs included, byte
+for byte against `csv.writer`'s output.
 
 It also keeps the paper's per-query definitions, answered one (vehicle,
 segment) query at a time from the same projection as the simulator's
@@ -58,7 +67,7 @@ bus overlap indicator of a CAV on a protected segment
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+from dataclasses import astuple, replace
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
@@ -533,7 +542,7 @@ def instantaneous_cost_view(world: World) -> dict[int, float]:
     )
 
 
-# -- control and logs ----------------------------------------------------------------
+# -- control -------------------------------------------------------------------------
 
 
 def reactive_reroutes(
@@ -556,6 +565,25 @@ def reactive_reroutes(
         if new_cost < (1.0 - params.hysteresis) * current_cost:
             out.append(RouteAssignment(vid, tuple(candidate)))
     return out
+
+
+# -- reports -------------------------------------------------------------------------
+
+
+def sample_kpis(world: World, t: float) -> metrics.KpiSample:
+    """The KPIs from a scan of every retired vehicle."""
+    bus_total = sum(
+        v.arrival_time - v.depart_time
+        for v in world.retired
+        if v.vclass is VehicleClass.BUS
+    )
+    return metrics.KpiSample(
+        t=t,
+        cumulative_bus_travel_time=bus_total,
+        avg_cav_travel_time=metrics.mean_travel_time(world.retired, VehicleClass.CAV),
+        avg_hdv_travel_time=metrics.mean_travel_time(world.retired, VehicleClass.HDV),
+        cumulative_cav_lane_changes=len(world.lane_changes),
+    )
 
 
 def dump_predictions(snapshot: PredictionSnapshot, rows: list):
@@ -591,6 +619,21 @@ def write_prediction_log(result, out_dir):
     )
 
 
+def write_decision_log(result, out_dir):
+    """`decisions.csv` from the decision rows, through `csv.writer`."""
+    return metrics.write_table(
+        out_dir, "decisions.csv",
+        ["t", "vehicle", "edge", "lane", "m", "action", "forced",
+         "utility", "u1", "u2", "u3", "executed"],
+        (
+            [f"{r[0]:.6f}", r[1], r[2], r[3], r[4], r[5], r[6],
+             metrics.float_cell(r[7]), metrics.float_cell(r[8]), metrics.float_cell(r[9]),
+             metrics.float_cell(r[10]), r[11]]
+            for r in result.decision_rows
+        ),
+    )
+
+
 # -- fast against plain -------------------------------------------------------------
 
 
@@ -619,6 +662,13 @@ def assert_same_snapshot(fast: PredictionSnapshot, slow: PredictionSnapshot):
 
 def assert_same_costs(fast: dict[int, float], slow: dict[int, float]):
     assert list(fast.items()) == list(slow.items())
+
+
+def assert_same_kpis(fast: metrics.KpiSample, slow: metrics.KpiSample):
+    """Equal values of the same types (an empty bus total is the int 0)."""
+    fast_cells, slow_cells = astuple(fast), astuple(slow)
+    assert fast_cells == slow_cells
+    assert [type(c) for c in fast_cells] == [type(c) for c in slow_cells]
 
 
 def assert_carried_state(snapshot: PredictionSnapshot):
@@ -651,10 +701,11 @@ def reused_walks(snapshot: PredictionSnapshot, previous: Optional[PredictionSnap
 
 
 def install_shadow(monkeypatch) -> dict[str, int]:
-    """Run the plain form beside every fast prediction, cost-view and reactive
-    reroute call the runner makes, check each fast snapshot's carried counts
-    and DL index against its own walks (`assert_carried_state`), and check
-    the plant's tables and invariants before every motion step.
+    """Run the plain form beside every fast prediction, cost-view, reactive
+    reroute and KPI sample call the runner makes, check each fast snapshot's
+    carried counts and DL index against its own walks
+    (`assert_carried_state`), and check the plant's tables and invariants
+    before every motion step.
 
     Returns the number of checked calls per function, filled in as the run
     goes, so a test can tell that the net was in place; `reused_walks` counts
@@ -663,7 +714,8 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     """
     calls = dict.fromkeys(
         ("bus_windows", "snapshot", "refresh", "predicted_costs", "instantaneous_costs",
-         "reactive_reroutes", "reroute_assignments", "step", "reused_walks"), 0
+         "reactive_reroutes", "reroute_assignments", "kpi_samples", "step",
+         "reused_walks"), 0
     )
     fast_step = runner.step
     fast_windows = prediction.build_bus_windows
@@ -672,6 +724,7 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     fast_predicted = control.predicted_cost_view
     fast_instantaneous = control.instantaneous_cost_view
     fast_reroutes = control.reactive_reroutes
+    fast_kpis = metrics.sample_kpis
 
     def windows(world, protection):
         out = fast_windows(world, protection)
@@ -712,6 +765,12 @@ def install_shadow(monkeypatch) -> dict[str, int]:
         calls["reroute_assignments"] += len(out)
         return out
 
+    def kpis(world, t, travel_times):
+        out = fast_kpis(world, t, travel_times)
+        assert_same_kpis(out, sample_kpis(world, t))
+        calls["kpi_samples"] += 1
+        return out
+
     expected: dict[int, PlainTables] = {}  # by id of the model
 
     def checked_step(world, dt=None):
@@ -730,6 +789,7 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(control, "predicted_cost_view", predicted)
     monkeypatch.setattr(control, "instantaneous_cost_view", instantaneous)
     monkeypatch.setattr(control, "reactive_reroutes", reroutes)
+    monkeypatch.setattr(metrics, "sample_kpis", kpis)
     return calls
 
 
@@ -739,7 +799,8 @@ def install_plain(monkeypatch):
     `runner.simulate` then dumps the prediction rows through the observer,
     which runs at each control step with that step's snapshot, into the
     result's `prediction_rows`, and `runner.write_prediction_log` writes
-    those rows.
+    those rows through `csv.writer`, as `runner.write_decision_log` writes
+    the decision rows.
     """
     fast_simulate = runner.simulate
 
@@ -766,4 +827,8 @@ def install_plain(monkeypatch):
     monkeypatch.setattr(control, "instantaneous_cost_view", instantaneous_cost_view)
     monkeypatch.setattr(control, "reactive_reroutes", reactive_reroutes)
     monkeypatch.setattr(runner, "simulate", simulate)
+    monkeypatch.setattr(
+        metrics, "sample_kpis", lambda world, t, travel_times: sample_kpis(world, t)
+    )
     monkeypatch.setattr(runner, "write_prediction_log", write_prediction_log)
+    monkeypatch.setattr(runner, "write_decision_log", write_decision_log)

@@ -1,4 +1,5 @@
 import csv
+import io
 
 import pytest
 
@@ -9,6 +10,7 @@ from jointlane.metrics import (
     mean_travel_time,
     on_time_rate,
     per_stop_on_time,
+    write_csv,
     write_reports,
 )
 from jointlane.network import Lane, SegmentRef, VehicleClass
@@ -19,7 +21,7 @@ from jointlane.prediction import (
     build_bus_windows,
     build_snapshot,
 )
-from jointlane.runner import RunResult, write_prediction_log
+from jointlane.runner import RunResult, run, write_prediction_log
 
 import slow_path
 from conftest import make_world, put_vehicle
@@ -90,6 +92,25 @@ def test_write_reports_empty_run(tmp_path):
     summary = (tmp_path / "summary.csv").read_text(encoding="utf-8").splitlines()
     assert summary[0] == "scenario,seed"
     assert summary[1] == "x,1"
+
+
+def test_write_csv_writes_text_as_is_and_rows_through_csv_writer(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["x", "y"], ["1,2\r\n3,4\r\n", ["a,b", 'say "hi"']])
+    assert path.read_bytes() == b'x,y\r\n1,2\r\n3,4\r\n"a,b","say ""hi"""\r\n'
+
+
+def test_rendered_logs_need_no_quoting(tmp_path):
+    run("desk_small", tmp_path, log_decisions=True, strategy="drp", seed=1,
+        horizon=300.0, log_events=True, log_predictions=True)
+    for name in ("predictions.csv", "decisions.csv"):
+        written = (tmp_path / name).read_bytes()
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1, name
+        again = io.StringIO(newline="")
+        csv.writer(again).writerows(rows)
+        assert again.getvalue().encode("utf-8") == written, name
 
 
 def test_reports_are_byte_stable(desk_small, tmp_path):

@@ -1,6 +1,6 @@
 """The fast plant, prediction walk, window conflicts, cost views, reactive
-reroutes and prediction log against the plain forms in `slow_path`, on whole
-runs and on random hand-placed worlds."""
+reroutes, KPI sampler and rendered prediction and decision logs against the
+plain forms in `slow_path`, on whole runs and on random hand-placed worlds."""
 
 import random
 
@@ -30,6 +30,7 @@ PARAMS = BprParams()
 
 def _assert_checked(calls, strategy):
     assert calls["bus_windows"] and calls["snapshot"] and calls["refresh"] and calls["step"]
+    assert calls["kpi_samples"]
     assert calls["instantaneous_costs" if strategy == "drp" else "predicted_costs"]
     if strategy == "drp":
         assert calls["reactive_reroutes"] and calls["reroute_assignments"]
