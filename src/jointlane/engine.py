@@ -171,10 +171,19 @@ class World:
         # one FIFO queue per segment, in model.all_segments() order, which is
         # sorted (edge, lane, m) order
         self.queues: dict[SegmentRef, list[int]] = {seg: [] for seg in model.all_segments()}
-        # (key, queue, edge) per segment, in the same order, read by step
-        self.queue_rows: list[tuple[SegmentRef, list[int], Edge]] = [
-            (key, q, model.edges[key.edge]) for key, q in self.queues.items()
+        # (key, queue, edge, downstream queue, jam_count) per segment, in the
+        # same order, read by step: the downstream queue is the (edge, lane, 2)
+        # half's for an m=1 segment and None, the edge end, for an m=2 one
+        self.queue_rows: list[tuple[SegmentRef, list[int], Edge, Optional[list[int]], int]] = [
+            (key, q, model.edges[key.edge],
+             self.queues[model.halves[key.edge][key.lane][1]] if key.m == 1 else None,
+             model.edges[key.edge].jam_count)
+            for key, q in self.queues.items()
         ]
+        # entry group (class, edge, onward edge) -> (the edge's jam_count, the
+        # first-half queues of its entry lanes in `NetworkModel.entry_lanes`
+        # order), filled on first use by _entry_room
+        self.entry_rooms: dict[tuple, tuple[int, tuple[list[int], ...]]] = {}
         # length of each queue's packed front, kept by step and _remove
         self.packed: dict[SegmentRef, int] = {}
         self.retired: list[VehicleState] = []
@@ -259,18 +268,26 @@ class World:
         self.log_event("inject", veh)
         return True
 
-    def _open_lanes(
-        self, vclass: VehicleClass, edge_id: int, onward: Optional[int]
-    ) -> list[Lane]:
-        """The entry lanes of (class, edge, onward edge) whose first segment
-        has room, in `NetworkModel.entry_lanes` order."""
-        model = self.model
-        jam = model.edges[edge_id].jam_count
-        halves = model.halves[edge_id]
-        queues = self.queues
+    def _entry_room(self, group: tuple) -> tuple[int, tuple[list[int], ...]]:
+        """The entry group's row of `entry_rooms`, built on first use: the
+        lane rules and the queue objects never change."""
+        row = self.entry_rooms.get(group)
+        if row is None:
+            model = self.model
+            edge_id = group[1]
+            halves = model.halves[edge_id]
+            row = self.entry_rooms[group] = (
+                model.edges[edge_id].jam_count,
+                tuple(self.queues[halves[l][0]] for l in model.entry_lanes(*group)),
+            )
+        return row
+
+    def _open_lanes(self, group: tuple) -> list[Lane]:
+        """The entry lanes of entry group (class, edge, onward edge) whose
+        first segment has room, in `NetworkModel.entry_lanes` order."""
+        jam, queues = self._entry_room(group)
         return [
-            l for l in model.entry_lanes(vclass, edge_id, onward)
-            if len(queues[halves[l][0]]) < jam
+            l for l, q in zip(self.model.entry_lanes(*group), queues) if len(q) < jam
         ]
 
     def _entry_segment(self, veh: VehicleState, i: int) -> Optional[SegmentRef]:
@@ -283,7 +300,7 @@ class World:
         """
         edge_id = veh.route[i]
         onward = veh.route[i + 1] if i + 1 < len(veh.route) else None
-        room = self._open_lanes(veh.vclass, edge_id, onward)
+        room = self._open_lanes((veh.vclass, edge_id, onward))
         if len(room) > 1:
             if veh.vclass is VehicleClass.CAV and self.cav_entry_chooser is not None:
                 room = [l for l in self.cav_entry_chooser(self, veh, edge_id) if l in room]
@@ -317,7 +334,7 @@ def inject_demand(world: World, due: Iterable[VehicleState]):
         groups = pending.groups
         opened = []
         for group in groups:
-            if world._open_lanes(*group):
+            if world._open_lanes(group):
                 opened.append(group)
             else:
                 full.add(group)
@@ -401,6 +418,16 @@ def step(world: World, dt: Optional[float] = None):
     they are at speed 0, so the walk resumes behind the front. The count is
     recomputed when a queue's front waits and `_remove` keeps it when a
     vehicle leaves; entries land behind the front and leave it valid.
+
+    A front whose crossing must fail costs a few length tests: `_must_wait`
+    reads the downstream queue in the queue's row, or the entry group's row
+    of `world.entry_rooms`, and holds the front without calling `_transfer`,
+    which would return False having changed nothing. A queue that is all
+    packed front (`packed[key] == len(q)`) and whose front must wait is
+    skipped: the walk would hold the front, leave the rest at the segment
+    end at speed 0, where they are, and recount the same front. A vehicle
+    that entered it earlier in the step sits behind the front and makes the
+    queue longer than its packed front, so that queue is walked.
     """
     if dt is None:
         dt = world.clock.dt_sim
@@ -410,8 +437,14 @@ def step(world: World, dt: Optional[float] = None):
     bus = VehicleClass.BUS
     moved: set[int] = set()  # vehicles that left their queue during this step
     # occupancy at the start of the step sets each queue's speed
-    occupied = [(key, q, edge, len(q)) for key, q, edge in world.queue_rows if q]
-    for key, q, edge, n in occupied:
+    occupied = [
+        (key, q, edge, down, jam, len(q)) for key, q, edge, down, jam in world.queue_rows if q
+    ]
+    for key, q, edge, down, jam, n in occupied:
+        # a fully packed queue whose front must wait stays as it is; it is
+        # never empty here, as vehicles leave a queue only during its own walk
+        if packed.get(key) == len(q) and _must_wait(world, vehicles[q[0]], key, edge, down, jam):
+            continue
         seg_len = edge.seg_length
         speeds = edge.speeds
         v_seg = speeds[n - 1] if n < len(speeds) else speeds[-1]
@@ -445,14 +478,15 @@ def step(world: World, dt: Optional[float] = None):
                     block = veh.offset
                     continue
             if target >= seg_len and block is None:
-                overshoot = target - seg_len
-                if seg_len < overshoot:
-                    overshoot = seg_len
-                if _transfer(world, veh, key, overshoot):
-                    # moved on (or retired); distance includes the carried part
-                    moved.add(vid)
-                    veh.speed = v_seg
-                    continue
+                if not _must_wait(world, veh, key, edge, down, jam):
+                    overshoot = target - seg_len
+                    if seg_len < overshoot:
+                        overshoot = seg_len
+                    if _transfer(world, veh, key, overshoot):
+                        # moved on (or retired); distance includes the carried part
+                        moved.add(vid)
+                        veh.speed = v_seg
+                        continue
                 veh.offset = seg_len
                 block = seg_len
                 held = True
@@ -477,6 +511,38 @@ def step(world: World, dt: Optional[float] = None):
                 n += 1
             packed[key] = n
     world.t = t + dt
+
+
+def _must_wait(
+    world: World, veh: VehicleState, key: SegmentRef, edge: Edge,
+    down: Optional[list[int]], jam: int,
+) -> bool:
+    """True when front vehicle `veh`'s crossing out of `key` must fail, by a
+    test with no side effect; `down` and `jam` are its `queue_rows` entries.
+
+    An m=1 front waits while the downstream half is at `jam`. An edge-end
+    front waits when its edge has no gate, it is not on its last route edge,
+    its lane turns into the next edge and every entry lane of its entry group
+    there is full; `_transfer` would then find no open lane and return False
+    without asking the entry chooser. False sends every other case, gated
+    edges, retirement and a CAV that must align included, to `_transfer`.
+    """
+    if down is not None:
+        return len(down) >= jam
+    route = veh.route
+    i = veh.route_index + 1
+    if edge.gate is not None or i >= len(route):
+        return False
+    nxt = route[i]
+    if not world.model.connects(key.edge, key.lane, nxt):
+        return False
+    entry_jam, queues = world._entry_room(
+        (veh.vclass, nxt, route[i + 1] if i + 1 < len(route) else None)
+    )
+    for q in queues:
+        if len(q) < entry_jam:
+            return False
+    return True
 
 
 def _next_stop_offset(world: World, veh: VehicleState, key: SegmentRef) -> Optional[float]:

@@ -2,22 +2,26 @@
 the reactive reroutes', the KPI sampler's and the two rendered logs'
 shortcuts.
 
-The simulator's motion step reads speeds from per-edge tables and walks the
-queues in their stored order, its injection visits only the entry groups
-with room, its prediction walks stop early and carry their entry counts from
-one build to the next, its window conflicts read the span's queues and a
-per-segment index of the stored entries, its edge-cost views price only the
-edges with traffic, its reactive reroutes search once per (current edge,
-destination), its KPI sampler reads only the vehicles retired since the
-last sample, and its prediction and decision logs are rendered as CSV text
-(the prediction log from the snapshots' kept tables). Each of these rests on
-an exactness argument, given in `jointlane.engine`, `jointlane.prediction`,
+The simulator's motion step reads speeds from per-edge tables, walks the
+queues in their stored order, holds a front whose crossing must fail
+without trying it and skips a fully packed queue whose front must wait, its
+injection visits only the entry groups with room, its prediction walks stop
+early and carry their entry counts from one build to the next, its window
+conflicts read the span's queues and a per-segment index of the stored
+entries, its edge-cost views price only the edges with traffic, its
+reactive reroutes search once per (current edge, destination), its KPI
+sampler reads only the vehicles retired since the last sample, and its
+prediction and decision logs are rendered as CSV text (the prediction log
+from the snapshots' kept tables). Each of these rests on an exactness
+argument, given in `jointlane.engine`, `jointlane.prediction`,
 `jointlane.control`, `jointlane.metrics` and `jointlane.runner`. This
 module keeps the plain versions they replaced:
 
 * `segment_speed`, the speed-density expression evaluated on every call;
-* `step`, which evaluates it for every occupied queue and walks the queues
-  in `sorted()` order;
+* `step`, which evaluates it for every occupied queue, walks the queues in
+  `sorted()` order, fully packed ones included, and sends every crossing to
+  `_transfer`, so it stays the reference that `install_plain` runs whole
+  runs with, for both crossing shortcuts;
 * `inject_demand`, which walks the whole backlog, merged in creation order,
   on every call;
 * `build_snapshot`, which projects every non-bus vehicle over its whole
@@ -138,7 +142,8 @@ def pending_in_order(world: World) -> list[VehicleState]:
 
 def step(world: World, dt: Optional[float] = None):
     """Advance every vehicle one motion step, with each occupied queue's speed
-    from `segment_speed` and the queues walked in `sorted()` order."""
+    from `segment_speed`, the queues walked in `sorted()` order and every
+    crossing tried through `_transfer`."""
     if dt is None:
         dt = world.clock.dt_sim
     model = world.model
@@ -232,19 +237,32 @@ def plain_tables(world: World) -> PlainTables:
 
 def assert_plant_tables(world: World, expected: PlainTables):
     """The tables the fast plant reads: one queue per segment, in the model's
-    segment order, which is sorted order, with rows holding each queue itself
-    and its edge in the same order; a backlog whose groups are id-ordered,
-    non-empty and hold only their own members; and per-edge speed tables
-    equal to the plain expression for every occupancy up to `jam_count`, with
-    the floor speed past it."""
+    segment order, which is sorted order, with rows holding each queue itself,
+    its edge, and for an m=1 segment the (edge, lane, 2) queue itself and the
+    edge's `jam_count` (None, the edge end, for an m=2 one), in the same
+    order; each filled entry-room row holding the entry edge's `jam_count` and
+    the first-half queues of `NetworkModel.entry_lanes`; a backlog whose
+    groups are id-ordered, non-empty and hold only their own members; and
+    per-edge speed tables equal to the plain expression for every occupancy
+    up to `jam_count`, with the floor speed past it."""
     model = world.model
     order, speeds = expected
     assert list(world.queues) == list(model.all_segments()) == order
-    assert [key for key, _, _ in world.queue_rows] == order
-    assert all(
-        q is world.queues[key] and edge is model.edges[key.edge]
-        for key, q, edge in world.queue_rows
-    )
+    assert [row[0] for row in world.queue_rows] == order
+    for key, q, edge, down, jam in world.queue_rows:
+        assert q is world.queues[key] and edge is model.edges[key.edge]
+        assert jam == edge.jam_count
+        if key.m == 1:
+            assert down is world.queues[SegmentRef(key.edge, key.lane, 2)]
+        else:
+            assert down is None
+    for group, (jam, queues) in world.entry_rooms.items():
+        vclass, edge_id, onward = group
+        assert jam == model.edges[edge_id].jam_count
+        firsts = [world.queues[SegmentRef(edge_id, l, 1)]
+                  for l in model.entry_lanes(vclass, edge_id, onward)]
+        assert len(queues) == len(firsts)
+        assert all(q is first for q, first in zip(queues, firsts))
     groups = world.pending.groups
     assert len(world.pending) == sum(len(members) for members in groups.values())
     for group, members in groups.items():

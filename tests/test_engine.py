@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from jointlane import engine
 from jointlane.engine import (
     SPEED_FLOOR,
     BusLineSpec,
@@ -782,3 +783,153 @@ def test_packed_front_invariant_on_desk_large_jam():
              seed=1, horizon=600.0, observer=observer)
     assert seen["checked"] >= 40
     assert seen["packed"] > 20
+
+
+# -- crossings that must fail ------------------------------------------------------
+
+
+@pytest.fixture()
+def transfers(monkeypatch):
+    """Count the crossings `step` sends to `engine._transfer`, as (vehicle,
+    segment) pairs."""
+    calls = []
+    real = engine._transfer
+
+    def counted(world, veh, key, overshoot):
+        calls.append((veh.id, key))
+        return real(world, veh, key, overshoot)
+
+    monkeypatch.setattr(engine, "_transfer", counted)
+    return calls
+
+
+def _queue_state(world, key):
+    return (
+        list(world.queues[key]),
+        [(world.vehicles[vid].offset, world.vehicles[vid].speed) for vid in world.queues[key]],
+        world.packed.get(key),
+    )
+
+
+def test_packed_queue_behind_a_full_half_is_left_untouched(transfers):
+    model = make_model([(0, 1, 2, 100.0, 10.0, False), (1, 2, 3, 400.0, 10.0, False)], jam=4)
+    world = make_world(model)
+    up, down = SegmentRef(0, Lane.LEFT, 1), SegmentRef(0, Lane.LEFT, 2)
+    # a full downstream half that creeps at the floor speed, far from its end
+    for vid, offset in enumerate([12.0, 9.0, 6.0, 3.0]):
+        put_vehicle(world, vid, VehicleClass.CAV, [0, 1], m=2, offset=offset)
+    for vid in (10, 11, 12):
+        put_vehicle(world, vid, VehicleClass.CAV, [0, 1], m=1, offset=50.0, speed=0.0)
+    last = put_vehicle(world, 13, VehicleClass.CAV, [0, 1], m=1, offset=44.0)
+    offsets = []
+    for _ in range(4):
+        step(world, 1.0)
+        offsets.append(last.offset)
+    # the vehicle behind the held front still closes up to it
+    assert offsets == [46.5, 49.0, 50.0, 50.0]
+    assert world.packed[up] == 4
+    packed_state = _queue_state(world, up)
+    for _ in range(3):
+        step(world, 1.0)
+        assert _queue_state(world, up) == packed_state
+    assert transfers == []
+    assert world.queues[down] == [0, 1, 2, 3]
+    # a lane change frees one slot downstream: the front crosses, and the
+    # next one finds the half full again without a call
+    assert execute_lane_change(world, 0, 1) is True
+    step(world, 1.0)
+    assert transfers == [(10, up)]
+    assert world.queues[down] == [1, 2, 3, 10]
+    assert world.queues[up] == [11, 12, 13]
+
+
+def _full_entry_world(vclass, open_lanes=()):
+    """Edge 0 ends in edge 1, whose first halves hold `jam` vehicles each,
+    held by full second halves far from their end, except one vehicle fewer
+    on each of `open_lanes`; one `vclass` front waits at edge 0's end."""
+    model = make_model([(0, 1, 2, 100.0, 10.0, False), (1, 2, 3, 400.0, 10.0, False)], jam=2)
+    world = make_world(model)
+    vids = itertools.count(100)
+    for lane in Lane:
+        for offset in (10.0, 5.0):
+            put_vehicle(world, next(vids), VehicleClass.HDV, [1], lane=lane, m=2,
+                        offset=offset)
+        for _ in range(1 if lane in open_lanes else 2):
+            put_vehicle(world, next(vids), VehicleClass.HDV, [1], lane=lane, m=1,
+                        offset=200.0, speed=0.0)
+    front = put_vehicle(world, 0, vclass, [0, 1], m=2, offset=50.0, speed=0.0)
+    asked = []
+
+    def chooser(world, veh, edge_id):
+        asked.append(veh.id)
+        return (Lane.RIGHT, Lane.LEFT)
+
+    world.cav_entry_chooser = chooser
+    return world, front, asked
+
+
+@pytest.mark.parametrize("vclass", [VehicleClass.HDV, VehicleClass.CAV])
+def test_edge_end_into_full_entry_lanes_makes_no_call(transfers, vclass):
+    world, front, asked = _full_entry_world(vclass)
+    for _ in range(3):
+        step(world, 1.0)
+    assert (front.route_index, front.segment, front.offset) == (
+        0, SegmentRef(0, Lane.LEFT, 2), 50.0)
+    assert transfers == [] and asked == []
+    assert world.packed[SegmentRef(0, Lane.LEFT, 2)] == 1
+
+
+@pytest.mark.parametrize("vclass", [VehicleClass.HDV, VehicleClass.CAV])
+def test_edge_end_into_one_open_entry_lane(transfers, vclass):
+    world, front, asked = _full_entry_world(vclass, open_lanes=(Lane.RIGHT,))
+    step(world, 1.0)
+    assert transfers == [(0, SegmentRef(0, Lane.LEFT, 2))]
+    assert (front.route_index, front.segment) == (1, SegmentRef(1, Lane.RIGHT, 1))
+    assert asked == []  # a single open lane is taken without asking
+
+
+@pytest.mark.parametrize("vclass, lane", [(VehicleClass.HDV, Lane.LEFT),
+                                          (VehicleClass.CAV, Lane.RIGHT)])
+def test_edge_end_into_two_open_entry_lanes(transfers, vclass, lane):
+    world, front, asked = _full_entry_world(vclass, open_lanes=tuple(Lane))
+    step(world, 1.0)
+    assert transfers == [(0, SegmentRef(0, Lane.LEFT, 2))]
+    # the HDV takes the left lane on a tie, the CAV its chooser's first lane
+    assert (front.route_index, front.segment) == (1, SegmentRef(1, lane, 1))
+    assert asked == ([0] if vclass is VehicleClass.CAV else [])
+
+
+def test_cav_without_the_turn_aligns_even_when_entry_is_full(transfers):
+    model = make_model(
+        [(0, 1, 2, 100.0, 10.0, False), (1, 2, 3, 400.0, 10.0, False)],
+        connections={(0, 1): {Lane.RIGHT}}, jam=1,
+    )
+    world = make_world(model)
+    for vid, lane in ((100, Lane.LEFT), (101, Lane.RIGHT)):
+        put_vehicle(world, vid, VehicleClass.HDV, [1], lane=lane, m=2, offset=5.0)
+        put_vehicle(world, vid + 10, VehicleClass.HDV, [1], lane=lane, m=1,
+                    offset=200.0, speed=0.0)
+    veh = put_vehicle(world, 0, VehicleClass.CAV, [0, 1], lane=Lane.LEFT, m=2,
+                      offset=50.0, speed=0.0)
+    step(world, 1.0)
+    assert transfers == [(0, SegmentRef(0, Lane.LEFT, 2))]
+    assert (veh.route_index, veh.segment) == (0, SegmentRef(0, Lane.RIGHT, 2))
+    assert world.lane_changes == [(0.0, 0, 0, 2, "L", "R", "align")]
+    step(world, 1.0)  # aligned, it now waits for the full entry without a call
+    assert transfers == [(0, SegmentRef(0, Lane.LEFT, 2))]
+    assert (veh.route_index, veh.offset, veh.speed) == (0, 50.0, 0.0)
+
+
+def test_gated_edge_end_goes_through_transfer(transfers):
+    model = make_model([(0, 1, 2, 100.0, 10.0, False), (1, 2, 3, 400.0, 10.0, False)])
+    object.__setattr__(model.edges[0], "gate", (20.0, 10.0, 10.0))  # red for t < 10
+    world = make_world(model)
+    key = SegmentRef(0, Lane.LEFT, 2)
+    veh = put_vehicle(world, 0, VehicleClass.CAV, [0, 1], m=2, offset=50.0, speed=0.0)
+    for _ in range(10):
+        step(world, 1.0)
+    assert (veh.route_index, veh.segment, veh.offset) == (0, key, 50.0)
+    assert transfers == [(0, key)] * 10
+    step(world, 1.0)  # green at t=10
+    assert transfers == [(0, key)] * 11
+    assert (veh.route_index, veh.segment) == (1, SegmentRef(1, Lane.LEFT, 1))

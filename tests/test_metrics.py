@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from jointlane.engine import execute_lane_change, step
 from jointlane.metrics import (
     BusStopArrival,
     RunMetrics,
@@ -10,6 +11,7 @@ from jointlane.metrics import (
     mean_travel_time,
     on_time_rate,
     per_stop_on_time,
+    sample_kpis,
     write_csv,
     write_reports,
 )
@@ -24,7 +26,7 @@ from jointlane.prediction import (
 from jointlane.runner import RunResult, run, write_prediction_log
 
 import slow_path
-from conftest import make_world, put_vehicle
+from conftest import make_model, make_world, put_vehicle
 
 
 def arrival(delay, stop=0, vid=0):
@@ -74,10 +76,20 @@ def test_avg_completed_travel_time():
 
 
 def test_cumulative_lane_changes_prefix():
-    events = [(5.0,), (10.0,), (20.0,)]
-    assert len([e for e in events if e[0] <= 12.0]) == 2
-    assert len([e for e in events if e[0] <= 0.0]) == 0
-    assert len([e for e in [] if e[0] <= 100.0]) == 0
+    world = make_world(make_model([(0, 1, 2, 400.0, 10.0, False)]))
+    put_vehicle(world, 0, VehicleClass.CAV, [0])
+    travel_times = {c: [] for c in VehicleClass}
+    changes = {5: 1, 10: -1, 20: 1}  # tick -> direction
+    samples = {}
+    for tick in range(25):
+        if tick in (0, 5, 7, 12, 24):
+            samples[tick] = sample_kpis(world, world.t, travel_times).cumulative_cav_lane_changes
+        if tick in changes:
+            assert execute_lane_change(world, 0, changes[tick]) is True
+        step(world, 1.0)
+    # each sample counts the changes made before it, none after
+    assert samples == {0: 0, 5: 0, 7: 1, 12: 2, 24: 3}
+    assert [row[0] for row in world.lane_changes] == [5.0, 10.0, 20.0]
 
 
 def test_write_reports_empty_run(tmp_path):
