@@ -12,10 +12,12 @@ speeds and counts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
+from . import stream
 from .network import SPEED_FLOOR  # noqa: F401  (re-exported with the plant's other names)
 from .network import Edge, Lane, NetworkModel, SegmentRef, VehicleClass
 
@@ -37,6 +39,8 @@ class EngineClock:
             raise EngineError("dt_sim must be > 0")
         for name, value in (("dt_control", self.dt_control), ("dt_bus", self.dt_bus)):
             ratio = value / self.dt_sim
+            if not math.isfinite(ratio):
+                raise EngineError(f"{name} / dt_sim = {ratio} is not a finite number of steps")
             if value <= 0 or abs(ratio - round(ratio)) > 1e-9:
                 raise EngineError(f"{name} must be a positive integer multiple of dt_sim")
 
@@ -671,8 +675,6 @@ def generate_arrivals(
     seeded by (run seed, entry seed or index); explicit time lists pass
     through. Returns (time, sequence, entry) tuples; sequence breaks ties.
     """
-    import numpy as np
-
     out: list[tuple[float, int, DemandEntry]] = []
     counter = itertools.count()
     for idx, entry in enumerate(entries):
@@ -684,7 +686,7 @@ def generate_arrivals(
         if entry.rate == 0:
             continue
         sub = entry.seed if entry.seed is not None else idx
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, sub))))
+        rng = stream.PCG64Stream((seed, sub))
         t = rng.exponential(1.0 / entry.rate)
         while t < until:
             out.append((float(t), next(counter), entry))

@@ -22,6 +22,11 @@ JAM_SPACING_M = 7.5
 #: downstream travel-time predictions)
 SPEED_FLOOR = 0.05
 
+#: smallest edge capacity accepted, veh/s per lane (0.0036 veh/h); a smaller
+#: one can push the volume-delay term (flow / capacity) ** beta past the
+#: float range
+MIN_CAPACITY = 1e-6
+
 
 class NetworkError(ValueError):
     """Raised for structurally invalid networks or queries."""
@@ -75,6 +80,8 @@ class Edge:
             raise NetworkError(f"edge {self.id}: free_flow_speed must be > 0")
         if self.capacity <= 0:
             raise NetworkError(f"edge {self.id}: capacity must be > 0")
+        if self.capacity < MIN_CAPACITY:
+            raise NetworkError(f"edge {self.id}: capacity must be >= {MIN_CAPACITY:g} veh/s")
         if self.jam_count < 1:
             raise NetworkError(f"edge {self.id}: jam_count must be >= 1")
         if self.gate is not None:

@@ -39,6 +39,12 @@ from .scenario import (
 )
 
 
+#: most arrivals one Poisson demand stream may expect over the horizon
+#: (rate x horizon); the bundled scenarios expect at most 538, and a stream
+#: far past this would spend minutes drawing gaps before the first tick
+MAX_EXPECTED_ARRIVALS = 1_000_000
+
+
 def run(scenario: str, out_dir: str | Path, log_decisions: bool = False,
         **simulate_kwargs) -> RunResult:
     """Simulate a scenario (bundled name or path) and write its reports.
@@ -108,6 +114,12 @@ def simulate(
             raise ScenarioError("no horizon given and the scenario meta has none")
     if not 0 < horizon < math.inf:
         raise ValueError("a positive finite horizon is required (config or scenario meta)")
+    for i, entry in enumerate(scenario.demand):
+        if entry.rate is not None and entry.rate * horizon > MAX_EXPECTED_ARRIVALS:
+            raise ScenarioError(
+                f"demand[{i}]: rate {entry.rate:g} veh/s over a {horizon:g} s horizon expects "
+                f"more than {MAX_EXPECTED_ARRIVALS:,} arrivals"
+            )
     params = scenario.control
     clock = scenario.clock
     started = time.perf_counter()

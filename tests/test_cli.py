@@ -215,3 +215,25 @@ def test_prediction_and_routing_errors_in_a_run_exit_3(capsys, tmp_path, monkeyp
     assert code == 3
     err = capsys.readouterr().err
     assert err == "jointlane: runtime invariant violated: injected failure\n"
+
+
+@pytest.mark.parametrize("corrupt, extra, message", [
+    (None, ["--set", "dt_sim=1e-308"],
+     "control: dt_control / dt_sim = inf is not a finite number of steps"),
+    (lambda d: d["demand"][1].update(rate=1e12), [],
+     "demand[1]: rate 1e+12 veh/s over a 900 s horizon expects more than 1,000,000 arrivals"),
+    (lambda d: d["edges"][1].update(capacity=1e-308), [],
+     "edges[1]: edge 1: capacity must be >= 1e-06 veh/s"),
+], ids=["dt_sim", "rate", "capacity"])
+def test_values_past_the_float_range_are_validation_errors(capsys, tmp_path, corrupt, extra,
+                                                          message):
+    # each of these ended in an OverflowError traceback or never finished
+    scenario = "desk_small"
+    if corrupt is not None:
+        data = json.loads(resolve_scenario("desk_small").read_text(encoding="utf-8"))
+        corrupt(data)
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(data), encoding="utf-8")
+    code = run_cli(["--scenario", str(scenario), *extra, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"jointlane: scenario error: {message}\n"

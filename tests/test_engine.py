@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -252,6 +253,19 @@ def test_demand_poisson_reference_stream():
     assert [round(a[0], 6) for a in arrivals[:3]] == [12.021043, 23.701991, 35.625796]
 
 
+def test_simulate_caps_the_arrivals_a_demand_stream_expects(desk_small):
+    from jointlane.runner import MAX_EXPECTED_ARRIVALS, simulate
+    from jointlane.scenario import ScenarioError
+
+    horizon = desk_small.meta["horizon"]
+    assert max(e.rate * horizon for e in desk_small.demand) * 1000 < MAX_EXPECTED_ARRIVALS
+    demand = list(desk_small.demand)
+    demand[1] = dataclasses.replace(demand[1], rate=1e12)
+    # before the cap this drew about 10**15 gaps and never returned
+    with pytest.raises(ScenarioError, match=r"^demand\[1\]: rate 1e\+12 veh/s over a 900 s"):
+        simulate(dataclasses.replace(desk_small, demand=tuple(demand)))
+
+
 def test_demand_respects_horizon():
     entries = [DemandEntry(1, 2, VehicleClass.CAV, times=(10.0, 899.9, 900.0, 950.0))]
     arrivals = generate_arrivals(entries, seed=1, until=900.0)
@@ -353,6 +367,12 @@ def test_clock_requires_integer_multiples():
     with pytest.raises(EngineError):
         EngineClock(dt_sim=2.0, dt_control=15.0, dt_bus=10.0)
     EngineClock(dt_sim=0.5, dt_control=15.0, dt_bus=10.0)
+
+
+def test_clock_rejects_a_step_ratio_past_the_float_range():
+    # 15 / 1e-308 is inf, which round() cannot take
+    with pytest.raises(EngineError, match="dt_control / dt_sim = inf is not a finite"):
+        EngineClock(dt_sim=1e-308)
 
 
 def test_gate_blocks_edge_end():

@@ -224,6 +224,7 @@ def test_bus_line_field_error_has_one_prefix():
     ("length", 0.0, "length must be > 0"),
     ("free_flow_speed", -1.0, "free_flow_speed must be > 0"),
     ("capacity", 0.0, "capacity must be > 0"),
+    ("capacity", 1e-308, "capacity must be >= 1e-06 veh/s"),
     ("jam_count", 0, "jam_count must be >= 1"),
 ])
 def test_edge_range_errors_name_the_edge(field, value, message):
