@@ -18,7 +18,7 @@ from .control import STRATEGIES, ControlError
 from .engine import EngineError
 from .metrics import write_summaries
 from .network import NetworkError
-from .prediction import PredictionError
+from .prediction import BprRangeError, PredictionError
 from .routing import RoutingError
 from .scenario import BUNDLED_SCENARIOS, CONTROL_KEYS, ScenarioError, resolve_scenario
 
@@ -140,7 +140,7 @@ def main(argv=None) -> int:
         write_summaries(rows, out_root)
         print(f"sweep complete: {len(values)} runs, combined summary in {out_root}")
         return 0
-    except ScenarioError as exc:
+    except (ScenarioError, BprRangeError) as exc:
         print(f"jointlane: scenario error: {exc}", file=sys.stderr)
         return 2
     except (NetworkError, ControlError) as exc:

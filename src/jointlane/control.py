@@ -16,11 +16,11 @@ costs new CAVs are routed on (`routing_costs`) and the control step
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import routing
-from .engine import EntryChooser, VehicleState, World
-from .network import Lane, NetworkModel, SegmentRef, VehicleClass
+from .engine import EntryChooser, SegmentRow, VehicleState, World
+from .network import Lane, SegmentRef, VehicleClass
 from .prediction import PredictionSnapshot, bpr_time
 
 STRATEGIES = ("drp", "prp", "proposed")
@@ -262,36 +262,48 @@ def select_lane_changes(
 # -- rerouting ------------------------------------------------------------------
 
 
-def _edge_costs(
-    model: NetworkModel, seg_time: Callable[[SegmentRef], float], edges: Iterable[int]
-) -> dict[int, float]:
-    """Per edge, the sum over both halves of the fastest CAV-permitted lane; an
-    edge not in `edges` keeps its free-flow cost `2.0 * t0`, `(0.0 + t0) + t0`."""
+def predicted_cost_view(snapshot: PredictionSnapshot) -> dict[int, float]:
+    """Edge costs from the same short-horizon prediction used for monitoring:
+    per edge, the sum over both halves of the fastest CAV-permitted lane.
+
+    A segment without inflow takes `t0`, so only edges with inflow are
+    priced; any other edge keeps its free-flow cost `2.0 * t0`, which is
+    `(0.0 + t0) + t0`.
+    """
+    model = snapshot.model
+    predicted = snapshot.predicted
     costs = routing.free_flow_costs(model)
-    for eid in edges:
+    for eid in {seg.edge for seg in snapshot.predicted_time}:
         lanes = model.permitted_lanes(VehicleClass.CAV, eid)
         total = 0.0
         for m in (1, 2):
-            total += min(seg_time(SegmentRef(eid, l, m)) for l in lanes)
+            total += min(predicted(SegmentRef(eid, l, m)) for l in lanes)
         costs[eid] = total
     return costs
 
 
-def predicted_cost_view(snapshot: PredictionSnapshot) -> dict[int, float]:
-    """Edge costs from the same short-horizon prediction used for monitoring;
-    a segment without inflow takes `t0`, so only edges with inflow are priced."""
-    edges = {seg.edge for seg in snapshot.predicted_time}
-    return _edge_costs(snapshot.model, snapshot.predicted, edges)
-
-
 def instantaneous_cost_view(world: World) -> dict[int, float]:
-    """Edge costs from current segment speeds (reactive view); an empty segment
-    runs at `ffs * 1.0` and takes `t0`, so only occupied edges are priced."""
-    model = world.model
-    edges = {key.edge for key, q in world.queues.items() if q}
-    return _edge_costs(
-        model, lambda seg: model.edges[seg.edge].seg_length / world.segment_speed(seg), edges
-    )
+    """Edge costs from current segment speeds (reactive view).
+
+    Each segment takes `seg_length / segment_speed(seg)`, read from its row's
+    `times` table at its occupancy, and an edge costs the faster lane of its
+    upstream halves plus the faster lane of its downstream halves, summed as
+    `predicted_cost_view` sums them (a CAV may use both lanes). The rows come
+    four per edge, L1 L2 R1 R2. An empty segment runs at `ffs * 1.0` and
+    takes `t0`, so an edge with four empty queues keeps its free-flow cost.
+    """
+    costs = routing.free_flow_costs(world.model)
+    rows = iter(world.rows.values())
+    for l1, l2, r1, r2 in zip(rows, rows, rows, rows):
+        if l1.queue or l2.queue or r1.queue or r2.queue:
+            costs[l1.key.edge] = (0.0 + min(_time(l1), _time(r1))) + min(_time(l2), _time(r2))
+    return costs
+
+
+def _time(row: SegmentRow) -> float:
+    """The segment's travel time at its current occupancy, from its row."""
+    n = len(row.queue)
+    return row.times[n] if n <= row.jam_count else row.times[row.jam_count]
 
 
 def rerouting_escalation(
@@ -379,17 +391,24 @@ def myopic_lane_actions(
     banned: frozenset[tuple[int, SegmentRef]],
     excluded: frozenset[int],
 ) -> list[LaneAction]:
-    """Hop to the adjacent permitted lane when it is currently strictly faster."""
+    """Hop to the adjacent permitted lane when it is currently strictly faster.
+
+    Both lanes' speeds are read from the segment's row, as `segment_speed`
+    gives them: the edge's speed table at each queue's occupancy.
+    """
     actions = []
+    rows = world.rows
     for vid, veh in snapshot.vehicles.items():
         if veh.vclass is not VehicleClass.CAV or vid in excluded:
             continue
         seg = veh.segment
-        target = SegmentRef(seg.edge, seg.lane.other, seg.m)
-        if (vid, target) in banned:
+        if banned and (vid, SegmentRef(seg.edge, seg.lane.other, seg.m)) in banned:
             continue
-        if world.segment_speed(target) > world.segment_speed(seg):
-            direction = 1 if target.lane is Lane.RIGHT else -1
+        row = rows[seg]
+        jam, speeds = row.jam_count, row.speeds
+        n, n_other = len(row.queue), len(row.other)
+        if speeds[n_other if n_other <= jam else jam] > speeds[n if n <= jam else jam]:
+            direction = 1 if seg.lane is Lane.LEFT else -1  # toward the other lane
             actions.append(LaneAction(vid, seg, direction, forced=False))
     return actions
 

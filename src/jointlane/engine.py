@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import stream
 from .network import SPEED_FLOOR  # noqa: F401  (re-exported with the plant's other names)
@@ -163,6 +163,30 @@ class Backlog:
         self.groups.clear()
 
 
+class SegmentRow(NamedTuple):
+    """What the hot loops read of one segment, built once with the World.
+
+    `speeds` is the edge's speed table, and `times[n]` is
+    `seg_length / speeds[n]`, the segment's travel time at occupancy n, for
+    n = 0..`jam_count`; past `jam_count` both keep their last entry. `other`
+    is the queue of the other lane's segment at the same half, and `down` the
+    queue a crossing out of the segment enters: the (edge, lane, 2) half's
+    for an m=1 segment, None, the edge end, for an m=2 one. `slot` is the
+    row's position in `World.rows` and `World.packed`.
+    """
+
+    key: SegmentRef
+    queue: list[int]
+    seg_length: float
+    jam_count: int
+    speeds: tuple[float, ...]
+    times: tuple[float, ...]
+    other: list[int]
+    down: Optional[list[int]]
+    slot: int
+    edge: Edge
+
+
 class World:
     """Mutable simulation state: vehicles, per-segment FIFO queues, records."""
 
@@ -175,21 +199,27 @@ class World:
         # one FIFO queue per segment, in model.all_segments() order, which is
         # sorted (edge, lane, m) order
         self.queues: dict[SegmentRef, list[int]] = {seg: [] for seg in model.all_segments()}
-        # (key, queue, edge, downstream queue, jam_count) per segment, in the
-        # same order, read by step: the downstream queue is the (edge, lane, 2)
-        # half's for an m=1 segment and None, the edge end, for an m=2 one
-        self.queue_rows: list[tuple[SegmentRef, list[int], Edge, Optional[list[int]], int]] = [
-            (key, q, model.edges[key.edge],
-             self.queues[model.halves[key.edge][key.lane][1]] if key.m == 1 else None,
-             model.edges[key.edge].jam_count)
-            for key, q in self.queues.items()
-        ]
+        # one row per segment, in the same order
+        times = {
+            eid: tuple(e.seg_length / v for v in e.speeds) for eid, e in model.edges.items()
+        }
+        self.rows: dict[SegmentRef, SegmentRow] = {}
+        for slot, (key, q) in enumerate(self.queues.items()):
+            edge = model.edges[key.edge]
+            halves = model.halves[key.edge]
+            self.rows[key] = SegmentRow(
+                key, q, edge.seg_length, edge.jam_count, edge.speeds, times[key.edge],
+                self.queues[halves[key.lane.other][key.m - 1]],
+                self.queues[halves[key.lane][1]] if key.m == 1 else None,
+                slot, edge,
+            )
         # entry group (class, edge, onward edge) -> (the edge's jam_count, the
         # first-half queues of its entry lanes in `NetworkModel.entry_lanes`
         # order), filled on first use by _entry_room
         self.entry_rooms: dict[tuple, tuple[int, tuple[list[int], ...]]] = {}
-        # length of each queue's packed front, kept by step and _remove
-        self.packed: dict[SegmentRef, int] = {}
+        # length of each queue's packed front, by row slot, kept by step and
+        # _remove
+        self.packed: list[int] = [0] * len(self.rows)
         self.retired: list[VehicleState] = []
         self.injected: dict[VehicleClass, int] = {c: 0 for c in VehicleClass}
         self.pending = Backlog()                # created but waiting for entry space
@@ -399,12 +429,12 @@ def step(world: World, dt: Optional[float] = None):
     bus stops, and retire at the end of their last route edge.
 
     The walk is table-driven and exact. The queues occupied at the start of
-    the step are taken from `world.queue_rows`, which holds each segment's
-    queue and edge in sorted (edge, lane, m) order, so they are walked in that
-    order without a sort. A queue of n vehicles moves at `edge.speeds[n - 1]`
-    (the mover is not its own congestion), the float the speed-density
-    expression gives for n - 1, and each vehicle's reach `v_seg * dt` is
-    computed once per queue: `offset + reach` is the same sum.
+    the step are taken from `world.rows`, which holds each segment's row in
+    sorted (edge, lane, m) order, so they are walked in that order without a
+    sort. A queue of n vehicles moves at `speeds[n - 1]` (the mover is not
+    its own congestion), the float the speed-density expression gives for
+    n - 1, and each vehicle's reach `v_seg * dt` is computed once per queue:
+    `offset + reach` is the same sum.
 
     A non-bus vehicle never dwells and has no stop, so it takes a fast path
     past the dwell and stop-capture tests. Each queue is walked once, from
@@ -416,18 +446,18 @@ def step(world: World, dt: Optional[float] = None):
 
     Each queue's packed front costs about one vehicle per step. A packed
     vehicle is not a bus, sits at the segment end (`offset == seg_length`)
-    and has speed 0; `world.packed[key]` counts vehicles at the front of
-    `queues[key]` that are all packed. Inside that front every vehicle in turn
-    tries to cross the boundary, and once one waits, the rest would stay where
-    they are at speed 0, so the walk resumes behind the front. The count is
-    recomputed when a queue's front waits and `_remove` keeps it when a
-    vehicle leaves; entries land behind the front and leave it valid.
+    and has speed 0; `world.packed[slot]` counts vehicles at the front of the
+    row's queue that are all packed. Inside that front every vehicle in turn
+    tries to cross the boundary, and once one waits, the rest would stay
+    where they are at speed 0, so the walk resumes behind the front. The
+    count is recomputed when a queue's front waits and `_remove` keeps it
+    when a vehicle leaves; entries land behind the front and leave it valid.
 
     A front whose crossing must fail costs a few length tests: `_must_wait`
     reads the downstream queue in the queue's row, or the entry group's row
     of `world.entry_rooms`, and holds the front without calling `_transfer`,
     which would return False having changed nothing. A queue that is all
-    packed front (`packed[key] == len(q)`) and whose front must wait is
+    packed front (`packed[slot] == len(q)`) and whose front must wait is
     skipped: the walk would hold the front, leave the rest at the segment
     end at speed 0, where they are, and recount the same front. A vehicle
     that entered it earlier in the step sits behind the front and makes the
@@ -441,17 +471,14 @@ def step(world: World, dt: Optional[float] = None):
     bus = VehicleClass.BUS
     moved: set[int] = set()  # vehicles that left their queue during this step
     # occupancy at the start of the step sets each queue's speed
-    occupied = [
-        (key, q, edge, down, jam, len(q)) for key, q, edge, down, jam in world.queue_rows if q
-    ]
-    for key, q, edge, down, jam, n in occupied:
+    occupied = [(row, len(row.queue)) for row in world.rows.values() if row.queue]
+    for row, n in occupied:
+        key, q, seg_len, jam, speeds, _, _, _, slot, _ = row
         # a fully packed queue whose front must wait stays as it is; it is
         # never empty here, as vehicles leave a queue only during its own walk
-        if packed.get(key) == len(q) and _must_wait(world, vehicles[q[0]], key, edge, down, jam):
+        if packed[slot] == len(q) and _must_wait(world, vehicles[q[0]], row):
             continue
-        seg_len = edge.seg_length
-        speeds = edge.speeds
-        v_seg = speeds[n - 1] if n < len(speeds) else speeds[-1]
+        v_seg = speeds[n - 1] if n <= jam else speeds[jam]
         reach = v_seg * dt
         block: Optional[float] = None  # offset of the nearest vehicle that stays ahead
         held = False  # the front waited at the segment end
@@ -482,7 +509,7 @@ def step(world: World, dt: Optional[float] = None):
                     block = veh.offset
                     continue
             if target >= seg_len and block is None:
-                if not _must_wait(world, veh, key, edge, down, jam):
+                if not _must_wait(world, veh, row):
                     overshoot = target - seg_len
                     if seg_len < overshoot:
                         overshoot = seg_len
@@ -496,7 +523,7 @@ def step(world: World, dt: Optional[float] = None):
                 held = True
                 # every vehicle ahead of it has left, so if it led the packed
                 # front, the rest of that front stays where it is at speed 0
-                skip = packed.get(key, 0) - 1
+                skip = packed[slot] - 1
                 if skip > 0:
                     next(itertools.islice(rest, skip, skip), None)
             else:
@@ -507,37 +534,37 @@ def step(world: World, dt: Optional[float] = None):
         if held:
             # what is left of the old front, then those behind it that
             # stayed at the segment end through the whole step
-            n = packed.get(key, 0)
+            n = packed[slot]
             while n < len(q):
                 veh = vehicles[q[n]]
                 if veh.speed != 0.0 or veh.offset != seg_len or veh.vclass is bus:
                     break
                 n += 1
-            packed[key] = n
+            packed[slot] = n
     world.t = t + dt
 
 
-def _must_wait(
-    world: World, veh: VehicleState, key: SegmentRef, edge: Edge,
-    down: Optional[list[int]], jam: int,
-) -> bool:
-    """True when front vehicle `veh`'s crossing out of `key` must fail, by a
-    test with no side effect; `down` and `jam` are its `queue_rows` entries.
+def _must_wait(world: World, veh: VehicleState, row: SegmentRow) -> bool:
+    """True when front vehicle `veh`'s crossing out of the row's segment must
+    fail, by a test with no side effect.
 
-    An m=1 front waits while the downstream half is at `jam`. An edge-end
-    front waits when its edge has no gate, it is not on its last route edge,
-    its lane turns into the next edge and every entry lane of its entry group
-    there is full; `_transfer` would then find no open lane and return False
-    without asking the entry chooser. False sends every other case, gated
-    edges, retirement and a CAV that must align included, to `_transfer`.
+    An m=1 front waits while the downstream half is at `jam_count`. An
+    edge-end front waits when its edge has no gate, it is not on its last
+    route edge, its lane turns into the next edge and every entry lane of its
+    entry group there is full; `_transfer` would then find no open lane and
+    return False without asking the entry chooser. False sends every other
+    case, gated edges, retirement and a CAV that must align included, to
+    `_transfer`.
     """
+    down = row.down
     if down is not None:
-        return len(down) >= jam
+        return len(down) >= row.jam_count
     route = veh.route
     i = veh.route_index + 1
-    if edge.gate is not None or i >= len(route):
+    if row.edge.gate is not None or i >= len(route):
         return False
     nxt = route[i]
+    key = row.key
     if not world.model.connects(key.edge, key.lane, nxt):
         return False
     entry_jam, queues = world._entry_room(
@@ -647,11 +674,13 @@ def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
 
 def _remove(world: World, key: SegmentRef, vid: int):
     """Take `vid` out of its queue; the packed front loses it if it was there."""
-    q = world.queues[key]
+    row = world.rows[key]
+    q = row.queue
     i = q.index(vid)
     del q[i]
-    if i < world.packed.get(key, 0):
-        world.packed[key] -= 1
+    packed = world.packed
+    if i < packed[row.slot]:
+        packed[row.slot] -= 1
 
 
 def _retire(world: World, veh: VehicleState, key: SegmentRef):

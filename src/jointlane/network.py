@@ -116,6 +116,11 @@ class BusStop:
     offset: float              # meters from edge start, in (0, length]
 
 
+#: one edge of a projected walk: (upstream half, downstream half, seg_length,
+#: length) of the lane the vehicle is projected on
+Continuation = tuple[SegmentRef, SegmentRef, float, float]
+
+
 def default_jam_count(seg_length: float) -> int:
     return max(1, math.ceil(seg_length / JAM_SPACING_M))
 
@@ -189,6 +194,8 @@ class NetworkModel:
                     self._next[vclass, src] = self._next.get((vclass, src), ()) + (dst,)
         # entry lanes per (class, edge, onward edge), filled by entry_lanes
         self._entry: dict[tuple[VehicleClass, int, Optional[int]], tuple[Lane, ...]] = {}
+        # continuation rows per (class, lane), filled by continuation
+        self._continuation: dict[tuple[VehicleClass, Lane], dict[int, Continuation]] = {}
         self.dl_segments: frozenset[SegmentRef] = frozenset(
             seg for seg in self._segments if seg.lane is Lane.RIGHT and self.edges[seg.edge].dl
         )
@@ -271,6 +278,22 @@ class NetworkModel:
                 lanes = tuple(l for l in lanes if self.connects(edge_id, l, onward)) or lanes
             self._entry[key] = lanes
         return lanes
+
+    def continuation(self, vclass: VehicleClass, lane: Lane) -> dict[int, Continuation]:
+        """Where a vehicle of the class that holds `lane` is projected on each
+        edge it may use: (upstream half, downstream half, seg_length, length)
+        of the continuation lane, which is `lane` where the class may use it
+        and else the left lane. The rows of one (class, lane) are built
+        together on first use; the lane rules never change."""
+        table = self._continuation.get((vclass, lane))
+        if table is None:
+            table = self._continuation[vclass, lane] = {}
+            for (c, eid), lanes in self._lanes.items():
+                if c is vclass:
+                    e = self.edges[eid]
+                    upstream, downstream = self.halves[eid][lane if lane in lanes else Lane.LEFT]
+                    table[eid] = (upstream, downstream, e.seg_length, e.length)
+        return table
 
     def bus_route_lane_path(self, route_edges: Sequence[int]) -> list[SegmentRef]:
         """Right-lane segment sequence for a bus route given as edge ids.

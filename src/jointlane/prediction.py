@@ -24,6 +24,15 @@ class PredictionError(ValueError):
     pass
 
 
+class BprRangeError(PredictionError):
+    """The volume-delay term (flow / capacity) ** beta left the float range.
+
+    Flows are bounded only by the scenario, so no bound on beta alone keeps
+    the power finite; the power is taken as it is, and an overflow is an
+    input error: beta is too large for the flows the run predicts.
+    """
+
+
 @dataclass(frozen=True)
 class BprParams:
     """Volume-delay exponents: travel time grows as alpha * (f/C)^beta."""
@@ -55,7 +64,13 @@ def bpr_time(t0: float, flow: float, capacity: float, params: BprParams) -> floa
         raise PredictionError("capacity must be > 0")
     if flow < 0:
         raise PredictionError("flow must be >= 0")
-    return t0 * (1.0 + params.alpha * (flow / capacity) ** params.beta)
+    try:
+        return t0 * (1.0 + params.alpha * (flow / capacity) ** params.beta)
+    except OverflowError:
+        raise BprRangeError(
+            f"control: beta = {params.beta:g} takes (flow / capacity) ** beta past the "
+            f"float range at flow / capacity = {flow / capacity:g}"
+        ) from None
 
 
 def protection_window(tau: float, horizon: float) -> tuple[float, float]:
@@ -74,9 +89,10 @@ def _walk_entries(model: NetworkModel, veh: VehicleState) -> Iterator[tuple[Segm
     Covers strictly-ahead segment entrances: the downstream half of the
     current edge (in the current lane) and both halves of every remaining
     route edge in the continuation lane (the current lane where the class may
-    use it, else the left lane). The currently occupied segment has no
-    forward entrance and is not listed. Distances are the left-to-right sums
-    `(L0 - pos) + L1 + ...`, and they never decrease along the walk.
+    use it, else the left lane), read from `NetworkModel.continuation`. The
+    currently occupied segment has no forward entrance and is not listed.
+    Distances are the left-to-right sums `(L0 - pos) + L1 + ...`, and they
+    never decrease along the walk. `_project` walks the same table inline.
     """
     seg = veh.segment
     edge = model.edges[seg.edge]
@@ -84,13 +100,12 @@ def _walk_entries(model: NetworkModel, veh: VehicleState) -> Iterator[tuple[Segm
     if seg.m == 1:
         yield model.halves[seg.edge][seg.lane][1], edge.seg_length - pos
     ahead = edge.length - pos
+    table = model.continuation(veh.vclass, seg.lane)
     for eid in veh.route[veh.route_index + 1 :]:
-        e = model.edges[eid]
-        lane = seg.lane if seg.lane in model.permitted_lanes(veh.vclass, eid) else Lane.LEFT
-        upstream, downstream = model.halves[eid][lane]
+        upstream, downstream, half, length = table[eid]
         yield upstream, ahead
-        yield downstream, ahead + e.seg_length
-        ahead += e.length
+        yield downstream, ahead + half
+        ahead += length
 
 
 # -- bus windows ------------------------------------------------------------------
@@ -314,23 +329,53 @@ def refresh_conflicts(
 def _project(
     model: NetworkModel, veh: VehicleState, key: tuple, is_cav: bool, dt: float
 ) -> Walk:
-    """Walk one non-bus vehicle's projected entries (see `build_snapshot`)."""
-    speed = max(veh.speed, MIN_PROJECTION_SPEED)
+    """Walk one non-bus vehicle's projected entries (see `build_snapshot`).
+
+    The walk is `_walk_entries` written out, over the same continuation
+    table and at the same left-to-right distance sums. The key holds the
+    vehicle's segment, offset, speed and route index. The position in the
+    edge is `offset` on the upstream half, where `pos_in_edge` adds 0.0,
+    the same value.
+    """
+    seg, offset, speed, route_index = key
+    if speed < MIN_PROJECTION_SPEED:  # max(speed, MIN_PROJECTION_SPEED)
+        speed = MIN_PROJECTION_SPEED
     # window conflicts read DL entries; the escalation, entries within dt
-    dl_walk = is_cav and veh.segment.lane is Lane.RIGHT
+    dl_walk = is_cav and seg.lane is Lane.RIGHT
+    dl_segments = model.dl_segments
     soon: list[SegmentRef] = []
     kept: dict[SegmentRef, float] = {}
-    for ref, dist in _walk_entries(model, veh):
-        tau_v = dist / speed
+    route = veh.route
+    edge = model.edges[seg.edge]
+    if seg.m == 1:
+        ref = model.halves[seg.edge][seg.lane][1]
+        tau_v = (edge.seg_length - offset) / speed
         if tau_v < dt:
             soon.append(ref)
             if is_cav:
                 kept[ref] = tau_v
         elif not dl_walk:
-            break
-        elif ref in model.dl_segments:
+            return key, route, soon, kept if is_cav else None
+        elif ref in dl_segments:
             kept[ref] = tau_v
-    return key, veh.route, soon, kept if is_cav else None
+        ahead = edge.length - offset
+    else:
+        ahead = edge.length - (offset + edge.seg_length)
+    table = model.continuation(veh.vclass, seg.lane)
+    for eid in route[route_index + 1 :]:
+        upstream, downstream, half, length = table[eid]
+        for ref, dist in ((upstream, ahead), (downstream, ahead + half)):
+            tau_v = dist / speed
+            if tau_v < dt:
+                soon.append(ref)
+                if is_cav:
+                    kept[ref] = tau_v
+            elif not dl_walk:
+                return key, route, soon, kept if is_cav else None
+            elif ref in dl_segments:
+                kept[ref] = tau_v
+        ahead += length
+    return key, route, soon, kept if is_cav else None
 
 
 def build_snapshot(

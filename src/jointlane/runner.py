@@ -44,6 +44,11 @@ from .scenario import (
 #: far past this would spend minutes drawing gaps before the first tick
 MAX_EXPECTED_ARRIVALS = 1_000_000
 
+#: most motion ticks one run may make, 2 x horizon / dt_sim (the run drains
+#: until twice the horizon); the bundled scenarios need at most 7 200, and a
+#: run far past this would not finish in any useful time
+MAX_TICKS = 1_000_000
+
 
 def run(scenario: str, out_dir: str | Path, log_decisions: bool = False,
         **simulate_kwargs) -> RunResult:
@@ -114,6 +119,12 @@ def simulate(
             raise ScenarioError("no horizon given and the scenario meta has none")
     if not 0 < horizon < math.inf:
         raise ValueError("a positive finite horizon is required (config or scenario meta)")
+    ticks = 2.0 * horizon / scenario.clock.dt_sim
+    if ticks > MAX_TICKS:
+        raise ScenarioError(
+            f"control: dt_sim = {scenario.clock.dt_sim:g} over a {horizon:g} s horizon makes "
+            f"{ticks:.3g} motion ticks, more than {MAX_TICKS:,}"
+        )
     for i, entry in enumerate(scenario.demand):
         if entry.rate is not None and entry.rate * horizon > MAX_EXPECTED_ARRIVALS:
             raise ScenarioError(

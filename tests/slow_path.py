@@ -1,32 +1,36 @@
 """Plain, full-walk forms of the plant's, the predictor's, the cost views',
-the reactive reroutes', the KPI sampler's and the two rendered logs'
-shortcuts.
+the lane hops', the reactive reroutes', the KPI sampler's and the two
+rendered logs' shortcuts.
 
-The simulator's motion step reads speeds from per-edge tables, walks the
-queues in their stored order, holds a front whose crossing must fail
-without trying it and skips a fully packed queue whose front must wait, its
-injection visits only the entry groups with room, its prediction walks stop
-early and carry their entry counts from one build to the next, its window
-conflicts read the span's queues and a per-segment index of the stored
-entries, its edge-cost views price only the edges with traffic, its
-reactive reroutes search once per (current edge, destination), its KPI
-sampler reads only the vehicles retired since the last sample, and its
-prediction and decision logs are rendered as CSV text (the prediction log
-from the snapshots' kept tables). Each of these rests on an exactness
-argument, given in `jointlane.engine`, `jointlane.prediction`,
-`jointlane.control`, `jointlane.metrics` and `jointlane.runner`. This
-module keeps the plain versions they replaced:
+The simulator's motion step reads each queue's segment row (speed table,
+lengths, neighbouring queues and packed-count slot), walks the queues in
+their stored order, holds a front whose crossing must fail without trying it
+and skips a fully packed queue whose front must wait, its injection visits
+only the entry groups with room, its prediction walks read the continuation
+table, stop early and carry their entry counts from one build to the next,
+its window conflicts read the span's queues and a per-segment index of the
+stored entries, its edge-cost views price only the edges with traffic, the
+reactive one from the rows' travel-time tables, its myopic lane hops read
+the rows' speed tables, its reactive reroutes search once per (current edge,
+destination), its KPI sampler reads only the vehicles retired since the last
+sample, and its prediction and decision logs are rendered as CSV text (the
+prediction log from the snapshots' kept tables). Each of these rests on an
+exactness argument, given in `jointlane.engine`, `jointlane.prediction`,
+`jointlane.control`, `jointlane.metrics` and `jointlane.runner`. This module
+keeps the plain versions they replaced:
 
 * `segment_speed`, the speed-density expression evaluated on every call;
-* `step`, which evaluates it for every occupied queue, walks the queues in
-  `sorted()` order, fully packed ones included, and sends every crossing to
-  `_transfer`, so it stays the reference that `install_plain` runs whole
-  runs with, for both crossing shortcuts;
+* `step`, which evaluates it for every occupied queue, reads each queue's
+  edge, walks the queues in `sorted()` order, fully packed ones included,
+  finds a packed count by the segment's position in `all_segments()`, and
+  sends every crossing to `_transfer`, so it stays the reference that
+  `install_plain` runs whole runs with, for both crossing shortcuts;
 * `inject_demand`, which walks the whole backlog, merged in creation order,
   on every call;
 * `build_snapshot`, which projects every non-bus vehicle over its whole
-  remaining route and sums the entries afresh on every call, ignoring the
-  previous snapshot whose walks and entry counts the fast one carries
+  remaining route, asking `permitted_lanes` for the lane on each route edge
+  (`projected_entries`), and sums the entries afresh on every call, ignoring
+  the previous snapshot whose walks and entry counts the fast one carries
   forward; its `hdv_entries` are keyed in `all_segments()` order, as the fast
   build emits them;
 * `_window_conflicts`, and `refresh_conflicts` on top of it, which scan every
@@ -35,7 +39,8 @@ module keeps the plain versions they replaced:
   from the span's two queues and the others from the build's DL index;
 * `build_bus_windows`, which walks every vehicle and skips the non-buses;
 * `predicted_cost_view` and `instantaneous_cost_view`, which price every
-  edge;
+  edge, the latter with `segment_speed`;
+* `myopic_lane_actions`, which compares the two lanes' `segment_speed`;
 * `reactive_reroutes`, which searches a new route for every CAV, where the
   fast one searches once per (current edge, destination);
 * `sample_kpis`, which scans all of `world.retired` for the bus total and
@@ -48,16 +53,17 @@ module keeps the plain versions they replaced:
   rather than as rendered text.
 
 `install_shadow` patches the simulator so that each prediction, cost-view,
-reactive reroute and KPI sample call made by the runner computes both the
-fast and the plain result, asserts that they are equal, and goes on with the
-fast one. At every build it also recomputes the entry counts and the DL
-index that the fast snapshot carries from its own walks and `tau`
-(`assert_carried_state`), so a count that drifts fails before it shows in
-`inflow`. Before every motion step it checks the plant's tables
-(`assert_plant_tables`) and invariants (`assert_plant_invariants`).
-`install_plain` patches every plain form in instead, so a whole run can be
-compared with a fast one report by report, the rendered logs included, byte
-for byte against `csv.writer`'s output.
+myopic lane hop, reactive reroute and KPI sample call made by the runner
+computes both the fast and the plain result, asserts that they are equal,
+and goes on with the fast one. At every build it also recomputes the entry
+counts and the DL index that the fast snapshot carries from its own walks
+and `tau` (`assert_carried_state`), so a count that drifts fails before it
+shows in `inflow`. Before every motion step it checks the plant's tables
+(`assert_plant_tables`; the immutable segment and continuation rows in full
+on a world's first step, `assert_segment_rows`) and invariants
+(`assert_plant_invariants`). `install_plain` patches every plain form in
+instead, so a whole run can be compared with a fast one report by report,
+the rendered logs included, byte for byte against `csv.writer`'s output.
 
 It also keeps the paper's per-query definitions, answered one (vehicle,
 segment) query at a time from the same projection as the simulator's
@@ -76,7 +82,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from jointlane import control, metrics, prediction, routing, runner
-from jointlane.control import ControlParams, RouteAssignment
+from jointlane.control import ControlParams, LaneAction, RouteAssignment
 from jointlane.engine import (
     SPEED_FLOOR,
     VehicleState,
@@ -86,7 +92,7 @@ from jointlane.engine import (
     _transfer,
     entry_group,
 )
-from jointlane.network import Lane, NetworkModel, SegmentRef, VehicleClass
+from jointlane.network import Lane, NetworkError, NetworkModel, SegmentRef, VehicleClass
 from jointlane.prediction import (
     MIN_PROJECTION_SPEED,
     BprParams,
@@ -148,6 +154,7 @@ def step(world: World, dt: Optional[float] = None):
         dt = world.clock.dt_sim
     model = world.model
     packed = world.packed
+    slots = {key: slot for slot, key in enumerate(model.all_segments())}
     t = world.t
     moved: set[int] = set()
     # motion speeds from start-of-step occupancy: the mover is not its own
@@ -159,6 +166,7 @@ def step(world: World, dt: Optional[float] = None):
     }
     for key in sorted(speeds):
         q = world.queues[key]
+        slot = slots[key]
         seg_len = model.edges[key.edge].seg_length
         v_seg = speeds[key]
         block: Optional[float] = None  # offset of the nearest vehicle that stays ahead
@@ -200,7 +208,7 @@ def step(world: World, dt: Optional[float] = None):
                 held = True
                 # every vehicle ahead of it has left, so if it led the packed
                 # front, the rest of that front stays where it is at speed 0
-                skip = packed.get(key, 0) - 1
+                skip = packed[slot] - 1
                 if skip > 0:
                     next(itertools.islice(rest, skip, skip), None)
             else:
@@ -210,52 +218,99 @@ def step(world: World, dt: Optional[float] = None):
         if held:
             # what is left of the old front, then those behind it that
             # stayed at the segment end through the whole step
-            n = packed.get(key, 0)
+            n = packed[slot]
             while n < len(q):
                 veh = world.vehicles[q[n]]
                 if veh.speed != 0.0 or veh.offset != seg_len or veh.vclass is VehicleClass.BUS:
                     break
                 n += 1
-            packed[key] = n
+            packed[slot] = n
     world.t = t + dt
 
 
-PlainTables = tuple[list[SegmentRef], dict[int, tuple[float, ...]]]
+PlainTables = tuple[
+    list[SegmentRef],
+    dict[int, tuple[float, ...]],
+    dict[int, tuple[float, ...]],
+    dict[tuple[VehicleClass, Lane], dict[int, tuple[SegmentRef, SegmentRef, float, float]]],
+]
 
 
 def plain_tables(world: World) -> PlainTables:
-    """What the fast plant's tables must hold, from the plain forms: the
-    segments in sorted order, and per edge the speed at each occupancy from
-    0 to one past `jam_count` (an overfull queue keeps the floor speed)."""
+    """What the fast tables must hold, from the plain forms: the segments in
+    sorted order; per edge the speed at each occupancy from 0 to one past
+    `jam_count` (an overfull queue keeps the floor speed) and the travel time
+    `seg_length / speed` up to `jam_count`; and per (class, lane) the
+    continuation row of every edge the class may use, from `permitted_lanes`
+    and `halves`."""
     model = world.model
     speeds = {}
+    times = {}
     for eid, edge in model.edges.items():
         key = model.halves[eid][Lane.LEFT][0]
         speeds[eid] = tuple(segment_speed(world, key, n) for n in range(edge.jam_count + 2))
-    return sorted(model.all_segments()), speeds
+        times[eid] = tuple(edge.seg_length / v for v in speeds[eid][:-1])
+    continuations = {}
+    for vclass in VehicleClass:
+        for lane in Lane:
+            rows = continuations[vclass, lane] = {}
+            for eid, edge in model.edges.items():
+                try:
+                    permitted = model.permitted_lanes(vclass, eid)
+                except NetworkError:  # a bus on an edge without a dedicated lane
+                    continue
+                upstream, downstream = model.halves[eid][lane if lane in permitted else Lane.LEFT]
+                rows[eid] = (upstream, downstream, edge.seg_length, edge.length)
+    return sorted(model.all_segments()), speeds, times, continuations
 
 
-def assert_plant_tables(world: World, expected: PlainTables):
-    """The tables the fast plant reads: one queue per segment, in the model's
-    segment order, which is sorted order, with rows holding each queue itself,
-    its edge, and for an m=1 segment the (edge, lane, 2) queue itself and the
-    edge's `jam_count` (None, the edge end, for an m=2 one), in the same
-    order; each filled entry-room row holding the entry edge's `jam_count` and
-    the first-half queues of `NetworkModel.entry_lanes`; a backlog whose
-    groups are id-ordered, non-empty and hold only their own members; and
-    per-edge speed tables equal to the plain expression for every occupancy
-    up to `jam_count`, with the floor speed past it."""
+def assert_segment_rows(world: World, expected: PlainTables):
+    """The world's segment rows and the model's continuation rows.
+
+    One row per segment, in the model's segment order, keyed by its segment
+    and holding the queue itself, the edge itself, its `seg_length` and
+    `jam_count`, the plain speed of every occupancy up to `jam_count`, the
+    travel times `seg_length / speed` at those occupancies, the other lane's
+    queue at the same half, the (edge, lane, 2) queue for an m=1 segment
+    (None, the edge end, for an m=2 one) and its own position, with one
+    packed count per row; and every continuation row equal to the plain one.
+    """
     model = world.model
-    order, speeds = expected
-    assert list(world.queues) == list(model.all_segments()) == order
-    assert [row[0] for row in world.queue_rows] == order
-    for key, q, edge, down, jam in world.queue_rows:
-        assert q is world.queues[key] and edge is model.edges[key.edge]
-        assert jam == edge.jam_count
+    order, speeds, times, continuations = expected
+    queues = world.queues
+    assert list(world.rows) == order and len(world.packed) == len(order)
+    for slot, (key, row) in enumerate(world.rows.items()):
+        edge = model.edges[key.edge]
+        assert row.key == key and row.slot == slot
+        assert row.queue is queues[key] and row.edge is edge
+        assert (row.seg_length, row.jam_count) == (edge.seg_length, edge.jam_count)
+        assert row.speeds == speeds[key.edge][:-1] and row.times == times[key.edge]
+        assert row.other is queues[SegmentRef(key.edge, key.lane.other, key.m)]
         if key.m == 1:
-            assert down is world.queues[SegmentRef(key.edge, key.lane, 2)]
+            assert row.down is queues[SegmentRef(key.edge, key.lane, 2)]
         else:
-            assert down is None
+            assert row.down is None
+    for (vclass, lane), rows in continuations.items():
+        assert model.continuation(vclass, lane) == rows
+
+
+def assert_plant_tables(world: World, expected: PlainTables, rows: bool = True):
+    """The tables the fast plant reads: one queue per segment, in the model's
+    segment order, which is sorted order; the segment rows
+    (`assert_segment_rows`, skipped with `rows=False`, when they were
+    checked before: a row never changes, and each still holds its queue);
+    each filled entry-room row holding the entry edge's `jam_count` and the
+    first-half queues of `NetworkModel.entry_lanes`; a backlog whose groups
+    are id-ordered, non-empty and hold only their own members; and per-edge
+    speed tables equal to the plain expression for every occupancy up to
+    `jam_count`, with the floor speed past it."""
+    model = world.model
+    order, speeds, _, _ = expected
+    assert list(world.queues) == list(model.all_segments()) == order
+    if rows:
+        assert_segment_rows(world, expected)
+    else:
+        assert all(row.queue is q for row, q in zip(world.rows.values(), world.queues.values()))
     for group, (jam, queues) in world.entry_rooms.items():
         vclass, edge_id, onward = group
         assert jam == model.edges[edge_id].jam_count
@@ -279,15 +334,16 @@ def assert_plant_invariants(world: World):
     """Conservation per class (injected = retired + active); each active
     vehicle in exactly the queue of its stored segment, on its route edge;
     offsets non-increasing along every queue; occupancy at most `jam_count`;
-    and the first `packed[key]` vehicles of each queue packed (not a bus, at
-    the segment end, speed 0)."""
+    and the first `packed[slot]` vehicles of each queue packed (not a bus, at
+    the segment end, speed 0), `slot` being the queue's position in the
+    segment order."""
     model = world.model
     for vclass in VehicleClass:
         retired = sum(1 for veh in world.retired if veh.vclass is vclass)
         active = sum(1 for veh in world.vehicles.values() if veh.vclass is vclass)
         assert world.injected[vclass] == retired + active, vclass
     where: dict[int, SegmentRef] = {}
-    for key, q in world.queues.items():
+    for slot, (key, q) in enumerate(world.queues.items()):
         edge = model.edges[key.edge]
         assert len(q) <= edge.jam_count, key
         offsets = []
@@ -296,7 +352,7 @@ def assert_plant_invariants(world: World):
             where[vid] = key
             offsets.append(world.vehicles[vid].offset)
         assert offsets == sorted(offsets, reverse=True), key
-        for vid in q[: world.packed.get(key, 0)]:
+        for vid in q[: world.packed[slot]]:
             veh = world.vehicles[vid]
             assert veh.vclass is not VehicleClass.BUS, (key, vid)
             assert veh.offset == edge.seg_length and veh.speed == 0.0, (key, vid)
@@ -563,6 +619,28 @@ def instantaneous_cost_view(world: World) -> dict[int, float]:
 # -- control -------------------------------------------------------------------------
 
 
+def myopic_lane_actions(
+    world: World,
+    snapshot: PredictionSnapshot,
+    banned: frozenset[tuple[int, SegmentRef]],
+    excluded: frozenset[int],
+) -> list[LaneAction]:
+    """Hop to the adjacent permitted lane when it is currently strictly
+    faster, both speeds from `segment_speed`."""
+    actions = []
+    for vid, veh in snapshot.vehicles.items():
+        if veh.vclass is not VehicleClass.CAV or vid in excluded:
+            continue
+        seg = veh.segment
+        target = SegmentRef(seg.edge, seg.lane.other, seg.m)
+        if (vid, target) in banned:
+            continue
+        if segment_speed(world, target) > segment_speed(world, seg):
+            direction = 1 if target.lane is Lane.RIGHT else -1
+            actions.append(LaneAction(vid, seg, direction, forced=False))
+    return actions
+
+
 def reactive_reroutes(
     world: World, snapshot: PredictionSnapshot, params: ControlParams, costs: dict[int, float]
 ) -> list[RouteAssignment]:
@@ -719,11 +797,12 @@ def reused_walks(snapshot: PredictionSnapshot, previous: Optional[PredictionSnap
 
 
 def install_shadow(monkeypatch) -> dict[str, int]:
-    """Run the plain form beside every fast prediction, cost-view, reactive
-    reroute and KPI sample call the runner makes, check each fast snapshot's
-    carried counts and DL index against its own walks
+    """Run the plain form beside every fast prediction, cost-view, myopic
+    lane hop, reactive reroute and KPI sample call the runner makes, check
+    each fast snapshot's carried counts and DL index against its own walks
     (`assert_carried_state`), and check the plant's tables and invariants
-    before every motion step.
+    before every motion step, the segment rows in full on each world's first
+    step.
 
     Returns the number of checked calls per function, filled in as the run
     goes, so a test can tell that the net was in place; `reused_walks` counts
@@ -732,7 +811,7 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     """
     calls = dict.fromkeys(
         ("bus_windows", "snapshot", "refresh", "predicted_costs", "instantaneous_costs",
-         "reactive_reroutes", "reroute_assignments", "kpi_samples", "step",
+         "reactive_reroutes", "reroute_assignments", "myopic", "kpi_samples", "step",
          "reused_walks"), 0
     )
     fast_step = runner.step
@@ -742,6 +821,7 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     fast_predicted = control.predicted_cost_view
     fast_instantaneous = control.instantaneous_cost_view
     fast_reroutes = control.reactive_reroutes
+    fast_myopic = control.myopic_lane_actions
     fast_kpis = metrics.sample_kpis
 
     def windows(world, protection):
@@ -783,6 +863,12 @@ def install_shadow(monkeypatch) -> dict[str, int]:
         calls["reroute_assignments"] += len(out)
         return out
 
+    def myopic(world, snapshot, banned, excluded):
+        out = fast_myopic(world, snapshot, banned, excluded)
+        assert out == myopic_lane_actions(world, snapshot, banned, excluded)
+        calls["myopic"] += 1
+        return out
+
     def kpis(world, t, travel_times):
         out = fast_kpis(world, t, travel_times)
         assert_same_kpis(out, sample_kpis(world, t))
@@ -790,12 +876,14 @@ def install_shadow(monkeypatch) -> dict[str, int]:
         return out
 
     expected: dict[int, PlainTables] = {}  # by id of the model
+    rows_checked: dict[int, World] = {}  # by id of the world, kept alive
 
     def checked_step(world, dt=None):
         tables = expected.get(id(world.model))
         if tables is None:
             tables = expected[id(world.model)] = plain_tables(world)
-        assert_plant_tables(world, tables)
+        assert_plant_tables(world, tables, rows=rows_checked.get(id(world)) is not world)
+        rows_checked[id(world)] = world
         assert_plant_invariants(world)
         fast_step(world, dt)
         calls["step"] += 1
@@ -807,6 +895,7 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(control, "predicted_cost_view", predicted)
     monkeypatch.setattr(control, "instantaneous_cost_view", instantaneous)
     monkeypatch.setattr(control, "reactive_reroutes", reroutes)
+    monkeypatch.setattr(control, "myopic_lane_actions", myopic)
     monkeypatch.setattr(metrics, "sample_kpis", kpis)
     return calls
 
@@ -844,6 +933,7 @@ def install_plain(monkeypatch):
     monkeypatch.setattr(control, "predicted_cost_view", predicted_cost_view)
     monkeypatch.setattr(control, "instantaneous_cost_view", instantaneous_cost_view)
     monkeypatch.setattr(control, "reactive_reroutes", reactive_reroutes)
+    monkeypatch.setattr(control, "myopic_lane_actions", myopic_lane_actions)
     monkeypatch.setattr(runner, "simulate", simulate)
     monkeypatch.setattr(
         metrics, "sample_kpis", lambda world, t, travel_times: sample_kpis(world, t)

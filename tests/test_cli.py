@@ -237,3 +237,27 @@ def test_values_past_the_float_range_are_validation_errors(capsys, tmp_path, cor
     code = run_cli(["--scenario", str(scenario), *extra, "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err == f"jointlane: scenario error: {message}\n"
+
+
+def test_beta_past_the_float_range_is_a_scenario_error(capsys, tmp_path):
+    # (flow / capacity) ** beta overflowed into an OverflowError traceback
+    code = run_cli(["--scenario", "desk_small", "--set", "beta=2000", "--horizon", "120",
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "jointlane: scenario error: control: beta = 2000 takes (flow / capacity) ** beta "
+        "past the float range at flow / capacity = 2.66667\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_past_the_tick_cap_is_a_scenario_error(capsys, tmp_path):
+    # a finite but tiny dt_sim passed the clock checks, and the run never ended
+    code = run_cli(["--scenario", "desk_small", "--set", "dt_sim=1e-200", "--horizon", "120",
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "jointlane: scenario error: control: dt_sim = 1e-200 over a 120 s horizon makes "
+        "2.4e+202 motion ticks, more than 1,000,000\n"
+    )
+    assert not (tmp_path / "out").exists()

@@ -266,6 +266,19 @@ def test_simulate_caps_the_arrivals_a_demand_stream_expects(desk_small):
         simulate(dataclasses.replace(desk_small, demand=tuple(demand)))
 
 
+def test_simulate_caps_the_motion_ticks_of_a_run(desk_small):
+    from jointlane.runner import MAX_TICKS, simulate
+    from jointlane.scenario import ScenarioError, load_scenario, resolve_scenario
+
+    for scenario in (desk_small, load_scenario(resolve_scenario("desk_large"))):
+        assert 2 * scenario.meta["horizon"] / scenario.clock.dt_sim * 100 < MAX_TICKS
+    # 2 x 500 / 0.001 = 1 000 000 ticks is the most a run may make
+    clock = dataclasses.replace(desk_small.clock, dt_sim=0.001)
+    with pytest.raises(ScenarioError, match=r"^control: dt_sim = 0\.001 over a 500\.001 s "
+                                            r"horizon makes 1e\+06 motion ticks"):
+        simulate(dataclasses.replace(desk_small, clock=clock), horizon=500.001)
+
+
 def test_demand_respects_horizon():
     entries = [DemandEntry(1, 2, VehicleClass.CAV, times=(10.0, 899.9, 900.0, 950.0))]
     arrivals = generate_arrivals(entries, seed=1, until=900.0)
@@ -591,10 +604,17 @@ def test_turn_realignment_blocked_by_jammed_target():
 # -- packed front ---------------------------------------------------------------
 
 
+def packed_count(world, key):
+    """The length of the queue's packed front: `world.packed` holds one count
+    per segment, in `all_segments()` order."""
+    return world.packed[world.model.all_segments().index(key)]
+
+
 def assert_packed_front(world):
-    """The first `world.packed[key]` vehicles of every queue are packed: not
-    buses, at the segment end and at speed 0."""
-    for key, n in world.packed.items():
+    """The first `packed_count(world, key)` vehicles of every queue are packed:
+    not buses, at the segment end and at speed 0."""
+    assert len(world.packed) == len(world.model.all_segments())
+    for key, n in zip(world.model.all_segments(), world.packed):
         queue = world.queues[key]
         assert 0 <= n <= len(queue)
         seg_len = world.model.edges[key.edge].seg_length
@@ -626,12 +646,12 @@ def _step_against_full_walk(build, ticks, before_step=None):
         if before_step is not None:
             assert before_step(world, tick) == before_step(twin, tick)
         assert_packed_front(world)
-        twin.packed.clear()
+        twin.packed[:] = [0] * len(twin.packed)
         step(world, 1.0)
         step(twin, 1.0)
         assert_packed_front(world)
         assert _plant_state(world) == _plant_state(twin)
-        peak = max(peak, max(world.packed.values(), default=0))
+        peak = max(peak, max(world.packed, default=0))
     return world, peak
 
 
@@ -665,18 +685,18 @@ def test_packed_front_counts_behind_a_held_front():
     # joins the packed front once it has waited there for a step
     third = world.vehicles[world.queues[down][2]]
     assert third.offset == 50.0 and third.speed > 0.0
-    assert world.packed[down] == 2
+    assert packed_count(world, down) == 2
     step(world, 1.0)
-    assert world.packed[down] == 3
+    assert packed_count(world, down) == 3
     for _ in range(5):
         step(world, 1.0)
-    assert world.packed[up] == 3  # held by the full downstream half
+    assert packed_count(world, up) == 3  # held by the full downstream half
     step(world, 1.0)  # green at t=15: the whole downstream half leaves
-    assert (world.queues[down], world.packed[down]) == ([], 0)
-    assert world.packed[up] == 3  # walked first, it still found the half full
+    assert (world.queues[down], packed_count(world, down)) == ([], 0)
+    assert packed_count(world, up) == 3  # walked first, it still found the half full
     step(world, 1.0)
     assert world.queues[down] == [3, 4, 5]
-    assert (world.queues[up], world.packed[up]) == ([], 0)
+    assert (world.queues[up], packed_count(world, up)) == ([], 0)
     assert_packed_front(world)
 
 
@@ -704,9 +724,9 @@ def test_lane_change_out_of_a_packed_front():
     def change_at_tick_10(world, tick):
         if tick != 10:
             return None
-        assert world.packed[key] == 4
+        assert packed_count(world, key) == 4
         ok = execute_lane_change(world, 2, -1)
-        assert world.packed[key] == 3  # the vehicles behind it move up
+        assert packed_count(world, key) == 3  # the vehicles behind it move up
         assert world.queues[key] == [0, 1, 3]
         assert_packed_front(world)
         return ok
@@ -721,7 +741,7 @@ def test_bus_in_a_jam_is_never_packed(bus_at):
     key = SegmentRef(0, Lane.RIGHT, 2)
     world, _ = _step_against_full_walk(lambda: _dl_gated_world(bus_at), 20)
     assert [world.vehicles[vid].offset for vid in world.queues[key]] == [50.0] * 4
-    assert world.packed[key] == bus_at  # the bus ends the packed front
+    assert packed_count(world, key) == bus_at  # the bus ends the packed front
 
 
 def test_align_into_a_packed_queue():
@@ -751,7 +771,7 @@ def test_align_into_a_packed_queue():
     def check(world, tick):
         if tick == 3:  # vehicle 1 aligned in the last step, behind the front
             assert world.queues[key] == [0, 1]
-            assert world.packed[key] == 1
+            assert packed_count(world, key) == 1
         return None
 
     world, peak = _step_against_full_walk(build, 60, check)
@@ -797,7 +817,7 @@ def test_packed_front_invariant_on_desk_large_jam():
     def observer(world, snapshot, decision, executed):
         assert_packed_front(world)
         seen["checked"] += 1
-        seen["packed"] = max(seen["packed"], sum(world.packed.values()))
+        seen["packed"] = max(seen["packed"], sum(world.packed))
 
     simulate(load_scenario(resolve_scenario("desk_large")), strategy="proposed",
              seed=1, horizon=600.0, observer=observer)
@@ -827,7 +847,7 @@ def _queue_state(world, key):
     return (
         list(world.queues[key]),
         [(world.vehicles[vid].offset, world.vehicles[vid].speed) for vid in world.queues[key]],
-        world.packed.get(key),
+        packed_count(world, key),
     )
 
 
@@ -847,7 +867,7 @@ def test_packed_queue_behind_a_full_half_is_left_untouched(transfers):
         offsets.append(last.offset)
     # the vehicle behind the held front still closes up to it
     assert offsets == [46.5, 49.0, 50.0, 50.0]
-    assert world.packed[up] == 4
+    assert packed_count(world, up) == 4
     packed_state = _queue_state(world, up)
     for _ in range(3):
         step(world, 1.0)
@@ -896,7 +916,7 @@ def test_edge_end_into_full_entry_lanes_makes_no_call(transfers, vclass):
     assert (front.route_index, front.segment, front.offset) == (
         0, SegmentRef(0, Lane.LEFT, 2), 50.0)
     assert transfers == [] and asked == []
-    assert world.packed[SegmentRef(0, Lane.LEFT, 2)] == 1
+    assert packed_count(world, SegmentRef(0, Lane.LEFT, 2)) == 1
 
 
 @pytest.mark.parametrize("vclass", [VehicleClass.HDV, VehicleClass.CAV])

@@ -6,6 +6,7 @@ from jointlane.engine import StopVisit, _retire, step
 from jointlane.network import BusStop, Lane, SegmentRef, VehicleClass
 from jointlane.prediction import (
     BprParams,
+    BprRangeError,
     BusWindows,
     PredictionError,
     ProtectionHorizon,
@@ -44,6 +45,14 @@ def test_bpr_monotone_in_flow():
         f1 = rng.uniform(0, 3 * cap)
         f2 = f1 + rng.uniform(0, cap)
         assert bpr_time(t0, f2, cap, PARAMS) >= bpr_time(t0, f1, cap, PARAMS) >= t0
+
+
+def test_bpr_overflow_is_a_range_error():
+    # below 1 the power underflows harmlessly; past the float range it raises
+    assert bpr_time(10.0, 1.0, 2.0, BprParams(beta=2000.0)) == 10.0
+    message = r"^control: beta = 2000 takes .* at flow / capacity = 1\.5$"
+    with pytest.raises(BprRangeError, match=message):
+        bpr_time(10.0, 3.0, 2.0, BprParams(beta=2000.0))
 
 
 def test_bpr_rejects_bad_inputs():

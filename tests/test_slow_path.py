@@ -7,7 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jointlane.control import instantaneous_cost_view, predicted_cost_view
+from jointlane.control import (
+    instantaneous_cost_view,
+    myopic_lane_actions,
+    predicted_cost_view,
+)
 from jointlane.engine import VehicleState, inject_demand, step
 from jointlane.network import Lane, VehicleClass
 from jointlane.prediction import (
@@ -34,6 +38,8 @@ def _assert_checked(calls, strategy):
     assert calls["instantaneous_costs" if strategy == "drp" else "predicted_costs"]
     if strategy == "drp":
         assert calls["reactive_reroutes"] and calls["reroute_assignments"]
+    if strategy != "proposed":
+        assert calls["myopic"]
     assert calls["reused_walks"] > 0
 
 
@@ -204,6 +210,9 @@ def test_random_worlds_fast_paths_match_plain(rng):
     slow_path.assert_same_costs(predicted_cost_view(snap), slow_path.predicted_cost_view(snap))
     slow_path.assert_same_costs(
         instantaneous_cost_view(world), slow_path.instantaneous_cost_view(world)
+    )
+    assert myopic_lane_actions(world, snap, frozenset(), frozenset()) == (
+        slow_path.myopic_lane_actions(world, snap, frozenset(), frozenset())
     )
     # vehicles move on, some into a segment they held a stored entry for;
     # the refresh reads those entries against fresh windows
