@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import routing
 from .engine import EntryChooser, SegmentRow, VehicleState, World
-from .network import Lane, SegmentRef, VehicleClass
+from .network import CAV, LEFT, OTHER, RIGHT, Lane, SegmentRef
 from .prediction import PredictionSnapshot, bpr_time
 
 STRATEGIES = ("drp", "prp", "proposed")
@@ -137,12 +137,12 @@ def entry_chooser(
         if right in banned and snapshot.windows.contains(right, world.t):
             # the dedicated lane stays as a last resort so the vehicle does
             # not stall at the upstream boundary and block the bus itself
-            return (Lane.LEFT, Lane.RIGHT)
+            return (LEFT, RIGHT)
         if by_prediction:
             right_first = snapshot.predicted(right) < snapshot.predicted(left)
         else:
             right_first = world.segment_speed(right) > world.segment_speed(left)
-        return (Lane.RIGHT, Lane.LEFT) if right_first else (Lane.LEFT, Lane.RIGHT)
+        return (RIGHT, LEFT) if right_first else (LEFT, RIGHT)
 
     return choose
 
@@ -214,10 +214,12 @@ def build_candidates(
     lane have no candidates (the baselines' myopic hops are not limited this
     way).
     """
-    if not snapshot.model.edges[seg.edge].dl:
+    model = snapshot.model
+    if not model.edges[seg.edge].dl:
         return []
-    target = SegmentRef(seg.edge, seg.lane.other, seg.m)
-    direction = 1 if target.lane is Lane.RIGHT else -1
+    target_lane = OTHER[seg.lane]
+    target = model.halves[seg.edge][target_lane][seg.m - 1]
+    direction = 1 if target_lane is RIGHT else -1
     return [
         LaneAction(vid, seg, direction, forced=False)
         for vid in cavs
@@ -241,11 +243,12 @@ def select_lane_changes(
     decision = protection_actions(snapshot, warned)
     forced_ids = frozenset(a.vehicle for a in decision.actions)
     cavs_on: dict[SegmentRef, list[int]] = {}
+    halves = snapshot.model.halves
     for vid, veh in snapshot.vehicles.items():  # id order
-        if veh.vclass is VehicleClass.CAV:
+        if veh.vclass is CAV:
             cavs_on.setdefault(veh.segment, []).append(vid)
     for seg in sorted(cavs_on):
-        target = SegmentRef(seg.edge, seg.lane.other, seg.m)
+        target = halves[seg.edge][OTHER[seg.lane]][seg.m - 1]
         scored = {}
         for cand in build_candidates(snapshot, seg, cavs_on[seg], decision.banned, forced_ids):
             u, terms = utility(snapshot, params, cand.vehicle, seg, target)
@@ -272,12 +275,13 @@ def predicted_cost_view(snapshot: PredictionSnapshot) -> dict[int, float]:
     """
     model = snapshot.model
     predicted = snapshot.predicted
+    halves = model.halves
     costs = routing.free_flow_costs(model)
     for eid in {seg.edge for seg in snapshot.predicted_time}:
-        lanes = model.permitted_lanes(VehicleClass.CAV, eid)
+        lanes = [halves[eid][l] for l in model.permitted_lanes(CAV, eid)]
         total = 0.0
-        for m in (1, 2):
-            total += min(predicted(SegmentRef(eid, l, m)) for l in lanes)
+        for m in (0, 1):
+            total += min(predicted(lane[m]) for lane in lanes)
         costs[eid] = total
     return costs
 
@@ -327,7 +331,7 @@ def rerouting_escalation(
     taken: set[int] = set()
     exhausted = 0
     for seg in sorted(warned):
-        adjacent = SegmentRef(seg.edge, Lane.LEFT, seg.m)
+        adjacent = model.halves[seg.edge][LEFT][seg.m - 1]
         t0_seg = model.t0(seg)
         t0_adj = model.t0(adjacent)
         gpl_time = snapshot.predicted(adjacent)
@@ -363,7 +367,7 @@ def rerouting_escalation(
                 veh.route,
                 veh.route_index,
                 veh.destination,
-                VehicleClass.CAV,
+                CAV,
                 costs,
                 forbidden=frozenset({seg.edge}),
             )
@@ -398,17 +402,18 @@ def myopic_lane_actions(
     """
     actions = []
     rows = world.rows
+    halves = world.model.halves
     for vid, veh in snapshot.vehicles.items():
-        if veh.vclass is not VehicleClass.CAV or vid in excluded:
+        if veh.vclass is not CAV or vid in excluded:
             continue
         seg = veh.segment
-        if banned and (vid, SegmentRef(seg.edge, seg.lane.other, seg.m)) in banned:
+        if banned and (vid, halves[seg.edge][OTHER[seg.lane]][seg.m - 1]) in banned:
             continue
         row = rows[seg]
         jam, speeds = row.jam_count, row.speeds
         n, n_other = len(row.queue), len(row.other)
         if speeds[n_other if n_other <= jam else jam] > speeds[n if n <= jam else jam]:
-            direction = 1 if seg.lane is Lane.LEFT else -1  # toward the other lane
+            direction = 1 if seg.lane is LEFT else -1  # toward the other lane
             actions.append(LaneAction(vid, seg, direction, forced=False))
     return actions
 
@@ -429,14 +434,14 @@ def reactive_reroutes(
     suffixes: dict[tuple[int, int], Optional[tuple[list[int], float]]] = {}
     for vid, veh in snapshot.vehicles.items():
         ri = veh.route_index
-        if veh.vclass is not VehicleClass.CAV or ri + 1 >= len(veh.route):
+        if veh.vclass is not CAV or ri + 1 >= len(veh.route):
             continue
         key = (veh.route[ri], veh.destination)
         if key in suffixes:
             found = suffixes[key]
         else:
             candidate = routing.reroute(
-                world.model, veh.route, ri, veh.destination, VehicleClass.CAV, costs,
+                world.model, veh.route, ri, veh.destination, CAV, costs,
             )
             if candidate is None:
                 found = None

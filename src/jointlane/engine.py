@@ -19,7 +19,9 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import stream
 from .network import SPEED_FLOOR  # noqa: F401  (re-exported with the plant's other names)
-from .network import Edge, Lane, NetworkModel, SegmentRef, VehicleClass
+from .network import (
+    BUS, CAV, LEFT, OTHER, RIGHT, TAG, Edge, Lane, NetworkModel, SegmentRef, VehicleClass,
+)
 
 
 class EngineError(RuntimeError):
@@ -41,7 +43,8 @@ class EngineClock:
             ratio = value / self.dt_sim
             if not math.isfinite(ratio):
                 raise EngineError(f"{name} / dt_sim = {ratio} is not a finite number of steps")
-            if value <= 0 or abs(ratio - round(ratio)) > 1e-9:
+            # a ratio within 1e-9 of 0 would make a step of zero ticks
+            if value <= 0 or ratio < 0.5 or abs(ratio - round(ratio)) > 1e-9:
                 raise EngineError(f"{name} must be a positive integer multiple of dt_sim")
 
 
@@ -61,6 +64,8 @@ class DemandEntry:
             raise EngineError("demand entry needs exactly one of rate or times")
         if self.rate is not None and self.rate < 0:
             raise EngineError("demand rate must be >= 0")
+        if self.seed is not None and self.seed < 0:
+            raise EngineError("demand seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -209,7 +214,7 @@ class World:
             halves = model.halves[key.edge]
             self.rows[key] = SegmentRow(
                 key, q, edge.seg_length, edge.jam_count, edge.speeds, times[key.edge],
-                self.queues[halves[key.lane.other][key.m - 1]],
+                self.queues[halves[OTHER[key.lane]][key.m - 1]],
                 self.queues[halves[key.lane][1]] if key.m == 1 else None,
                 slot, edge,
             )
@@ -240,13 +245,9 @@ class World:
     def new_id(self) -> int:
         return next(self._id_counter)
 
-    def count(self, key: SegmentRef) -> int:
-        return len(self.queues[key])
-
     def lane_count(self, edge_id: int, lane: Lane) -> int:
-        return self.count(SegmentRef(edge_id, lane, 1)) + self.count(
-            SegmentRef(edge_id, lane, 2)
-        )
+        upstream, downstream = self.model.halves[edge_id][lane]
+        return len(self.queues[upstream]) + len(self.queues[downstream])
 
     def segment_speed(self, key: SegmentRef) -> float:
         """Speed-density law with a floor, ffs * clamp(1 - n/Njam, floor, 1),
@@ -261,9 +262,10 @@ class World:
         to `events` when it is enabled; the time and the offset are kept as
         floats and formatted when the log is written."""
         if self.events is not None:
+            seg = veh.segment
             self.events.append(
-                (self.t, kind, veh.id, veh.vclass.value, veh.edge_id,
-                 veh.segment.lane.tag, veh.segment.m, veh.offset, detail)
+                (self.t, kind, veh.id, veh.vclass.value, veh.route[veh.route_index],
+                 TAG[seg.lane], seg.m, veh.offset, detail)
             )
 
     def active_counts(self) -> dict[VehicleClass, int]:
@@ -294,7 +296,7 @@ class World:
         if target is None:
             return False
         self.vehicles[veh.id] = veh
-        if veh.vclass is VehicleClass.BUS:
+        if veh.vclass is BUS:
             self.buses[veh.id] = veh
         _enter_queue(self, veh, target, 0.0)
         self.injected[veh.vclass] += 1
@@ -336,12 +338,12 @@ class World:
         onward = veh.route[i + 1] if i + 1 < len(veh.route) else None
         room = self._open_lanes((veh.vclass, edge_id, onward))
         if len(room) > 1:
-            if veh.vclass is VehicleClass.CAV and self.cav_entry_chooser is not None:
+            if veh.vclass is CAV and self.cav_entry_chooser is not None:
                 room = [l for l in self.cav_entry_chooser(self, veh, edge_id) if l in room]
             else:
                 # fewest vehicles on the lane, ties resolved left first
                 room.sort(key=lambda l: (self.lane_count(edge_id, l), int(l)))
-        return SegmentRef(edge_id, room[0], 1) if room else None
+        return self.model.halves[edge_id][room[0]][0] if room else None
 
 
 # -- public operations ----------------------------------------------------------
@@ -406,14 +408,14 @@ def execute_lane_change(
     veh = world.vehicles.get(vehicle_id)
     if veh is None:
         raise EngineError(f"unknown or retired vehicle {vehicle_id}")
-    if veh.vclass is not VehicleClass.CAV:
+    if veh.vclass is not CAV:
         raise EngineError(f"vehicle {vehicle_id}: only CAVs change lanes")
     if direction not in (-1, 1):
         raise EngineError(f"vehicle {vehicle_id}: invalid direction {direction}")
-    target_lane = Lane.RIGHT if direction == 1 else Lane.LEFT
+    target_lane = RIGHT if direction == 1 else LEFT
     if target_lane is veh.segment.lane:
         raise EngineError(
-            f"vehicle {vehicle_id}: already on the {target_lane.tag} lane"
+            f"vehicle {vehicle_id}: already on the {TAG[target_lane]} lane"
         )
     if target_lane not in world.model.permitted_lanes(veh.vclass, veh.edge_id):
         raise EngineError(f"vehicle {vehicle_id}: lane not permitted")
@@ -468,7 +470,7 @@ def step(world: World, dt: Optional[float] = None):
     vehicles = world.vehicles
     packed = world.packed
     t = world.t
-    bus = VehicleClass.BUS
+    bus = BUS
     moved: set[int] = set()  # vehicles that left their queue during this step
     # occupancy at the start of the step sets each queue's speed
     occupied = [(row, len(row.queue)) for row in world.rows.values() if row.queue]
@@ -578,7 +580,7 @@ def _must_wait(world: World, veh: VehicleState, row: SegmentRow) -> bool:
 
 def _next_stop_offset(world: World, veh: VehicleState, key: SegmentRef) -> Optional[float]:
     """Offset (within this segment) of the bus's next stop, if it lies here."""
-    if veh.vclass is not VehicleClass.BUS or veh.next_stop >= len(veh.stop_plan):
+    if veh.vclass is not BUS or veh.next_stop >= len(veh.stop_plan):
         return None
     edge, m, offset = world.model.stop_places[veh.stop_plan[veh.next_stop].stop]
     return offset if edge == key.edge and m == key.m else None
@@ -601,8 +603,8 @@ def _transfer(world: World, veh: VehicleState, key: SegmentRef, overshoot: float
     model = world.model
     edge = model.edges[key.edge]
     if key.m == 1:
-        target = SegmentRef(key.edge, key.lane, 2)
-        if world.count(target) >= edge.jam_count:
+        target = model.halves[key.edge][key.lane][1]
+        if len(world.queues[target]) >= edge.jam_count:
             return False
     else:
         # downstream edge end
@@ -615,9 +617,7 @@ def _transfer(world: World, veh: VehicleState, key: SegmentRef, overshoot: float
         if not model.connects(key.edge, key.lane, nxt):
             # a CAV whose mid-edge lane choices left it without the turn
             # connection it needs crosses over at the edge end
-            if veh.vclass is not VehicleClass.CAV or not model.connects(
-                key.edge, key.lane.other, nxt
-            ):
+            if veh.vclass is not CAV or not model.connects(key.edge, OTHER[key.lane], nxt):
                 return False
             veh.offset = edge.seg_length  # it is at the edge end
             return _lateral_move(world, veh, "align")
@@ -658,15 +658,16 @@ def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
     if veh.lane_change_log and veh.lane_change_log[-1] == world.t:
         return False  # one lateral move per vehicle per tick
     source = veh.segment
-    target = SegmentRef(source.edge, source.lane.other, source.m)
-    if world.count(target) >= world.model.edges[source.edge].jam_count:
+    row = world.rows[source]
+    if len(row.other) >= row.jam_count:
         return False
+    target = world.model.halves[source.edge][OTHER[source.lane]][source.m - 1]
     _remove(world, source, veh.id)
     veh.segment = target
     world._insert_by_offset(target, veh)
     veh.lane_change_log.append(world.t)
     world.lane_changes.append(
-        (world.t, veh.id, source.edge, source.m, source.lane.tag, target.lane.tag, reason)
+        (world.t, veh.id, source.edge, source.m, TAG[source.lane], TAG[target.lane], reason)
     )
     world.log_event("lane_change", veh, detail=reason)
     return True

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .engine import World
-from .network import VehicleClass
+from .network import BUS, CAV, HDV, VehicleClass
 
 #: a bus arrival counts as on time when its delay is at most this many seconds
 ON_TIME_TOLERANCE = 30.0
@@ -123,11 +123,11 @@ def sample_kpis(
     seen = sum(map(len, travel_times.values()))
     for v in world.retired[seen:]:
         travel_times[v.vclass].append(v.arrival_time - v.depart_time)
-    cav = travel_times[VehicleClass.CAV]
-    hdv = travel_times[VehicleClass.HDV]
+    cav = travel_times[CAV]
+    hdv = travel_times[HDV]
     return KpiSample(
         t=t,
-        cumulative_bus_travel_time=sum(travel_times[VehicleClass.BUS]),
+        cumulative_bus_travel_time=sum(travel_times[BUS]),
         avg_cav_travel_time=sum(cav) / len(cav) if cav else None,
         avg_hdv_travel_time=sum(hdv) / len(hdv) if hdv else None,
         cumulative_cav_lane_changes=len(world.lane_changes),

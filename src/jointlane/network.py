@@ -22,6 +22,11 @@ JAM_SPACING_M = 7.5
 #: downstream travel-time predictions)
 SPEED_FLOOR = 0.05
 
+#: largest storage limit accepted, vehicles per lane per segment (a 75 km
+#: half edge at the default jam spacing); each edge keeps a speed table with
+#: one entry per occupancy, so a larger one is a table too large to build
+MAX_JAM_COUNT = 10_000
+
 #: smallest edge capacity accepted, veh/s per lane (0.0036 veh/h); a smaller
 #: one can push the volume-delay term (flow / capacity) ** beta past the
 #: float range
@@ -38,17 +43,28 @@ class Lane(IntEnum):
 
     @property
     def other(self) -> "Lane":
-        return Lane.RIGHT if self is Lane.LEFT else Lane.LEFT
+        return OTHER[self]
 
     @property
     def tag(self) -> str:
-        return "L" if self is Lane.LEFT else "R"
+        return TAG[self]
 
 
 class VehicleClass(str, Enum):
     HDV = "hdv"
     CAV = "cav"
     BUS = "bus"
+
+
+# Members as module globals: hot code reads these, not `Lane.X` or
+# `VehicleClass.X`, because on Python 3.11 every enum class attribute load
+# goes through `EnumType.__getattr__` (see the README).
+LEFT, RIGHT = Lane.LEFT, Lane.RIGHT
+CAV, HDV, BUS = VehicleClass.CAV, VehicleClass.HDV, VehicleClass.BUS
+
+#: the other lane and the lane's one-letter tag, indexed by the lane
+OTHER: tuple[Lane, Lane] = (RIGHT, LEFT)
+TAG: tuple[str, str] = ("L", "R")
 
 
 class SegmentRef(NamedTuple):
@@ -84,6 +100,11 @@ class Edge:
             raise NetworkError(f"edge {self.id}: capacity must be >= {MIN_CAPACITY:g} veh/s")
         if self.jam_count < 1:
             raise NetworkError(f"edge {self.id}: jam_count must be >= 1")
+        if self.jam_count > MAX_JAM_COUNT:
+            raise NetworkError(
+                f"edge {self.id}: jam_count {self.jam_count} (given, or the half-edge "
+                f"length / {JAM_SPACING_M:g} m) must be <= {MAX_JAM_COUNT}"
+            )
         if self.gate is not None:
             cycle, green, _ = self.gate
             if cycle <= 0 or green < 0 or green > cycle:
@@ -178,13 +199,13 @@ class NetworkModel:
         # lanes per (class, edge): buses run only on a dedicated right lane,
         # HDVs only on general-purpose lanes, CAVs on both; an edge without
         # a dedicated lane has no bus entry
-        both = (Lane.LEFT, Lane.RIGHT)
+        both = (LEFT, RIGHT)
         self._lanes: dict[tuple[VehicleClass, int], tuple[Lane, ...]] = {}
         for eid, e in self.edges.items():
-            self._lanes[VehicleClass.CAV, eid] = both
-            self._lanes[VehicleClass.HDV, eid] = (Lane.LEFT,) if e.dl else both
+            self._lanes[CAV, eid] = both
+            self._lanes[HDV, eid] = (LEFT,) if e.dl else both
             if e.dl:
-                self._lanes[VehicleClass.BUS, eid] = (Lane.RIGHT,)
+                self._lanes[BUS, eid] = (RIGHT,)
         # successor edges per (class, edge), ascending: linked through some
         # lane the class may use on the upstream edge
         self._next: dict[tuple[VehicleClass, int], tuple[int, ...]] = {}
@@ -197,12 +218,12 @@ class NetworkModel:
         # continuation rows per (class, lane), filled by continuation
         self._continuation: dict[tuple[VehicleClass, Lane], dict[int, Continuation]] = {}
         self.dl_segments: frozenset[SegmentRef] = frozenset(
-            seg for seg in self._segments if seg.lane is Lane.RIGHT and self.edges[seg.edge].dl
+            seg for seg in self._segments if seg.lane is RIGHT and self.edges[seg.edge].dl
         )
         # bus stop id -> (edge, half m, offset within that half)
         self.stop_places: dict[int, tuple[int, int, float]] = {}
         for s in self.bus_stops.values():
-            m = self.segment_of(s.edge, Lane.RIGHT, s.offset).m
+            m = self.segment_of(s.edge, RIGHT, s.offset).m
             half = 0.0 if m == 1 else self.edges[s.edge].seg_length
             self.stop_places[s.id] = (s.edge, m, s.offset - half)
 
@@ -238,8 +259,7 @@ class NetworkModel:
             raise NetworkError(
                 f"offset {offset} outside [0, {edge.length}] on edge {edge_id}"
             )
-        m = 1 if offset < edge.seg_length else 2
-        return SegmentRef(edge_id, lane, m)
+        return self.halves[edge_id][lane][0 if offset < edge.seg_length else 1]
 
     def segments(self, edge_id: int) -> tuple[SegmentRef, ...]:
         left, right = self.halves[edge_id]
@@ -291,7 +311,7 @@ class NetworkModel:
             for (c, eid), lanes in self._lanes.items():
                 if c is vclass:
                     e = self.edges[eid]
-                    upstream, downstream = self.halves[eid][lane if lane in lanes else Lane.LEFT]
+                    upstream, downstream = self.halves[eid][lane if lane in lanes else LEFT]
                     table[eid] = (upstream, downstream, e.seg_length, e.length)
         return table
 
@@ -317,11 +337,11 @@ class NetworkModel:
                     raise NetworkError(
                         f"bus route edges {prev} -> {eid} are not adjacent"
                     )
-                if not self.connects(prev, Lane.RIGHT, eid):
+                if not self.connects(prev, RIGHT, eid):
                     raise NetworkError(
                         f"bus route edges {prev} -> {eid} lack a right-lane connection"
                     )
-            path.extend(self.halves[eid][Lane.RIGHT])
+            path.extend(self.halves[eid][RIGHT])
         return path
 
 
@@ -331,7 +351,7 @@ def synthesize_connections(edges: Sequence[Edge]) -> dict[tuple[int, int], froze
     for e in edges:
         by_node_out.setdefault(e.frm, []).append(e.id)
     conns: dict[tuple[int, int], frozenset[Lane]] = {}
-    both = frozenset((Lane.LEFT, Lane.RIGHT))
+    both = frozenset((LEFT, RIGHT))
     for e in edges:
         for nxt in sorted(by_node_out.get(e.to, ())):
             conns[(e.id, nxt)] = both

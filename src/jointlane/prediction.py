@@ -10,11 +10,12 @@ lane segment it has yet to traverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
 from .engine import VehicleState, World
-from .network import Lane, NetworkModel, SegmentRef, VehicleClass
+from .network import BUS, CAV, RIGHT, NetworkModel, SegmentRef
 
 #: speed floor for constant-speed projections (stopped vehicles crawl)
 MIN_PROJECTION_SPEED = 0.1
@@ -25,11 +26,13 @@ class PredictionError(ValueError):
 
 
 class BprRangeError(PredictionError):
-    """The volume-delay term (flow / capacity) ** beta left the float range.
+    """The volume-delay term (flow / capacity) ** beta, or the travel time
+    built from it, left the float range.
 
-    Flows are bounded only by the scenario, so no bound on beta alone keeps
-    the power finite; the power is taken as it is, and an overflow is an
-    input error: beta is too large for the flows the run predicts.
+    Flows are bounded only by the scenario, so no bound on alpha or beta
+    alone keeps the time finite; the time is computed as it is, and an
+    overflow is an input error: alpha or beta is too large for the flows the
+    run predicts.
     """
 
 
@@ -65,12 +68,19 @@ def bpr_time(t0: float, flow: float, capacity: float, params: BprParams) -> floa
     if flow < 0:
         raise PredictionError("flow must be >= 0")
     try:
-        return t0 * (1.0 + params.alpha * (flow / capacity) ** params.beta)
+        travel = t0 * (1.0 + params.alpha * (flow / capacity) ** params.beta)
     except OverflowError:
         raise BprRangeError(
             f"control: beta = {params.beta:g} takes (flow / capacity) ** beta past the "
             f"float range at flow / capacity = {flow / capacity:g}"
         ) from None
+    # the power raises on overflow, but the products turn to inf silently
+    if not math.isfinite(travel):
+        raise BprRangeError(
+            f"control: alpha = {params.alpha:g} and beta = {params.beta:g} take the "
+            f"travel time past the float range at flow / capacity = {flow / capacity:g}"
+        )
+    return travel
 
 
 def protection_window(tau: float, horizon: float) -> tuple[float, float]:
@@ -286,7 +296,7 @@ def _window_conflicts(
         if windows.contains(seg, t):
             for lane in model.halves[edge]:
                 for vid in queues[lane[m - 1]]:
-                    if vehicles[vid].vclass is VehicleClass.CAV:
+                    if vehicles[vid].vclass is CAV:
                         found.append((vid, 0.0))
         for vid, entry in index.get(seg, ()):
             veh = vehicles.get(vid)
@@ -341,7 +351,7 @@ def _project(
     if speed < MIN_PROJECTION_SPEED:  # max(speed, MIN_PROJECTION_SPEED)
         speed = MIN_PROJECTION_SPEED
     # window conflicts read DL entries; the escalation, entries within dt
-    dl_walk = is_cav and seg.lane is Lane.RIGHT
+    dl_walk = is_cav and seg.lane is RIGHT
     dl_segments = model.dl_segments
     soon: list[SegmentRef] = []
     kept: dict[SegmentRef, float] = {}
@@ -429,9 +439,9 @@ def build_snapshot(
     dl_index: dict[SegmentRef, list[tuple[int, float]]] = {}
     vehicles = {vid: world.vehicles[vid] for vid in sorted(world.vehicles)}
     for vid, veh in vehicles.items():
-        if veh.vclass is VehicleClass.BUS:
+        if veh.vclass is BUS:
             continue
-        is_cav = veh.vclass is VehicleClass.CAV
+        is_cav = veh.vclass is CAV
         key = (veh.segment, veh.offset, veh.speed, veh.route_index)
         walk = reusable.get(vid)
         if walk is None or walk[0] != key or walk[1] is not veh.route:

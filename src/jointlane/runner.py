@@ -28,7 +28,7 @@ from .engine import (
     inject_demand,
     step,
 )
-from .network import Lane, SegmentRef, VehicleClass
+from .network import BUS, CAV, HDV, RIGHT, TAG, SegmentRef, VehicleClass
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -273,7 +273,7 @@ def _new_vehicle(
 def _make_bus(world: World, line, trip: int) -> VehicleState:
     edges = world.model.edges
     return _new_vehicle(
-        world, VehicleClass.BUS, line.route,
+        world, BUS, line.route,
         edges[line.route[0]].frm, edges[line.route[-1]].to,
         line=line.id,
         trip=trip,
@@ -286,7 +286,7 @@ def _make_vehicle(
     world: World, entry, costs: Optional[dict[int, float]], hdv_routes
 ) -> VehicleState:
     model = world.model
-    if entry.vclass is VehicleClass.HDV:
+    if entry.vclass is HDV:
         key = (entry.origin, entry.destination)
         route = hdv_routes.get(key)
         if route is None:
@@ -316,7 +316,7 @@ def _apply_decision(
         terms = action.terms or (None, None, None)
         rows.append(
             (
-                decision.t, action.vehicle, seg.edge, seg.lane.tag, seg.m,
+                decision.t, action.vehicle, seg.edge, TAG[seg.lane], seg.m,
                 action.direction, int(action.forced),
                 action.utility, terms[0], terms[1], terms[2], int(ok),
             )
@@ -355,7 +355,8 @@ def _audit_banned_entries(
     for action, ok in executed:
         if not ok or action.forced or action.direction != 1:
             continue
-        target = SegmentRef(action.segment.edge, Lane.RIGHT, action.segment.m)
+        seg = action.segment
+        target = snapshot.model.halves[seg.edge][RIGHT][seg.m - 1]
         if target in decision.warned and action.vehicle in snapshot.overlap.get(target, {}):
             audit["banned_entries"] += 1
 
@@ -387,7 +388,7 @@ def _build_summary(
         "horizon": float(horizon),
         **control_values(scenario),
     }
-    for cls in (VehicleClass.CAV, VehicleClass.HDV, VehicleClass.BUS):
+    for cls in (CAV, HDV, BUS):
         summary[f"injected_{cls.value}"] = world.injected[cls]
         summary[f"retired_{cls.value}"] = retired[cls]
         summary[f"active_end_{cls.value}"] = active[cls]
@@ -460,7 +461,7 @@ def write_prediction_log(result: RunResult, out_dir: str | Path) -> Path:
     model = result.world.model
     segments = []
     for seg in model.all_segments():
-        cells = f",{seg.edge},{seg.lane.tag},{seg.m},"
+        cells = f",{seg.edge},{TAG[seg.lane]},{seg.m},"
         free = f"{model.t0(seg):.6f}"
         segments.append((seg, cells, free, f"{cells}0.000000,0,{free},,\r\n"))
     fc = mt.float_cell

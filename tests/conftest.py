@@ -8,7 +8,6 @@ from jointlane.network import (
     Edge,
     Lane,
     NetworkModel,
-    SegmentRef,
     VehicleClass,
     synthesize_connections,
 )
@@ -92,7 +91,7 @@ def put_vehicle(
         vclass=vclass,
         route=list(route),
         route_index=route_index,
-        segment=SegmentRef(route[route_index], lane, m),
+        segment=world.model.halves[route[route_index]][lane][m - 1],
         offset=offset,
         speed=edge.free_flow_speed if speed is None else speed,
         depart_time=world.t,

@@ -114,7 +114,7 @@ def segment_speed(world: World, key: SegmentRef, n: Optional[int] = None) -> flo
     """Speed-density law with a floor: ffs * clamp(1 - n/Njam, floor, 1)."""
     edge = world.model.edges[key.edge]
     if n is None:
-        n = world.count(key)
+        n = len(world.queues[key])
     frac = 1.0 - n / edge.jam_count
     frac = min(1.0, max(SPEED_FLOOR, frac))
     return edge.free_flow_speed * frac
@@ -336,7 +336,8 @@ def assert_plant_invariants(world: World):
     offsets non-increasing along every queue; occupancy at most `jam_count`;
     and the first `packed[slot]` vehicles of each queue packed (not a bus, at
     the segment end, speed 0), `slot` being the queue's position in the
-    segment order."""
+    segment order. Each vehicle's segment is the very ref `model.halves`
+    holds for it."""
     model = world.model
     for vclass in VehicleClass:
         retired = sum(1 for veh in world.retired if veh.vclass is vclass)
@@ -358,7 +359,10 @@ def assert_plant_invariants(world: World):
             assert veh.offset == edge.seg_length and veh.speed == 0.0, (key, vid)
     assert sorted(where) == sorted(world.vehicles)
     for vid, veh in world.vehicles.items():
-        assert where[vid] == veh.segment and veh.segment.edge == veh.edge_id, vid
+        seg = veh.segment
+        assert where[vid] == seg and seg.edge == veh.edge_id, vid
+        # the plant stores the model's own refs, not equal copies
+        assert seg is model.halves[seg.edge][seg.lane][seg.m - 1], vid
 
 
 # -- prediction ----------------------------------------------------------------------

@@ -251,6 +251,19 @@ def test_beta_past_the_float_range_is_a_scenario_error(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_alpha_past_the_float_range_is_a_scenario_error(capsys, tmp_path):
+    # alpha * (flow / capacity) ** beta overflowed to inf without an error: the run
+    # exited 0 and wrote inf travel times to predictions.csv
+    code = run_cli(["--scenario", "desk_small", "--set", "alpha=1e308", "--horizon", "120",
+                    "--log-predictions", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "jointlane: scenario error: control: alpha = 1e+308 and beta = 4 take the travel "
+        "time past the float range at flow / capacity = 1.33333\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_past_the_tick_cap_is_a_scenario_error(capsys, tmp_path):
     # a finite but tiny dt_sim passed the clock checks, and the run never ended
     code = run_cli(["--scenario", "desk_small", "--set", "dt_sim=1e-200", "--horizon", "120",

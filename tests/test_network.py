@@ -3,6 +3,8 @@ import math
 import pytest
 
 from jointlane.network import (
+    OTHER,
+    TAG,
     Edge,
     Lane,
     NetworkError,
@@ -11,6 +13,7 @@ from jointlane.network import (
     VehicleClass,
     default_jam_count,
 )
+from jointlane.scenario import load_scenario, resolve_scenario
 
 from conftest import make_model
 
@@ -37,6 +40,26 @@ def test_segment_of_boundaries():
         model.segment_of(0, Lane.LEFT, 400.1)
     with pytest.raises(NetworkError):
         model.segment_of(0, Lane.LEFT, -1.0)
+
+
+def test_lane_tables_match_the_lane_properties():
+    assert OTHER[Lane.LEFT] is Lane.RIGHT and OTHER[Lane.RIGHT] is Lane.LEFT
+    assert TAG[Lane.LEFT] == "L" and TAG[Lane.RIGHT] == "R"
+    for lane in Lane:
+        assert OTHER[lane] is lane.other and TAG[lane] == lane.tag
+
+
+@pytest.mark.parametrize("name", ["desk_small", "desk_large"])
+def test_halves_hold_every_segment_at_its_address(name):
+    model = load_scenario(resolve_scenario(name)).model
+    for s in model.all_segments():
+        ref = model.halves[s.edge][s.lane][s.m - 1]
+        assert ref == s and type(ref) is SegmentRef and ref.lane is s.lane
+    for eid, edge in model.edges.items():
+        for lane in Lane:
+            for offset in (0.0, edge.seg_length, edge.length):
+                seg = model.segment_of(eid, lane, offset)
+                assert seg is model.halves[eid][lane][seg.m - 1]
 
 
 def test_segment_spans_cover_edge():

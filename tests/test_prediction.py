@@ -53,6 +53,13 @@ def test_bpr_overflow_is_a_range_error():
     message = r"^control: beta = 2000 takes .* at flow / capacity = 1\.5$"
     with pytest.raises(BprRangeError, match=message):
         bpr_time(10.0, 3.0, 2.0, BprParams(beta=2000.0))
+    # the products overflow to inf without an error, so the result is tested
+    assert bpr_time(10.0, 1.0, 2.0, BprParams(alpha=1e308)) == 10.0 * (1.0 + 1e308 / 16.0)
+    message = r"^control: alpha = 1e\+308 and beta = 4 take .* at flow / capacity = 2$"
+    with pytest.raises(BprRangeError, match=message):
+        bpr_time(10.0, 4.0, 2.0, BprParams(alpha=1e308))
+    with pytest.raises(BprRangeError):
+        bpr_time(1e300, 1.0, 1.0, BprParams(alpha=1e10))
 
 
 def test_bpr_rejects_bad_inputs():

@@ -1,0 +1,75 @@
+"""Source rules the hot paths keep, checked on the parsed modules of `src/`.
+
+On Python 3.11 `enum.EnumType` defines `__getattr__`, so `Lane.LEFT` or
+`VehicleClass.CAV` read inside a function costs several times a module
+global. Function bodies read the members as the module-level constants of
+`jointlane.network` (`LEFT`, `RIGHT`, `CAV`, `HDV`, `BUS`) and the lane tables
+`OTHER` and `TAG`. Module-level and class-body uses run once at import and
+are allowed, and so are a function's defaults, decorators and annotations.
+"""
+
+import ast
+from pathlib import Path
+
+import jointlane
+
+SRC = Path(jointlane.__file__).parent
+ENUMS = frozenset({"Lane", "VehicleClass"})
+
+
+def enum_loads_in_function_bodies(source: str) -> list[tuple[int, str]]:
+    """(line, `Enum.name`) of every enum class attribute load that runs
+    inside a function or lambda body."""
+    found: list[tuple[int, str]] = []
+
+    def visit(node: ast.AST, inside: bool):
+        if (
+            inside
+            and isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ENUMS
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        body: set[int] = set()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = {id(stmt) for stmt in node.body}
+        elif isinstance(node, ast.Lambda):
+            body = {id(node.body)}
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside or id(child) in body)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_the_detector_flags_only_function_bodies():
+    source = """
+ORDER = (Lane.LEFT, Lane.RIGHT)
+
+class Rule:
+    FIRST = VehicleClass.CAV
+
+    def lane(self, lane=Lane.LEFT) -> "Lane":
+        return Lane.RIGHT
+
+def outer(vclass: VehicleClass):
+    def inner():
+        return vclass is VehicleClass.BUS
+    pick = lambda l: l is Lane.LEFT
+    for lane in Lane:
+        pass
+    return inner, pick
+"""
+    assert enum_loads_in_function_bodies(source) == [
+        (8, "Lane.RIGHT"), (12, "VehicleClass.BUS"), (13, "Lane.LEFT"),
+    ]
+
+
+def test_no_enum_class_attribute_is_read_in_a_function_body():
+    found = [
+        f"{path.name}:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in enum_loads_in_function_bodies(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [], "read the jointlane.network constants instead:\n" + "\n".join(found)
