@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -20,7 +21,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from . import stream
 from .network import SPEED_FLOOR  # noqa: F401  (re-exported with the plant's other names)
 from .network import (
-    BUS, CAV, LEFT, OTHER, RIGHT, TAG, Edge, Lane, NetworkModel, SegmentRef, VehicleClass,
+    BUS, CAV, CLASS_NAME, LEFT, OTHER, RIGHT, TAG, Edge, Lane, NetworkModel, SegmentRef,
+    VehicleClass,
 )
 
 
@@ -176,8 +178,9 @@ class SegmentRow(NamedTuple):
     n = 0..`jam_count`; past `jam_count` both keep their last entry. `other`
     is the queue of the other lane's segment at the same half, and `down` the
     queue a crossing out of the segment enters: the (edge, lane, 2) half's
-    for an m=1 segment, None, the edge end, for an m=2 one. `slot` is the
-    row's position in `World.rows` and `World.packed`.
+    for an m=1 segment, None, the edge end, for an m=2 one; `down_slot` is
+    that queue's row slot. `slot` is the row's position in `World.rows`,
+    `World.by_slot` and `World.packed`.
     """
 
     key: SegmentRef
@@ -188,6 +191,7 @@ class SegmentRow(NamedTuple):
     times: tuple[float, ...]
     other: list[int]
     down: Optional[list[int]]
+    down_slot: Optional[int]
     slot: int
     edge: Edge
 
@@ -208,23 +212,37 @@ class World:
         times = {
             eid: tuple(e.seg_length / v for v in e.speeds) for eid, e in model.edges.items()
         }
+        slots = {key: slot for slot, key in enumerate(self.queues)}
         self.rows: dict[SegmentRef, SegmentRow] = {}
         for slot, (key, q) in enumerate(self.queues.items()):
             edge = model.edges[key.edge]
             halves = model.halves[key.edge]
+            down = halves[key.lane][1] if key.m == 1 else None
             self.rows[key] = SegmentRow(
                 key, q, edge.seg_length, edge.jam_count, edge.speeds, times[key.edge],
                 self.queues[halves[OTHER[key.lane]][key.m - 1]],
-                self.queues[halves[key.lane][1]] if key.m == 1 else None,
+                None if down is None else self.queues[down],
+                None if down is None else slots[down],
                 slot, edge,
             )
+        self.by_slot: tuple[SegmentRow, ...] = tuple(self.rows.values())
         # entry group (class, edge, onward edge) -> (the edge's jam_count, the
         # first-half queues of its entry lanes in `NetworkModel.entry_lanes`
-        # order), filled on first use by _entry_room
-        self.entry_rooms: dict[tuple, tuple[int, tuple[list[int], ...]]] = {}
+        # order, their row slots), filled on first use by _entry_room
+        self.entry_rooms: dict[tuple, tuple[int, tuple[list[int], ...], tuple[int, ...]]] = {}
         # length of each queue's packed front, by row slot, kept by step and
         # _remove
         self.packed: list[int] = [0] * len(self.rows)
+        # the motion step's tables (see `step`): the ascending slots of the
+        # non-empty queues that are not asleep; per row slot, the slots of
+        # the queues its front's wait verdict read; per slot, the rows whose
+        # verdicts read its queue; the asleep rows; and during a step, the
+        # (row, occupancy at the start of the step) pairs it walks
+        self.walk: list[int] = []
+        self.verdicts: dict[int, tuple[int, ...]] = {}
+        self.waiters: dict[int, list[int]] = {}
+        self.asleep: set[int] = set()
+        self.walking: Optional[list[tuple[SegmentRow, int]]] = None
         self.retired: list[VehicleState] = []
         self.injected: dict[VehicleClass, int] = {c: 0 for c in VehicleClass}
         self.pending = Backlog()                # created but waiting for entry space
@@ -264,7 +282,7 @@ class World:
         if self.events is not None:
             seg = veh.segment
             self.events.append(
-                (self.t, kind, veh.id, veh.vclass.value, veh.route[veh.route_index],
+                (self.t, kind, veh.id, CLASS_NAME[veh.vclass], veh.route[veh.route_index],
                  TAG[seg.lane], seg.m, veh.offset, detail)
             )
 
@@ -281,8 +299,12 @@ class World:
 
         It inserts only ahead of a vehicle whose offset is smaller, so never
         inside the packed front, whose vehicles sit at the segment end.
+        `veh.segment` is still the segment the vehicle leaves, if any
+        (`_entering`).
         """
-        q = self.queues[key]
+        row = self.rows[key]
+        _entering(self, row, veh.segment)
+        q = row.queue
         idx = len(q)
         for i, vid in enumerate(q):
             if self.vehicles[vid].offset < veh.offset:
@@ -304,7 +326,7 @@ class World:
         self.log_event("inject", veh)
         return True
 
-    def _entry_room(self, group: tuple) -> tuple[int, tuple[list[int], ...]]:
+    def _entry_room(self, group: tuple) -> tuple[int, tuple[list[int], ...], tuple[int, ...]]:
         """The entry group's row of `entry_rooms`, built on first use: the
         lane rules and the queue objects never change."""
         row = self.entry_rooms.get(group)
@@ -312,16 +334,18 @@ class World:
             model = self.model
             edge_id = group[1]
             halves = model.halves[edge_id]
+            firsts = [self.rows[halves[l][0]] for l in model.entry_lanes(*group)]
             row = self.entry_rooms[group] = (
                 model.edges[edge_id].jam_count,
-                tuple(self.queues[halves[l][0]] for l in model.entry_lanes(*group)),
+                tuple(r.queue for r in firsts),
+                tuple(r.slot for r in firsts),
             )
         return row
 
     def _open_lanes(self, group: tuple) -> list[Lane]:
         """The entry lanes of entry group (class, edge, onward edge) whose
         first segment has room, in `NetworkModel.entry_lanes` order."""
-        jam, queues = self._entry_room(group)
+        jam, queues, _ = self._entry_room(group)
         return [
             l for l, q in zip(self.model.entry_lanes(*group), queues) if len(q) < jam
         ]
@@ -422,6 +446,16 @@ def execute_lane_change(
     return _lateral_move(world, veh, reason)
 
 
+def assign_route(world: World, veh: VehicleState, route: list[int]):
+    """Give active vehicle `veh` a new route, which keeps the edges it has
+    traversed. A wait verdict of its row ends, as it was read from the route
+    of the row's front."""
+    veh.route = route
+    slot = world.rows[veh.segment].slot
+    if slot in world.verdicts:
+        _end_verdict(world, slot, None)
+
+
 def step(world: World, dt: Optional[float] = None):
     """Advance every vehicle one motion step.
 
@@ -430,13 +464,15 @@ def step(world: World, dt: Optional[float] = None):
     boundaries only when the target has storage (spillback otherwise), stop at
     bus stops, and retire at the end of their last route edge.
 
-    The walk is table-driven and exact. The queues occupied at the start of
-    the step are taken from `world.rows`, which holds each segment's row in
-    sorted (edge, lane, m) order, so they are walked in that order without a
-    sort. A queue of n vehicles moves at `speeds[n - 1]` (the mover is not
-    its own congestion), the float the speed-density expression gives for
-    n - 1, and each vehicle's reach `v_seg * dt` is computed once per queue:
-    `offset + reach` is the same sum.
+    The walk is table-driven and exact. `world.walk` holds the row slots of
+    the non-empty queues that are not asleep (below), in ascending order,
+    which is sorted (edge, lane, m) order, so the step walks them in that
+    order without a scan or a sort; `_entering` and `_remove` keep it as
+    queues fill and empty. A queue of n vehicles at the start of the step
+    moves at `speeds[n - 1]` (the mover is not its own congestion), the
+    float the speed-density expression gives for n - 1, and each vehicle's
+    reach `v_seg * dt` is computed once per queue: `offset + reach` is the
+    same sum.
 
     A non-bus vehicle never dwells and has no stop, so it takes a fast path
     past the dwell and stop-capture tests. Each queue is walked once, from
@@ -455,31 +491,45 @@ def step(world: World, dt: Optional[float] = None):
     count is recomputed when a queue's front waits and `_remove` keeps it
     when a vehicle leaves; entries land behind the front and leave it valid.
 
-    A front whose crossing must fail costs a few length tests: `_must_wait`
-    reads the downstream queue in the queue's row, or the entry group's row
-    of `world.entry_rooms`, and holds the front without calling `_transfer`,
-    which would return False having changed nothing. A queue that is all
-    packed front (`packed[slot] == len(q)`) and whose front must wait is
-    skipped: the walk would hold the front, leave the rest at the segment
-    end at speed 0, where they are, and recount the same front. A vehicle
-    that entered it earlier in the step sits behind the front and makes the
-    queue longer than its packed front, so that queue is walked.
+    A front whose crossing must fail is held without calling `_transfer`,
+    which would return False having changed nothing. `_must_wait` tells, by
+    length tests on the downstream queue in the queue's row or on the entry
+    group's row of `world.entry_rooms`, and names the full queues it read.
+    That wait verdict is kept in `world.verdicts`, and `world.waiters` maps
+    each queue read to the rows waiting on it. It holds the front without a
+    new test until room may open: until the row's own queue loses a vehicle
+    (its front may change), a queue it read loses one (`_remove` ends both),
+    or the front's route is replaced (`assign_route`). Nothing else changes
+    what `_must_wait` reads: an entry only fills a queue and lands behind
+    the front, and lane rules, turns and storage limits are fixed.
+
+    A queue that is all packed front (`packed[slot] == len(q)`) behind a
+    front with a verdict falls asleep: it leaves the walk, as its walk would
+    hold the front, leave the rest at the segment end at speed 0, where they
+    are, and recount the same front. It rejoins the walk (`_rejoin`) when
+    its verdict ends or a vehicle enters it. Every queue occupied at the
+    start of a step has its turn in that step, so a queue that rejoins
+    after the queue being walked, whether a queue ahead of it in the walk
+    order freed its room (a next edge with a lower id) or the last queue
+    walked did, is walked in the same step at its occupancy at the start of
+    the step.
     """
     if dt is None:
         dt = world.clock.dt_sim
     vehicles = world.vehicles
     packed = world.packed
+    verdicts = world.verdicts
     t = world.t
     bus = BUS
     moved: set[int] = set()  # vehicles that left their queue during this step
-    # occupancy at the start of the step sets each queue's speed
-    occupied = [(row, len(row.queue)) for row in world.rows.values() if row.queue]
-    for row, n in occupied:
-        key, q, seg_len, jam, speeds, _, _, _, slot, _ = row
-        # a fully packed queue whose front must wait stays as it is; it is
-        # never empty here, as vehicles leave a queue only during its own walk
-        if packed[slot] == len(q) and _must_wait(world, vehicles[q[0]], row):
-            continue
+    # occupancy at the start of the step sets each queue's speed; a queue is
+    # never empty here, as vehicles leave a queue only during its own walk,
+    # and `_rejoin` inserts the asleep rows that wake before their turn
+    walking = world.walking = [
+        (row, len(row.queue)) for row in map(world.by_slot.__getitem__, world.walk)
+    ]
+    for row, n in walking:
+        key, q, seg_len, jam, speeds, _, _, _, _, slot, _ = row
         v_seg = speeds[n - 1] if n <= jam else speeds[jam]
         reach = v_seg * dt
         block: Optional[float] = None  # offset of the nearest vehicle that stays ahead
@@ -511,15 +561,20 @@ def step(world: World, dt: Optional[float] = None):
                     block = veh.offset
                     continue
             if target >= seg_len and block is None:
-                if not _must_wait(world, veh, row):
-                    overshoot = target - seg_len
-                    if seg_len < overshoot:
-                        overshoot = seg_len
-                    if _transfer(world, veh, key, overshoot):
-                        # moved on (or retired); distance includes the carried part
-                        moved.add(vid)
-                        veh.speed = v_seg
-                        continue
+                # veh is the queue's front: the vehicles ahead of it left
+                if slot not in verdicts:
+                    waits_on = _must_wait(world, veh, row)
+                    if waits_on:
+                        _keep_verdict(world, slot, waits_on)
+                    else:
+                        overshoot = target - seg_len
+                        if seg_len < overshoot:
+                            overshoot = seg_len
+                        if _transfer(world, veh, key, overshoot):
+                            # moved on (or retired); distance includes the carried part
+                            moved.add(vid)
+                            veh.speed = v_seg
+                            continue
                 veh.offset = seg_len
                 block = seg_len
                 held = True
@@ -543,39 +598,45 @@ def step(world: World, dt: Optional[float] = None):
                     break
                 n += 1
             packed[slot] = n
+            if n == len(q) and slot in verdicts:
+                # fully packed behind a front that must wait: asleep
+                world.walk.remove(slot)
+                world.asleep.add(slot)
+    world.walking = None
     world.t = t + dt
 
 
-def _must_wait(world: World, veh: VehicleState, row: SegmentRow) -> bool:
-    """True when front vehicle `veh`'s crossing out of the row's segment must
-    fail, by a test with no side effect.
+def _must_wait(world: World, veh: VehicleState, row: SegmentRow) -> Optional[tuple[int, ...]]:
+    """The row slots of the full queues that make front vehicle `veh`'s
+    crossing out of the row's segment fail, by a test with no side effect;
+    None when it need not fail.
 
     An m=1 front waits while the downstream half is at `jam_count`. An
     edge-end front waits when its edge has no gate, it is not on its last
     route edge, its lane turns into the next edge and every entry lane of its
     entry group there is full; `_transfer` would then find no open lane and
-    return False without asking the entry chooser. False sends every other
+    return False without asking the entry chooser. None sends every other
     case, gated edges, retirement and a CAV that must align included, to
     `_transfer`.
     """
     down = row.down
     if down is not None:
-        return len(down) >= row.jam_count
+        return (row.down_slot,) if len(down) >= row.jam_count else None
     route = veh.route
     i = veh.route_index + 1
     if row.edge.gate is not None or i >= len(route):
-        return False
+        return None
     nxt = route[i]
     key = row.key
     if not world.model.connects(key.edge, key.lane, nxt):
-        return False
-    entry_jam, queues = world._entry_room(
+        return None
+    entry_jam, queues, slots = world._entry_room(
         (veh.vclass, nxt, route[i + 1] if i + 1 < len(route) else None)
     )
     for q in queues:
         if len(q) < entry_jam:
-            return False
-    return True
+            return None
+    return slots
 
 
 def _next_stop_offset(world: World, veh: VehicleState, key: SegmentRef) -> Optional[float]:
@@ -635,13 +696,15 @@ def _enter_queue(world: World, veh: VehicleState, target: SegmentRef, overshoot:
     """Longitudinal entry: append `veh` at the tail of `target`, `overshoot`
     meters in but never past the vehicle ahead or its own next bus stop.
     The tail is behind the packed front, so its count stays valid."""
-    q = world.queues[target]
-    offset = min(overshoot, world.model.edges[target.edge].seg_length)
+    row = world.rows[target]
+    q = row.queue
+    offset = min(overshoot, row.seg_length)
     if q:
         offset = min(offset, world.vehicles[q[-1]].offset)
     stop_off = _next_stop_offset(world, veh, target)
     if stop_off is not None:
         offset = min(offset, stop_off)
+    _entering(world, row, veh.segment)
     veh.segment = target
     veh.offset = max(0.0, offset)
     q.append(veh.id)
@@ -663,8 +726,8 @@ def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
         return False
     target = world.model.halves[source.edge][OTHER[source.lane]][source.m - 1]
     _remove(world, source, veh.id)
-    veh.segment = target
     world._insert_by_offset(target, veh)
+    veh.segment = target
     veh.lane_change_log.append(world.t)
     world.lane_changes.append(
         (world.t, veh.id, source.edge, source.m, TAG[source.lane], TAG[target.lane], reason)
@@ -674,14 +737,79 @@ def _lateral_move(world: World, veh: VehicleState, reason: str) -> bool:
 
 
 def _remove(world: World, key: SegmentRef, vid: int):
-    """Take `vid` out of its queue; the packed front loses it if it was there."""
+    """Take `vid` out of its queue; the packed front loses it if it was there.
+
+    The queue's front may change and it has room now, so the wait verdicts
+    of its row and of the rows whose verdicts read it end; an emptied queue
+    leaves the walk.
+    """
     row = world.rows[key]
     q = row.queue
     i = q.index(vid)
     del q[i]
+    slot = row.slot
     packed = world.packed
-    if i < packed[row.slot]:
-        packed[row.slot] -= 1
+    if i < packed[slot]:
+        packed[slot] -= 1
+    if slot in world.verdicts:
+        _end_verdict(world, slot, key)
+    waiting = world.waiters.get(slot)
+    if waiting:
+        for other in tuple(waiting):
+            _end_verdict(world, other, key)
+    if not q:
+        world.walk.remove(slot)
+
+
+def _keep_verdict(world: World, slot: int, waits_on: tuple[int, ...]):
+    """Record that row `slot`'s front must wait, as read from the queues of
+    the rows `waits_on`."""
+    world.verdicts[slot] = waits_on
+    waiters = world.waiters
+    for dep in waits_on:
+        waiters.setdefault(dep, []).append(slot)
+
+
+def _end_verdict(world: World, slot: int, turn: Optional[SegmentRef]):
+    """Drop row `slot`'s wait verdict; an asleep row rejoins the walk
+    (`_rejoin`, with the segment `turn` that lost a vehicle)."""
+    waiters = world.waiters
+    for dep in world.verdicts.pop(slot):
+        rows = waiters[dep]
+        rows.remove(slot)
+        if not rows:
+            del waiters[dep]
+    if slot in world.asleep:
+        _rejoin(world, world.by_slot[slot], turn)
+
+
+def _entering(world: World, row: SegmentRow, source: Optional[SegmentRef]):
+    """A vehicle is about to enter the row's queue from segment `source`
+    (None for an injection): an empty queue joins the walk, and an asleep
+    one rejoins it with its verdict kept, as the entry lands behind the
+    front."""
+    if not row.queue:
+        insort(world.walk, row.slot)
+    elif row.slot in world.asleep:
+        _rejoin(world, row, source)
+
+
+def _rejoin(world: World, row: SegmentRow, turn: Optional[SegmentRef]):
+    """Put an asleep row back in the walk.
+
+    During a step, `turn` is the segment being walked. A row after it in the
+    walk order still has its turn in this step: it goes into the step's
+    `walking` list, whose iterator visits an item inserted after its
+    position, with its occupancy now. That is its occupancy at the start of
+    the step: during a step vehicles leave a queue only in its own walk, and
+    an entry wakes an asleep queue before it lands.
+    """
+    slot = row.slot
+    world.asleep.remove(slot)
+    insort(world.walk, slot)
+    walking = world.walking
+    if walking is not None and slot > world.rows[turn].slot:
+        insort(walking, (row, len(row.queue)), key=lambda item: item[0].slot)
 
 
 def _retire(world: World, veh: VehicleState, key: SegmentRef):

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .engine import World
-from .network import BUS, CAV, HDV, VehicleClass
+from .network import BUS, CAV, CLASS_NAME, HDV, VehicleClass
 
 #: a bus arrival counts as on time when its delay is at most this many seconds
 ON_TIME_TOLERANCE = 30.0
@@ -179,7 +179,7 @@ def write_reports(metrics: RunMetrics, summary: dict, out_dir: str | Path) -> li
             ["vehicle", "class", "depart_time", "arrival_time", "travel_time",
              "lane_change_count", "reroute_count"],
             (
-                [t.vehicle, t.vclass.value, float_cell(t.depart_time),
+                [t.vehicle, CLASS_NAME[t.vclass], float_cell(t.depart_time),
                  float_cell(t.arrival_time), float_cell(t.travel_time),
                  t.lane_change_count, t.reroute_count]
                 for t in sorted(metrics.trips, key=lambda r: (r.arrival_time, r.vehicle))

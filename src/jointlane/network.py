@@ -66,6 +66,10 @@ CAV, HDV, BUS = VehicleClass.CAV, VehicleClass.HDV, VehicleClass.BUS
 OTHER: tuple[Lane, Lane] = (RIGHT, LEFT)
 TAG: tuple[str, str] = ("L", "R")
 
+#: the class's report name, its value: a dict read, where `.value` is an
+#: enum property
+CLASS_NAME: dict[VehicleClass, str] = {c: c.value for c in VehicleClass}
+
 
 class SegmentRef(NamedTuple):
     """Address of one lane segment: (edge id, lane, half index m in {1, 2})."""

@@ -22,6 +22,7 @@ from . import routing
 from .engine import (
     VehicleState,
     World,
+    assign_route,
     bus_service,
     execute_lane_change,
     generate_arrivals,
@@ -325,7 +326,7 @@ def _apply_decision(
         veh = world.vehicles.get(assign.vehicle)
         if veh is None:
             continue
-        veh.route = list(assign.route)
+        assign_route(world, veh, list(assign.route))
         veh.reroute_count += 1
     return executed
 

@@ -61,7 +61,8 @@ and `tau` (`assert_carried_state`), so a count that drifts fails before it
 shows in `inflow`. Before every motion step it checks the plant's tables
 (`assert_plant_tables`; the immutable segment and continuation rows in full
 on a world's first step, `assert_segment_rows`) and invariants
-(`assert_plant_invariants`). `install_plain` patches every plain form in
+(`assert_plant_invariants`, with the motion step's walk list, wait verdicts
+and asleep queues). `install_plain` patches every plain form in
 instead, so a whole run can be compared with a fast one report by report,
 the rendered logs included, byte for byte against `csv.writer`'s output.
 
@@ -88,6 +89,7 @@ from jointlane.engine import (
     VehicleState,
     World,
     _begin_dwell,
+    _must_wait,
     _next_stop_offset,
     _transfer,
     entry_group,
@@ -271,14 +273,16 @@ def assert_segment_rows(world: World, expected: PlainTables):
     and holding the queue itself, the edge itself, its `seg_length` and
     `jam_count`, the plain speed of every occupancy up to `jam_count`, the
     travel times `seg_length / speed` at those occupancies, the other lane's
-    queue at the same half, the (edge, lane, 2) queue for an m=1 segment
-    (None, the edge end, for an m=2 one) and its own position, with one
-    packed count per row; and every continuation row equal to the plain one.
+    queue at the same half, the (edge, lane, 2) queue and its position for an
+    m=1 segment (None, the edge end, for an m=2 one) and its own position,
+    with one packed count per row, and `by_slot` holding the rows in that
+    order; and every continuation row equal to the plain one.
     """
     model = world.model
     order, speeds, times, continuations = expected
     queues = world.queues
     assert list(world.rows) == order and len(world.packed) == len(order)
+    assert world.by_slot == tuple(world.rows.values())
     for slot, (key, row) in enumerate(world.rows.items()):
         edge = model.edges[key.edge]
         assert row.key == key and row.slot == slot
@@ -287,9 +291,10 @@ def assert_segment_rows(world: World, expected: PlainTables):
         assert row.speeds == speeds[key.edge][:-1] and row.times == times[key.edge]
         assert row.other is queues[SegmentRef(key.edge, key.lane.other, key.m)]
         if key.m == 1:
-            assert row.down is queues[SegmentRef(key.edge, key.lane, 2)]
+            down = SegmentRef(key.edge, key.lane, 2)
+            assert row.down is queues[down] and row.down_slot == order.index(down)
         else:
-            assert row.down is None
+            assert row.down is None and row.down_slot is None
     for (vclass, lane), rows in continuations.items():
         assert model.continuation(vclass, lane) == rows
 
@@ -300,24 +305,26 @@ def assert_plant_tables(world: World, expected: PlainTables, rows: bool = True):
     (`assert_segment_rows`, skipped with `rows=False`, when they were
     checked before: a row never changes, and each still holds its queue);
     each filled entry-room row holding the entry edge's `jam_count` and the
-    first-half queues of `NetworkModel.entry_lanes`; a backlog whose groups
+    first-half queues of `NetworkModel.entry_lanes` with their positions in
+    the segment order; a backlog whose groups
     are id-ordered, non-empty and hold only their own members; and per-edge
     speed tables equal to the plain expression for every occupancy up to
     `jam_count`, with the floor speed past it."""
     model = world.model
     order, speeds, _, _ = expected
     assert list(world.queues) == list(model.all_segments()) == order
+    position = {key: slot for slot, key in enumerate(order)}
     if rows:
         assert_segment_rows(world, expected)
     else:
         assert all(row.queue is q for row, q in zip(world.rows.values(), world.queues.values()))
-    for group, (jam, queues) in world.entry_rooms.items():
+    for group, (jam, queues, slots) in world.entry_rooms.items():
         vclass, edge_id, onward = group
         assert jam == model.edges[edge_id].jam_count
-        firsts = [world.queues[SegmentRef(edge_id, l, 1)]
-                  for l in model.entry_lanes(vclass, edge_id, onward)]
+        firsts = [SegmentRef(edge_id, l, 1) for l in model.entry_lanes(vclass, edge_id, onward)]
         assert len(queues) == len(firsts)
-        assert all(q is first for q, first in zip(queues, firsts))
+        assert all(q is world.queues[first] for q, first in zip(queues, firsts))
+        assert slots == tuple(position[first] for first in firsts)
     groups = world.pending.groups
     assert len(world.pending) == sum(len(members) for members in groups.values())
     for group, members in groups.items():
@@ -337,7 +344,8 @@ def assert_plant_invariants(world: World):
     and the first `packed[slot]` vehicles of each queue packed (not a bus, at
     the segment end, speed 0), `slot` being the queue's position in the
     segment order. Each vehicle's segment is the very ref `model.halves`
-    holds for it."""
+    holds for it. The motion step's tables hold too
+    (`assert_walk_tables`)."""
     model = world.model
     for vclass in VehicleClass:
         retired = sum(1 for veh in world.retired if veh.vclass is vclass)
@@ -363,6 +371,57 @@ def assert_plant_invariants(world: World):
         assert where[vid] == seg and seg.edge == veh.edge_id, vid
         # the plant stores the model's own refs, not equal copies
         assert seg is model.halves[seg.edge][seg.lane][seg.m - 1], vid
+    assert_walk_tables(world)
+
+
+def wait_slots(world: World, key: SegmentRef) -> Optional[tuple[int, ...]]:
+    """Whether the front of the queue at `key` must wait, from the model: the
+    positions in the segment order of the full queues that hold it, the
+    (edge, lane, 2) half for an m=1 segment and the first half of each of
+    the front's entry lanes on its next edge for an ungated edge end whose
+    lane turns into that edge; None when it need not wait."""
+    model = world.model
+    order = model.all_segments()
+    edge = model.edges[key.edge]
+    if key.m == 1:
+        down = SegmentRef(key.edge, key.lane, 2)
+        return (order.index(down),) if len(world.queues[down]) >= edge.jam_count else None
+    veh = world.vehicles[world.queues[key][0]]
+    ahead = veh.route[veh.route_index + 1:]
+    if edge.gate is not None or not ahead or not model.connects(key.edge, key.lane, ahead[0]):
+        return None
+    onward = ahead[1] if len(ahead) > 1 else None
+    firsts = [SegmentRef(ahead[0], l, 1) for l in model.entry_lanes(veh.vclass, ahead[0], onward)]
+    if any(len(world.queues[first]) < model.edges[ahead[0]].jam_count for first in firsts):
+        return None
+    return tuple(order.index(first) for first in firsts)
+
+
+def assert_walk_tables(world: World):
+    """Between steps: the walk list holds the ascending positions of the
+    non-empty queues that are not asleep; every asleep queue is fully packed
+    and holds a wait verdict; every verdict is what `_must_wait` and the
+    plain `wait_slots` give for the queue's front now; and the waiter lists
+    are the inverse of the verdicts."""
+    assert world.walking is None
+    rows = list(world.rows.values())
+    asleep = world.asleep
+    assert world.walk == [row.slot for row in rows if row.queue and row.slot not in asleep]
+    for slot in asleep:
+        row = rows[slot]
+        assert row.queue and world.packed[slot] == len(row.queue), row.key
+        assert slot in world.verdicts, row.key
+    waiters: dict[int, list[int]] = {}
+    for slot, waits_on in world.verdicts.items():
+        row = rows[slot]
+        assert row.queue, row.key
+        front = world.vehicles[row.queue[0]]
+        assert waits_on == _must_wait(world, front, row) == wait_slots(world, row.key), row.key
+        for dep in waits_on:
+            waiters.setdefault(dep, []).append(slot)
+    assert {dep: sorted(slots) for dep, slots in world.waiters.items()} == {
+        dep: sorted(slots) for dep, slots in waiters.items()
+    }
 
 
 # -- prediction ----------------------------------------------------------------------

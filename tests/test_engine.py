@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 
@@ -13,6 +14,7 @@ from jointlane.engine import (
     StopVisit,
     VehicleState,
     World,
+    assign_route,
     bus_service,
     execute_lane_change,
     generate_arrivals,
@@ -22,7 +24,8 @@ from jointlane.engine import (
 from jointlane.network import Lane, SegmentRef, VehicleClass
 
 from conftest import make_model, make_world, put_vehicle
-from slow_path import pending_in_order
+from slow_path import assert_plant_invariants, assert_walk_tables, pending_in_order
+from slow_path import step as plain_step
 
 
 def test_uncongested_advance_covers_speed_times_dt(chain3):
@@ -637,9 +640,10 @@ def _plant_state(world):
 
 
 def _step_against_full_walk(build, ticks, before_step=None):
-    """Step a world and a twin whose packed counts are cleared before every
-    step, so the twin walks every vehicle; both must stay identical. Returns
-    the world and the largest packed count seen."""
+    """Step a world and a twin whose packed counts, wait verdicts and asleep
+    queues are cleared before every step, so the twin walks every vehicle in
+    every occupied queue and asks `_must_wait` afresh; both must stay
+    identical. Returns the world and the largest packed count seen."""
     world, twin = build(), build()
     peak = 0
     for tick in range(ticks):
@@ -647,9 +651,14 @@ def _step_against_full_walk(build, ticks, before_step=None):
             assert before_step(world, tick) == before_step(twin, tick)
         assert_packed_front(world)
         twin.packed[:] = [0] * len(twin.packed)
+        twin.verdicts.clear()
+        twin.waiters.clear()
+        twin.asleep.clear()
+        twin.walk[:] = [row.slot for row in twin.by_slot if row.queue]
         step(world, 1.0)
         step(twin, 1.0)
         assert_packed_front(world)
+        assert_walk_tables(world)
         assert _plant_state(world) == _plant_state(twin)
         peak = max(peak, max(world.packed, default=0))
     return world, peak
@@ -818,11 +827,18 @@ def test_packed_front_invariant_on_desk_large_jam():
         assert_packed_front(world)
         seen["checked"] += 1
         seen["packed"] = max(seen["packed"], sum(world.packed))
+        if world.t == 600.0:
+            seen["jam"] = copy.deepcopy(world)
 
     simulate(load_scenario(resolve_scenario("desk_large")), strategy="proposed",
              seed=1, horizon=600.0, observer=observer)
     assert seen["checked"] >= 40
     assert seen["packed"] > 20
+    # the jam at the end of the horizon, stepped with no more arrivals
+    jam = seen["jam"]
+    assert jam.asleep and jam.verdicts
+    world, _ = _step_against_full_walk(lambda: copy.deepcopy(jam), 200)
+    assert len(world.vehicles) < len(jam.vehicles)
 
 
 # -- crossings that must fail ------------------------------------------------------
@@ -973,3 +989,92 @@ def test_gated_edge_end_goes_through_transfer(transfers):
     step(world, 1.0)  # green at t=10
     assert transfers == [(0, key)] * 11
     assert (veh.route_index, veh.segment) == (1, SegmentRef(1, Lane.LEFT, 1))
+
+
+# -- wake on room ------------------------------------------------------------------
+
+
+def _step_against_plain(world, twin, dt=1.0):
+    """One step of `world`, and of its `twin` through the plain
+    `slow_path.step`, which walks every occupied queue and sends every
+    crossing to `_transfer`; both must stay identical, and the world's
+    invariants and walk tables must hold."""
+    step(world, dt)
+    plain_step(twin, dt)
+    assert_plant_invariants(world)
+    assert _plant_state(world) == _plant_state(twin)
+
+
+def _lower_next_edge_world(bystander):
+    """Edge 1 leads into edge 0, a dedicated-lane edge whose end is red for
+    t < 10. Edge 0's left halves are full; its only entry lane for an HDV is
+    the left one. HDV 20 waits at edge 1's left end for it, and a CAV on
+    edge 1's right lane (`bystander`) keeps that queue in the walk."""
+    model = make_model([(0, 2, 3, 100.0, 10.0, True), (1, 1, 2, 400.0, 10.0, False)], jam=2)
+    object.__setattr__(model.edges[0], "gate", (100.0, 50.0, 90.0))
+    world = make_world(model)
+    for vid, m in ((0, 2), (1, 2), (2, 1), (3, 1)):
+        put_vehicle(world, vid, VehicleClass.HDV, [0], m=m, offset=50.0, speed=0.0)
+    put_vehicle(world, 20, VehicleClass.HDV, [1, 0], m=2, offset=200.0, speed=0.0)
+    if bystander:
+        put_vehicle(world, 30, VehicleClass.CAV, [1], lane=Lane.RIGHT, offset=0.0)
+    return world
+
+
+@pytest.mark.parametrize("bystander", [True, False])
+def test_asleep_front_crosses_in_the_step_its_entry_lane_frees(bystander):
+    # slots: edge 0 L1 L2 R1 R2 = 0-3, edge 1 L1 L2 R1 R2 = 4-7
+    world, twin = _lower_next_edge_world(bystander), _lower_next_edge_world(bystander)
+    front = world.vehicles[20]
+    for _ in range(11):
+        _step_against_plain(world, twin)
+    # edge 0's second half emptied at t=10, after its first half's turn: the
+    # first half is back in the walk, and vehicle 20 still sleeps on it
+    assert world.t == 11.0
+    assert world.asleep == {5} and world.verdicts == {5: (0,)}
+    # (a) the freeing queue comes before a bystander queue in the walk, or
+    # (b) it is the last queue walked
+    assert world.walk == ([0, 6] if bystander else [0])
+    _step_against_plain(world, twin)  # edge 0's first half empties at slot 0
+    assert (front.route_index, front.segment) == (1, SegmentRef(0, Lane.LEFT, 1))
+    for _ in range(20):
+        _step_against_plain(world, twin)
+
+
+@pytest.mark.parametrize("how", ["reroute", "lane change"])
+def test_route_replacement_and_lane_change_end_the_verdict(how):
+    def build():
+        """Edge 1 leads into edge 0, whose end is red for t < 10 and whose
+        four halves are full. A CAV front, 21, waits at edge 1's left end
+        with HDV 22 behind it, which ends its route there."""
+        model = make_model([(0, 2, 3, 100.0, 10.0, False), (1, 1, 2, 400.0, 10.0, False)],
+                           jam=2)
+        object.__setattr__(model.edges[0], "gate", (100.0, 50.0, 90.0))
+        world = make_world(model)
+        fillers = itertools.count(100)
+        for lane in Lane:
+            for m in (1, 2):
+                for _ in range(2):
+                    put_vehicle(world, next(fillers), VehicleClass.HDV, [0], lane=lane, m=m,
+                                offset=50.0, speed=0.0)
+        put_vehicle(world, 21, VehicleClass.CAV, [1, 0], m=2, offset=200.0, speed=0.0)
+        put_vehicle(world, 22, VehicleClass.HDV, [1], m=2, offset=200.0, speed=0.0)
+        return world
+
+    world, twin = build(), build()
+    for _ in range(3):
+        _step_against_plain(world, twin)
+    # both wait asleep behind the CAV front, whose entry lanes are full
+    assert 5 in world.asleep and world.verdicts[5] == (0, 2)
+    for w in (world, twin):
+        if how == "reroute":
+            # the front now ends its trip at edge 1's end
+            assign_route(w, w.vehicles[21], [1])
+        else:
+            assert execute_lane_change(w, 21, 1)
+    assert 5 not in world.verdicts and 5 in world.walk
+    assert_plant_invariants(world)
+    _step_against_plain(world, twin)
+    assert 22 in {v.id for v in world.retired}
+    for _ in range(15):
+        _step_against_plain(world, twin)

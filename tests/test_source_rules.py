@@ -6,6 +6,11 @@ global. Function bodies read the members as the module-level constants of
 `jointlane.network` (`LEFT`, `RIGHT`, `CAV`, `HDV`, `BUS`) and the lane tables
 `OTHER` and `TAG`. Module-level and class-body uses run once at import and
 are allowed, and so are a function's defaults, decorators and annotations.
+
+A vehicle's route changes only in `jointlane.engine`, through `_transfer`
+and `assign_route`: the motion step keeps a wait verdict read from the
+route of a queue's front, and `assign_route` ends it. No other module stores
+to a `.route` or `.route_index` attribute.
 """
 
 import ast
@@ -15,6 +20,7 @@ import jointlane
 
 SRC = Path(jointlane.__file__).parent
 ENUMS = frozenset({"Lane", "VehicleClass"})
+ROUTE_FIELDS = frozenset({"route", "route_index"})
 
 
 def enum_loads_in_function_bodies(source: str) -> list[tuple[int, str]]:
@@ -73,3 +79,37 @@ def test_no_enum_class_attribute_is_read_in_a_function_body():
         for line, name in enum_loads_in_function_bodies(path.read_text(encoding="utf-8"))
     ]
     assert found == [], "read the jointlane.network constants instead:\n" + "\n".join(found)
+
+
+def route_stores(source: str) -> list[tuple[int, str]]:
+    """(line, attribute) of every store to a `.route` or `.route_index`
+    attribute, augmented assignments included."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr in ROUTE_FIELDS
+    )
+
+
+def test_the_route_detector_flags_only_stores():
+    source = """
+def apply(veh, assign):
+    veh.route = list(assign.route)
+    veh.route_index += 1
+    n = veh.route_index
+    veh.route.append(n)
+    veh.offset, veh.route = 0.0, []
+"""
+    assert route_stores(source) == [(3, "route"), (4, "route_index"), (7, "route")]
+
+
+def test_routes_change_only_in_the_engine():
+    found = [
+        f"{path.name}:{line}: .{name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "engine.py"
+        for line, name in route_stores(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [], "change a route through engine.assign_route:\n" + "\n".join(found)
