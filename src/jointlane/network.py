@@ -41,14 +41,6 @@ class Lane(IntEnum):
     LEFT = 0
     RIGHT = 1
 
-    @property
-    def other(self) -> "Lane":
-        return OTHER[self]
-
-    @property
-    def tag(self) -> str:
-        return TAG[self]
-
 
 class VehicleClass(str, Enum):
     HDV = "hdv"

@@ -28,16 +28,20 @@ report_digests = _load_report_digests()
 #: the gate runs' committed report digests, "run/file" -> SHA-256
 COMMITTED_DIGESTS = report_digests.read_digests(report_digests.COMMITTED)
 
-#: the five standard reports, then the event, decision and prediction logs
+#: the five standard reports
 STANDARD_REPORTS = ("trips.csv", "bus_arrivals.csv", "timeseries.csv",
                     "lane_changes.csv", "summary.csv")
-LOG_REPORTS = ("events.csv", "decisions.csv", "predictions.csv")
 
 
-def committed_digests(run: str, names) -> dict[str, str]:
-    """The committed digests of the reports `names` of gate run `run`, e.g.
-    ``desk_small_proposed_seed1``."""
-    return {name: COMMITTED_DIGESTS[f"{run}/{name}"] for name in names}
+def committed_digests(run: str) -> dict[str, str]:
+    """Path under the run's directory -> committed digest, for every report
+    of gate run `run`, e.g. ``desk_small_proposed_seed1``."""
+    prefix = f"{run}/"
+    return {
+        path.removeprefix(prefix): digest
+        for path, digest in COMMITTED_DIGESTS.items()
+        if path.startswith(prefix)
+    }
 
 
 def make_model(edge_rows, connections=None, bus_stops=(), capacity=0.25, jam=None):

@@ -94,7 +94,7 @@ from jointlane.engine import (
     _transfer,
     entry_group,
 )
-from jointlane.network import Lane, NetworkError, NetworkModel, SegmentRef, VehicleClass
+from jointlane.network import OTHER, TAG, Lane, NetworkError, NetworkModel, SegmentRef, VehicleClass
 from jointlane.prediction import (
     MIN_PROJECTION_SPEED,
     BprParams,
@@ -289,7 +289,7 @@ def assert_segment_rows(world: World, expected: PlainTables):
         assert row.queue is queues[key] and row.edge is edge
         assert (row.seg_length, row.jam_count) == (edge.seg_length, edge.jam_count)
         assert row.speeds == speeds[key.edge][:-1] and row.times == times[key.edge]
-        assert row.other is queues[SegmentRef(key.edge, key.lane.other, key.m)]
+        assert row.other is queues[SegmentRef(key.edge, OTHER[key.lane], key.m)]
         if key.m == 1:
             down = SegmentRef(key.edge, key.lane, 2)
             assert row.down is queues[down] and row.down_slot == order.index(down)
@@ -695,7 +695,7 @@ def myopic_lane_actions(
         if veh.vclass is not VehicleClass.CAV or vid in excluded:
             continue
         seg = veh.segment
-        target = SegmentRef(seg.edge, seg.lane.other, seg.m)
+        target = SegmentRef(seg.edge, OTHER[seg.lane], seg.m)
         if (vid, target) in banned:
             continue
         if segment_speed(world, target) > segment_speed(world, seg):
@@ -751,7 +751,7 @@ def dump_predictions(snapshot: PredictionSnapshot, rows: list):
     for seg in snapshot.model.all_segments():
         rows.append(
             (
-                snapshot.t, seg.edge, seg.lane.tag, seg.m,
+                snapshot.t, seg.edge, TAG[seg.lane], seg.m,
                 snapshot.inflow.get(seg, 0.0),
                 snapshot.hdv_entries.get(seg, 0),
                 snapshot.predicted(seg),

@@ -5,7 +5,6 @@ complete. The simulation matrix (three strategies by five seeds on the small
 desk scenario, plus the w3 sweep) is executed once per session and shared.
 """
 
-import hashlib
 import random
 
 import pytest
@@ -15,7 +14,7 @@ from jointlane.network import Lane, SegmentRef, VehicleClass
 from jointlane.prediction import BprParams, bpr_time
 from jointlane.runner import simulate, write_run_reports
 from jointlane.scenario import CONTROL_KEYS
-from conftest import STANDARD_REPORTS, committed_digests
+from conftest import STANDARD_REPORTS, committed_digests, report_digests
 from slow_path import entry_indicator
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -265,10 +264,7 @@ def test_matrix_reports_match_golden_digests(matrix, tmp_path):
     for (strategy, seed), run in matrix.items():
         out = tmp_path / f"{strategy}_{seed}"
         write_run_reports(run, out)
-        digests[(strategy, seed)] = {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in MATRIX_DIGESTS[(strategy, seed)]
-        }
+        digests[(strategy, seed)] = report_digests.hash_reports(out)
     assert digests == MATRIX_DIGESTS
 
 
@@ -298,7 +294,11 @@ def test_summary_parameter_columns_follow_control_keys(matrix, w3_sweep):
 #: SHA-256 of the standard reports, per (strategy, seed) of the matrix, from
 #: the gate runs' committed digests
 MATRIX_DIGESTS = {
-    (strategy, seed): committed_digests(f"desk_small_{strategy}_seed{seed}", STANDARD_REPORTS)
+    (strategy, seed): {
+        name: digest
+        for name, digest in committed_digests(f"desk_small_{strategy}_seed{seed}").items()
+        if name in STANDARD_REPORTS
+    }
     for strategy in STRATEGIES
     for seed in SEEDS
 }

@@ -1,8 +1,11 @@
 """Print SHA-256 digests of every report written by the byte-identity gate runs.
 
-The gate is 16 runs, each with the event, decision and prediction logs on:
-desk_small seeds 1-5 under drp, prp and proposed, plus desk_large proposed
-seed 1. Each run writes eight CSVs, so the output is 128 lines of
+The gate is 18 runs, each a run name and its ``jointlane.cli`` arguments in
+``GATE_RUNS``: desk_small seeds 1-5 under drp, prp and proposed and
+desk_large proposed seed 1, each with the event, decision and prediction
+logs on; desk_large proposed seed 1 jammed at a 600 s horizon, logs on too;
+and a ``--sweep w3=0.2,0.4`` of desk_small seed 1. Every CSV under a run's
+directory is hashed, nested ones included, so the output is 147 lines of
 ``sha256  run/file``, sorted by path. Diff the output of two checkouts to
 show that a change left every report byte-identical:
 
@@ -17,13 +20,12 @@ change can show byte identity without a checkout of its parent:
 
     python tools/report_digests.py --check
 
-The tests read their desk_small digests from that file, so a change that
-alters outputs on purpose refreshes it,
+That file is the one store of the report digests the tests read. A change
+that alters outputs on purpose refreshes everything tier-1 reads with one
+command, and then the benchmark's own reference outputs:
 
     python tools/report_digests.py > tools/report_digests.sha256
-
-plus the digests no gate run writes: ``JAMMED_GOLDEN`` and the two w3 sweep
-digests in ``tests/test_golden.py``, and ``benchmark/reference.json``.
+    python3 benchmark/refresh_reference.py
 
 ``--src`` names the ``src`` directory whose ``jointlane`` package runs
 (default: the one beside this script). Runs go one at a time, each as a
@@ -47,31 +49,47 @@ LOGS = ("--log-events", "--log-decisions", "--log-predictions")
 COMMITTED = Path(__file__).resolve().with_suffix(".sha256")
 
 
-def gate_runs() -> list[tuple[str, str, int]]:
-    """(scenario, strategy, seed) of every gate run."""
-    runs = [
-        ("desk_small", strategy, seed)
+def _logged(scenario: str, strategy: str, seed: int, *extra: str) -> tuple[str, ...]:
+    """Arguments of one run with every log on."""
+    return ("--scenario", scenario, "--strategy", strategy, "--seed", str(seed),
+            *extra, *LOGS)
+
+
+#: run name -> its ``jointlane.cli`` arguments, ``--out`` aside
+GATE_RUNS: dict[str, tuple[str, ...]] = {
+    **{
+        f"desk_small_{strategy}_seed{seed}": _logged("desk_small", strategy, seed)
         for strategy in SMALL_STRATEGIES
         for seed in SMALL_SEEDS
-    ]
-    runs.append(("desk_large", "proposed", 1))
-    return runs
+    },
+    "desk_large_proposed_seed1": _logged("desk_large", "proposed", 1),
+    # an oversaturated corridor with jammed queues and a pending backlog
+    # (98 arrivals end unserved)
+    "desk_large_proposed_seed1_horizon600": _logged(
+        "desk_large", "proposed", 1, "--horizon", "600"),
+    # the combined summary, then each value's five standard reports in its
+    # own directory
+    "desk_small_proposed_seed1_sweep_w3": (
+        "--scenario", "desk_small", "--sweep", "w3=0.2,0.4", "--seed", "1"),
+}
 
 
-def run_digests(
-    src: Path, scenario: str, strategy: str, seed: int, out: Path
-) -> list[tuple[str, str]]:
-    """Run one gate run into `out` and return (path, digest) per report."""
+def hash_reports(out: Path) -> dict[str, str]:
+    """Path under `out` -> SHA-256 of every CSV below `out`, nested ones too."""
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.rglob("*.csv"))
+    }
+
+
+def run_digests(src: Path, name: str, out: Path) -> dict[str, str]:
+    """Run gate run `name` into `out` and return ``run/file`` -> digest."""
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(
-        [sys.executable, "-m", "jointlane.cli", "--scenario", scenario,
-         "--strategy", strategy, "--seed", str(seed), "--out", str(out), *LOGS],
+        [sys.executable, "-m", "jointlane.cli", *GATE_RUNS[name], "--out", str(out)],
         env=env, check=True, stdout=subprocess.DEVNULL,
     )
-    return [
-        (f"{out.name}/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest())
-        for path in sorted(out.glob("*.csv"))
-    ]
+    return {f"{name}/{path}": digest for path, digest in hash_reports(out).items()}
 
 
 def main(argv=None) -> int:
@@ -86,14 +104,13 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     src = args.src.resolve()
-    rows: list[tuple[str, str]] = []
+    digests: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for scenario, strategy, seed in gate_runs():
-            out = Path(tmp) / f"{scenario}_{strategy}_seed{seed}"
-            rows.extend(run_digests(src, scenario, strategy, seed, out))
+        for name in GATE_RUNS:
+            digests |= run_digests(src, name, Path(tmp) / name)
     if args.check:
-        return check(dict(rows), COMMITTED)
-    for path, digest in sorted(rows):
+        return check(digests, COMMITTED)
+    for path, digest in sorted(digests.items()):
         print(f"{digest}  {path}")
     return 0
 
