@@ -314,7 +314,7 @@ class World:
 
     def place_new(self, veh: VehicleState) -> bool:
         """Try to put a freshly created vehicle on its first edge."""
-        target = self._entry_segment(veh, 0)
+        target = self._entry_segment(veh, entry_group(veh))
         if target is None:
             return False
         self.vehicles[veh.id] = veh
@@ -350,17 +350,17 @@ class World:
             l for l, q in zip(self.model.entry_lanes(*group), queues) if len(q) < jam
         ]
 
-    def _entry_segment(self, veh: VehicleState, i: int) -> Optional[SegmentRef]:
-        """First segment of route edge `i` with room, in lane preference order.
+    def _entry_segment(self, veh: VehicleState, group: tuple) -> Optional[SegmentRef]:
+        """First segment with room, in lane preference order, of the edge that
+        `veh` enters as a member of entry group (class, edge, onward edge).
 
         The candidates are `NetworkModel.entry_lanes`. The preference only
         orders them, without side effects, so it is asked only when more than
         one of them has room: a full entry fails, and a single open lane is
         taken, at once.
         """
-        edge_id = veh.route[i]
-        onward = veh.route[i + 1] if i + 1 < len(veh.route) else None
-        room = self._open_lanes((veh.vclass, edge_id, onward))
+        edge_id = group[1]
+        room = self._open_lanes(group)
         if len(room) > 1:
             if veh.vclass is CAV and self.cav_entry_chooser is not None:
                 room = [l for l in self.cav_entry_chooser(self, veh, edge_id) if l in room]
@@ -491,17 +491,19 @@ def step(world: World, dt: Optional[float] = None):
     count is recomputed when a queue's front waits and `_remove` keeps it
     when a vehicle leaves; entries land behind the front and leave it valid.
 
-    A front whose crossing must fail is held without calling `_transfer`,
-    which would return False having changed nothing. `_must_wait` tells, by
-    length tests on the downstream queue in the queue's row or on the entry
-    group's row of `world.entry_rooms`, and names the full queues it read.
-    That wait verdict is kept in `world.verdicts`, and `world.waiters` maps
-    each queue read to the rows waiting on it. It holds the front without a
-    new test until room may open: until the row's own queue loses a vehicle
-    (its front may change), a queue it read loses one (`_remove` ends both),
-    or the front's route is replaced (`assign_route`). Nothing else changes
-    what `_must_wait` reads: an entry only fills a queue and lands behind
-    the front, and lane rules, turns and storage limits are fixed.
+    A front whose crossing fails because queues it needs are full keeps a
+    wait verdict: `_transfer`'s own result, the row slots of those queues,
+    read by length tests on the downstream queue in the queue's row or on
+    the entry group's row of `world.entry_rooms`. It is kept in
+    `world.verdicts`, and `world.waiters` maps each queue read to the rows
+    waiting on it. It holds the front without another call until room may
+    open: until the row's own queue loses a vehicle (its front may change),
+    a queue it read loses one (`_remove` ends both), or the front's route is
+    replaced (`assign_route`). Nothing else changes what the crossing reads
+    there: an entry only fills a queue and lands behind the front, and lane
+    rules, turns and storage limits are fixed. A front held at a gated edge
+    end, by a missing turn or by a failed align keeps no verdict and is
+    tried again at its next step.
 
     A queue that is all packed front (`packed[slot] == len(q)`) behind a
     front with a verdict falls asleep: it leaves the walk, as its walk would
@@ -563,18 +565,17 @@ def step(world: World, dt: Optional[float] = None):
             if target >= seg_len and block is None:
                 # veh is the queue's front: the vehicles ahead of it left
                 if slot not in verdicts:
-                    waits_on = _must_wait(world, veh, row)
-                    if waits_on:
-                        _keep_verdict(world, slot, waits_on)
-                    else:
-                        overshoot = target - seg_len
-                        if seg_len < overshoot:
-                            overshoot = seg_len
-                        if _transfer(world, veh, key, overshoot):
-                            # moved on (or retired); distance includes the carried part
-                            moved.add(vid)
-                            veh.speed = v_seg
-                            continue
+                    overshoot = target - seg_len
+                    if seg_len < overshoot:
+                        overshoot = seg_len
+                    verdict = _transfer(world, veh, key, overshoot)
+                    if verdict is True:
+                        # moved on (or retired); distance includes the carried part
+                        moved.add(vid)
+                        veh.speed = v_seg
+                        continue
+                    if verdict is not None:
+                        _keep_verdict(world, slot, verdict)
                 veh.offset = seg_len
                 block = seg_len
                 held = True
@@ -606,39 +607,6 @@ def step(world: World, dt: Optional[float] = None):
     world.t = t + dt
 
 
-def _must_wait(world: World, veh: VehicleState, row: SegmentRow) -> Optional[tuple[int, ...]]:
-    """The row slots of the full queues that make front vehicle `veh`'s
-    crossing out of the row's segment fail, by a test with no side effect;
-    None when it need not fail.
-
-    An m=1 front waits while the downstream half is at `jam_count`. An
-    edge-end front waits when its edge has no gate, it is not on its last
-    route edge, its lane turns into the next edge and every entry lane of its
-    entry group there is full; `_transfer` would then find no open lane and
-    return False without asking the entry chooser. None sends every other
-    case, gated edges, retirement and a CAV that must align included, to
-    `_transfer`.
-    """
-    down = row.down
-    if down is not None:
-        return (row.down_slot,) if len(down) >= row.jam_count else None
-    route = veh.route
-    i = veh.route_index + 1
-    if row.edge.gate is not None or i >= len(route):
-        return None
-    nxt = route[i]
-    key = row.key
-    if not world.model.connects(key.edge, key.lane, nxt):
-        return None
-    entry_jam, queues, slots = world._entry_room(
-        (veh.vclass, nxt, route[i + 1] if i + 1 < len(route) else None)
-    )
-    for q in queues:
-        if len(q) < entry_jam:
-            return None
-    return slots
-
-
 def _next_stop_offset(world: World, veh: VehicleState, key: SegmentRef) -> Optional[float]:
     """Offset (within this segment) of the bus's next stop, if it lies here."""
     if veh.vclass is not BUS or veh.next_stop >= len(veh.stop_plan):
@@ -659,33 +627,51 @@ def _begin_dwell(world: World, veh: VehicleState):
     veh.next_stop += 1
 
 
-def _transfer(world: World, veh: VehicleState, key: SegmentRef, overshoot: float) -> bool:
-    """Move a front vehicle across its segment boundary. False means it waits."""
+def _transfer(
+    world: World, veh: VehicleState, key: SegmentRef, overshoot: float
+) -> bool | tuple[int, ...] | None:
+    """Move front vehicle `veh` across the boundary at the end of segment
+    `key`; True when it moved on, retired or aligned.
+
+    Otherwise it waits, and nothing has changed but the offset a failed
+    align sets to the edge end. The result is then the row slots of the full
+    queues that hold it: the downstream half for an m=1 segment, the first
+    halves of its entry group's lanes (`World._entry_room`) at an ungated
+    edge end. It is None when a red gate, a missing turn or a failed align
+    holds it, or a full entry at a gated edge end, whose front is tried
+    afresh every step.
+    """
     model = world.model
-    edge = model.edges[key.edge]
-    if key.m == 1:
+    row = world.rows[key]
+    down = row.down
+    if down is not None:
+        if len(down) >= row.jam_count:
+            return (row.down_slot,)
         target = model.halves[key.edge][key.lane][1]
-        if len(world.queues[target]) >= edge.jam_count:
-            return False
     else:
         # downstream edge end
+        edge = row.edge
         if not edge.gate_open(world.t):
-            return False
-        if veh.route_index + 1 >= len(veh.route):
+            return None
+        route = veh.route
+        i = veh.route_index + 1
+        if i >= len(route):
             _retire(world, veh, key)
             return True
-        nxt = veh.route[veh.route_index + 1]
+        nxt = route[i]
         if not model.connects(key.edge, key.lane, nxt):
             # a CAV whose mid-edge lane choices left it without the turn
             # connection it needs crosses over at the edge end
             if veh.vclass is not CAV or not model.connects(key.edge, OTHER[key.lane], nxt):
-                return False
+                return None
             veh.offset = edge.seg_length  # it is at the edge end
-            return _lateral_move(world, veh, "align")
-        target = world._entry_segment(veh, veh.route_index + 1)
+            return _lateral_move(world, veh, "align") or None
+        group = (veh.vclass, nxt, route[i + 1] if i + 1 < len(route) else None)
+        target = world._entry_segment(veh, group)
         if target is None:
-            return False
-        veh.route_index += 1
+            # every entry lane is full
+            return None if edge.gate is not None else world._entry_room(group)[2]
+        veh.route_index = i
     _remove(world, key, veh.id)
     _enter_queue(world, veh, target, overshoot)
     world.log_event("transfer", veh)

@@ -4,16 +4,17 @@ rendered logs' shortcuts.
 
 The simulator's motion step reads each queue's segment row (speed table,
 lengths, neighbouring queues and packed-count slot), walks the queues in
-their stored order, holds a front whose crossing must fail without trying it
-and skips a fully packed queue whose front must wait, its injection visits
-only the entry groups with room, its prediction walks read the continuation
-table, stop early and carry their entry counts from one build to the next,
-its window conflicts read the span's queues and a per-segment index of the
-stored entries, its edge-cost views price only the edges with traffic, the
-reactive one from the rows' travel-time tables, its myopic lane hops read
-the rows' speed tables, its reactive reroutes search once per (current edge,
-destination), its KPI sampler reads only the vehicles retired since the last
-sample, and its prediction and decision logs are rendered as CSV text (the
+their stored order, holds a front whose crossing found full queues without
+trying it again until one of them loses a vehicle and skips a fully packed
+queue behind such a front, its injection visits only the entry groups with
+room, its prediction walks read the continuation table, stop early and
+carry their entry counts from one build to the next, its window conflicts
+read the span's queues and a per-segment index of the stored entries, its
+edge-cost views price only the edges with traffic, the reactive one from
+the rows' travel-time tables, its myopic lane hops read the rows' speed
+tables, its reactive reroutes search once per (current edge, destination),
+its KPI sampler reads only the vehicles retired since the last sample,
+and its prediction and decision logs are rendered as CSV text (the
 prediction log from the snapshots' kept tables). Each of these rests on an
 exactness argument, given in `jointlane.engine`, `jointlane.prediction`,
 `jointlane.control`, `jointlane.metrics` and `jointlane.runner`. This module
@@ -24,7 +25,8 @@ keeps the plain versions they replaced:
   edge, walks the queues in `sorted()` order, fully packed ones included,
   finds a packed count by the segment's position in `all_segments()`, and
   sends every crossing to `_transfer`, so it stays the reference that
-  `install_plain` runs whole runs with, for both crossing shortcuts;
+  `install_plain` runs whole runs with, for the kept wait verdicts and the
+  asleep queues;
 * `inject_demand`, which walks the whole backlog, merged in creation order,
   on every call;
 * `build_snapshot`, which projects every non-bus vehicle over its whole
@@ -62,7 +64,9 @@ shows in `inflow`. Before every motion step it checks the plant's tables
 (`assert_plant_tables`; the immutable segment and continuation rows in full
 on a world's first step, `assert_segment_rows`) and invariants
 (`assert_plant_invariants`, with the motion step's walk list, wait verdicts
-and asleep queues). `install_plain` patches every plain form in
+and asleep queues), and every crossing the step tries either moves the
+vehicle or returns the plain `wait_slots` with nothing changed
+(`install_transfer_check`). `install_plain` patches every plain form in
 instead, so a whole run can be compared with a fast one report by report,
 the rendered logs included, byte for byte against `csv.writer`'s output.
 
@@ -82,14 +86,13 @@ from dataclasses import astuple, replace
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
-from jointlane import control, metrics, prediction, routing, runner
+from jointlane import control, engine, metrics, prediction, routing, runner
 from jointlane.control import ControlParams, LaneAction, RouteAssignment
 from jointlane.engine import (
     SPEED_FLOOR,
     VehicleState,
     World,
     _begin_dwell,
-    _must_wait,
     _next_stop_offset,
     _transfer,
     entry_group,
@@ -201,7 +204,7 @@ def step(world: World, dt: Optional[float] = None):
                     continue
             if target >= seg_len and block is None:
                 overshoot = min(target - seg_len, seg_len)
-                if _transfer(world, veh, key, overshoot):
+                if _transfer(world, veh, key, overshoot) is True:
                     # moved on (or retired); distance includes the carried part
                     veh.speed = v_seg
                     continue
@@ -400,9 +403,9 @@ def wait_slots(world: World, key: SegmentRef) -> Optional[tuple[int, ...]]:
 def assert_walk_tables(world: World):
     """Between steps: the walk list holds the ascending positions of the
     non-empty queues that are not asleep; every asleep queue is fully packed
-    and holds a wait verdict; every verdict is what `_must_wait` and the
-    plain `wait_slots` give for the queue's front now; and the waiter lists
-    are the inverse of the verdicts."""
+    and holds a wait verdict; every verdict is what the plain `wait_slots`
+    gives for the queue's front now; and the waiter lists are the inverse of
+    the verdicts."""
     assert world.walking is None
     rows = list(world.rows.values())
     asleep = world.asleep
@@ -415,13 +418,59 @@ def assert_walk_tables(world: World):
     for slot, waits_on in world.verdicts.items():
         row = rows[slot]
         assert row.queue, row.key
-        front = world.vehicles[row.queue[0]]
-        assert waits_on == _must_wait(world, front, row) == wait_slots(world, row.key), row.key
+        assert waits_on == wait_slots(world, row.key), row.key
         for dep in waits_on:
             waiters.setdefault(dep, []).append(slot)
     assert {dep: sorted(slots) for dep, slots in world.waiters.items()} == {
         dep: sorted(slots) for dep, slots in waiters.items()
     }
+
+
+def _crossing_state(world: World) -> tuple:
+    """What a crossing may change: the queues, each vehicle's place, route
+    index and lateral moves, the retired vehicles, the logs and the motion
+    step's tables."""
+    return (
+        [list(q) for q in world.queues.values()],
+        [(v.segment, v.offset, v.speed, v.route_index, len(v.lane_change_log))
+         for v in world.vehicles.values()],
+        len(world.retired), len(world.lane_changes), len(world.stop_arrivals),
+        None if world.events is None else len(world.events),
+        list(world.walk), dict(world.verdicts), list(world.packed), set(world.asleep),
+    )
+
+
+def install_transfer_check(monkeypatch) -> dict:
+    """Wrap `engine._transfer`, which the motion step calls for every front
+    without a wait verdict, so that each call either moves the vehicle on
+    (True) or returns `wait_slots` for its front, a tuple or None, having
+    changed nothing but the edge-end offset a failed align writes, which the
+    step writes anyway. Returns the calls' results counted by kind: True,
+    tuple or None."""
+    counts = {True: 0, tuple: 0, None: 0}
+    transfer = engine._transfer
+
+    def checked(world, veh, key, overshoot):
+        assert world.queues[key][0] == veh.id, key
+        expected = wait_slots(world, key)
+        before = _crossing_state(world)
+        offset = veh.offset
+        out = transfer(world, veh, key, overshoot)
+        if out is True:
+            assert expected is None, key
+            counts[True] += 1
+            return out
+        assert out == expected, key
+        counts[None if out is None else tuple] += 1
+        end = world.model.edges[key.edge].seg_length
+        assert veh.offset in (offset, end), key
+        veh.offset, after = offset, veh.offset
+        assert _crossing_state(world) == before, key
+        veh.offset = after
+        return out
+
+    monkeypatch.setattr(engine, "_transfer", checked)
+    return counts
 
 
 # -- prediction ----------------------------------------------------------------------
@@ -867,10 +916,14 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     before every motion step, the segment rows in full on each world's first
     step.
 
+    Every crossing the motion step tries is checked against `wait_slots`
+    (`install_transfer_check`).
+
     Returns the number of checked calls per function, filled in as the run
     goes, so a test can tell that the net was in place; `reused_walks` counts
-    the walks the fast snapshots took from the previous one, and
-    `reroute_assignments` the reroutes the checked calls assigned.
+    the walks the fast snapshots took from the previous one,
+    `reroute_assignments` the reroutes the checked calls assigned, and
+    `crossings` the checked crossings by result.
     """
     calls = dict.fromkeys(
         ("bus_windows", "snapshot", "refresh", "predicted_costs", "instantaneous_costs",
@@ -960,6 +1013,7 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(control, "reactive_reroutes", reroutes)
     monkeypatch.setattr(control, "myopic_lane_actions", myopic)
     monkeypatch.setattr(metrics, "sample_kpis", kpis)
+    calls["crossings"] = install_transfer_check(monkeypatch)
     return calls
 
 

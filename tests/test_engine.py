@@ -642,8 +642,8 @@ def _plant_state(world):
 def _step_against_full_walk(build, ticks, before_step=None):
     """Step a world and a twin whose packed counts, wait verdicts and asleep
     queues are cleared before every step, so the twin walks every vehicle in
-    every occupied queue and asks `_must_wait` afresh; both must stay
-    identical. Returns the world and the largest packed count seen."""
+    every occupied queue and sends every front to `_transfer` afresh; both
+    must stay identical. Returns the world and the largest packed count seen."""
     world, twin = build(), build()
     peak = 0
     for tick in range(ticks):
@@ -845,7 +845,13 @@ def test_packed_front_invariant_on_desk_large_jam():
 
 
 @pytest.fixture()
-def transfers(monkeypatch):
+def returned():
+    """What each `engine._transfer` call counted by `transfers` returned."""
+    return []
+
+
+@pytest.fixture()
+def transfers(monkeypatch, returned):
     """Count the crossings `step` sends to `engine._transfer`, as (vehicle,
     segment) pairs."""
     calls = []
@@ -853,7 +859,9 @@ def transfers(monkeypatch):
 
     def counted(world, veh, key, overshoot):
         calls.append((veh.id, key))
-        return real(world, veh, key, overshoot)
+        out = real(world, veh, key, overshoot)
+        returned.append(out)
+        return out
 
     monkeypatch.setattr(engine, "_transfer", counted)
     return calls
@@ -867,10 +875,11 @@ def _queue_state(world, key):
     )
 
 
-def test_packed_queue_behind_a_full_half_is_left_untouched(transfers):
+def test_packed_queue_behind_a_full_half_is_left_untouched(transfers, returned):
     model = make_model([(0, 1, 2, 100.0, 10.0, False), (1, 2, 3, 400.0, 10.0, False)], jam=4)
     world = make_world(model)
     up, down = SegmentRef(0, Lane.LEFT, 1), SegmentRef(0, Lane.LEFT, 2)
+    up_slot, down_slot = world.rows[up].slot, world.rows[down].slot
     # a full downstream half that creeps at the floor speed, far from its end
     for vid, offset in enumerate([12.0, 9.0, 6.0, 3.0]):
         put_vehicle(world, vid, VehicleClass.CAV, [0, 1], m=2, offset=offset)
@@ -883,18 +892,22 @@ def test_packed_queue_behind_a_full_half_is_left_untouched(transfers):
         offsets.append(last.offset)
     # the vehicle behind the held front still closes up to it
     assert offsets == [46.5, 49.0, 50.0, 50.0]
+    # one call names the full half and moves nothing; the verdict holds
+    assert transfers == [(10, up)] and returned == [(down_slot,)]
+    assert world.verdicts == {up_slot: (down_slot,)}
     assert packed_count(world, up) == 4
     packed_state = _queue_state(world, up)
     for _ in range(3):
         step(world, 1.0)
         assert _queue_state(world, up) == packed_state
-    assert transfers == []
+    assert transfers == [(10, up)]
     assert world.queues[down] == [0, 1, 2, 3]
     # a lane change frees one slot downstream: the front crosses, and the
-    # next one finds the half full again without a call
+    # next one finds the half full again in one call
     assert execute_lane_change(world, 0, 1) is True
     step(world, 1.0)
-    assert transfers == [(10, up)]
+    assert transfers == [(10, up), (10, up), (11, up)]
+    assert returned == [(down_slot,), True, (down_slot,)]
     assert world.queues[down] == [1, 2, 3, 10]
     assert world.queues[up] == [11, 12, 13]
 
@@ -924,38 +937,55 @@ def _full_entry_world(vclass, open_lanes=()):
     return world, front, asked
 
 
+def _edge_1_fronts(world):
+    """(vehicle, segment) of the calls made by the fronts of edge 1's first
+    halves, which their full second halves hold, and what each call returns:
+    the slot of that second half."""
+    firsts = (SegmentRef(1, Lane.LEFT, 1), SegmentRef(1, Lane.RIGHT, 1))
+    return [(world.queues[key][0], key) for key in firsts], [(5,), (7,)]
+
+
 @pytest.mark.parametrize("vclass", [VehicleClass.HDV, VehicleClass.CAV])
-def test_edge_end_into_full_entry_lanes_makes_no_call(transfers, vclass):
+def test_edge_end_into_full_entry_lanes_makes_one_call(transfers, returned, vclass):
     world, front, asked = _full_entry_world(vclass)
+    key = SegmentRef(0, Lane.LEFT, 2)
+    fronts, full_halves = _edge_1_fronts(world)
     for _ in range(3):
         step(world, 1.0)
-    assert (front.route_index, front.segment, front.offset) == (
-        0, SegmentRef(0, Lane.LEFT, 2), 50.0)
-    assert transfers == [] and asked == []
-    assert packed_count(world, SegmentRef(0, Lane.LEFT, 2)) == 1
+    assert (front.route_index, front.segment, front.offset) == (0, key, 50.0)
+    # one call names both entry lanes' first halves; the verdict holds
+    assert transfers == [(0, key)] + fronts
+    assert returned == [(4, 6)] + full_halves
+    assert world.verdicts[world.rows[key].slot] == (4, 6)
+    assert asked == []
+    assert packed_count(world, key) == 1
 
 
 @pytest.mark.parametrize("vclass", [VehicleClass.HDV, VehicleClass.CAV])
-def test_edge_end_into_one_open_entry_lane(transfers, vclass):
+def test_edge_end_into_one_open_entry_lane(transfers, returned, vclass):
     world, front, asked = _full_entry_world(vclass, open_lanes=(Lane.RIGHT,))
+    fronts, full_halves = _edge_1_fronts(world)
     step(world, 1.0)
-    assert transfers == [(0, SegmentRef(0, Lane.LEFT, 2))]
+    assert transfers == [(0, SegmentRef(0, Lane.LEFT, 2))] + fronts
+    assert returned == [True] + full_halves
     assert (front.route_index, front.segment) == (1, SegmentRef(1, Lane.RIGHT, 1))
     assert asked == []  # a single open lane is taken without asking
 
 
 @pytest.mark.parametrize("vclass, lane", [(VehicleClass.HDV, Lane.LEFT),
                                           (VehicleClass.CAV, Lane.RIGHT)])
-def test_edge_end_into_two_open_entry_lanes(transfers, vclass, lane):
+def test_edge_end_into_two_open_entry_lanes(transfers, returned, vclass, lane):
     world, front, asked = _full_entry_world(vclass, open_lanes=tuple(Lane))
+    fronts, full_halves = _edge_1_fronts(world)
     step(world, 1.0)
-    assert transfers == [(0, SegmentRef(0, Lane.LEFT, 2))]
+    assert transfers == [(0, SegmentRef(0, Lane.LEFT, 2))] + fronts
+    assert returned == [True] + full_halves
     # the HDV takes the left lane on a tie, the CAV its chooser's first lane
     assert (front.route_index, front.segment) == (1, SegmentRef(1, lane, 1))
     assert asked == ([0] if vclass is VehicleClass.CAV else [])
 
 
-def test_cav_without_the_turn_aligns_even_when_entry_is_full(transfers):
+def test_cav_without_the_turn_aligns_even_when_entry_is_full(transfers, returned):
     model = make_model(
         [(0, 1, 2, 100.0, 10.0, False), (1, 2, 3, 400.0, 10.0, False)],
         connections={(0, 1): {Lane.RIGHT}}, jam=1,
@@ -967,13 +997,19 @@ def test_cav_without_the_turn_aligns_even_when_entry_is_full(transfers):
                     offset=200.0, speed=0.0)
     veh = put_vehicle(world, 0, VehicleClass.CAV, [0, 1], lane=Lane.LEFT, m=2,
                       offset=50.0, speed=0.0)
+    left, right = SegmentRef(0, Lane.LEFT, 2), SegmentRef(0, Lane.RIGHT, 2)
+    fronts = [(110, SegmentRef(1, Lane.LEFT, 1)), (111, SegmentRef(1, Lane.RIGHT, 1))]
     step(world, 1.0)
-    assert transfers == [(0, SegmentRef(0, Lane.LEFT, 2))]
-    assert (veh.route_index, veh.segment) == (0, SegmentRef(0, Lane.RIGHT, 2))
+    assert transfers == [(0, left)] + fronts
+    assert returned == [True, (5,), (7,)]
+    assert (veh.route_index, veh.segment) == (0, right)
     assert world.lane_changes == [(0.0, 0, 0, 2, "L", "R", "align")]
-    step(world, 1.0)  # aligned, it now waits for the full entry without a call
-    assert transfers == [(0, SegmentRef(0, Lane.LEFT, 2))]
-    assert (veh.route_index, veh.offset, veh.speed) == (0, 50.0, 0.0)
+    # aligned, it waits for the full entry: one call names both first halves
+    for _ in range(3):
+        step(world, 1.0)
+    assert transfers == [(0, left)] + fronts + [(0, right)]
+    assert returned == [True, (5,), (7,), (4, 6)]
+    assert (veh.route_index, veh.segment, veh.offset, veh.speed) == (0, right, 50.0, 0.0)
 
 
 def test_gated_edge_end_goes_through_transfer(transfers):

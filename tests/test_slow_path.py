@@ -41,6 +41,7 @@ def _assert_checked(calls, strategy):
     if strategy != "proposed":
         assert calls["myopic"]
     assert calls["reused_walks"] > 0
+    assert calls["crossings"][True] and calls["crossings"][tuple]
 
 
 @pytest.mark.parametrize("strategy", ("drp", "prp", "proposed"))
@@ -193,6 +194,14 @@ def _check_injection(seed):
             step(fast, dt)
             slow_path.step(plain, dt)
         assert _plant_state(fast) == _plant_state(plain)
+
+
+def test_transfer_moves_the_front_or_returns_its_wait_slots(monkeypatch):
+    counts = slow_path.install_transfer_check(monkeypatch)
+    for seed in range(40):
+        _check_injection(seed)
+    # fronts crossed, waited on full queues and were held otherwise
+    assert all(counts.values()), counts
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -11,6 +11,10 @@ A vehicle's route changes only in `jointlane.engine`, through `_transfer`
 and `assign_route`: the motion step keeps a wait verdict read from the
 route of a queue's front, and `assign_route` ends it. No other module stores
 to a `.route` or `.route_index` attribute.
+
+Every function and method of `src/` has a caller in `src/`: its name is
+loaded somewhere outside its own body, or `jointlane/__init__.py` imports
+it. Functions only the tests use belong in the tests.
 """
 
 import ast
@@ -21,6 +25,8 @@ import jointlane
 SRC = Path(jointlane.__file__).parent
 ENUMS = frozenset({"Lane", "VehicleClass"})
 ROUTE_FIELDS = frozenset({"route", "route_index"})
+# called by the standard library, not by name in `src/`
+CALLED_FROM_OUTSIDE = frozenset({"cli.py: _Parser.error"})
 
 
 def enum_loads_in_function_bodies(source: str) -> list[tuple[int, str]]:
@@ -113,3 +119,91 @@ def test_routes_change_only_in_the_engine():
         for line, name in route_stores(path.read_text(encoding="utf-8"))
     ]
     assert found == [], "change a route through engine.assign_route:\n" + "\n".join(found)
+
+
+def uncalled_functions(sources: dict[str, str], exported: frozenset[str] = frozenset()) -> list[str]:
+    """`module: Qualified.name` of every function or method, dunders aside,
+    whose name no `ast.Name` or `ast.Attribute` load in `sources` (module
+    name to source text) reads outside the function's own body, and that is
+    not in `exported`."""
+    defs: list[tuple[str, str, ast.AST]] = []
+    loads: dict[str, list[int]] = {}  # name -> ids of the nodes that load it
+
+    def visit(module: str, node: ast.AST, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    defs.append((module, name, child))
+                name += "."
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                loads.setdefault(child.id, []).append(id(child))
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                loads.setdefault(child.attr, []).append(id(child))
+            visit(module, child, name)
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    for module, tree in trees.items():
+        visit(module, tree, "")
+    found = []
+    for module, qualname, node in defs:
+        name = node.name
+        if name.startswith("__") and name.endswith("__") or name in exported:
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if all(load in inside for load in loads.get(name, ())):
+            found.append(f"{module}: {qualname}")
+    return found
+
+
+def test_the_caller_detector_flags_functions_without_a_caller_outside_themselves():
+    sources = {
+        "a.py": """
+def used():
+    return helper()
+
+def helper():
+    return 1
+
+def recursive(n):
+    return recursive(n - 1) if n else 0
+
+def exported():
+    pass
+
+class Box:
+    def __init__(self):
+        self.size = 0
+
+    def grow(self):
+        self.size += 1
+
+    def shrink(self):
+        self.shrink
+""",
+        "b.py": """
+from a import Box
+
+def run(box: Box):
+    box.grow()
+""",
+    }
+    assert uncalled_functions(sources, frozenset({"exported"})) == [
+        "a.py: used", "a.py: recursive", "a.py: Box.shrink", "b.py: run",
+    ]
+
+
+def test_every_src_function_has_a_src_caller():
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = frozenset(
+        alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    found = [f for f in uncalled_functions(sources, exported) if f not in CALLED_FROM_OUTSIDE]
+    assert found == [], "no caller in src/; move it to the tests or delete it:\n" + "\n".join(
+        found
+    )
