@@ -20,7 +20,9 @@ from .metrics import write_summaries
 from .network import NetworkError
 from .prediction import BprRangeError, PredictionError
 from .routing import RoutingError
-from .scenario import BUNDLED_SCENARIOS, CONTROL_KEYS, ScenarioError, resolve_scenario
+from .scenario import (
+    BUNDLED_SCENARIOS, CONTROL_KEYS, ScenarioError, load_scenario, resolve_scenario,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,19 +100,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
 
     out_root = Path(args.out or os.environ.get("JOINTLANE_OUT", "out"))
-    run_kwargs = dict(
-        strategy=args.strategy, seed=args.seed, horizon=args.horizon,
-        log_events=args.log_events, log_decisions=args.log_decisions,
-        log_predictions=args.log_predictions,
-    )
-    try:
-        if args.sweep is None:
-            result = runner.run(args.scenario, out_root, overrides=overrides, **run_kwargs)
-            print(
-                f"done: strategy={result.strategy} seed={result.seed} "
-                f"t_wall={result.wall_time:.2f}s reports in {out_root}"
-            )
-            return 0
+    # (output directory, sweep value) per run; a plain run has no sweep value
+    runs: list[tuple[Path, float | None]] = [(out_root, None)]
+    if args.sweep is not None:
         key, _, value_text = args.sweep.partition("=")
         key = key.strip()
         try:
@@ -128,17 +120,35 @@ def main(argv=None) -> int:
                       f"share the run directory {name}", file=sys.stderr)
                 return 1
             run_dirs[name] = value
+        runs = [(out_root / name, value) for name, value in run_dirs.items()]
+    try:
+        scenario = load_scenario(resolve_scenario(args.scenario))
+        for warning in scenario.warnings:
+            print(f"jointlane: warning: {warning}", file=sys.stderr)
         rows = []
-        for name, value in run_dirs.items():
-            out_dir = out_root / name
-            result = runner.run(
-                args.scenario, out_dir, overrides={**overrides, key: value}, **run_kwargs
+        for out_dir, value in runs:
+            result = runner.simulate(
+                scenario, strategy=args.strategy, seed=args.seed, horizon=args.horizon,
+                overrides=overrides if value is None else {**overrides, key: value},
+                log_events=args.log_events, log_predictions=args.log_predictions,
             )
-            rows.append({**result.summary, "sweep_key": key, "sweep_value": value})
-            print(f"sweep {key}={value:g}: done ({out_dir})")
-        rows.sort(key=lambda r: r["sweep_value"])
-        write_summaries(rows, out_root)
-        print(f"sweep complete: {len(values)} runs, combined summary in {out_root}")
+            runner.write_run_reports(result, out_dir)
+            if args.log_decisions:
+                runner.write_decision_log(result, out_dir)
+            if args.log_predictions:
+                runner.write_prediction_log(result, out_dir)
+            if value is None:
+                print(
+                    f"done: strategy={result.strategy} seed={result.seed} "
+                    f"t_wall={result.wall_time:.2f}s reports in {out_root}"
+                )
+            else:
+                rows.append({**result.summary, "sweep_key": key, "sweep_value": value})
+                print(f"sweep {key}={value:g}: done ({out_dir})")
+        if rows:
+            rows.sort(key=lambda r: r["sweep_value"])
+            write_summaries(rows, out_root)
+            print(f"sweep complete: {len(rows)} runs, combined summary in {out_root}")
         return 0
     except (ScenarioError, BprRangeError) as exc:
         print(f"jointlane: scenario error: {exc}", file=sys.stderr)

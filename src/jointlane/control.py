@@ -305,9 +305,9 @@ def instantaneous_cost_view(world: World) -> dict[int, float]:
 
 
 def _time(row: SegmentRow) -> float:
-    """The segment's travel time at its current occupancy, from its row."""
-    n = len(row.queue)
-    return row.times[n] if n <= row.jam_count else row.times[row.jam_count]
+    """The segment's travel time at its current occupancy, from its row's
+    table, which covers every occupancy a queue can hold (`SegmentRow`)."""
+    return row.times[len(row.queue)]
 
 
 def rerouting_escalation(
@@ -398,7 +398,8 @@ def myopic_lane_actions(
     """Hop to the adjacent permitted lane when it is currently strictly faster.
 
     Both lanes' speeds are read from the segment's row, as `segment_speed`
-    gives them: the edge's speed table at each queue's occupancy.
+    gives them: the edge's speed table at each queue's occupancy, which
+    never exceeds `jam_count` (`SegmentRow`).
     """
     actions = []
     rows = world.rows
@@ -410,9 +411,8 @@ def myopic_lane_actions(
         if banned and (vid, halves[seg.edge][OTHER[seg.lane]][seg.m - 1]) in banned:
             continue
         row = rows[seg]
-        jam, speeds = row.jam_count, row.speeds
-        n, n_other = len(row.queue), len(row.other)
-        if speeds[n_other if n_other <= jam else jam] > speeds[n if n <= jam else jam]:
+        speeds = row.speeds
+        if speeds[len(row.other)] > speeds[len(row.queue)]:
             direction = 1 if seg.lane is LEFT else -1  # toward the other lane
             actions.append(LaneAction(vid, seg, direction, forced=False))
     return actions

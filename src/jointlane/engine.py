@@ -109,7 +109,6 @@ class VehicleState:
     offset: float                      # meters within the current segment
     speed: float
     depart_time: float
-    origin: int
     destination: int
     segment: Optional[SegmentRef] = None  # set only by _enter_queue and _lateral_move
     arrival_time: Optional[float] = None
@@ -173,13 +172,16 @@ class Backlog:
 class SegmentRow(NamedTuple):
     """What the hot loops read of one segment, built once with the World.
 
-    `speeds` is the edge's speed table, and `times[n]` is
-    `seg_length / speeds[n]`, the segment's travel time at occupancy n, for
-    n = 0..`jam_count`; past `jam_count` both keep their last entry. `other`
-    is the queue of the other lane's segment at the same half, and `down` the
-    queue a crossing out of the segment enters: the (edge, lane, 2) half's
-    for an m=1 segment, None, the edge end, for an m=2 one; `down_slot` is
-    that queue's row slot. `slot` is the row's position in `World.rows`,
+    `queue` is the segment's FIFO queue; `World.rows` is the one map from a
+    segment to its queue. `speeds` is the edge's speed table, and `times[n]`
+    is `seg_length / speeds[n]`, the segment's travel time at occupancy n,
+    for n = 0..`jam_count`. No queue holds more than `jam_count` vehicles,
+    as every entry refuses a full segment (`World._open_lanes`, `_transfer`
+    and `_lateral_move`), so occupancy indexes both tables. `other` is the
+    queue of the other lane's segment at the same half, and `down` the queue
+    a crossing out of the segment enters: the (edge, lane, 2) half's for an
+    m=1 segment, None, the edge end, for an m=2 one; `down_slot` is that
+    queue's row slot. `slot` is the row's position in `World.rows`,
     `World.by_slot` and `World.packed`.
     """
 
@@ -205,23 +207,23 @@ class World:
         self.t = 0.0
         self.vehicles: dict[int, VehicleState] = {}
         self.buses: dict[int, VehicleState] = {}  # active buses, placement order
-        # one FIFO queue per segment, in model.all_segments() order, which is
-        # sorted (edge, lane, m) order
-        self.queues: dict[SegmentRef, list[int]] = {seg: [] for seg in model.all_segments()}
-        # one row per segment, in the same order
+        # one row per segment, holding its FIFO queue, in model.all_segments()
+        # order, which is sorted (edge, lane, m) order
+        segments = model.all_segments()
+        queues: dict[SegmentRef, list[int]] = {seg: [] for seg in segments}
         times = {
             eid: tuple(e.seg_length / v for v in e.speeds) for eid, e in model.edges.items()
         }
-        slots = {key: slot for slot, key in enumerate(self.queues)}
+        slots = {key: slot for slot, key in enumerate(segments)}
         self.rows: dict[SegmentRef, SegmentRow] = {}
-        for slot, (key, q) in enumerate(self.queues.items()):
+        for slot, key in enumerate(segments):
             edge = model.edges[key.edge]
             halves = model.halves[key.edge]
             down = halves[key.lane][1] if key.m == 1 else None
             self.rows[key] = SegmentRow(
-                key, q, edge.seg_length, edge.jam_count, edge.speeds, times[key.edge],
-                self.queues[halves[OTHER[key.lane]][key.m - 1]],
-                None if down is None else self.queues[down],
+                key, queues[key], edge.seg_length, edge.jam_count, edge.speeds, times[key.edge],
+                queues[halves[OTHER[key.lane]][key.m - 1]],
+                None if down is None else queues[down],
                 None if down is None else slots[down],
                 slot, edge,
             )
@@ -265,15 +267,13 @@ class World:
 
     def lane_count(self, edge_id: int, lane: Lane) -> int:
         upstream, downstream = self.model.halves[edge_id][lane]
-        return len(self.queues[upstream]) + len(self.queues[downstream])
+        return len(self.rows[upstream].queue) + len(self.rows[downstream].queue)
 
     def segment_speed(self, key: SegmentRef) -> float:
         """Speed-density law with a floor, ffs * clamp(1 - n/Njam, floor, 1),
-        at the segment's occupancy n, read from the edge's table; n past Njam
-        keeps the floor speed."""
-        speeds = self.model.edges[key.edge].speeds
-        n = len(self.queues[key])
-        return speeds[n] if n < len(speeds) else speeds[-1]
+        at the segment's occupancy n, read from its row's speed table."""
+        row = self.rows[key]
+        return row.speeds[len(row.queue)]
 
     def log_event(self, kind: str, veh: VehicleState, detail: str = ""):
         """Append (t, kind, vehicle, class, edge, lane tag, m, offset, detail)
@@ -468,11 +468,11 @@ def step(world: World, dt: Optional[float] = None):
     the non-empty queues that are not asleep (below), in ascending order,
     which is sorted (edge, lane, m) order, so the step walks them in that
     order without a scan or a sort; `_entering` and `_remove` keep it as
-    queues fill and empty. A queue of n vehicles at the start of the step
-    moves at `speeds[n - 1]` (the mover is not its own congestion), the
-    float the speed-density expression gives for n - 1, and each vehicle's
-    reach `v_seg * dt` is computed once per queue: `offset + reach` is the
-    same sum.
+    queues fill and empty. A queue of n vehicles at the start of the step,
+    n at most `jam_count` (`SegmentRow`), moves at `speeds[n - 1]` (the
+    mover is not its own congestion), the float the speed-density
+    expression gives for n - 1, and each vehicle's reach `v_seg * dt` is
+    computed once per queue: `offset + reach` is the same sum.
 
     A non-bus vehicle never dwells and has no stop, so it takes a fast path
     past the dwell and stop-capture tests. Each queue is walked once, from
@@ -531,8 +531,8 @@ def step(world: World, dt: Optional[float] = None):
         (row, len(row.queue)) for row in map(world.by_slot.__getitem__, world.walk)
     ]
     for row, n in walking:
-        key, q, seg_len, jam, speeds, _, _, _, _, slot, _ = row
-        v_seg = speeds[n - 1] if n <= jam else speeds[jam]
+        key, q, seg_len, _, speeds, _, _, _, _, slot, _ = row
+        v_seg = speeds[n - 1]
         reach = v_seg * dt
         block: Optional[float] = None  # offset of the nearest vehicle that stays ahead
         held = False  # the front waited at the segment end

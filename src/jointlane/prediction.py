@@ -243,7 +243,6 @@ class PredictionSnapshot:
     vehicles: dict[int, VehicleState]
     tau: dict[int, dict[SegmentRef, float]]          # CAV entries: DL, or within dt
     inflow: dict[SegmentRef, float]                   # veh/s, per segment
-    hdv_entries: dict[SegmentRef, int]                # projected HDV entries
     predicted_time: dict[SegmentRef, float]           # seconds, segments with inflow
     overlap: dict[SegmentRef, dict[int, float]]       # seg -> CAV id (asc) -> entry time
     conflict: dict[SegmentRef, float]                 # veh/s into bus windows
@@ -286,7 +285,7 @@ def _window_conflicts(
     model = world.model
     t = world.t
     vehicles = world.vehicles
-    queues = world.queues
+    rows = world.rows
     overlap: dict[SegmentRef, dict[int, float]] = {}
     conflict: dict[SegmentRef, float] = {}
     bus_time: dict[SegmentRef, float] = {}
@@ -295,7 +294,7 @@ def _window_conflicts(
         found: list[tuple[int, float]] = []
         if windows.contains(seg, t):
             for lane in model.halves[edge]:
-                for vid in queues[lane[m - 1]]:
+                for vid in rows[lane[m - 1]].queue:
                     if vehicles[vid].vclass is CAV:
                         found.append((vid, 0.0))
         for vid, entry in index.get(seg, ()):
@@ -420,8 +419,9 @@ def build_snapshot(
     `hdv_counts`. Under the same `dt` the counts are carried from `previous`:
     a re-projected vehicle's old walk is taken off and its new one added, and
     the walk of a vehicle that left is taken off. The counts are integers, so
-    they equal a fresh sum. `hdv_entries` and `inflow` are then read off in
-    `all_segments()` order, a zero count left out. `dl_index` lists each DL
+    they equal a fresh sum; a zero is kept, and a reader treats it as no
+    entry. `inflow` is then read off in `all_segments()` order from the sum
+    of the two counts, a zero flow left out. `dl_index` lists each DL
     segment's stored CAV entries in ascending id order, for the window
     conflicts here and at every refresh until the next build.
     """
@@ -465,16 +465,9 @@ def build_snapshot(
             counts[ref] -= 1
 
     inflow: dict[SegmentRef, float] = {}
-    hdv_entries: dict[SegmentRef, int] = {}
     predicted_time: dict[SegmentRef, float] = {}
     for seg in model.all_segments():
-        hdv = hdv_counts.get(seg, 0)
-        if hdv:
-            hdv_entries[seg] = hdv
-        if seg in dl_segments:
-            flow = cav_counts.get(seg, 0) / dt
-        else:
-            flow = (cav_counts.get(seg, 0) + hdv) / dt
+        flow = (cav_counts.get(seg, 0) + hdv_counts.get(seg, 0)) / dt
         if flow:
             inflow[seg] = flow
             predicted_time[seg] = bpr_time(model.t0(seg), flow, model.capacity(seg), bpr)
@@ -490,7 +483,6 @@ def build_snapshot(
         vehicles=vehicles,
         tau=tau,
         inflow=inflow,
-        hdv_entries=hdv_entries,
         predicted_time=predicted_time,
         overlap=overlap,
         conflict=conflict,

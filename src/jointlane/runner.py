@@ -30,14 +30,7 @@ from .engine import (
     step,
 )
 from .network import BUS, CAV, HDV, RIGHT, TAG, SegmentRef, VehicleClass
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    apply_overrides,
-    control_values,
-    load_scenario,
-    resolve_scenario,
-)
+from .scenario import Scenario, ScenarioError, apply_overrides, control_values
 
 
 #: most arrivals one Poisson demand stream may expect over the horizon
@@ -51,24 +44,8 @@ MAX_EXPECTED_ARRIVALS = 1_000_000
 MAX_TICKS = 1_000_000
 
 
-def run(scenario: str, out_dir: str | Path, log_decisions: bool = False,
-        **simulate_kwargs) -> RunResult:
-    """Simulate a scenario (bundled name or path) and write its reports.
-
-    Writes the standard reports, plus the event, decision and prediction
-    logs when `log_events`, `log_decisions` and `log_predictions` are set.
-    """
-    result = simulate(load_scenario(resolve_scenario(scenario)), **simulate_kwargs)
-    write_run_reports(result, out_dir)
-    if log_decisions:
-        write_decision_log(result, out_dir)
-    if simulate_kwargs.get("log_predictions"):
-        write_prediction_log(result, out_dir)
-    return result
-
-
-#: (t, inflow, hdv_entries, predicted_time, conflict, bus_time) of one
-#: control step's snapshot
+#: (t, inflow, hdv_counts, predicted_time, conflict, bus_time) of one
+#: control step's snapshot; a zero HDV count is no entry
 PredictionStep = tuple[
     float,
     dict[SegmentRef, float],
@@ -87,7 +64,6 @@ class RunResult:
     world: World
     metrics: mt.RunMetrics
     summary: dict
-    audit: dict
     decision_rows: list[tuple]
     # one entry per control step when predictions are logged: the snapshot's
     # own tables, not copies, which is exact because nothing edits a
@@ -222,7 +198,7 @@ def simulate(
                 observer(world, snapshot, decision, executed)
             if log_predictions:
                 prediction_steps.append((
-                    snapshot.t, snapshot.inflow, snapshot.hdv_entries,
+                    snapshot.t, snapshot.inflow, snapshot.hdv_counts,
                     snapshot.predicted_time, snapshot.conflict, snapshot.bus_time,
                 ))
             run_metrics.series.append(mt.sample_kpis(world, t, travel_times))
@@ -245,7 +221,6 @@ def simulate(
         world=world,
         metrics=run_metrics,
         summary=summary,
-        audit=audit,
         decision_rows=decision_rows,
         prediction_steps=prediction_steps,
         wall_time=wall,
@@ -253,7 +228,7 @@ def simulate(
 
 
 def _new_vehicle(
-    world: World, vclass: VehicleClass, route, origin: int, destination: int, **bus
+    world: World, vclass: VehicleClass, route, destination: int, **bus
 ) -> VehicleState:
     """A vehicle created now at the start of its first route edge, at that
     edge's free-flow speed; `bus` holds a bus's line, trip and stop fields."""
@@ -265,17 +240,14 @@ def _new_vehicle(
         offset=0.0,
         speed=world.model.edges[route[0]].free_flow_speed,
         depart_time=world.t,
-        origin=origin,
         destination=destination,
         **bus,
     )
 
 
 def _make_bus(world: World, line, trip: int) -> VehicleState:
-    edges = world.model.edges
     return _new_vehicle(
-        world, BUS, line.route,
-        edges[line.route[0]].frm, edges[line.route[-1]].to,
+        world, BUS, line.route, world.model.edges[line.route[-1]].to,
         line=line.id,
         trip=trip,
         stop_plan=line.stop_plans[trip] if line.stop_plans else (),
@@ -297,7 +269,7 @@ def _make_vehicle(
         route = routing.initial_route(
             model, entry.origin, entry.destination, entry.vclass, costs=costs
         )
-    return _new_vehicle(world, entry.vclass, route, entry.origin, entry.destination)
+    return _new_vehicle(world, entry.vclass, route, entry.destination)
 
 
 def _apply_decision(
@@ -452,10 +424,12 @@ def write_prediction_log(result: RunResult, out_dir: str | Path) -> Path:
     still hold that step's values, since nothing edits a snapshot's tables:
     `build_snapshot` and the window conflicts make fresh dicts on every call,
     and `refresh_conflicts` replaces the conflict tables rather than editing
-    them. A segment with no inflow, no projected HDV entry and no bus window
-    (`conflict` holds every windowed segment, even one without members)
-    writes the same cells at every step, so its line is the step's time and
-    a tail built once. Every cell is a number, a six-decimal float, an empty
+    them. A segment with no inflow and no bus window (`conflict` holds
+    every windowed segment, even one without members) has no projected HDV
+    entry either, since every entry counts toward inflow: its HDV cell is 0,
+    from a carried zero count or a missing one alike. Such a segment writes
+    the same cells at every step, so its line is the step's time and a tail
+    built once. Every cell is a number, a six-decimal float, an empty
     cell or a lane tag, none of which `csv.writer` would quote, so a line is
     its cells joined by commas and ended by `\r\n`, as `csv.writer` writes it.
     """
@@ -468,14 +442,14 @@ def write_prediction_log(result: RunResult, out_dir: str | Path) -> Path:
     fc = mt.float_cell
 
     def chunks():
-        for t, inflow, hdv_entries, predicted_time, conflict, bus_time in result.prediction_steps:
+        for t, inflow, hdv_counts, predicted_time, conflict, bus_time in result.prediction_steps:
             when = f"{t:.6f}"
             lines = []
             for seg, cells, free, quiet in segments:
-                if seg in inflow or seg in hdv_entries or seg in conflict:
+                if seg in inflow or seg in conflict:
                     predicted = predicted_time.get(seg)
                     lines.append(
-                        f"{when}{cells}{inflow.get(seg, 0.0):.6f},{hdv_entries.get(seg, 0)},"
+                        f"{when}{cells}{inflow.get(seg, 0.0):.6f},{hdv_counts.get(seg, 0)},"
                         f"{free if predicted is None else f'{predicted:.6f}'},"
                         f"{fc(conflict.get(seg))},{fc(bus_time.get(seg))}\r\n"
                     )

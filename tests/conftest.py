@@ -99,10 +99,11 @@ def put_vehicle(
         offset=offset,
         speed=edge.free_flow_speed if speed is None else speed,
         depart_time=world.t,
-        origin=world.model.edges[route[0]].frm,
         destination=world.model.edges[route[-1]].to,
         **extra,
     )
+    # the plant never fills a segment past its storage limit, so neither does a test
+    assert len(world.rows[veh.segment].queue) < edge.jam_count, veh.segment
     world.vehicles[vid] = veh
     if vclass is VehicleClass.BUS:
         world.buses[vid] = veh

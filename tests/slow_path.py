@@ -33,8 +33,8 @@ keeps the plain versions they replaced:
   remaining route, asking `permitted_lanes` for the lane on each route edge
   (`projected_entries`), and sums the entries afresh on every call, ignoring
   the previous snapshot whose walks and entry counts the fast one carries
-  forward; its `hdv_entries` are keyed in `all_segments()` order, as the fast
-  build emits them;
+  forward; its `hdv_counts`, which the plain prediction log reads, hold no
+  zero;
 * `_window_conflicts`, and `refresh_conflicts` on top of it, which scan every
   CAV, in id order, for each windowed segment, testing the CAV's own segment
   and its entries in `tau`, where the fast one takes the same-span members
@@ -119,7 +119,7 @@ def segment_speed(world: World, key: SegmentRef, n: Optional[int] = None) -> flo
     """Speed-density law with a floor: ffs * clamp(1 - n/Njam, floor, 1)."""
     edge = world.model.edges[key.edge]
     if n is None:
-        n = len(world.queues[key])
+        n = len(world.rows[key].queue)
     frac = 1.0 - n / edge.jam_count
     frac = min(1.0, max(SPEED_FLOOR, frac))
     return edge.free_flow_speed * frac
@@ -165,12 +165,12 @@ def step(world: World, dt: Optional[float] = None):
     # motion speeds from start-of-step occupancy: the mover is not its own
     # congestion, so a lone vehicle runs at free flow
     speeds = {
-        key: segment_speed(world, key, len(q) - 1)
-        for key, q in world.queues.items()
-        if q
+        key: segment_speed(world, key, len(row.queue) - 1)
+        for key, row in world.rows.items()
+        if row.queue
     }
     for key in sorted(speeds):
-        q = world.queues[key]
+        q = world.rows[key].queue
         slot = slots[key]
         seg_len = model.edges[key.edge].seg_length
         v_seg = speeds[key]
@@ -243,9 +243,8 @@ PlainTables = tuple[
 
 def plain_tables(world: World) -> PlainTables:
     """What the fast tables must hold, from the plain forms: the segments in
-    sorted order; per edge the speed at each occupancy from 0 to one past
-    `jam_count` (an overfull queue keeps the floor speed) and the travel time
-    `seg_length / speed` up to `jam_count`; and per (class, lane) the
+    sorted order; per edge the speed at each occupancy from 0 to `jam_count`
+    and the travel time `seg_length / speed` at each; and per (class, lane) the
     continuation row of every edge the class may use, from `permitted_lanes`
     and `halves`."""
     model = world.model
@@ -253,8 +252,8 @@ def plain_tables(world: World) -> PlainTables:
     times = {}
     for eid, edge in model.edges.items():
         key = model.halves[eid][Lane.LEFT][0]
-        speeds[eid] = tuple(segment_speed(world, key, n) for n in range(edge.jam_count + 2))
-        times[eid] = tuple(edge.seg_length / v for v in speeds[eid][:-1])
+        speeds[eid] = tuple(segment_speed(world, key, n) for n in range(edge.jam_count + 1))
+        times[eid] = tuple(edge.seg_length / v for v in speeds[eid])
     continuations = {}
     for vclass in VehicleClass:
         for lane in Lane:
@@ -273,7 +272,7 @@ def assert_segment_rows(world: World, expected: PlainTables):
     """The world's segment rows and the model's continuation rows.
 
     One row per segment, in the model's segment order, keyed by its segment
-    and holding the queue itself, the edge itself, its `seg_length` and
+    and holding a queue of its own, the edge itself, its `seg_length` and
     `jam_count`, the plain speed of every occupancy up to `jam_count`, the
     travel times `seg_length / speed` at those occupancies, the other lane's
     queue at the same half, the (edge, lane, 2) queue and its position for an
@@ -283,19 +282,19 @@ def assert_segment_rows(world: World, expected: PlainTables):
     """
     model = world.model
     order, speeds, times, continuations = expected
-    queues = world.queues
-    assert list(world.rows) == order and len(world.packed) == len(order)
-    assert world.by_slot == tuple(world.rows.values())
-    for slot, (key, row) in enumerate(world.rows.items()):
+    by_key = world.rows
+    assert list(by_key) == order and len(world.packed) == len(order)
+    assert world.by_slot == tuple(by_key.values())
+    assert len({id(row.queue) for row in by_key.values()}) == len(order)
+    for slot, (key, row) in enumerate(by_key.items()):
         edge = model.edges[key.edge]
-        assert row.key == key and row.slot == slot
-        assert row.queue is queues[key] and row.edge is edge
+        assert row.key == key and row.slot == slot and row.edge is edge
         assert (row.seg_length, row.jam_count) == (edge.seg_length, edge.jam_count)
-        assert row.speeds == speeds[key.edge][:-1] and row.times == times[key.edge]
-        assert row.other is queues[SegmentRef(key.edge, OTHER[key.lane], key.m)]
+        assert row.speeds == speeds[key.edge] and row.times == times[key.edge]
+        assert row.other is by_key[SegmentRef(key.edge, OTHER[key.lane], key.m)].queue
         if key.m == 1:
             down = SegmentRef(key.edge, key.lane, 2)
-            assert row.down is queues[down] and row.down_slot == order.index(down)
+            assert row.down is by_key[down].queue and row.down_slot == order.index(down)
         else:
             assert row.down is None and row.down_slot is None
     for (vclass, lane), rows in continuations.items():
@@ -303,30 +302,29 @@ def assert_segment_rows(world: World, expected: PlainTables):
 
 
 def assert_plant_tables(world: World, expected: PlainTables, rows: bool = True):
-    """The tables the fast plant reads: one queue per segment, in the model's
-    segment order, which is sorted order; the segment rows
+    """The tables the fast plant reads: one segment row per segment, in the
+    model's segment order, which is sorted order; the segment rows in full
     (`assert_segment_rows`, skipped with `rows=False`, when they were
-    checked before: a row never changes, and each still holds its queue);
-    each filled entry-room row holding the entry edge's `jam_count` and the
-    first-half queues of `NetworkModel.entry_lanes` with their positions in
-    the segment order; a backlog whose groups
-    are id-ordered, non-empty and hold only their own members; and per-edge
-    speed tables equal to the plain expression for every occupancy up to
-    `jam_count`, with the floor speed past it."""
+    checked before: a row never changes, and `by_slot` still holds the same
+    rows); each filled entry-room row holding the entry edge's `jam_count`
+    and the first-half queues of `NetworkModel.entry_lanes` with their
+    positions in the segment order; a backlog whose groups are id-ordered,
+    non-empty and hold only their own members; and per-edge speed tables
+    equal to the plain expression for every occupancy up to `jam_count`."""
     model = world.model
     order, speeds, _, _ = expected
-    assert list(world.queues) == list(model.all_segments()) == order
+    assert list(world.rows) == list(model.all_segments()) == order
     position = {key: slot for slot, key in enumerate(order)}
     if rows:
         assert_segment_rows(world, expected)
     else:
-        assert all(row.queue is q for row, q in zip(world.rows.values(), world.queues.values()))
+        assert all(a is b for a, b in zip(world.by_slot, world.rows.values()))
     for group, (jam, queues, slots) in world.entry_rooms.items():
         vclass, edge_id, onward = group
         assert jam == model.edges[edge_id].jam_count
         firsts = [SegmentRef(edge_id, l, 1) for l in model.entry_lanes(vclass, edge_id, onward)]
         assert len(queues) == len(firsts)
-        assert all(q is world.queues[first] for q, first in zip(queues, firsts))
+        assert all(q is world.rows[first].queue for q, first in zip(queues, firsts))
         assert slots == tuple(position[first] for first in firsts)
     groups = world.pending.groups
     assert len(world.pending) == sum(len(members) for members in groups.values())
@@ -335,9 +333,7 @@ def assert_plant_tables(world: World, expected: PlainTables, rows: bool = True):
         assert ids and ids == sorted(set(ids))
         assert all(entry_group(veh) == group for veh in members)
     for eid, edge in model.edges.items():
-        assert edge.speeds == speeds[eid][:-1]
-        # an overfull queue keeps the floor speed, the table's last entry
-        assert edge.speeds[-1] == speeds[eid][edge.jam_count + 1]
+        assert edge.speeds == speeds[eid]
 
 
 def assert_plant_invariants(world: World):
@@ -355,7 +351,8 @@ def assert_plant_invariants(world: World):
         active = sum(1 for veh in world.vehicles.values() if veh.vclass is vclass)
         assert world.injected[vclass] == retired + active, vclass
     where: dict[int, SegmentRef] = {}
-    for slot, (key, q) in enumerate(world.queues.items()):
+    for slot, (key, row) in enumerate(world.rows.items()):
+        q = row.queue
         edge = model.edges[key.edge]
         assert len(q) <= edge.jam_count, key
         offsets = []
@@ -388,14 +385,14 @@ def wait_slots(world: World, key: SegmentRef) -> Optional[tuple[int, ...]]:
     edge = model.edges[key.edge]
     if key.m == 1:
         down = SegmentRef(key.edge, key.lane, 2)
-        return (order.index(down),) if len(world.queues[down]) >= edge.jam_count else None
-    veh = world.vehicles[world.queues[key][0]]
+        return (order.index(down),) if len(world.rows[down].queue) >= edge.jam_count else None
+    veh = world.vehicles[world.rows[key].queue[0]]
     ahead = veh.route[veh.route_index + 1:]
     if edge.gate is not None or not ahead or not model.connects(key.edge, key.lane, ahead[0]):
         return None
     onward = ahead[1] if len(ahead) > 1 else None
     firsts = [SegmentRef(ahead[0], l, 1) for l in model.entry_lanes(veh.vclass, ahead[0], onward)]
-    if any(len(world.queues[first]) < model.edges[ahead[0]].jam_count for first in firsts):
+    if any(len(world.rows[first].queue) < model.edges[ahead[0]].jam_count for first in firsts):
         return None
     return tuple(order.index(first) for first in firsts)
 
@@ -431,7 +428,7 @@ def _crossing_state(world: World) -> tuple:
     index and lateral moves, the retired vehicles, the logs and the motion
     step's tables."""
     return (
-        [list(q) for q in world.queues.values()],
+        [list(row.queue) for row in world.rows.values()],
         [(v.segment, v.offset, v.speed, v.route_index, len(v.lane_change_log))
          for v in world.vehicles.values()],
         len(world.retired), len(world.lane_changes), len(world.stop_arrivals),
@@ -451,7 +448,7 @@ def install_transfer_check(monkeypatch) -> dict:
     transfer = engine._transfer
 
     def checked(world, veh, key, overshoot):
-        assert world.queues[key][0] == veh.id, key
+        assert world.rows[key].queue[0] == veh.id, key
         expected = wait_slots(world, key)
         before = _crossing_state(world)
         offset = veh.offset
@@ -695,7 +692,7 @@ def build_snapshot(
         vehicles=vehicles,
         tau=tau,
         inflow=inflow,
-        hdv_entries={seg: hdv_entries[seg] for seg in model.all_segments() if seg in hdv_entries},
+        hdv_counts=hdv_entries,
         predicted_time=predicted_time,
         overlap=overlap,
         conflict=conflict,
@@ -802,7 +799,7 @@ def dump_predictions(snapshot: PredictionSnapshot, rows: list):
             (
                 snapshot.t, seg.edge, TAG[seg.lane], seg.m,
                 snapshot.inflow.get(seg, 0.0),
-                snapshot.hdv_entries.get(seg, 0),
+                snapshot.hdv_counts.get(seg, 0),
                 snapshot.predicted(seg),
                 snapshot.conflict.get(seg),
                 snapshot.bus_time.get(seg),
@@ -863,7 +860,7 @@ def assert_same_snapshot(fast: PredictionSnapshot, slow: PredictionSnapshot):
         (vid, list(kept.items())) for vid, kept in slow.tau.items()
     ]
     assert list(fast.inflow.items()) == list(slow.inflow.items())
-    assert list(fast.hdv_entries.items()) == list(slow.hdv_entries.items())
+    assert {seg: n for seg, n in fast.hdv_counts.items() if n} == slow.hdv_counts
     assert list(fast.predicted_time.items()) == list(slow.predicted_time.items())
     assert_same_conflicts(fast, slow)
 

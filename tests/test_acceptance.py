@@ -58,7 +58,7 @@ def test_criterion_01_hard_constraint_audit(matrix):
     for strategy in ("prp", "proposed"):
         for seed in SEEDS:
             run = matrix[(strategy, seed)]
-            if run.audit["banned_entries"] != 0 or run.audit["forced_missing"] != 0:
+            if run.summary["audit_banned_entries"] != 0 or run.summary["audit_forced_missing"] != 0:
                 ok = False
             if run.wall_time >= 10.0:
                 ok = False

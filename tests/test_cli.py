@@ -95,6 +95,20 @@ def test_sweep_produces_n_plus_one_report_sets(tmp_path):
     assert all(r["sweep_key"] == "w3" for r in rows)
 
 
+@pytest.mark.parametrize("sweep", [(), ("--sweep", "w3=0.2,0.4")], ids=["plain", "sweep"])
+def test_synthesized_connections_warn_once_per_invocation(capsys, tmp_path, sweep):
+    data = json.loads(resolve_scenario("desk_small").read_text(encoding="utf-8"))
+    del data["connections"]
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    warning = ("jointlane: warning: connections omitted: synthesized all-lane turns for "
+               "every adjacent edge pair\n")
+    for scenario, expected in ((str(path), warning), ("desk_small", "")):
+        assert run_cli(["--scenario", scenario, "--horizon", "60", *sweep,
+                        "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == expected
+
+
 def test_sweep_needs_values(capsys, tmp_path):
     assert run_cli(["--scenario", "desk_small", "--sweep", "w3=",
                     "--out", str(tmp_path)]) == 1

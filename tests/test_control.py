@@ -160,7 +160,7 @@ def test_snapshot_keeps_the_vehicles_present_at_build(dl_chain3):
     snap = snapshot_of(world)
     # injected later in the same tick, onto the dedicated-lane edge
     late = VehicleState(id=1, vclass=VehicleClass.CAV, route=[0, 1, 2], route_index=0,
-                        offset=0.0, speed=10.0, depart_time=world.t, origin=1,
+                        offset=0.0, speed=10.0, depart_time=world.t,
                         destination=4)
     assert world.place_new(late)
     assert world.model.edges[late.edge_id].dl

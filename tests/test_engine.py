@@ -65,9 +65,9 @@ def test_fifo_order_never_changes(chain3):
     follow = put_vehicle(world, 1, VehicleClass.CAV, [0, 1, 2], offset=49.0)
     key = SegmentRef(0, Lane.LEFT, 1)
     for _ in range(5):
-        order = list(world.queues[key])
+        order = list(world.rows[key].queue)
         step(world, 1.0)
-        new = world.queues.get(key, [])
+        new = world.rows[key].queue
         shared = [v for v in new if v in order]
         assert shared == [v for v in order if v in new]
         assert follow.offset <= lead.offset or lead.segment.m > follow.segment.m
@@ -141,7 +141,7 @@ def _new_vehicle(world, vid, vclass, route, **extra):
     return VehicleState(
         id=vid, vclass=vclass, route=list(route), route_index=0,
         offset=0.0, speed=first.free_flow_speed, depart_time=world.t,
-        origin=first.frm, destination=last.to, **extra,
+        destination=last.to, **extra,
     )
 
 
@@ -418,10 +418,10 @@ def test_run_invariants_on_desk_scenario(desk_small):
 
     def observer(world, snapshot, decision, executed):
         model = world.model
-        for key, queue in world.queues.items():
-            assert len(queue) <= model.edges[key.edge].jam_count
+        for key, row in world.rows.items():
+            assert len(row.queue) <= model.edges[key.edge].jam_count
         for veh in world.vehicles.values():
-            assert veh.id in world.queues[veh.segment]
+            assert veh.id in world.rows[veh.segment].queue
             assert veh.segment.edge == veh.edge_id
             if veh.vclass is VehicleClass.BUS:
                 assert veh.segment.lane is Lane.RIGHT
@@ -463,8 +463,8 @@ def test_forced_exit_audit_reads_decision_time_segments(desk_small, monkeypatch)
     result = runner.simulate(desk_small, strategy="proposed", seed=1, horizon=200.0,
                              observer=observer)
     assert moved_off["n"] >= 1
-    assert result.audit["forced_missing"] >= 1
-    assert result.audit["forced_missing"] == len(dropped)
+    assert result.summary["audit_forced_missing"] >= 1
+    assert result.summary["audit_forced_missing"] == len(dropped)
 
 
 def test_event_log_bit_identical_across_runs(desk_small):
@@ -498,13 +498,13 @@ def test_hdv_entry_prefers_emptier_lane_then_left(chain3):
 
     hdv = VehicleState(id=9, vclass=VehicleClass.HDV, route=[0, 1, 2],
                        route_index=0, offset=0.0,
-                       speed=10.0, depart_time=0.0, origin=1, destination=4)
+                       speed=10.0, depart_time=0.0, destination=4)
     inject_demand(world, [hdv])
     assert hdv.segment.lane is Lane.RIGHT
     # balance the lanes: ties go left
     hdv2 = VehicleState(id=10, vclass=VehicleClass.HDV, route=[0, 1, 2],
                         route_index=0, offset=0.0,
-                        speed=10.0, depart_time=0.0, origin=1, destination=4)
+                        speed=10.0, depart_time=0.0, destination=4)
     inject_demand(world, [hdv2])
     assert hdv2.segment.lane is Lane.LEFT
 
@@ -570,7 +570,7 @@ def test_turn_realignment_at_edge_end():
     step(world, 1.0)
     assert (veh.route_index, veh.segment.lane, veh.segment.m) == (0, Lane.RIGHT, 2)
     assert veh.offset == world.model.edges[0].seg_length
-    assert world.queues[SegmentRef(0, Lane.RIGHT, 2)] == [0]
+    assert world.rows[SegmentRef(0, Lane.RIGHT, 2)].queue == [0]
     assert world.lane_changes == [(0.0, 0, 0, 2, "L", "R", "align")]
     assert veh.lane_change_log == [0.0]
     step(world, 1.0)
@@ -618,7 +618,7 @@ def assert_packed_front(world):
     not buses, at the segment end and at speed 0."""
     assert len(world.packed) == len(world.model.all_segments())
     for key, n in zip(world.model.all_segments(), world.packed):
-        queue = world.queues[key]
+        queue = world.rows[key].queue
         assert 0 <= n <= len(queue)
         seg_len = world.model.edges[key.edge].seg_length
         for vid in queue[:n]:
@@ -630,7 +630,7 @@ def assert_packed_front(world):
 def _plant_state(world):
     return (
         world.t,
-        {key: list(q) for key, q in world.queues.items() if q},
+        {key: list(row.queue) for key, row in world.rows.items() if row.queue},
         {vid: (v.segment, v.offset, v.speed, v.route_index, v.dwell_until)
          for vid, v in world.vehicles.items()},
         [v.id for v in world.retired],
@@ -692,7 +692,7 @@ def test_packed_front_counts_behind_a_held_front():
         step(world, 1.0)
     # a vehicle that reached the end in this step still has a speed; it
     # joins the packed front once it has waited there for a step
-    third = world.vehicles[world.queues[down][2]]
+    third = world.vehicles[world.rows[down].queue[2]]
     assert third.offset == 50.0 and third.speed > 0.0
     assert packed_count(world, down) == 2
     step(world, 1.0)
@@ -701,11 +701,11 @@ def test_packed_front_counts_behind_a_held_front():
         step(world, 1.0)
     assert packed_count(world, up) == 3  # held by the full downstream half
     step(world, 1.0)  # green at t=15: the whole downstream half leaves
-    assert (world.queues[down], packed_count(world, down)) == ([], 0)
+    assert (world.rows[down].queue, packed_count(world, down)) == ([], 0)
     assert packed_count(world, up) == 3  # walked first, it still found the half full
     step(world, 1.0)
-    assert world.queues[down] == [3, 4, 5]
-    assert (world.queues[up], packed_count(world, up)) == ([], 0)
+    assert world.rows[down].queue == [3, 4, 5]
+    assert (world.rows[up].queue, packed_count(world, up)) == ([], 0)
     assert_packed_front(world)
 
 
@@ -736,7 +736,7 @@ def test_lane_change_out_of_a_packed_front():
         assert packed_count(world, key) == 4
         ok = execute_lane_change(world, 2, -1)
         assert packed_count(world, key) == 3  # the vehicles behind it move up
-        assert world.queues[key] == [0, 1, 3]
+        assert world.rows[key].queue == [0, 1, 3]
         assert_packed_front(world)
         return ok
 
@@ -749,7 +749,7 @@ def test_lane_change_out_of_a_packed_front():
 def test_bus_in_a_jam_is_never_packed(bus_at):
     key = SegmentRef(0, Lane.RIGHT, 2)
     world, _ = _step_against_full_walk(lambda: _dl_gated_world(bus_at), 20)
-    assert [world.vehicles[vid].offset for vid in world.queues[key]] == [50.0] * 4
+    assert [world.vehicles[vid].offset for vid in world.rows[key].queue] == [50.0] * 4
     assert packed_count(world, key) == bus_at  # the bus ends the packed front
 
 
@@ -779,7 +779,7 @@ def test_align_into_a_packed_queue():
 
     def check(world, tick):
         if tick == 3:  # vehicle 1 aligned in the last step, behind the front
-            assert world.queues[key] == [0, 1]
+            assert world.rows[key].queue == [0, 1]
             assert packed_count(world, key) == 1
         return None
 
@@ -869,8 +869,8 @@ def transfers(monkeypatch, returned):
 
 def _queue_state(world, key):
     return (
-        list(world.queues[key]),
-        [(world.vehicles[vid].offset, world.vehicles[vid].speed) for vid in world.queues[key]],
+        list(world.rows[key].queue),
+        [(world.vehicles[vid].offset, world.vehicles[vid].speed) for vid in world.rows[key].queue],
         packed_count(world, key),
     )
 
@@ -901,15 +901,15 @@ def test_packed_queue_behind_a_full_half_is_left_untouched(transfers, returned):
         step(world, 1.0)
         assert _queue_state(world, up) == packed_state
     assert transfers == [(10, up)]
-    assert world.queues[down] == [0, 1, 2, 3]
+    assert world.rows[down].queue == [0, 1, 2, 3]
     # a lane change frees one slot downstream: the front crosses, and the
     # next one finds the half full again in one call
     assert execute_lane_change(world, 0, 1) is True
     step(world, 1.0)
     assert transfers == [(10, up), (10, up), (11, up)]
     assert returned == [(down_slot,), True, (down_slot,)]
-    assert world.queues[down] == [1, 2, 3, 10]
-    assert world.queues[up] == [11, 12, 13]
+    assert world.rows[down].queue == [1, 2, 3, 10]
+    assert world.rows[up].queue == [11, 12, 13]
 
 
 def _full_entry_world(vclass, open_lanes=()):
@@ -942,7 +942,7 @@ def _edge_1_fronts(world):
     halves, which their full second halves hold, and what each call returns:
     the slot of that second half."""
     firsts = (SegmentRef(1, Lane.LEFT, 1), SegmentRef(1, Lane.RIGHT, 1))
-    return [(world.queues[key][0], key) for key in firsts], [(5,), (7,)]
+    return [(world.rows[key].queue[0], key) for key in firsts], [(5,), (7,)]
 
 
 @pytest.mark.parametrize("vclass", [VehicleClass.HDV, VehicleClass.CAV])

@@ -23,7 +23,7 @@ from jointlane.prediction import (
     build_bus_windows,
     build_snapshot,
 )
-from jointlane.runner import RunResult, run, write_prediction_log
+from jointlane.runner import RunResult, simulate, write_decision_log, write_prediction_log
 
 import slow_path
 from conftest import make_model, make_world, put_vehicle
@@ -112,9 +112,10 @@ def test_write_csv_writes_text_as_is_and_rows_through_csv_writer(tmp_path):
     assert path.read_bytes() == b'x,y\r\n1,2\r\n3,4\r\n"a,b","say ""hi"""\r\n'
 
 
-def test_rendered_logs_need_no_quoting(tmp_path):
-    run("desk_small", tmp_path, log_decisions=True, strategy="drp", seed=1,
-        horizon=300.0, log_events=True, log_predictions=True)
+def test_rendered_logs_need_no_quoting(desk_small, tmp_path):
+    result = simulate(desk_small, strategy="drp", seed=1, horizon=300.0, log_predictions=True)
+    write_decision_log(result, tmp_path)
+    write_prediction_log(result, tmp_path)
     for name in ("predictions.csv", "decisions.csv"):
         written = (tmp_path / name).read_bytes()
         with open(tmp_path / name, newline="", encoding="utf-8") as fh:
@@ -224,15 +225,15 @@ def test_prediction_log_formats_the_snapshot_tables(dl_chain3, tmp_path):
     busy = SegmentRef(0, Lane.LEFT, 2)
     idle = SegmentRef(2, Lane.LEFT, 1)
     assert windowed in snap.conflict and windowed not in snap.overlap
-    assert windowed not in snap.inflow and windowed not in snap.hdv_entries
+    assert windowed not in snap.inflow and not snap.hdv_counts.get(windowed)
     assert busy in snap.inflow and busy not in snap.conflict
-    assert idle not in snap.inflow and idle not in snap.hdv_entries
+    assert idle not in snap.inflow and not snap.hdv_counts.get(idle)
     assert idle not in snap.conflict
 
     result = RunResult(
         strategy="drp", seed=1, horizon=60.0, world=world, metrics=RunMetrics(),
-        summary={}, audit={}, decision_rows=[],
-        prediction_steps=[(snap.t, snap.inflow, snap.hdv_entries, snap.predicted_time,
+        summary={}, decision_rows=[],
+        prediction_steps=[(snap.t, snap.inflow, snap.hdv_counts, snap.predicted_time,
                            snap.conflict, snap.bus_time)],
         wall_time=0.0,
     )

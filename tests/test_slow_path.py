@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jointlane import runner
 from jointlane.control import (
     instantaneous_cost_view,
     myopic_lane_actions,
@@ -22,7 +23,7 @@ from jointlane.prediction import (
     build_snapshot,
     refresh_conflicts,
 )
-from jointlane.runner import run, simulate
+from jointlane.runner import simulate
 from jointlane.scenario import load_scenario, resolve_scenario
 
 import slow_path
@@ -59,8 +60,12 @@ def test_desk_large_fast_paths_match_plain(monkeypatch):
 
 
 def _reports(out, scenario, strategy, seed, horizon):
-    run(scenario, out, log_decisions=True, strategy=strategy, seed=seed, horizon=horizon,
-        log_events=True, log_predictions=True)
+    # through the module, so that `install_plain`'s forms are the ones called
+    result = runner.simulate(load_scenario(resolve_scenario(scenario)), strategy, seed,
+                             horizon=horizon, log_events=True, log_predictions=True)
+    runner.write_run_reports(result, out)
+    runner.write_decision_log(result, out)
+    runner.write_prediction_log(result, out)
     reports = {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}
     assert len(reports) == 8
     return reports
@@ -126,21 +131,22 @@ def _random_world(rng):
         extra = {}
         if vclass is VehicleClass.BUS and rng.random() < 0.3:
             extra = {"dwell": 20.0, "dwell_until": world.t + rng.choice((0.0, 5.0))}
-        put_vehicle(
-            world, vid, vclass, route, route_index=i,
-            lane=rng.choice(model.permitted_lanes(vclass, route[i])),
-            m=rng.choice((1, 2)),
-            offset=rng.choice(OFFSETS) if rng.random() < 0.7 else rng.uniform(0.0, 50.0),
-            speed=rng.choice(SPEEDS) if rng.random() < 0.7 else rng.uniform(0.0, 12.0),
-            **extra,
-        )
+        lane = rng.choice(model.permitted_lanes(vclass, route[i]))
+        m = rng.choice((1, 2))
+        offset = rng.choice(OFFSETS) if rng.random() < 0.7 else rng.uniform(0.0, 50.0)
+        speed = rng.choice(SPEEDS) if rng.random() < 0.7 else rng.uniform(0.0, 12.0)
+        row = world.rows[model.halves[route[i]][lane][m - 1]]
+        if len(row.queue) >= row.jam_count:
+            continue  # a full segment: the plant refuses every entry into it
+        put_vehicle(world, vid, vclass, route, route_index=i, lane=lane, m=m, offset=offset,
+                    speed=speed, **extra)
     return world
 
 
 def _plant_state(world):
     return (
         world.t,
-        [(key, list(q)) for key, q in world.queues.items() if q],
+        [(key, list(row.queue)) for key, row in world.rows.items() if row.queue],
         [(v.id, v.segment, v.offset, v.speed, v.route_index, v.depart_time)
          for v in world.vehicles.values()],
         [v.id for v in slow_path.pending_in_order(world)],
@@ -176,7 +182,7 @@ def _check_injection(seed):
                 veh = VehicleState(
                     id=vid, vclass=vclass, route=list(route), route_index=0, offset=0.0,
                     speed=first.free_flow_speed, depart_time=world.t,
-                    origin=first.frm, destination=last.to,
+                    destination=last.to,
                 )
                 if vclass is not VehicleClass.BUS:
                     due.append(veh)

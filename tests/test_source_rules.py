@@ -15,6 +15,11 @@ to a `.route` or `.route_index` attribute.
 Every function and method of `src/` has a caller in `src/`: its name is
 loaded somewhere outside its own body, or `jointlane/__init__.py` imports
 it. Functions only the tests use belong in the tests.
+
+Every field of `src/` has a reader in `src/`: each annotated name in a class
+body (a dataclass or NamedTuple field) and each `self.X` store is loaded as
+an attribute somewhere in `src/`. A fact is kept where something reads it,
+not stored a second time for the tests.
 """
 
 import ast
@@ -207,3 +212,78 @@ def test_every_src_function_has_a_src_caller():
     assert found == [], "no caller in src/; move it to the tests or delete it:\n" + "\n".join(
         found
     )
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """`module: Class.field` of every annotated name in a class body and every
+    attribute a method stores on `self` whose name no `ast.Attribute` load in
+    `sources` (module name to source text) reads. An augmented assignment
+    stores; a counter that is only ever incremented is not read.
+
+    It matches by name alone, so it cannot see a field whose name a read of
+    another object's attribute shares: a `VehicleState.origin` that nothing
+    read would pass as long as `DemandEntry.origin` is read as `entry.origin`.
+    """
+    fields: dict[str, str] = {}  # "module: Class.field" -> field name
+    loads: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    fields[f"{module}: {node.name}.{stmt.target.id}"] = stmt.target.id
+                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for sub in ast.walk(stmt):
+                        if (
+                            isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self"
+                        ):
+                            fields[f"{module}: {node.name}.{sub.attr}"] = sub.attr
+    return [qualname for qualname, name in fields.items() if name not in loads]
+
+
+def test_the_field_detector_flags_fields_without_an_attribute_load():
+    sources = {
+        "a.py": """
+@dataclass
+class Run:
+    seed: int
+    audit: dict
+    wall: float = 0.0
+
+class Row(NamedTuple):
+    key: int
+    spare: int
+
+class World:
+    LIMIT = 3
+
+    def __init__(self):
+        self.t = 0.0
+        self.queues: dict = {}
+        self.count = 0
+        self.ticks = 0
+
+    def tick(self):
+        self.count = self.count + 1
+        self.ticks += 1
+""",
+        "b.py": """
+def report(run, row, world, spare):
+    return world.t + run.wall, run.seed, row.key, getattr(run, "audit"), spare
+""",
+    }
+    assert unread_fields(sources) == [
+        "a.py: Run.audit", "a.py: Row.spare", "a.py: World.queues", "a.py: World.ticks",
+    ]
+
+
+def test_every_src_field_has_a_src_reader():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    found = unread_fields(sources)
+    assert found == [], "no reader in src/; delete the field or read it:\n" + "\n".join(found)

@@ -4,7 +4,8 @@ The gate is 18 runs, each a run name and its ``jointlane.cli`` arguments in
 ``GATE_RUNS``: desk_small seeds 1-5 under drp, prp and proposed and
 desk_large proposed seed 1, each with the event, decision and prediction
 logs on; desk_large proposed seed 1 jammed at a 600 s horizon, logs on too;
-and a ``--sweep w3=0.2,0.4`` of desk_small seed 1. Every CSV under a run's
+and a ``--sweep w3=0.2,1.6`` of desk_small seed 1, whose two values make
+different decisions (126 and 97 lane changes). Every CSV under a run's
 directory is hashed, nested ones included, so the output is 147 lines of
 ``sha256  run/file``, sorted by path. Diff the output of two checkouts to
 show that a change left every report byte-identical:
@@ -68,9 +69,10 @@ GATE_RUNS: dict[str, tuple[str, ...]] = {
     "desk_large_proposed_seed1_horizon600": _logged(
         "desk_large", "proposed", 1, "--horizon", "600"),
     # the combined summary, then each value's five standard reports in its
-    # own directory
+    # own directory; at seed 1 w3 = 0.4 writes the same reports as 0.2 but
+    # for the w3 cell, and 1.6 changes all five
     "desk_small_proposed_seed1_sweep_w3": (
-        "--scenario", "desk_small", "--sweep", "w3=0.2,0.4", "--seed", "1"),
+        "--scenario", "desk_small", "--sweep", "w3=0.2,1.6", "--seed", "1"),
 }
 
 
