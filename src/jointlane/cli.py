@@ -16,7 +16,6 @@ from pathlib import Path
 from . import runner
 from .control import STRATEGIES, ControlError
 from .engine import EngineError
-from .metrics import write_summaries
 from .network import NetworkError
 from .prediction import BprRangeError, PredictionError
 from .routing import RoutingError
@@ -147,7 +146,7 @@ def main(argv=None) -> int:
                 print(f"sweep {key}={value:g}: done ({out_dir})")
         if rows:
             rows.sort(key=lambda r: r["sweep_value"])
-            write_summaries(rows, out_root)
+            runner.write_summaries(rows, out_root)
             print(f"sweep complete: {len(rows)} runs, combined summary in {out_root}")
         return 0
     except (ScenarioError, BprRangeError) as exc:

@@ -252,8 +252,6 @@ class World:
         self._id_counter = itertools.count()
         # (vehicle, line, trip, stop, scheduled, actual)
         self.stop_arrivals: list[tuple] = []
-        # (t, vehicle, stop)
-        self.stop_departures: list[tuple] = []
         # (t, vehicle, edge, m, lane_from, lane_to, reason)
         self.lane_changes: list[tuple] = []
         self.events: Optional[list[tuple]] = None  # enabled by the runner
@@ -412,12 +410,10 @@ def inject_demand(world: World, due: Iterable[VehicleState]):
 
 
 def bus_service(world: World, t: float):
-    """Release bus dwells that have completed; record the departure times."""
+    """Release the bus dwells that have completed by `t`."""
     for veh in world.buses.values():
         if veh.dwell_until is not None and t >= veh.dwell_until:
             veh.dwell_until = None
-            served = veh.stop_plan[veh.next_stop - 1].stop
-            world.stop_departures.append((t, veh.id, served))
 
 
 def execute_lane_change(

@@ -29,7 +29,7 @@ from .engine import (
     inject_demand,
     step,
 )
-from .network import BUS, CAV, HDV, RIGHT, TAG, SegmentRef, VehicleClass
+from .network import BUS, CAV, CLASS_NAME, HDV, RIGHT, TAG, SegmentRef, VehicleClass
 from .scenario import Scenario, ScenarioError, apply_overrides, control_values
 
 
@@ -60,10 +60,13 @@ PredictionStep = tuple[
 class RunResult:
     strategy: str
     seed: int
-    horizon: float
     world: World
-    metrics: mt.RunMetrics
     summary: dict
+    # one KPI sample per control step, from `metrics.sample_kpis`: (t,
+    # cumulative bus travel time, mean CAV travel time, mean HDV travel
+    # time, cumulative CAV lane changes) over the vehicles retired and the
+    # lane changes made by then; a mean with no sample is None
+    series: list[tuple]
     decision_rows: list[tuple]
     # one entry per control step when predictions are logged: the snapshot's
     # own tables, not copies, which is exact because nothing edits a
@@ -132,7 +135,7 @@ def simulate(
     escalation_exhausted = 0
     decision_rows: list[tuple] = []
     prediction_steps: list[PredictionStep] = []
-    run_metrics = mt.RunMetrics()
+    series: list[tuple] = []
     travel_times: dict[VehicleClass, list[float]] = {c: [] for c in VehicleClass}
 
     steps_control = round(clock.dt_control / clock.dt_sim)
@@ -201,26 +204,21 @@ def simulate(
                     snapshot.t, snapshot.inflow, snapshot.hdv_counts,
                     snapshot.predicted_time, snapshot.conflict, snapshot.bus_time,
                 ))
-            run_metrics.series.append(mt.sample_kpis(world, t, travel_times))
+            series.append(mt.sample_kpis(world, t, travel_times))
 
         step(world, clock.dt_sim)
         tick += 1
 
     wall = time.perf_counter() - started
-    run_metrics.trips = mt.collect_trips(world)
-    run_metrics.bus_arrivals = mt.collect_bus_arrivals(world)
-    run_metrics.lane_change_events = list(world.lane_changes)
     summary = _build_summary(
-        scenario, strategy, seed, horizon, world, run_metrics, audit,
-        reroute_total, escalation_exhausted,
+        scenario, strategy, seed, horizon, world, audit, reroute_total, escalation_exhausted,
     )
     return RunResult(
         strategy=strategy,
         seed=seed,
-        horizon=horizon,
         world=world,
-        metrics=run_metrics,
         summary=summary,
+        series=series,
         decision_rows=decision_rows,
         prediction_steps=prediction_steps,
         wall_time=wall,
@@ -340,7 +338,6 @@ def _build_summary(
     seed: int,
     horizon: float,
     world: World,
-    run_metrics: mt.RunMetrics,
     audit: dict,
     reroute_total: int,
     escalation_exhausted: int,
@@ -352,7 +349,7 @@ def _build_summary(
     reasons = {}
     for event in world.lane_changes:
         reasons[event[6]] = reasons.get(event[6], 0) + 1
-    per_stop = mt.per_stop_on_time(run_metrics.bus_arrivals)
+    per_stop = mt.per_stop_on_time(world.stop_arrivals)
     rates = [v for v in per_stop.values() if v is not None]
     summary = {
         "scenario": scenario.meta.get("name", ""),
@@ -365,7 +362,7 @@ def _build_summary(
         summary[f"injected_{cls.value}"] = world.injected[cls]
         summary[f"retired_{cls.value}"] = retired[cls]
         summary[f"active_end_{cls.value}"] = active[cls]
-        summary[f"avg_travel_time_{cls.value}"] = mt.mean_travel_time(run_metrics.trips, cls)
+        summary[f"avg_travel_time_{cls.value}"] = mt.mean_travel_time(world.retired, cls)
     summary["unserved"] = world.unserved
     summary["total_lane_changes"] = len(world.lane_changes)
     for reason in ("utility", "myopic", "protect", "align"):
@@ -381,19 +378,78 @@ def _build_summary(
 
 
 def write_run_reports(result: RunResult, out_dir: str | Path) -> list[Path]:
-    """Standard report files plus the event log when it was enabled.
+    """The five standard reports plus the event log when it was enabled;
+    byte-stable for identical runs.
 
-    The event log stays on `csv.writer`: its `detail` cell is text chosen by
-    the callers of `execute_lane_change`, so it may need quoting.
+    Each row is read from the World's records (`retired`, `stop_arrivals`,
+    `lane_changes`, `events`) or from the run's KPI `series` and summary.
+    The rows go through `csv.writer`: an event's `detail` cell is text
+    chosen by the callers of `execute_lane_change`, so it may need quoting.
     """
-    written = mt.write_reports(result.metrics, result.summary, out_dir)
-    if result.world.events is not None:
+    world = result.world
+    fc = mt.float_cell
+
+    def arrival_rows():
+        for vehicle, line, trip, stop, scheduled, actual in mt.collect_bus_arrivals(world):
+            delay = actual - scheduled
+            yield [vehicle, line, trip, stop, fc(scheduled), fc(actual), fc(delay),
+                   int(delay <= mt.ON_TIME_TOLERANCE)]
+
+    written = [
+        mt.write_table(
+            out_dir, "trips.csv",
+            ["vehicle", "class", "depart_time", "arrival_time", "travel_time",
+             "lane_change_count", "reroute_count"],
+            (
+                [v.id, CLASS_NAME[v.vclass], fc(v.depart_time), fc(v.arrival_time),
+                 fc(v.arrival_time - v.depart_time), len(v.lane_change_log), v.reroute_count]
+                for v in mt.collect_trips(world)
+            ),
+        ),
+        mt.write_table(
+            out_dir, "bus_arrivals.csv",
+            ["vehicle", "line", "trip", "stop", "scheduled_arrival", "actual_arrival",
+             "delay", "on_time"],
+            arrival_rows(),
+        ),
+        mt.write_table(
+            out_dir, "timeseries.csv",
+            ["t", "cumulative_bus_travel_time", "avg_cav_travel_time",
+             "avg_hdv_travel_time", "cumulative_cav_lane_changes"],
+            ([fc(t), fc(bus), fc(cav), fc(hdv), changes]
+             for t, bus, cav, hdv, changes in result.series),
+        ),
+        mt.write_table(
+            out_dir, "lane_changes.csv",
+            ["t", "vehicle", "edge", "m", "lane_from", "lane_to", "reason"],
+            ([fc(e[0]), *e[1:]] for e in world.lane_changes),
+        ),
+        write_summaries([result.summary], out_dir),
+    ]
+    if world.events is not None:
         written.append(mt.write_table(
             out_dir, "events.csv",
             ["t", "event", "vehicle", "class", "edge", "lane", "m", "offset", "detail"],
-            ([f"{e[0]:.6f}", *e[1:7], f"{e[7]:.6f}", e[8]] for e in result.world.events),
+            ([f"{e[0]:.6f}", *e[1:7], f"{e[7]:.6f}", e[8]] for e in world.events),
         ))
     return written
+
+
+def _summary_cell(v):
+    if isinstance(v, bool):
+        return int(v)
+    if v is None or isinstance(v, float):
+        return mt.float_cell(v)
+    return v
+
+
+def write_summaries(rows: list[dict], out_dir: str | Path) -> Path:
+    """Write `summary.csv`: one row per run, columns from the first row."""
+    header = list(rows[0])
+    return mt.write_table(
+        out_dir, "summary.csv", header,
+        ([_summary_cell(row.get(k)) for k in header] for row in rows),
+    )
 
 
 def write_decision_log(result: RunResult, out_dir: str | Path) -> Path:

@@ -162,21 +162,35 @@ def _bus_world(schedule_arrival, stop_offset=150.0):
     return world, bus
 
 
+def serve(world, t, releases: list):
+    """`bus_service` at `t`, appending (t, bus, stop) for each dwell it
+    releases, in the order it walks the buses."""
+    dwelling = [veh for veh in world.buses.values() if veh.dwell_until is not None]
+    bus_service(world, t)
+    releases += [
+        (t, veh.id, veh.stop_plan[veh.next_stop - 1].stop)
+        for veh in dwelling
+        if veh.dwell_until is None
+    ]
+
+
 def test_bus_early_arrival_holds_to_schedule():
     # stop 150 m in, free flow 10 m/s: physical arrival at t=15
     world, bus = _bus_world(schedule_arrival=45.0)
+    releases = []
     for _ in range(16):
-        bus_service(world, world.t)
+        serve(world, world.t, releases)
         step(world, 1.0)
     assert bus.dwell_until == 45.0 + 60.0  # waits the 30 s earliness plus dwell
     # still dwelling until the scheduled departure
     while world.t < 105.0:
-        bus_service(world, world.t)
+        serve(world, world.t, releases)
         assert bus.is_dwelling
         step(world, 1.0)
-    bus_service(world, world.t)
+    serve(world, world.t, releases)
     assert not bus.is_dwelling
-    assert world.stop_departures[0][0] >= 45.0 + 60.0
+    assert releases == [(105.0, 0, 0)]
+    assert releases[0][0] >= 45.0 + 60.0
 
 
 @pytest.mark.parametrize("stop_offset", [50.0, 100.0, 150.0, 200.0])
@@ -202,11 +216,12 @@ def test_buses_released_together_depart_in_placement_order():
         bus = _new_vehicle(world, vid, VehicleClass.BUS, [0, 1], stop_plan=plan, dwell=60.0)
         assert world.place_new(bus)
         step(world, 1.0)
+    releases = []
     while world.t <= 105.0:
-        bus_service(world, world.t)
+        serve(world, world.t, releases)
         step(world, 1.0)
     assert [rec[0] for rec in world.stop_arrivals] == [7, 3]
-    assert world.stop_departures == [(105.0, 7, 0), (105.0, 3, 0)]
+    assert releases == [(105.0, 7, 0), (105.0, 3, 0)]
 
 
 def test_bus_late_arrival_keeps_full_dwell():
@@ -476,14 +491,16 @@ def test_event_log_bit_identical_across_runs(desk_small):
     assert len(a.world.events) > 100
 
 
-def test_hold_to_schedule_on_desk_runs(desk_small):
-    from jointlane.runner import simulate
+def test_hold_to_schedule_on_desk_runs(desk_small, monkeypatch):
+    from jointlane import runner
 
-    result = simulate(desk_small, strategy="drp", seed=2)
+    releases = []
+    monkeypatch.setattr(runner, "bus_service", lambda world, t: serve(world, t, releases))
+    result = runner.simulate(desk_small, strategy="drp", seed=2)
     world = result.world
     sched = {(veh, stop): s for veh, _, _, stop, s, _ in world.stop_arrivals}
-    assert world.stop_departures
-    for t, veh, stop in world.stop_departures:
+    assert releases
+    for t, veh, stop in releases:
         dwell = 60.0
         assert t >= sched[(veh, stop)] + dwell - world.clock.dt_sim
 

@@ -3,17 +3,13 @@ import io
 
 import pytest
 
-from jointlane.engine import execute_lane_change, step
+from jointlane.engine import VehicleState, execute_lane_change, step
 from jointlane.metrics import (
-    BusStopArrival,
-    RunMetrics,
-    TripRecord,
     mean_travel_time,
     on_time_rate,
     per_stop_on_time,
     sample_kpis,
     write_csv,
-    write_reports,
 )
 from jointlane.network import Lane, SegmentRef, VehicleClass
 from jointlane.prediction import (
@@ -23,21 +19,28 @@ from jointlane.prediction import (
     build_bus_windows,
     build_snapshot,
 )
-from jointlane.runner import RunResult, simulate, write_decision_log, write_prediction_log
+from jointlane.runner import (
+    RunResult,
+    simulate,
+    write_decision_log,
+    write_prediction_log,
+    write_run_reports,
+)
 
 import slow_path
 from conftest import make_model, make_world, put_vehicle
 
 
 def arrival(delay, stop=0, vid=0):
-    return BusStopArrival(vehicle=vid, line=0, trip=0, stop=stop,
-                          scheduled=100.0, actual=100.0 + delay)
+    """A `World.stop_arrivals` record: (vehicle, line, trip, stop, scheduled, actual)."""
+    return (vid, 0, 0, stop, 100.0, 100.0 + delay)
 
 
 def trip(tt, vclass=VehicleClass.CAV, vid=0, depart=0.0):
-    return TripRecord(vehicle=vid, vclass=vclass, depart_time=depart,
-                      arrival_time=depart + tt, lane_change_count=0,
-                      reroute_count=0)
+    """A retired vehicle that travelled `tt` seconds."""
+    return VehicleState(id=vid, vclass=vclass, route=[0], route_index=0, offset=0.0,
+                        speed=0.0, depart_time=depart, destination=0,
+                        arrival_time=depart + tt)
 
 
 def test_on_time_rate_two_of_three():
@@ -83,7 +86,7 @@ def test_cumulative_lane_changes_prefix():
     samples = {}
     for tick in range(25):
         if tick in (0, 5, 7, 12, 24):
-            samples[tick] = sample_kpis(world, world.t, travel_times).cumulative_cav_lane_changes
+            samples[tick] = sample_kpis(world, world.t, travel_times)[4]
         if tick in changes:
             assert execute_lane_change(world, 0, changes[tick]) is True
         step(world, 1.0)
@@ -92,16 +95,45 @@ def test_cumulative_lane_changes_prefix():
     assert [row[0] for row in world.lane_changes] == [5.0, 10.0, 20.0]
 
 
-def test_write_reports_empty_run(tmp_path):
-    metrics = RunMetrics()
-    files = write_reports(metrics, {"scenario": "x", "seed": 1}, tmp_path)
+def test_write_run_reports_reads_the_world(tmp_path):
+    world = make_world(make_model([(0, 1, 2, 400.0, 10.0, True)]))
+    cav = trip(120.5, vid=4, depart=10.0)
+    cav.lane_change_log.append(12.0)
+    cav.reroute_count = 2
+    world.retired.append(cav)
+    world.stop_arrivals.append((9, 2, 1, 0, 100.0, 130.0))  # a delay of exactly 30 s
+    world.lane_changes.append((12.0, 4, 0, 1, "L", "R", "utility"))
+    result = RunResult(
+        strategy="drp", seed=1, world=world, summary={"scenario": "x", "seed": 1},
+        series=[(15.0, 0, 120.5, None, 1)], decision_rows=[], prediction_steps=[],
+        wall_time=0.0,
+    )
+    files = write_run_reports(result, tmp_path)
     names = sorted(p.name for p in files)
     assert names == ["bus_arrivals.csv", "lane_changes.csv", "summary.csv",
                      "timeseries.csv", "trips.csv"]
-    trips = (tmp_path / "trips.csv").read_text(encoding="utf-8").strip().splitlines()
-    assert trips == ["vehicle,class,depart_time,arrival_time,travel_time,"
-                     "lane_change_count,reroute_count"]
-    summary = (tmp_path / "summary.csv").read_text(encoding="utf-8").splitlines()
+
+    def lines(name):
+        return (tmp_path / name).read_text(encoding="utf-8").strip().splitlines()
+
+    assert lines("trips.csv") == [
+        "vehicle,class,depart_time,arrival_time,travel_time,lane_change_count,reroute_count",
+        "4,cav,10.000000,130.500000,120.500000,1,2",
+    ]
+    assert lines("bus_arrivals.csv") == [
+        "vehicle,line,trip,stop,scheduled_arrival,actual_arrival,delay,on_time",
+        "9,2,1,0,100.000000,130.000000,30.000000,1",  # tolerance inclusive
+    ]
+    assert lines("timeseries.csv") == [
+        "t,cumulative_bus_travel_time,avg_cav_travel_time,avg_hdv_travel_time,"
+        "cumulative_cav_lane_changes",
+        "15.000000,0.000000,120.500000,,1",
+    ]
+    assert lines("lane_changes.csv") == [
+        "t,vehicle,edge,m,lane_from,lane_to,reason",
+        "12.000000,4,0,1,L,R,utility",
+    ]
+    summary = lines("summary.csv")
     assert summary[0] == "scenario,seed"
     assert summary[1] == "x,1"
 
@@ -127,8 +159,6 @@ def test_rendered_logs_need_no_quoting(desk_small, tmp_path):
 
 
 def test_reports_are_byte_stable(desk_small, tmp_path):
-    from jointlane.runner import simulate, write_run_reports
-
     a = simulate(desk_small, strategy="proposed", seed=3, horizon=300.0)
     b = simulate(desk_small, strategy="proposed", seed=3, horizon=300.0)
     write_run_reports(a, tmp_path / "a")
@@ -144,11 +174,11 @@ def test_kpi_series_cumulative_monotone(desk_small):
     from jointlane.runner import simulate
 
     result = simulate(desk_small, strategy="drp", seed=1, horizon=400.0)
-    series = result.metrics.series
+    series = result.series
     assert series, "expected sampled KPIs"
     for a, b in zip(series, series[1:]):
-        assert b.cumulative_bus_travel_time >= a.cumulative_bus_travel_time
-        assert b.cumulative_cav_lane_changes >= a.cumulative_cav_lane_changes
+        assert b[1] >= a[1]  # cumulative bus travel time
+        assert b[4] >= a[4]  # cumulative CAV lane changes
 
 
 def test_trip_counts_match_injections(desk_small):
@@ -157,7 +187,7 @@ def test_trip_counts_match_injections(desk_small):
     result = simulate(desk_small, strategy="prp", seed=2, horizon=300.0)
     world = result.world
     for cls in VehicleClass:
-        done = sum(1 for t in result.metrics.trips if t.vclass is cls)
+        done = sum(1 for v in world.retired if v.vclass is cls)
         active = result.world.active_counts()[cls]
         assert world.injected[cls] == done + active
 
@@ -166,20 +196,19 @@ def test_mean_travel_time_reads_vehicles_and_trips(desk_small):
     from jointlane.runner import simulate
 
     result = simulate(desk_small, strategy="prp", seed=2, horizon=300.0)
-    means = [mean_travel_time(result.metrics.trips, cls) for cls in VehicleClass]
+    means = [mean_travel_time(result.world.retired, cls) for cls in VehicleClass]
     assert None not in means[:2]  # HDV and CAV trips finish by 300 s
-    assert [mean_travel_time(result.world.retired, cls) for cls in VehicleClass] == means
+    # the summary reads the same vehicles in the same order: the same floats
+    assert [result.summary[f"avg_travel_time_{cls.value}"] for cls in VehicleClass] == means
 
 
 def test_lane_change_series_matches_event_log(desk_small):
     from jointlane.runner import simulate
 
     result = simulate(desk_small, strategy="proposed", seed=1, horizon=400.0)
-    events = result.metrics.lane_change_events
-    for sample in result.metrics.series:
-        assert sample.cumulative_cav_lane_changes == len(
-            [e for e in events if e[0] <= sample.t]
-        )
+    events = result.world.lane_changes
+    for t, _, _, _, changes in result.series:
+        assert changes == len([e for e in events if e[0] <= t])
 
 
 def test_avg_travel_time_tail_grows_under_ramp_demand():
@@ -203,7 +232,7 @@ def test_avg_travel_time_tail_grows_under_ramp_demand():
                     "times": [float(k) for k in range(0, 200, 2)]}],
     })
     result = simulate(base, strategy="drp", seed=1)
-    trips = result.metrics.trips
+    trips = result.world.retired
     cuts = [120.0, 200.0, 300.0, 400.0]
     averages = [mean_travel_time(completed_by(trips, c), VehicleClass.HDV) for c in cuts]
     averages = [a for a in averages if a is not None]
@@ -231,8 +260,7 @@ def test_prediction_log_formats_the_snapshot_tables(dl_chain3, tmp_path):
     assert idle not in snap.conflict
 
     result = RunResult(
-        strategy="drp", seed=1, horizon=60.0, world=world, metrics=RunMetrics(),
-        summary={}, decision_rows=[],
+        strategy="drp", seed=1, world=world, summary={}, series=[], decision_rows=[],
         prediction_steps=[(snap.t, snap.inflow, snap.hdv_counts, snap.predicted_time,
                            snap.conflict, snap.bus_time)],
         wall_time=0.0,

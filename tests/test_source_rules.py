@@ -18,8 +18,9 @@ it. Functions only the tests use belong in the tests.
 
 Every field of `src/` has a reader in `src/`: each annotated name in a class
 body (a dataclass or NamedTuple field) and each `self.X` store is loaded as
-an attribute somewhere in `src/`. A fact is kept where something reads it,
-not stored a second time for the tests.
+an attribute somewhere in `src/`, other than as the object of a statement
+that only mutates it (`log.append(x)`). A fact is kept where something reads
+it, not stored a second time for the tests.
 """
 
 import ast
@@ -32,6 +33,8 @@ ENUMS = frozenset({"Lane", "VehicleClass"})
 ROUTE_FIELDS = frozenset({"route", "route_index"})
 # called by the standard library, not by name in `src/`
 CALLED_FROM_OUTSIDE = frozenset({"cli.py: _Parser.error"})
+# methods that only mutate their object; a statement calling one writes
+MUTATORS = frozenset({"append", "extend", "add", "insert", "update", "clear"})
 
 
 def enum_loads_in_function_bodies(source: str) -> list[tuple[int, str]]:
@@ -218,17 +221,33 @@ def unread_fields(sources: dict[str, str]) -> list[str]:
     """`module: Class.field` of every annotated name in a class body and every
     attribute a method stores on `self` whose name no `ast.Attribute` load in
     `sources` (module name to source text) reads. An augmented assignment
-    stores; a counter that is only ever incremented is not read.
+    stores; a counter that is only ever incremented is not read. Nor is a
+    log that is only ever the object of a statement calling one of
+    `MUTATORS` (`world.log.append(x)`): such a call writes.
 
     It matches by name alone, so it cannot see a field whose name a read of
-    another object's attribute shares: a `VehicleState.origin` that nothing
-    read would pass as long as `DemandEntry.origin` is read as `entry.origin`.
+    another object's attribute shares: a `RunResult.horizon` that nothing
+    read would pass as long as `ProtectionHorizon.horizon` is read as
+    `protection.horizon`.
     """
     fields: dict[str, str] = {}  # "module: Class.field" -> field name
     loads: set[str] = set()
     for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        tree = ast.parse(source)
+        mutated = {
+            id(node.value.func.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr in MUTATORS
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and id(node) not in mutated
+            ):
                 loads.add(node.attr)
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -281,6 +300,33 @@ def report(run, row, world, spare):
     assert unread_fields(sources) == [
         "a.py: Run.audit", "a.py: Row.spare", "a.py: World.queues", "a.py: World.ticks",
     ]
+
+
+def test_the_field_detector_counts_no_mutating_statement_as_a_read():
+    sources = {
+        "a.py": """
+class Log:
+    def __init__(self):
+        self.rows = []
+        self.seen = set()
+        self.index = {}
+        self.kept = []
+        self.peeked = []
+        self.returned = []
+
+    def record(self, row):
+        self.rows.append(row)
+        self.rows.extend([row])
+        self.rows.insert(0, row)
+        self.seen.add(row)
+        self.index.update(row=row)
+        self.index.clear()
+        self.kept.append(row)
+        self.peeked.pop()
+        return self.returned.append(row), len(self.kept)
+""",
+    }
+    assert unread_fields(sources) == ["a.py: Log.rows", "a.py: Log.seen", "a.py: Log.index"]
 
 
 def test_every_src_field_has_a_src_reader():
