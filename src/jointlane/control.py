@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from . import routing
 from .engine import EntryChooser, SegmentRow, VehicleState, World
 from .network import CAV, LEFT, OTHER, RIGHT, Lane, SegmentRef
-from .prediction import PredictionSnapshot, bpr_time
+from .prediction import PredictionSnapshot, bpr_time, in_window
 
 STRATEGIES = ("drp", "prp", "proposed")
 
@@ -134,7 +134,7 @@ def entry_chooser(
 
     def choose(world: World, veh: VehicleState, edge_id: int) -> tuple[Lane, ...]:
         (left, _), (right, _) = world.model.halves[edge_id]
-        if right in banned and snapshot.windows.contains(right, world.t):
+        if right in banned and in_window(snapshot.windows.get(right, ()), world.t):
             # the dedicated lane stays as a last resort so the vehicle does
             # not stall at the upstream boundary and block the bus itself
             return (LEFT, RIGHT)

@@ -126,14 +126,6 @@ class VehicleState:
     def edge_id(self) -> int:
         return self.route[self.route_index]
 
-    @property
-    def is_dwelling(self) -> bool:
-        return self.dwell_until is not None
-
-    def pos_in_edge(self, model: NetworkModel) -> float:
-        half = model.edges[self.edge_id].seg_length
-        return self.offset + (0.0 if self.segment.m == 1 else half)
-
 
 # A CAV's lane preference for entering an edge: it must order both lanes, as
 # World._entry_segment tries only the candidate lanes it lists.

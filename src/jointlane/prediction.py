@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 from .engine import VehicleState, World
 from .network import BUS, CAV, RIGHT, NetworkModel, SegmentRef
@@ -83,132 +83,95 @@ def bpr_time(t0: float, flow: float, capacity: float, params: BprParams) -> floa
     return travel
 
 
-def protection_window(tau: float, horizon: float) -> tuple[float, float]:
-    """Closed interval around a predicted bus entry, clamped at now (0)."""
-    if tau < 0:
-        raise PredictionError("tau must be >= 0")
-    return (max(0.0, tau - horizon), tau + horizon)
-
-
-# -- per-vehicle projection -------------------------------------------------------
-
-
-def _walk_entries(model: NetworkModel, veh: VehicleState) -> Iterator[tuple[SegmentRef, float]]:
-    """(segment, distance-to-entrance) along the vehicle's projected path.
-
-    Covers strictly-ahead segment entrances: the downstream half of the
-    current edge (in the current lane) and both halves of every remaining
-    route edge in the continuation lane (the current lane where the class may
-    use it, else the left lane), read from `NetworkModel.continuation`. The
-    currently occupied segment has no forward entrance and is not listed.
-    Distances are the left-to-right sums `(L0 - pos) + L1 + ...`, and they
-    never decrease along the walk. `_project` walks the same table inline.
-    """
-    seg = veh.segment
-    edge = model.edges[seg.edge]
-    pos = veh.pos_in_edge(model)
-    if seg.m == 1:
-        yield model.halves[seg.edge][seg.lane][1], edge.seg_length - pos
-    ahead = edge.length - pos
-    table = model.continuation(veh.vclass, seg.lane)
-    for eid in veh.route[veh.route_index + 1 :]:
-        upstream, downstream, half, length = table[eid]
-        yield upstream, ahead
-        yield downstream, ahead + half
-        ahead += length
-
-
 # -- bus windows ------------------------------------------------------------------
 
-
-@dataclass
-class BusWindows:
-    """Absolute-time protection windows per dedicated-lane segment."""
-
-    # seg -> list of (bus vehicle id, window start, window end), absolute seconds
-    windows: dict[SegmentRef, list[tuple[int, float, float]]] = field(default_factory=dict)
-
-    def covering(self, seg: SegmentRef) -> list[tuple[int, float, float]]:
-        return self.windows.get(seg, [])
-
-    def contains(self, seg: SegmentRef, when: float) -> bool:
-        for _, lo, hi in self.covering(seg):
-            if lo <= when <= hi:
-                return True
-        return False
+# DL segment -> (bus vehicle id, window start, window end), absolute seconds,
+# the buses in id order and each bus's windows in walk order
+Windows = dict[SegmentRef, list[tuple[int, float, float]]]
 
 
-def _stop_distances(
-    model: NetworkModel, veh: VehicleState, entries: list[tuple[SegmentRef, float]]
-) -> list[float]:
-    """Distance ahead of every unserved stop on the remaining route.
+def in_window(spans: list[tuple[int, float, float]], when: float) -> bool:
+    """Whether one of a segment's windows holds `when`; the ends count."""
+    for _, lo, hi in spans:
+        if lo <= when <= hi:
+            return True
+    return False
 
-    A stop on the current edge counts only while it is still ahead; a stop on
-    a later edge sits its offset past that edge's first projected entrance.
+
+def build_bus_windows(world: World, protection: ProtectionHorizon) -> Windows:
+    """Windows around every active bus's predicted entry into each DL segment.
+
+    A bus's entry `tau` seconds ahead opens the closed window
+    [t + max(0, tau - h), t + (tau + h)]; the segment it holds has tau = 0.
+    Each bus's continuation row is walked once, as `_project` walks it, for
+    the entrances strictly ahead at the distances `(L0 - pos) + L1 + ...`.
+    The unserved stops are placed on that walk once per bus: a stop on the
+    current edge while it is still ahead, a stop on a later edge its offset
+    past the edge's first upstream entrance. The ETA to an entrance `dist`
+    ahead is `dist` at the current speed (floored) while the bus moves, and
+    while it dwells the free-flow time over the spans left to it, summed
+    span by span, plus the rest of the dwell; one full dwell is added for
+    every stop strictly before `dist`.
     """
-    pos = veh.pos_in_edge(model)
-    entrance: dict[int, float] = {}
-    for ref, dist in entries:
-        if ref.m == 1:
-            entrance.setdefault(ref.edge, dist)
-    out = []
-    for visit in veh.stop_plan[veh.next_stop :]:
-        stop = model.bus_stops[visit.stop]
-        if stop.edge == veh.edge_id:
-            if stop.offset > pos:
-                out.append(stop.offset - pos)
-        elif stop.edge in entrance:
-            out.append(entrance[stop.edge] + stop.offset)
-    return out
-
-
-def _eta_at(
-    model: NetworkModel, veh: VehicleState, dist: float, stops: list[float], now: float
-) -> float:
-    """Bus ETA to a point `dist` ahead, given the distances of unserved stops."""
-    if veh.is_dwelling:
-        # remaining distance at per-edge free-flow speeds
-        travel = _free_flow_time(model, veh, dist)
-        residual = max(0.0, veh.dwell_until - now)
-    else:
-        travel = dist / max(veh.speed, MIN_PROJECTION_SPEED)
-        residual = 0.0
-    dwells = veh.dwell * sum(1 for ahead in stops if ahead < dist)
-    return travel + residual + dwells
-
-
-def _free_flow_time(model: NetworkModel, veh: VehicleState, dist: float) -> float:
-    pos = veh.pos_in_edge(model)
-    total = 0.0
-    remaining = dist
-    span = model.edges[veh.edge_id].length - pos
-    for eid in [veh.edge_id] + list(veh.route[veh.route_index + 1 :]):
-        e = model.edges[eid]
-        if eid != veh.edge_id:
-            span = e.length
-        take = min(remaining, span)
-        total += take / e.free_flow_speed
-        remaining -= take
-        if remaining <= 0:
-            break
-    return total
-
-
-def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows:
-    """Windows around every active bus's predicted entry into each DL segment."""
     model = world.model
-    out = BusWindows()
+    t = world.t
+    h = protection.horizon
+    edges = model.edges
+    dl_segments = model.dl_segments
+    windows: Windows = {}
     for vid in sorted(world.buses):
         veh = world.buses[vid]
-        entries = list(_walk_entries(model, veh))
-        stops = _stop_distances(model, veh, entries)
-        for seg, dist in [(veh.segment, None), *entries]:
-            if seg not in model.dl_segments:
+        seg = veh.segment
+        edge = edges[seg.edge]
+        pos = veh.offset + (0.0 if seg.m == 1 else edge.seg_length)
+        rest = veh.route[veh.route_index + 1 :]
+        entries: list[tuple[SegmentRef, float]] = []
+        if seg.m == 1:
+            entries.append((model.halves[seg.edge][seg.lane][1], edge.seg_length - pos))
+        entrance: dict[int, float] = {}  # route edge -> its first upstream entrance
+        ahead = edge.length - pos
+        table = model.continuation(veh.vclass, seg.lane)
+        for eid in rest:
+            upstream, downstream, half, length = table[eid]
+            entrance.setdefault(eid, ahead)
+            entries.append((upstream, ahead))
+            entries.append((downstream, ahead + half))
+            ahead += length
+        stops: list[float] = []
+        for visit in veh.stop_plan[veh.next_stop :]:
+            stop = model.bus_stops[visit.stop]
+            if stop.edge == seg.edge:
+                if stop.offset > pos:
+                    stops.append(stop.offset - pos)
+            elif stop.edge in entrance:
+                stops.append(entrance[stop.edge] + stop.offset)
+        dwelling = veh.dwell_until is not None
+        if dwelling:
+            residual = max(0.0, veh.dwell_until - t)
+            spans = [(edge.length - pos, edge.free_flow_speed)]
+            spans += [(edges[eid].length, edges[eid].free_flow_speed) for eid in rest]
+        else:
+            speed = max(veh.speed, MIN_PROJECTION_SPEED)
+        if seg in dl_segments:
+            windows.setdefault(seg, []).append((vid, t, t + h))  # tau = 0
+        for ref, dist in entries:
+            if ref not in dl_segments:
                 continue
-            tau = 0.0 if dist is None else _eta_at(model, veh, dist, stops, world.t)
-            lo, hi = protection_window(tau, protection.horizon)
-            out.windows.setdefault(seg, []).append((vid, world.t + lo, world.t + hi))
-    return out
+            if dwelling:
+                travel = 0.0
+                remaining = dist
+                for span, free_flow_speed in spans:
+                    take = min(remaining, span)
+                    travel += take / free_flow_speed
+                    remaining -= take
+                    if remaining <= 0:
+                        break
+                travel += residual
+            else:
+                travel = dist / speed
+            tau = travel + veh.dwell * sum(1 for stop_dist in stops if stop_dist < dist)
+            windows.setdefault(ref, []).append((vid, t + max(0.0, tau - h), t + (tau + h)))
+    return windows
 
 
 # -- snapshot ---------------------------------------------------------------------
@@ -239,7 +202,7 @@ class PredictionSnapshot:
     model: NetworkModel
     bpr: BprParams
     protection: ProtectionHorizon
-    windows: BusWindows
+    windows: Windows
     vehicles: dict[int, VehicleState]
     tau: dict[int, dict[SegmentRef, float]]          # CAV entries: DL, or within dt
     inflow: dict[SegmentRef, float]                   # veh/s, per segment
@@ -262,7 +225,7 @@ class PredictionSnapshot:
 
 def _window_conflicts(
     world: World,
-    windows: BusWindows,
+    windows: Windows,
     index: dict[SegmentRef, list[tuple[int, float]]],
     since: float,
     bpr: BprParams,
@@ -289,10 +252,10 @@ def _window_conflicts(
     overlap: dict[SegmentRef, dict[int, float]] = {}
     conflict: dict[SegmentRef, float] = {}
     bus_time: dict[SegmentRef, float] = {}
-    for seg in windows.windows:
+    for seg, spans in windows.items():
         edge, m = seg.edge, seg.m
         found: list[tuple[int, float]] = []
-        if windows.contains(seg, t):
+        if in_window(spans, t):
             for lane in model.halves[edge]:
                 for vid in rows[lane[m - 1]].queue:
                     if vehicles[vid].vclass is CAV:
@@ -302,7 +265,7 @@ def _window_conflicts(
             if veh is None:  # retired since the build
                 continue
             own = veh.segment
-            if (own.edge != edge or own.m != m) and windows.contains(seg, since + entry):
+            if (own.edge != edge or own.m != m) and in_window(spans, since + entry):
                 found.append((vid, entry))
         if found:
             found.sort()
@@ -314,7 +277,7 @@ def _window_conflicts(
 
 
 def refresh_conflicts(
-    world: World, snapshot: PredictionSnapshot, windows: BusWindows
+    world: World, snapshot: PredictionSnapshot, windows: Windows
 ) -> PredictionSnapshot:
     """Recompute window overlaps against fresh windows and current positions.
 
@@ -340,11 +303,11 @@ def _project(
 ) -> Walk:
     """Walk one non-bus vehicle's projected entries (see `build_snapshot`).
 
-    The walk is `_walk_entries` written out, over the same continuation
-    table and at the same left-to-right distance sums. The key holds the
+    The walk reads the continuation table at the same left-to-right
+    distance sums as `build_bus_windows` does for a bus. The key holds the
     vehicle's segment, offset, speed and route index. The position in the
-    edge is `offset` on the upstream half, where `pos_in_edge` adds 0.0,
-    the same value.
+    edge is `offset` on the upstream half, where `build_bus_windows` adds
+    0.0, the same value.
     """
     seg, offset, speed, route_index = key
     if speed < MIN_PROJECTION_SPEED:  # max(speed, MIN_PROJECTION_SPEED)
@@ -389,7 +352,7 @@ def _project(
 
 def build_snapshot(
     world: World,
-    windows: BusWindows,
+    windows: Windows,
     bpr: BprParams,
     protection: ProtectionHorizon,
     dt: float,

@@ -36,6 +36,11 @@ def shortest_path(
 
     With `prev_edge` set, the path must begin with an edge reachable from it
     (mid-trip continuation). Returns None when the destination is unreachable.
+
+    Every cost must be non-negative. Labels then pop in nondecreasing
+    (cost, path) order, so an edge's first label to pop is its best and the
+    edge is settled: every later label of it, and every extension into it,
+    is dominated.
     """
     if origin == destination and prev_edge is None:
         raise RoutingError("origin and destination must differ")
@@ -49,23 +54,17 @@ def shortest_path(
         if cost < 0:
             raise RoutingError(f"negative cost on edge {e}")
         heapq.heappush(heap, (cost, (e,), e))
-    best: dict[int, tuple[float, tuple[int, ...]]] = {}
+    settled: set[int] = set()
     while heap:
         cost, path, edge = heapq.heappop(heap)
-        seen = best.get(edge)
-        if seen is not None and (seen[0] < cost or (seen[0] == cost and seen[1] <= path)):
+        if edge in settled:
             continue
-        best[edge] = (cost, path)
+        settled.add(edge)
         if model.edges[edge].to == destination:
             return list(path)
         for nxt in model.next_edges(edge, vclass):
-            if nxt in forbidden:
-                continue
-            ncost = cost + costs[nxt]
-            seen = best.get(nxt)
-            if seen is not None and (seen[0] < ncost or (seen[0] == ncost and seen[1] <= path + (nxt,))):
-                continue
-            heapq.heappush(heap, (ncost, path + (nxt,), nxt))
+            if nxt not in forbidden and nxt not in settled:
+                heapq.heappush(heap, (cost + costs[nxt], path + (nxt,), nxt))
     return None
 
 

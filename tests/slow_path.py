@@ -39,7 +39,9 @@ keeps the plain versions they replaced:
   CAV, in id order, for each windowed segment, testing the CAV's own segment
   and its entries in `tau`, where the fast one takes the same-span members
   from the span's two queues and the others from the build's DL index;
-* `build_bus_windows`, which walks every vehicle and skips the non-buses;
+* `build_bus_windows`, which walks every vehicle, skips the non-buses and
+  answers each (bus, DL segment) ETA with the per-query helpers below, where
+  the fast one walks each bus's continuation row once;
 * `predicted_cost_view` and `instantaneous_cost_view`, which price every
   edge, the latter with `segment_speed`;
 * `myopic_lane_actions`, which compares the two lanes' `segment_speed`;
@@ -76,7 +78,13 @@ one-pass builds: the entry indicator over one control interval
 (`entry_indicator`), a vehicle's constant-speed entry time into a segment
 (`entry_time`), a bus's predicted entry with its dwells (`bus_eta`), and the
 bus overlap indicator of a CAV on a protected segment
-(`bus_overlap_indicator`).
+(`bus_overlap_indicator`). `bus_eta` and the plain `build_bus_windows` rest
+on the per-query ETA helpers: `pos_in_edge` (the position in the edge),
+`is_dwelling`, `_stop_distances` (the unserved stops ahead, placed on the
+projected entries), `_eta_at` (one entrance's ETA: travel, residual dwell
+and one dwell per stop strictly before it), `_free_flow_time` (a dwelling
+bus's travel, re-summed edge by edge from the bus for each query) and
+`protection_window` (the closed window around tau, clamped at now).
 """
 
 from __future__ import annotations
@@ -101,14 +109,11 @@ from jointlane.network import OTHER, TAG, Lane, NetworkError, NetworkModel, Segm
 from jointlane.prediction import (
     MIN_PROJECTION_SPEED,
     BprParams,
-    BusWindows,
+    PredictionError,
     PredictionSnapshot,
     ProtectionHorizon,
-    _eta_at,
-    _stop_distances,
-    _walk_entries,
+    Windows,
     bpr_time,
-    protection_window,
 )
 
 
@@ -488,7 +493,7 @@ def entry_time(model: NetworkModel, veh: VehicleState, seg: SegmentRef) -> Optio
 
     None when the segment is not ahead on the projected path.
     """
-    for ref, dist in _walk_entries(model, veh):
+    for ref, dist in projected_entries(model, veh):
         if ref == seg:
             return dist / max(veh.speed, MIN_PROJECTION_SPEED)
     return None
@@ -504,11 +509,83 @@ def bus_eta(model: NetworkModel, veh: VehicleState, seg: SegmentRef, now: float)
     """
     if veh.segment == seg:
         return 0.0
-    entries = list(_walk_entries(model, veh))
+    entries = projected_entries(model, veh)
     for ref, dist in entries:
         if (ref.edge, ref.m) == (seg.edge, seg.m):
             return _eta_at(model, veh, dist, _stop_distances(model, veh, entries), now)
     return None
+
+
+def is_dwelling(veh: VehicleState) -> bool:
+    return veh.dwell_until is not None
+
+
+def pos_in_edge(model: NetworkModel, veh: VehicleState) -> float:
+    half = model.edges[veh.edge_id].seg_length
+    return veh.offset + (0.0 if veh.segment.m == 1 else half)
+
+
+def protection_window(tau: float, horizon: float) -> tuple[float, float]:
+    """Closed interval around a predicted bus entry, clamped at now (0)."""
+    if tau < 0:
+        raise PredictionError("tau must be >= 0")
+    return (max(0.0, tau - horizon), tau + horizon)
+
+
+def _stop_distances(
+    model: NetworkModel, veh: VehicleState, entries: list[tuple[SegmentRef, float]]
+) -> list[float]:
+    """Distance ahead of every unserved stop on the remaining route.
+
+    A stop on the current edge counts only while it is still ahead; a stop on
+    a later edge sits its offset past that edge's first projected entrance.
+    """
+    pos = pos_in_edge(model, veh)
+    entrance: dict[int, float] = {}
+    for ref, dist in entries:
+        if ref.m == 1:
+            entrance.setdefault(ref.edge, dist)
+    out = []
+    for visit in veh.stop_plan[veh.next_stop :]:
+        stop = model.bus_stops[visit.stop]
+        if stop.edge == veh.edge_id:
+            if stop.offset > pos:
+                out.append(stop.offset - pos)
+        elif stop.edge in entrance:
+            out.append(entrance[stop.edge] + stop.offset)
+    return out
+
+
+def _eta_at(
+    model: NetworkModel, veh: VehicleState, dist: float, stops: list[float], now: float
+) -> float:
+    """Bus ETA to a point `dist` ahead, given the distances of unserved stops."""
+    if is_dwelling(veh):
+        # remaining distance at per-edge free-flow speeds
+        travel = _free_flow_time(model, veh, dist)
+        residual = max(0.0, veh.dwell_until - now)
+    else:
+        travel = dist / max(veh.speed, MIN_PROJECTION_SPEED)
+        residual = 0.0
+    dwells = veh.dwell * sum(1 for ahead in stops if ahead < dist)
+    return travel + residual + dwells
+
+
+def _free_flow_time(model: NetworkModel, veh: VehicleState, dist: float) -> float:
+    """Free-flow time over the first `dist` of the remaining route: the rest
+    of the current edge, then each later edge whole, edge by edge."""
+    pos = pos_in_edge(model, veh)
+    total = 0.0
+    remaining = dist
+    for k, eid in enumerate(veh.route[veh.route_index :]):
+        e = model.edges[eid]
+        span = e.length - pos if k == 0 else e.length
+        take = min(remaining, span)
+        total += take / e.free_flow_speed
+        remaining -= take
+        if remaining <= 0:
+            break
+    return total
 
 
 def bus_overlap_indicator(snapshot: PredictionSnapshot, vid: int, seg: SegmentRef) -> int:
@@ -535,7 +612,7 @@ def projected_entries(
     out: list[tuple[SegmentRef, float]] = []
     seg = veh.segment
     edge = model.edges[seg.edge]
-    pos = veh.pos_in_edge(model)
+    pos = pos_in_edge(model, veh)
     if seg.m == 1:
         out.append((SegmentRef(seg.edge, seg.lane, 2), edge.seg_length - pos))
     ahead = edge.length - pos
@@ -548,10 +625,11 @@ def projected_entries(
     return out
 
 
-def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows:
-    """Windows around every active bus's predicted entry into each DL segment."""
+def build_bus_windows(world: World, protection: ProtectionHorizon) -> Windows:
+    """Windows around every active bus's predicted entry into each DL segment,
+    one (bus, segment) ETA query at a time."""
     model = world.model
-    out = BusWindows()
+    out: Windows = {}
     for vid in sorted(world.vehicles):
         veh = world.vehicles[vid]
         if veh.vclass is not VehicleClass.BUS:
@@ -563,13 +641,13 @@ def build_bus_windows(world: World, protection: ProtectionHorizon) -> BusWindows
                 continue
             tau = 0.0 if dist is None else _eta_at(model, veh, dist, stops, world.t)
             lo, hi = protection_window(tau, protection.horizon)
-            out.windows.setdefault(seg, []).append((vid, world.t + lo, world.t + hi))
+            out.setdefault(seg, []).append((vid, world.t + lo, world.t + hi))
     return out
 
 
 def _window_conflicts(
     world: World,
-    windows: BusWindows,
+    windows: Windows,
     tau: dict[int, dict[SegmentRef, float]],
     since: float,
     bpr: BprParams,
@@ -592,7 +670,7 @@ def _window_conflicts(
     overlap: dict[SegmentRef, dict[int, float]] = {}
     conflict: dict[SegmentRef, float] = {}
     bus_time: dict[SegmentRef, float] = {}
-    for seg in windows.windows:
+    for seg, spans in windows.items():
         members: dict[int, float] = {}
         for vid, own, times in cavs:
             if (own.edge, own.m) == (seg.edge, seg.m):
@@ -602,7 +680,7 @@ def _window_conflicts(
                 if entry is None:
                     continue
                 when = since + entry
-            if windows.contains(seg, when):
+            if any(lo <= when <= hi for _, lo, hi in spans):
                 members[vid] = entry
         if members:
             overlap[seg] = members
@@ -613,7 +691,7 @@ def _window_conflicts(
 
 
 def refresh_conflicts(
-    world: World, snapshot: PredictionSnapshot, windows: BusWindows
+    world: World, snapshot: PredictionSnapshot, windows: Windows
 ) -> PredictionSnapshot:
     """Recompute window overlaps against fresh windows and current positions.
 
@@ -634,7 +712,7 @@ def refresh_conflicts(
 
 def build_snapshot(
     world: World,
-    windows: BusWindows,
+    windows: Windows,
     bpr: BprParams,
     protection: ProtectionHorizon,
     dt: float,
@@ -842,8 +920,8 @@ def write_decision_log(result, out_dir):
 # -- fast against plain -------------------------------------------------------------
 
 
-def assert_same_windows(fast: BusWindows, slow: BusWindows):
-    assert list(fast.windows.items()) == list(slow.windows.items())
+def assert_same_windows(fast: Windows, slow: Windows):
+    assert list(fast.items()) == list(slow.items())
 
 
 def assert_same_conflicts(fast: PredictionSnapshot, slow: PredictionSnapshot):

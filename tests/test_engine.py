@@ -24,7 +24,7 @@ from jointlane.engine import (
 from jointlane.network import Lane, SegmentRef, VehicleClass
 
 from conftest import make_model, make_world, put_vehicle
-from slow_path import assert_plant_invariants, assert_walk_tables, pending_in_order
+from slow_path import assert_plant_invariants, assert_walk_tables, is_dwelling, pending_in_order
 from slow_path import step as plain_step
 
 
@@ -185,10 +185,10 @@ def test_bus_early_arrival_holds_to_schedule():
     # still dwelling until the scheduled departure
     while world.t < 105.0:
         serve(world, world.t, releases)
-        assert bus.is_dwelling
+        assert is_dwelling(bus)
         step(world, 1.0)
     serve(world, world.t, releases)
-    assert not bus.is_dwelling
+    assert not is_dwelling(bus)
     assert releases == [(105.0, 0, 0)]
     assert releases[0][0] >= 45.0 + 60.0
 
@@ -202,7 +202,7 @@ def test_bus_on_time_dwells_exactly(stop_offset):
         bus_service(world, world.t)
         step(world, 1.0)
     m = 1 if stop_offset < 100.0 else 2
-    assert bus.is_dwelling
+    assert is_dwelling(bus)
     assert bus.segment == SegmentRef(0, Lane.RIGHT, m)
     assert bus.offset == stop_offset - (0.0 if m == 1 else 100.0)
     assert bus.dwell_until == arrival + 60.0

@@ -62,6 +62,11 @@ def _times(edge_id, left, right):
     return {lseg: left, rseg: right}
 
 
+def _live(snapshot, seg, when):
+    """Whether one of the segment's windows holds `when`, ends included."""
+    return any(lo <= when <= hi for _, lo, hi in snapshot.windows.get(seg, ()))
+
+
 def _old_order(strategy, snapshot, warned, world, edge_id):
     """The rule the chooser replaced: the GPL first on a warned DL half inside
     a live window under prp and proposed, else the lanes sorted by (cost,
@@ -69,7 +74,7 @@ def _old_order(strategy, snapshot, warned, world, edge_id):
     current speed as drp's and prp's."""
     rseg = SegmentRef(edge_id, Lane.RIGHT, 1)
     if (strategy != "drp" and world.model.edges[edge_id].dl and rseg in warned
-            and snapshot.windows.contains(rseg, world.t)):
+            and _live(snapshot, rseg, world.t)):
         return LR
     if strategy == "proposed":
         def cost(lane):
@@ -90,7 +95,7 @@ def test_the_bus_gives_the_entry_halves_live_windows():
     world = _world()
     snap = _snapshot(world)
     for edge_id in (0, 1):
-        assert snap.windows.contains(SegmentRef(edge_id, Lane.RIGHT, 1), 0.0)
+        assert _live(snap, SegmentRef(edge_id, Lane.RIGHT, 1), 0.0)
 
 
 @pytest.mark.parametrize("strategy", ["prp", "proposed"])
@@ -111,7 +116,7 @@ def test_warned_dl_half_outside_its_window_orders_by_cost(strategy):
     snap = _snapshot(world, _times(ENTRY, 20.0, 10.0))
     _, rseg = _halves(ENTRY)
     world.t = 1000.0  # every window has closed
-    assert not snap.windows.contains(rseg, world.t)
+    assert not _live(snap, rseg, world.t)
     assert _choose(strategy, world, snap, frozenset({rseg})) == RL
 
 
@@ -119,7 +124,7 @@ def test_drp_ignores_warned_segments():
     world = _world(left=6)
     snap = _snapshot(world)
     _, rseg = _halves(ENTRY)
-    assert snap.windows.contains(rseg, world.t)
+    assert _live(snap, rseg, world.t)
     assert _choose("drp", world, snap, frozenset({rseg})) == RL
 
 

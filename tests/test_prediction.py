@@ -7,19 +7,25 @@ from jointlane.network import BusStop, Lane, SegmentRef, VehicleClass
 from jointlane.prediction import (
     BprParams,
     BprRangeError,
-    BusWindows,
     PredictionError,
     ProtectionHorizon,
     bpr_time,
     build_bus_windows,
     build_snapshot,
-    protection_window,
     refresh_conflicts,
 )
 
 import slow_path
 from conftest import make_model, make_world, put_vehicle
-from slow_path import bus_eta, bus_overlap_indicator, entry_indicator, entry_time
+from slow_path import (
+    bus_eta,
+    bus_overlap_indicator,
+    entry_indicator,
+    entry_time,
+    is_dwelling,
+    pos_in_edge,
+    protection_window,
+)
 
 PARAMS = BprParams()
 
@@ -205,18 +211,84 @@ def test_bus_eta_while_dwelling_uses_free_flow_plus_residual():
 
         bus_service(world, world.t)
         step(world, 1.0)
-    assert bus.is_dwelling
+    assert is_dwelling(bus)
     eta = bus_eta(model, bus, SegmentRef(2, Lane.RIGHT, 1), now=world.t)
     residual = bus.dwell_until - world.t
-    remaining = model.edges[1].length - bus.pos_in_edge(model)
+    remaining = model.edges[1].length - pos_in_edge(model, bus)
     assert eta == pytest.approx(residual + remaining / 10.0)
 
 
-def test_protection_window_shape():
+def test_protection_window_shape(dl_chain3):
     assert protection_window(100.0, 30.0) == (70.0, 130.0)
     assert protection_window(10.0, 30.0) == (0.0, 40.0)
     with pytest.raises(PredictionError):
         protection_window(-1.0, 30.0)
+    # the build opens the same windows: entries 100 m and 500 m ahead at
+    # 5 m/s are 20 s and 100 s away, and the held segment's tau is 0
+    world = make_world(dl_chain3)
+    put_vehicle(world, 0, VehicleClass.BUS, [0, 1, 2], lane=Lane.RIGHT, m=1,
+                offset=0.0, speed=5.0)
+    windows = build_bus_windows(world, ProtectionHorizon(30.0))
+    assert windows[SegmentRef(0, Lane.RIGHT, 1)] == [(0, 0.0, 30.0)]
+    assert windows[SegmentRef(0, Lane.RIGHT, 2)] == [(0, 0.0, 50.0)]
+    assert windows[SegmentRef(2, Lane.RIGHT, 2)] == [(0, 70.0, 130.0)]
+
+
+def _eta_model():
+    # free-flow speeds 10, 20 and 5 m/s; stop 1 sits at edge 2's midpoint,
+    # the entrance of its downstream half
+    return make_model(
+        [(0, 1, 2, 200.0, 10.0, True), (1, 2, 3, 200.0, 20.0, True),
+         (2, 3, 4, 200.0, 5.0, True)],
+        bus_stops=[BusStop(id=0, edge=0, offset=150.0), BusStop(id=1, edge=2, offset=100.0)],
+    )
+
+
+def _windows_by_segment(world):
+    return {
+        (seg.edge, seg.m): spans
+        for seg, spans in build_bus_windows(world, ProtectionHorizon(30.0)).items()
+    }
+
+
+def test_dwelling_bus_eta_sums_free_flow_edge_by_edge():
+    model = _eta_model()
+    world = make_world(model)
+    world.t = 10.0
+    # dwelling at stop 0, 150 m into edge 0, until 40 s: 30 s of dwell left
+    bus = put_vehicle(world, 0, VehicleClass.BUS, [0, 1, 2], lane=Lane.RIGHT, m=2,
+                      offset=50.0, speed=0.0, dwell=60.0, dwell_until=40.0, next_stop=1,
+                      stop_plan=(StopVisit(0, 0.0), StopVisit(1, 100.0)))
+    assert is_dwelling(bus)
+    # 50 m left on edge 0 at 10 m/s is 5 s, each edge-1 half at 20 m/s 5 s,
+    # each edge-2 half at 5 m/s 20 s; 30 s of residual dwell on every entry.
+    # Stop 1 sits exactly at (2, 2)'s entrance, so no dwell is added to it.
+    assert _windows_by_segment(world) == {
+        (0, 2): [(0, 10.0, 40.0)],                  # held: tau = 0
+        (1, 1): [(0, 10.0 + 5.0, 10.0 + 65.0)],     # tau = 35
+        (1, 2): [(0, 10.0 + 10.0, 10.0 + 70.0)],    # tau = 5 + 5 + 30
+        (2, 1): [(0, 10.0 + 15.0, 10.0 + 75.0)],    # tau = 5 + 10 + 30
+        (2, 2): [(0, 10.0 + 35.0, 10.0 + 95.0)],    # tau = 5 + 10 + 20 + 30
+    }
+
+
+def test_slow_bus_eta_floors_the_speed_and_counts_stops_strictly_before():
+    model = _eta_model()
+    world = make_world(model)
+    # 50 m into edge 0, creeping below the floor: every distance runs at
+    # 0.1 m/s. Stop 0 lies 100 m ahead and adds its 20 s dwell from (1, 1)
+    # on; stop 1 lies 450 m ahead, exactly at (2, 2)'s entrance.
+    put_vehicle(world, 0, VehicleClass.BUS, [0, 1, 2], lane=Lane.RIGHT, m=1,
+                offset=50.0, speed=0.05, dwell=20.0,
+                stop_plan=(StopVisit(0, 0.0), StopVisit(1, 100.0)))
+    assert _windows_by_segment(world) == {
+        (0, 1): [(0, 0.0, 30.0)],
+        (0, 2): [(0, 470.0, 530.0)],      # tau = 50 / 0.1
+        (1, 1): [(0, 1490.0, 1550.0)],    # tau = 150 / 0.1 + 20
+        (1, 2): [(0, 2490.0, 2550.0)],    # tau = 250 / 0.1 + 20
+        (2, 1): [(0, 3490.0, 3550.0)],    # tau = 350 / 0.1 + 20
+        (2, 2): [(0, 4490.0, 4550.0)],    # tau = 450 / 0.1 + 20, not + 40
+    }
 
 
 def test_overlap_closed_boundary(dl_chain3):
@@ -226,7 +298,7 @@ def test_overlap_closed_boundary(dl_chain3):
                 offset=0.0, speed=8.0)
     snap = _snapshot(world)
     seg = SegmentRef(2, Lane.RIGHT, 1)
-    spans = snap.windows.covering(seg)
+    spans = snap.windows.get(seg, [])
     assert spans and spans[0][1:] == (20.0, 80.0)
     # a CAV arriving exactly at the closed window end counts
     cav = put_vehicle(world, 1, VehicleClass.CAV, [0, 1, 2], lane=Lane.RIGHT,
@@ -299,7 +371,7 @@ def test_conflict_inflow_matches_brute_force_on_random_worlds():
         windows = build_bus_windows(world, protection)
         dt = 15.0
         snap = build_snapshot(world, windows, PARAMS, protection, dt)
-        for seg in windows.windows:
+        for seg in windows:
             expected = {}
             for vid, veh in sorted(world.vehicles.items()):
                 if veh.vclass is not VehicleClass.CAV:
@@ -313,7 +385,7 @@ def test_conflict_inflow_matches_brute_force_on_random_worlds():
                     if tau is None:
                         continue
                     when = world.t + tau
-                if any(lo <= when <= hi for _, lo, hi in windows.covering(seg)):
+                if any(lo <= when <= hi for _, lo, hi in windows[seg]):
                     expected[vid] = tau
             assert snap.conflict[seg] == pytest.approx(len(expected) / 60.0)
             assert snap.overlap.get(seg, {}) == expected
@@ -379,7 +451,7 @@ def test_refresh_counts_occupants_now_and_others_at_snapshot_time(dl_chain3):
     assert world.t == 1.0 and (mover.edge_id, mover.segment.m) == (1, 1)
     # one span around now, one ending at the stored entry of vehicle 2
     # (counted from snapshot.t = 0, not from world.t = 1)
-    windows = BusWindows(windows={seg: [(9, 0.5, 1.5), (9, 15.0, 20.0)]})
+    windows = {seg: [(9, 0.5, 1.5), (9, 15.0, 20.0)]}
     fresh = refresh_conflicts(world, snap, windows)
     assert fresh.overlap == {seg: {1: 0.0, 2: 20.0}}
     assert fresh.conflict == {seg: pytest.approx(2 / 60)}
@@ -412,7 +484,7 @@ def test_refresh_drops_a_cav_retired_since_the_build(dl_chain3):
     _upstream_cavs(world, (1, 2, 3))
     snap = _snapshot(world)
     seg = SegmentRef(1, Lane.RIGHT, 1)
-    windows = BusWindows(windows={seg: [(9, 0.0, 10.0)]})
+    windows = {seg: [(9, 0.0, 10.0)]}
     assert list(_refresh_matches_plain(world, snap, windows).overlap[seg]) == [1, 2, 3]
     veh = world.vehicles[2]
     _retire(world, veh, veh.segment)
@@ -430,7 +502,7 @@ def test_refresh_counts_a_cav_injected_onto_a_live_span(dl_chain3):
     put_vehicle(world, 5, VehicleClass.CAV, [1, 2], lane=Lane.LEFT, m=1,
                 offset=30.0, speed=10.0)
     assert 5 not in snap.tau
-    windows = BusWindows(windows={seg: [(9, 0.0, 10.0)]})
+    windows = {seg: [(9, 0.0, 10.0)]}
     fresh = _refresh_matches_plain(world, snap, windows)
     assert fresh.overlap == {seg: {1: 0.5, 5: 0.0}}
 
@@ -446,10 +518,10 @@ def test_refresh_leaves_an_entry_into_the_own_span_to_the_queues(dl_chain3):
     assert (cav.segment.edge, cav.segment.m) == (1, 1)
     # the stored entry (at 0.5 s) falls in the window, but the CAV is on the
     # segment's span now, and at 1 s the window is closed
-    closed = BusWindows(windows={seg: [(9, 0.0, 0.75)]})
+    closed = {seg: [(9, 0.0, 0.75)]}
     assert _refresh_matches_plain(world, snap, closed).overlap == {}
     # a window holding now counts it as an occupant, at entry time 0
-    live = BusWindows(windows={seg: [(9, 0.0, 2.0)]})
+    live = {seg: [(9, 0.0, 2.0)]}
     assert _refresh_matches_plain(world, snap, live).overlap == {seg: {1: 0.0}}
 
 
@@ -466,7 +538,7 @@ def test_refresh_sorts_members_interleaved_across_both_lanes(dl_chain3):
     snap = _snapshot(world)
     seg = SegmentRef(1, Lane.RIGHT, 1)
     assert world.rows[SegmentRef(1, Lane.LEFT, 1)].queue == [5, 1, 7, 3]
-    windows = BusWindows(windows={seg: [(9, 0.0, 10.0)]})
+    windows = {seg: [(9, 0.0, 10.0)]}
     fresh = _refresh_matches_plain(world, snap, windows)
     assert list(fresh.overlap[seg].items()) == [
         (0, 0.5), (1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0), (5, 0.0), (6, 0.0), (8, 1.0)

@@ -131,8 +131,9 @@ def test_class_tables_match_brute_force_on_random_networks():
             }
 
 
-def _enumerate_simple_paths(model, origin, destination, costs):
-    best = None
+def _simple_paths(model, origin, destination, costs):
+    """(cost, path) of every node-simple path, least first."""
+    found = []
     stack = [(origin, [], {origin})]
     while stack:
         node, path, visited = stack.pop()
@@ -140,13 +141,11 @@ def _enumerate_simple_paths(model, origin, destination, costs):
             edge = model.edges[eid]
             if edge.to in visited:
                 continue
-            cost = path_cost(path + [eid], costs)
             if edge.to == destination:
-                if best is None or cost < best:
-                    best = cost
+                found.append((path_cost(path + [eid], costs), path + [eid]))
             else:
                 stack.append((edge.to, path + [eid], visited | {edge.to}))
-    return best
+    return sorted(found)
 
 
 def test_shortest_path_matches_enumeration_on_random_graphs():
@@ -158,14 +157,33 @@ def test_shortest_path_matches_enumeration_on_random_graphs():
         nodes = model.nodes
         origin, destination = rng.sample(nodes, 2)
         found = shortest_path(model, origin, destination, VehicleClass.CAV, costs)
-        expected = _enumerate_simple_paths(model, origin, destination, costs)
+        paths = _simple_paths(model, origin, destination, costs)
         if found is None:
-            assert expected is None
+            assert paths == []
             continue
-        assert expected is not None
-        if abs(path_cost(found, costs) - expected) > 1e-9:
+        assert paths != []
+        if abs(path_cost(found, costs) - paths[0][0]) > 1e-9:
             mismatches += 1
     assert mismatches == 0
+
+
+def test_equal_cost_ties_match_enumeration_on_random_graphs():
+    # costs in 1..3 force equal-cost paths, and integer sums are exact: the
+    # route is the lexicographically smallest of the minimum-cost paths
+    rng = random.Random(11)
+    ties = 0
+    for _ in range(300):
+        model = _random_network(rng)
+        costs = {eid: float(rng.randint(1, 3)) for eid in model.edges}
+        origin, destination = rng.sample(model.nodes, 2)
+        found = shortest_path(model, origin, destination, VehicleClass.CAV, costs)
+        paths = _simple_paths(model, origin, destination, costs)
+        if found is None:
+            assert paths == []
+            continue
+        assert (path_cost(found, costs), found) == paths[0]
+        ties += len(paths) > 1 and paths[1][0] == paths[0][0]
+    assert ties >= 10  # 17 of the 300 draws tie at the minimum
 
 
 def test_forbidding_edges_never_reduces_cost():

@@ -13,8 +13,8 @@ from jointlane.control import (
     myopic_lane_actions,
     predicted_cost_view,
 )
-from jointlane.engine import VehicleState, inject_demand, step
-from jointlane.network import Lane, VehicleClass
+from jointlane.engine import StopVisit, VehicleState, inject_demand, step
+from jointlane.network import BusStop, Lane, VehicleClass
 from jointlane.prediction import (
     MIN_PROJECTION_SPEED,
     BprParams,
@@ -27,7 +27,7 @@ from jointlane.runner import simulate
 from jointlane.scenario import load_scenario, resolve_scenario
 
 import slow_path
-from conftest import make_world, put_vehicle
+from conftest import make_model, make_world, put_vehicle
 from test_routing import _random_network
 
 PARAMS = BprParams()
@@ -141,6 +141,56 @@ def _random_world(rng):
         put_vehicle(world, vid, vclass, route, route_index=i, lane=lane, m=m, offset=offset,
                     speed=speed, **extra)
     return world
+
+
+# Stop offsets on the same grid; the midpoint and the edge end put a stop
+# exactly at an entrance, which a stop's dwell does not delay.
+STOP_OFFSETS = (12.5, 25.0, 50.0, 62.5, 100.0)
+
+
+def _random_bus_world(rng):
+    """Buses alone, with stop plans, on a random network whose edges have
+    their own free-flow speeds: every term of the bus ETA."""
+    base = _random_network(rng, dl=True)
+    rows, stops = [], []
+    for eid, e in base.edges.items():
+        rows.append((eid, e.frm, e.to, e.length, rng.choice((5.0, 10.0, 12.5)), e.dl))
+        if e.dl:
+            for offset in sorted(rng.sample(STOP_OFFSETS, rng.randrange(3))):
+                stops.append(BusStop(id=len(stops), edge=eid, offset=offset))
+    model = make_model(rows, connections=base.connections, bus_stops=stops)
+    world = make_world(model)
+    world.t = rng.choice((0.0, 90.0))
+    for vid in range(rng.randrange(1, 6)):
+        route = _random_route(rng, model, VehicleClass.BUS)
+        if route is None:
+            break
+        plan = tuple(StopVisit(s.id, 0.0) for eid in route for s in stops if s.edge == eid)
+        extra = {"dwell": rng.choice((0.0, 20.0)), "stop_plan": plan,
+                 "next_stop": rng.randrange(len(plan) + 1)}
+        if rng.random() < 0.5:
+            # a dwell may have ended and not yet been released by the service
+            extra["dwell_until"] = world.t + rng.choice((-5.0, 0.0, 5.0, 30.0))
+        i = rng.randrange(len(route))
+        m = rng.choice((1, 2))
+        row = world.rows[model.halves[route[i]][Lane.RIGHT][m - 1]]
+        if len(row.queue) >= row.jam_count:
+            continue
+        offset = rng.choice(OFFSETS) if rng.random() < 0.7 else rng.uniform(0.0, 50.0)
+        speed = rng.choice(SPEEDS) if rng.random() < 0.7 else rng.uniform(0.0, 12.0)
+        put_vehicle(world, vid, VehicleClass.BUS, route, route_index=i, lane=Lane.RIGHT, m=m,
+                    offset=offset, speed=speed, **extra)
+    return world
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_random_bus_windows_match_plain(rng):
+    world = _random_bus_world(rng)
+    protection = ProtectionHorizon(rng.choice((10.0, 30.0)))
+    slow_path.assert_same_windows(
+        build_bus_windows(world, protection), slow_path.build_bus_windows(world, protection)
+    )
 
 
 def _plant_state(world):
