@@ -15,7 +15,7 @@ costs new CAVs are routed on (`routing_costs`) and the control step
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import routing
@@ -182,83 +182,58 @@ def weighted_score(params: ControlParams, t1: float, t2: float, t3: float) -> fl
     return params.w1 * t1 + params.w2 * t2 + params.w3 * t3
 
 
-def utility(
-    snapshot: PredictionSnapshot,
-    params: ControlParams,
-    vid: int,
-    seg: SegmentRef,
-    target: SegmentRef,
-) -> tuple[float, tuple[float, float, float]]:
-    t1 = u1_time_benefit(snapshot, seg, target)
-    t2 = float(u2_turn_feasibility(snapshot, vid, target.lane))
-    t3 = u3_change_rate_penalty(
-        snapshot.vehicles[vid].lane_change_log, snapshot.t, params.change_horizon, snapshot.dt
-    )
-    return weighted_score(params, t1, t2, t3), (t1, t2, t3)
-
-
 # -- candidate selection ------------------------------------------------------------
-
-
-def build_candidates(
-    snapshot: PredictionSnapshot,
-    seg: SegmentRef,
-    cavs: Sequence[int],
-    banned: frozenset[tuple[int, SegmentRef]],
-    excluded: frozenset[int],
-) -> list[LaneAction]:
-    """Unscored cross-lane moves of the CAVs `cavs` on `seg` admissible this step.
-
-    Scored switching exists to manage joint dedicated-lane usage, so the
-    evaluated move is always DL->GPL or GPL->DL; edges without a dedicated
-    lane have no candidates (the baselines' myopic hops are not limited this
-    way).
-    """
-    model = snapshot.model
-    if not model.edges[seg.edge].dl:
-        return []
-    target_lane = OTHER[seg.lane]
-    target = model.halves[seg.edge][target_lane][seg.m - 1]
-    direction = 1 if target_lane is RIGHT else -1
-    return [
-        LaneAction(vid, seg, direction, forced=False)
-        for vid in cavs
-        if vid not in excluded and (vid, target) not in banned
-    ]
-
-
-def pick_winner(scored: list[tuple[int, float]]) -> Optional[tuple[int, float]]:
-    """Argmax with ties resolved to the lowest vehicle id."""
-    best: Optional[tuple[int, float]] = None
-    for vid, u in scored:
-        if best is None or u > best[1] or (u == best[1] and vid < best[0]):
-            best = (vid, u)
-    return best
 
 
 def select_lane_changes(
     snapshot: PredictionSnapshot, params: ControlParams, warned: frozenset[SegmentRef]
 ) -> ControlDecision:
-    """Hard protection plus one positively scored winner per segment."""
+    """Hard protection plus one positively scored winner per segment.
+
+    Scored switching exists to manage joint dedicated-lane usage, so the
+    evaluated move is always DL->GPL or GPL->DL: edges without a dedicated
+    lane have no candidates (the baselines' myopic hops are not limited this
+    way). A candidate is a CAV on the segment that is neither forced off by
+    the protection nor banned from the target half. `u1` reads only the
+    segment and its target, so it is computed once per segment; the
+    candidates are scored in ascending id order and the first best score
+    is kept (a strict `>`), so a tie goes to the lowest id. Only the winner
+    becomes an action, and only when its score is positive.
+    """
     decision = protection_actions(snapshot, warned)
     forced_ids = frozenset(a.vehicle for a in decision.actions)
+    banned = decision.banned
     cavs_on: dict[SegmentRef, list[int]] = {}
-    halves = snapshot.model.halves
-    for vid, veh in snapshot.vehicles.items():  # id order
+    model = snapshot.model
+    edges = model.edges
+    halves = model.halves
+    vehicles = snapshot.vehicles
+    t = snapshot.t
+    horizon = params.change_horizon
+    for vid, veh in vehicles.items():  # id order
         if veh.vclass is CAV:
             cavs_on.setdefault(veh.segment, []).append(vid)
     for seg in sorted(cavs_on):
-        target = halves[seg.edge][OTHER[seg.lane]][seg.m - 1]
-        scored = {}
-        for cand in build_candidates(snapshot, seg, cavs_on[seg], decision.banned, forced_ids):
-            u, terms = utility(snapshot, params, cand.vehicle, seg, target)
-            scored[cand.vehicle] = replace(cand, utility=u, terms=terms)
-        winner = pick_winner([(vid, a.utility) for vid, a in scored.items()])
-        if winner is None:
+        if not edges[seg.edge].dl:
             continue
-        vid, u = winner
-        if u > 0:
-            decision.actions.append(scored[vid])
+        target_lane = OTHER[seg.lane]
+        target = halves[seg.edge][target_lane][seg.m - 1]
+        t1 = u1_time_benefit(snapshot, seg, target)
+        best: Optional[tuple[int, float, tuple[float, float, float]]] = None
+        for vid in cavs_on[seg]:
+            if vid in forced_ids or (vid, target) in banned:
+                continue
+            t2 = float(u2_turn_feasibility(snapshot, vid, target_lane))
+            t3 = u3_change_rate_penalty(vehicles[vid].lane_change_log, t, horizon, snapshot.dt)
+            u = weighted_score(params, t1, t2, t3)
+            if best is None or u > best[1]:
+                best = (vid, u, (t1, t2, t3))
+        if best is not None and best[1] > 0:
+            vid, u, terms = best
+            direction = 1 if target_lane is RIGHT else -1
+            decision.actions.append(
+                LaneAction(vid, seg, direction, forced=False, utility=u, terms=terms)
+            )
     return decision
 
 
@@ -271,18 +246,25 @@ def predicted_cost_view(snapshot: PredictionSnapshot) -> dict[int, float]:
 
     A segment without inflow takes `t0`, so only edges with inflow are
     priced; any other edge keeps its free-flow cost `2.0 * t0`, which is
-    `(0.0 + t0) + t0`.
+    `(0.0 + t0) + t0`. A CAV may use both lanes of every edge, so a priced
+    edge costs `(0.0 + min(L1, R1)) + min(L2, R2)` over its four segments'
+    times, read from `predicted_time` with the edge's `t0` as the default;
+    each `min` is written out as `a if a <= b else b`, which keeps the left
+    lane on a tie as `min` does.
     """
     model = snapshot.model
-    predicted = snapshot.predicted
+    predicted_time = snapshot.predicted_time
+    edges = model.edges
     halves = model.halves
     costs = routing.free_flow_costs(model)
-    for eid in {seg.edge for seg in snapshot.predicted_time}:
-        lanes = [halves[eid][l] for l in model.permitted_lanes(CAV, eid)]
-        total = 0.0
-        for m in (0, 1):
-            total += min(predicted(lane[m]) for lane in lanes)
-        costs[eid] = total
+    for eid in {seg.edge for seg in predicted_time}:
+        t0 = edges[eid].t0
+        (l1, l2), (r1, r2) = halves[eid]
+        a = predicted_time.get(l1, t0)
+        b = predicted_time.get(r1, t0)
+        c = predicted_time.get(l2, t0)
+        d = predicted_time.get(r2, t0)
+        costs[eid] = (0.0 + (a if a <= b else b)) + (c if c <= d else d)
     return costs
 
 

@@ -11,6 +11,7 @@ lane segment it has yet to traverse.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -111,7 +112,9 @@ def build_bus_windows(world: World, protection: ProtectionHorizon) -> Windows:
     ahead is `dist` at the current speed (floored) while the bus moves, and
     while it dwells the free-flow time over the spans left to it, summed
     span by span, plus the rest of the dwell; one full dwell is added for
-    every stop strictly before `dist`.
+    every stop strictly before `dist`. The stop distances are sorted once per
+    bus, so that count is `bisect_left(stops, dist)`: a stop exactly at an
+    entrance is not counted for it.
     """
     model = world.model
     t = world.t
@@ -145,6 +148,7 @@ def build_bus_windows(world: World, protection: ProtectionHorizon) -> Windows:
                     stops.append(stop.offset - pos)
             elif stop.edge in entrance:
                 stops.append(entrance[stop.edge] + stop.offset)
+        stops.sort()
         dwelling = veh.dwell_until is not None
         if dwelling:
             residual = max(0.0, veh.dwell_until - t)
@@ -169,7 +173,7 @@ def build_bus_windows(world: World, protection: ProtectionHorizon) -> Windows:
                 travel += residual
             else:
                 travel = dist / speed
-            tau = travel + veh.dwell * sum(1 for stop_dist in stops if stop_dist < dist)
+            tau = travel + veh.dwell * bisect_left(stops, dist)  # stops before dist
             windows.setdefault(ref, []).append((vid, t + max(0.0, tau - h), t + (tau + h)))
     return windows
 
@@ -211,7 +215,7 @@ class PredictionSnapshot:
     conflict: dict[SegmentRef, float]                 # veh/s into bus windows
     bus_time: dict[SegmentRef, float]                 # predicted bus traversal time
     walks: dict[int, Walk] = field(default_factory=dict)  # non-bus id -> projection
-    # entries within dt per segment, summed over the walks; zeros are kept
+    # entries within dt per segment, summed over the walks; no zero is kept
     cav_counts: dict[SegmentRef, int] = field(default_factory=dict)
     hdv_counts: dict[SegmentRef, int] = field(default_factory=dict)
     # DL segment -> (CAV id, stored entry time), ascending id
@@ -350,6 +354,17 @@ def _project(
     return key, route, soon, kept if is_cav else None
 
 
+def _take_off(counts: dict[SegmentRef, int], entries: list[SegmentRef]):
+    """Take one walk's entries within dt off carried counts; a count that
+    falls to zero is deleted, so every kept count is positive."""
+    for ref in entries:
+        n = counts[ref] - 1
+        if n:
+            counts[ref] = n
+        else:
+            del counts[ref]
+
+
 def build_snapshot(
     world: World,
     windows: Windows,
@@ -382,11 +397,14 @@ def build_snapshot(
     `hdv_counts`. Under the same `dt` the counts are carried from `previous`:
     a re-projected vehicle's old walk is taken off and its new one added, and
     the walk of a vehicle that left is taken off. The counts are integers, so
-    they equal a fresh sum; a zero is kept, and a reader treats it as no
-    entry. `inflow` is then read off in `all_segments()` order from the sum
-    of the two counts, a zero flow left out. `dl_index` lists each DL
-    segment's stored CAV entries in ascending id order, for the window
-    conflicts here and at every refresh until the next build.
+    they equal a fresh sum, and a count that falls to zero is deleted: the
+    keys are exactly the segments with an entry within `dt`. `inflow` and
+    `predicted_time` are read off those keys alone, from the sum of the two
+    counts, so no segment without inflow is priced; the keys are sorted,
+    which is `all_segments()` order (edges ascending, then L1 L2 R1 R2).
+    `dl_index` lists each DL segment's stored CAV entries in ascending id
+    order, for the window conflicts here and at every refresh until the next
+    build.
     """
     model = world.model
     t = world.t
@@ -410,8 +428,7 @@ def build_snapshot(
         if walk is None or walk[0] != key or walk[1] is not veh.route:
             counts = cav_counts if is_cav else hdv_counts
             if walk is not None:
-                for ref in walk[2]:
-                    counts[ref] -= 1
+                _take_off(counts, walk[2])
             walk = _project(model, veh, key, is_cav, dt)
             for ref in walk[2]:
                 counts[ref] = counts.get(ref, 0) + 1
@@ -423,17 +440,13 @@ def build_snapshot(
                     dl_index.setdefault(ref, []).append((vid, entry))
     for vid in reusable.keys() - walks.keys():  # left since the previous build
         walk = reusable[vid]
-        counts = cav_counts if walk[3] is not None else hdv_counts
-        for ref in walk[2]:
-            counts[ref] -= 1
+        _take_off(cav_counts if walk[3] is not None else hdv_counts, walk[2])
 
     inflow: dict[SegmentRef, float] = {}
     predicted_time: dict[SegmentRef, float] = {}
-    for seg in model.all_segments():
-        flow = (cav_counts.get(seg, 0) + hdv_counts.get(seg, 0)) / dt
-        if flow:
-            inflow[seg] = flow
-            predicted_time[seg] = bpr_time(model.t0(seg), flow, model.capacity(seg), bpr)
+    for seg in sorted(cav_counts.keys() | hdv_counts.keys()):  # all_segments() order
+        flow = inflow[seg] = (cav_counts.get(seg, 0) + hdv_counts.get(seg, 0)) / dt
+        predicted_time[seg] = bpr_time(model.t0(seg), flow, model.capacity(seg), bpr)
 
     overlap, conflict, bus_time = _window_conflicts(world, windows, dl_index, t, bpr, protection)
     return PredictionSnapshot(

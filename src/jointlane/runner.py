@@ -483,9 +483,9 @@ def write_prediction_log(result: RunResult, out_dir: str | Path) -> Path:
     them. A segment with no inflow and no bus window (`conflict` holds
     every windowed segment, even one without members) has no projected HDV
     entry either, since every entry counts toward inflow: its HDV cell is 0,
-    from a carried zero count or a missing one alike. Such a segment writes
-    the same cells at every step, so its line is the step's time and a tail
-    built once. Every cell is a number, a six-decimal float, an empty
+    from a missing count (`build_snapshot` keeps no zero). Such a segment
+    writes the same cells at every step, so its line is the step's time and
+    a tail built once. Every cell is a number, a six-decimal float, an empty
     cell or a lane tag, none of which `csv.writer` would quote, so a line is
     its cells joined by commas and ended by `\r\n`, as `csv.writer` writes it.
     """

@@ -1,6 +1,6 @@
 """Plain, full-walk forms of the plant's, the predictor's, the cost views',
-the lane hops', the reactive reroutes', the KPI sampler's and the two
-rendered logs' shortcuts.
+the lane hops', the utility selection's, the reactive reroutes', the KPI
+sampler's and the two rendered logs' shortcuts.
 
 The simulator's motion step reads each queue's segment row (speed table,
 lengths, neighbouring queues and packed-count slot), walks the queues in
@@ -8,17 +8,20 @@ their stored order, holds a front whose crossing found full queues without
 trying it again until one of them loses a vehicle and skips a fully packed
 queue behind such a front, its injection visits only the entry groups with
 room, its prediction walks read the continuation table, stop early and
-carry their entry counts from one build to the next, its window conflicts
-read the span's queues and a per-segment index of the stored entries, its
+carry their entry counts, zeros dropped, from one build to the next, its
+inflow is read off the counted segments alone, its window conflicts read
+the span's queues and a per-segment index of the stored entries, its
 edge-cost views price only the edges with traffic, the reactive one from
 the rows' travel-time tables, its myopic lane hops read the rows' speed
-tables, its reactive reroutes search once per (current edge, destination),
-its KPI sampler reads only the vehicles retired since the last sample,
-and its prediction and decision logs are rendered as CSV text (the
-prediction log from the snapshots' kept tables). Each of these rests on an
-exactness argument, given in `jointlane.engine`, `jointlane.prediction`,
-`jointlane.control`, `jointlane.metrics` and `jointlane.runner`. This module
-keeps the plain versions they replaced:
+tables, its utility selection scores each segment's candidates in one scan
+and builds an action for the winner alone, its reactive reroutes search
+once per (current edge, destination), its KPI sampler reads only the
+vehicles retired since the last sample, and its prediction and decision
+logs are rendered as CSV text (the prediction log from the snapshots' kept
+tables). Each of these rests on an exactness argument, given in
+`jointlane.engine`, `jointlane.prediction`, `jointlane.control`,
+`jointlane.metrics` and `jointlane.runner`. This module keeps the plain
+versions they replaced:
 
 * `segment_speed`, the speed-density expression evaluated on every call;
 * `step`, which evaluates it for every occupied queue, reads each queue's
@@ -33,8 +36,8 @@ keeps the plain versions they replaced:
   remaining route, asking `permitted_lanes` for the lane on each route edge
   (`projected_entries`), and sums the entries afresh on every call, ignoring
   the previous snapshot whose walks and entry counts the fast one carries
-  forward; its `hdv_counts`, which the plain prediction log reads, hold no
-  zero;
+  forward, and reads inflow off every segment in `all_segments()` order;
+  its `hdv_counts`, which the plain prediction log reads, hold no zero;
 * `_window_conflicts`, and `refresh_conflicts` on top of it, which scan every
   CAV, in id order, for each windowed segment, testing the CAV's own segment
   and its entries in `tau`, where the fast one takes the same-span members
@@ -45,6 +48,10 @@ keeps the plain versions they replaced:
 * `predicted_cost_view` and `instantaneous_cost_view`, which price every
   edge, the latter with `segment_speed`;
 * `myopic_lane_actions`, which compares the two lanes' `segment_speed`;
+* `select_lane_changes`, which builds every candidate's action
+  (`build_candidates`), scores each in full with `utility`, `u1` included,
+  stores the score on it with `replace` and picks the winner among all of
+  them with `pick_winner`;
 * `reactive_reroutes`, which searches a new route for every CAV, where the
   fast one searches once per (current edge, destination);
 * `sample_kpis`, which scans all of `world.retired` for the bus total and
@@ -57,20 +64,21 @@ keeps the plain versions they replaced:
   rather than as rendered text.
 
 `install_shadow` patches the simulator so that each prediction, cost-view,
-myopic lane hop, reactive reroute and KPI sample call made by the runner
-computes both the fast and the plain result, asserts that they are equal,
-and goes on with the fast one. At every build it also recomputes the entry
-counts and the DL index that the fast snapshot carries from its own walks
-and `tau` (`assert_carried_state`), so a count that drifts fails before it
-shows in `inflow`. Before every motion step it checks the plant's tables
-(`assert_plant_tables`; the immutable segment and continuation rows in full
-on a world's first step, `assert_segment_rows`) and invariants
-(`assert_plant_invariants`, with the motion step's walk list, wait verdicts
-and asleep queues), and every crossing the step tries either moves the
-vehicle or returns the plain `wait_slots` with nothing changed
-(`install_transfer_check`). `install_plain` patches every plain form in
-instead, so a whole run can be compared with a fast one report by report,
-the rendered logs included, byte for byte against `csv.writer`'s output.
+myopic lane hop, utility selection, reactive reroute and KPI sample call
+made by the runner computes both the fast and the plain result, asserts
+that they are equal, and goes on with the fast one. At every build it also
+recomputes the entry counts and the DL index that the fast snapshot carries
+from its own walks and `tau` (`assert_carried_state`), so a count that
+drifts, or a zero left behind, fails before it shows in `inflow`. Before
+every motion step it checks the plant's tables (`assert_plant_tables`; the
+immutable segment and continuation rows in full on a world's first step,
+`assert_segment_rows`) and invariants (`assert_plant_invariants`, with the
+motion step's walk list, wait verdicts and asleep queues), and every
+crossing the step tries either moves the vehicle or returns the plain
+`wait_slots` with nothing changed (`install_transfer_check`).
+`install_plain` patches every plain form in instead, so a whole run can be
+compared with a fast one report by report, the rendered logs included,
+byte for byte against `csv.writer`'s output.
 
 It also keeps the paper's per-query definitions, answered one (vehicle,
 segment) query at a time from the same projection as the simulator's
@@ -806,6 +814,77 @@ def instantaneous_cost_view(world: World) -> dict[int, float]:
 # -- control -------------------------------------------------------------------------
 
 
+def utility(
+    snapshot: PredictionSnapshot,
+    params: ControlParams,
+    vid: int,
+    seg: SegmentRef,
+    target: SegmentRef,
+) -> tuple[float, tuple[float, float, float]]:
+    """One candidate's weighted score and its three terms, `u1` included."""
+    t1 = control.u1_time_benefit(snapshot, seg, target)
+    t2 = float(control.u2_turn_feasibility(snapshot, vid, target.lane))
+    t3 = control.u3_change_rate_penalty(
+        snapshot.vehicles[vid].lane_change_log, snapshot.t, params.change_horizon, snapshot.dt
+    )
+    return control.weighted_score(params, t1, t2, t3), (t1, t2, t3)
+
+
+def build_candidates(
+    snapshot: PredictionSnapshot,
+    seg: SegmentRef,
+    cavs: Iterable[int],
+    banned: frozenset[tuple[int, SegmentRef]],
+    excluded: frozenset[int],
+) -> list[LaneAction]:
+    """Unscored cross-lane moves of the CAVs `cavs` on `seg` admissible this
+    step: none on an edge without a dedicated lane, and none for a CAV that
+    is excluded or banned from the target half."""
+    model = snapshot.model
+    if not model.edges[seg.edge].dl:
+        return []
+    target = SegmentRef(seg.edge, OTHER[seg.lane], seg.m)
+    direction = 1 if target.lane is Lane.RIGHT else -1
+    return [
+        LaneAction(vid, seg, direction, forced=False)
+        for vid in cavs
+        if vid not in excluded and (vid, target) not in banned
+    ]
+
+
+def pick_winner(scored: list[tuple[int, float]]) -> Optional[tuple[int, float]]:
+    """Argmax with ties resolved to the lowest vehicle id, in any order."""
+    best: Optional[tuple[int, float]] = None
+    for vid, u in scored:
+        if best is None or u > best[1] or (u == best[1] and vid < best[0]):
+            best = (vid, u)
+    return best
+
+
+def select_lane_changes(
+    snapshot: PredictionSnapshot, params: ControlParams, warned: frozenset[SegmentRef]
+) -> control.ControlDecision:
+    """Hard protection plus one positively scored winner per segment: every
+    candidate scored in full with `utility`, each an action with its score
+    (`replace`), and the winner picked from all of them by `pick_winner`."""
+    decision = control.protection_actions(snapshot, warned)
+    forced_ids = frozenset(a.vehicle for a in decision.actions)
+    cavs_on: dict[SegmentRef, list[int]] = {}
+    for vid, veh in snapshot.vehicles.items():
+        if veh.vclass is VehicleClass.CAV:
+            cavs_on.setdefault(veh.segment, []).append(vid)
+    for seg in sorted(cavs_on):
+        target = SegmentRef(seg.edge, OTHER[seg.lane], seg.m)
+        scored = {}
+        for cand in build_candidates(snapshot, seg, cavs_on[seg], decision.banned, forced_ids):
+            u, terms = utility(snapshot, params, cand.vehicle, seg, target)
+            scored[cand.vehicle] = replace(cand, utility=u, terms=terms)
+        winner = pick_winner([(vid, a.utility) for vid, a in scored.items()])
+        if winner is not None and winner[1] > 0:
+            decision.actions.append(scored[winner[0]])
+    return decision
+
+
 def myopic_lane_actions(
     world: World,
     snapshot: PredictionSnapshot,
@@ -938,7 +1017,7 @@ def assert_same_snapshot(fast: PredictionSnapshot, slow: PredictionSnapshot):
         (vid, list(kept.items())) for vid, kept in slow.tau.items()
     ]
     assert list(fast.inflow.items()) == list(slow.inflow.items())
-    assert {seg: n for seg, n in fast.hdv_counts.items() if n} == slow.hdv_counts
+    assert fast.hdv_counts == slow.hdv_counts
     assert list(fast.predicted_time.items()) == list(slow.predicted_time.items())
     assert_same_conflicts(fast, slow)
 
@@ -956,17 +1035,16 @@ def assert_same_kpis(fast: tuple, slow: tuple):
 def assert_carried_state(snapshot: PredictionSnapshot):
     """The counts a fast snapshot carries to the next build, and its DL
     index, equal a fresh sum and a fresh index over its own walks and `tau`:
-    per segment, the CAV and the HDV entries within `dt` (a carried zero is
-    no entry), and per DL segment the stored CAV entries in ascending id
-    order."""
+    per segment, the CAV and the HDV entries within `dt`, no zero kept, and
+    per DL segment the stored CAV entries in ascending id order."""
     cav: dict[SegmentRef, int] = {}
     hdv: dict[SegmentRef, int] = {}
     for walk in snapshot.walks.values():
         counts = cav if walk[3] is not None else hdv
         for ref in walk[2]:
             counts[ref] = counts.get(ref, 0) + 1
-    assert {seg: n for seg, n in snapshot.cav_counts.items() if n} == cav
-    assert {seg: n for seg, n in snapshot.hdv_counts.items() if n} == hdv
+    assert snapshot.cav_counts == cav
+    assert snapshot.hdv_counts == hdv
     index: dict[SegmentRef, list[tuple[int, float]]] = {}
     for vid in sorted(snapshot.tau):
         for seg, entry in snapshot.tau[vid].items():
@@ -984,11 +1062,11 @@ def reused_walks(snapshot: PredictionSnapshot, previous: Optional[PredictionSnap
 
 def install_shadow(monkeypatch) -> dict[str, int]:
     """Run the plain form beside every fast prediction, cost-view, myopic
-    lane hop, reactive reroute and KPI sample call the runner makes, check
-    each fast snapshot's carried counts and DL index against its own walks
-    (`assert_carried_state`), and check the plant's tables and invariants
-    before every motion step, the segment rows in full on each world's first
-    step.
+    lane hop, utility selection, reactive reroute and KPI sample call the
+    runner makes, check each fast snapshot's carried counts and DL index
+    against its own walks (`assert_carried_state`), and check the plant's
+    tables and invariants before every motion step, the segment rows in full
+    on each world's first step.
 
     Every crossing the motion step tries is checked against `wait_slots`
     (`install_transfer_check`).
@@ -1001,8 +1079,8 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     """
     calls = dict.fromkeys(
         ("bus_windows", "snapshot", "refresh", "predicted_costs", "instantaneous_costs",
-         "reactive_reroutes", "reroute_assignments", "myopic", "kpi_samples", "step",
-         "reused_walks"), 0
+         "reactive_reroutes", "reroute_assignments", "myopic", "select", "kpi_samples",
+         "step", "reused_walks"), 0
     )
     fast_step = runner.step
     fast_windows = prediction.build_bus_windows
@@ -1012,6 +1090,7 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     fast_instantaneous = control.instantaneous_cost_view
     fast_reroutes = control.reactive_reroutes
     fast_myopic = control.myopic_lane_actions
+    fast_select = control.select_lane_changes
     fast_kpis = metrics.sample_kpis
 
     def windows(world, protection):
@@ -1059,6 +1138,14 @@ def install_shadow(monkeypatch) -> dict[str, int]:
         calls["myopic"] += 1
         return out
 
+    def select(snapshot, params, warned):
+        out = fast_select(snapshot, params, warned)
+        # the whole decision: actions in order with their scores and terms,
+        # the bans and the warned set
+        assert out == select_lane_changes(snapshot, params, warned)
+        calls["select"] += 1
+        return out
+
     def kpis(world, t, travel_times):
         out = fast_kpis(world, t, travel_times)
         assert_same_kpis(out, sample_kpis(world, t))
@@ -1086,6 +1173,7 @@ def install_shadow(monkeypatch) -> dict[str, int]:
     monkeypatch.setattr(control, "instantaneous_cost_view", instantaneous)
     monkeypatch.setattr(control, "reactive_reroutes", reroutes)
     monkeypatch.setattr(control, "myopic_lane_actions", myopic)
+    monkeypatch.setattr(control, "select_lane_changes", select)
     monkeypatch.setattr(metrics, "sample_kpis", kpis)
     calls["crossings"] = install_transfer_check(monkeypatch)
     return calls
@@ -1125,6 +1213,7 @@ def install_plain(monkeypatch):
     monkeypatch.setattr(control, "instantaneous_cost_view", instantaneous_cost_view)
     monkeypatch.setattr(control, "reactive_reroutes", reactive_reroutes)
     monkeypatch.setattr(control, "myopic_lane_actions", myopic_lane_actions)
+    monkeypatch.setattr(control, "select_lane_changes", select_lane_changes)
     monkeypatch.setattr(runner, "simulate", simulate)
     monkeypatch.setattr(
         metrics, "sample_kpis", lambda world, t, travel_times: sample_kpis(world, t)

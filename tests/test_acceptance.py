@@ -9,13 +9,13 @@ import random
 
 import pytest
 
-from jointlane.control import pick_winner, bus_warning
+from jointlane.control import bus_warning
 from jointlane.network import Lane, SegmentRef, VehicleClass
 from jointlane.prediction import BprParams, bpr_time
 from jointlane.runner import simulate, write_run_reports
 from jointlane.scenario import CONTROL_KEYS
 from conftest import STANDARD_REPORTS, committed_digests, report_digests
-from slow_path import entry_indicator
+from slow_path import entry_indicator, pick_winner
 
 SEEDS = (1, 2, 3, 4, 5)
 STRATEGIES = ("drp", "prp", "proposed")

@@ -6,10 +6,8 @@ from jointlane.control import (
     ControlError,
     ControlParams,
     bus_warning,
-    build_candidates,
     instantaneous_cost_view,
     myopic_lane_actions,
-    pick_winner,
     predicted_cost_view,
     protection_actions,
     reactive_reroutes,
@@ -19,7 +17,6 @@ from jointlane.control import (
     u1_time_benefit,
     u2_turn_feasibility,
     u3_change_rate_penalty,
-    utility,
     warned_segments,
     weighted_score,
 )
@@ -119,9 +116,9 @@ def test_u3_rate_penalty():
 
 
 def test_pick_winner_argmax_and_ties():
-    assert pick_winner([]) is None
-    assert pick_winner([(3, 0.12), (1, 0.37)]) == (1, 0.37)
-    assert pick_winner([(5, 0.2), (2, 0.2)]) == (2, 0.2)  # lowest id wins ties
+    assert slow_path.pick_winner([]) is None
+    assert slow_path.pick_winner([(3, 0.12), (1, 0.37)]) == (1, 0.37)
+    assert slow_path.pick_winner([(5, 0.2), (2, 0.2)]) == (2, 0.2)  # lowest id wins ties
 
 
 def test_selection_matches_exhaustive_enumeration():
@@ -131,7 +128,7 @@ def test_selection_matches_exhaustive_enumeration():
         ids = rng.sample(range(100), n)
         values = [round(rng.uniform(-1, 1), 2) for _ in range(n)]
         scored = list(zip(ids, values))
-        got = pick_winner(scored)
+        got = slow_path.pick_winner(scored)
         if not scored:
             assert got is None
             continue
@@ -148,8 +145,8 @@ def test_selection_scale_invariance():
         n = rng.randrange(1, 11)
         scored = [(i, round(rng.uniform(-1, 1), 3)) for i in rng.sample(range(50), n)]
         c = rng.uniform(0.01, 100.0)
-        base = pick_winner(scored)
-        scaled = pick_winner([(i, u * c) for i, u in scored])
+        base = slow_path.pick_winner(scored)
+        scaled = slow_path.pick_winner([(i, u * c) for i, u in scored])
         assert scaled[0] == base[0]
         assert (scaled[1] > 0) == (base[1] > 0)
 
@@ -223,10 +220,14 @@ def test_candidates_exclude_hdv_banned_and_plain_edges():
     snap = snapshot_of(world)
     prot = protection_actions(snap, warned_segments(snap, PAR))
     seg_gpl = SegmentRef(0, Lane.LEFT, 1)
-    cands = build_candidates(snap, seg_gpl, cavs_on(snap, seg_gpl), prot.banned, frozenset())
+    cands = slow_path.build_candidates(
+        snap, seg_gpl, cavs_on(snap, seg_gpl), prot.banned, frozenset()
+    )
     assert [c.vehicle for c in cands] == []  # vehicle 3 is banned from entering
     # without the ban it would be a candidate
-    cands = build_candidates(snap, seg_gpl, cavs_on(snap, seg_gpl), frozenset(), frozenset())
+    cands = slow_path.build_candidates(
+        snap, seg_gpl, cavs_on(snap, seg_gpl), frozenset(), frozenset()
+    )
     assert [c.vehicle for c in cands] == [3]
     assert cands[0].direction == 1
     # HDVs are never candidates; plain edges have none at all
@@ -236,7 +237,9 @@ def test_candidates_exclude_hdv_banned_and_plain_edges():
     put_vehicle(w2, 1, VehicleClass.CAV, [0], lane=Lane.LEFT, m=1)
     snap2 = snapshot_of(w2)
     seg2 = SegmentRef(0, Lane.LEFT, 1)
-    assert build_candidates(snap2, seg2, cavs_on(snap2, seg2), frozenset(), frozenset()) == []
+    assert slow_path.build_candidates(
+        snap2, seg2, cavs_on(snap2, seg2), frozenset(), frozenset()
+    ) == []
 
 
 def test_candidate_set_size_three(dl_chain3):
@@ -246,7 +249,7 @@ def test_candidate_set_size_three(dl_chain3):
                     m=1, offset=off)
     snap = snapshot_of(world)
     seg = SegmentRef(0, Lane.RIGHT, 1)
-    cands = build_candidates(snap, seg, cavs_on(snap, seg), frozenset(), frozenset())
+    cands = slow_path.build_candidates(snap, seg, cavs_on(snap, seg), frozenset(), frozenset())
     assert len(cands) == 3
 
 
@@ -269,7 +272,7 @@ def test_select_lane_changes_winner_and_gate(dl_chain3):
     snap.predicted_time[target] = 26.0
     decision = select_lane_changes(snap, PAR, warned_segments(snap, PAR))
     assert [a for a in decision.actions if not a.forced] == []
-    assert all(utility(snap, PAR, vid, seg, target)[0] < 0 for vid in (0, 1))
+    assert all(slow_path.utility(snap, PAR, vid, seg, target)[0] < 0 for vid in (0, 1))
 
 
 def test_forced_exits_exempt_from_single_winner_cap():

@@ -291,6 +291,35 @@ def test_slow_bus_eta_floors_the_speed_and_counts_stops_strictly_before():
     }
 
 
+def test_stops_exactly_at_entrances_count_only_for_the_entrances_past_them():
+    # 200 m edges at 10 m/s. Stop 0 sits at edge 0's midpoint, the entrance
+    # of the downstream half the bus is heading for; stop 1 at the very end
+    # of edge 1, the entrance of edge 2. The stop plan lists the farther
+    # stop first, so the stop distances are not in walk order.
+    model = make_model(
+        [(0, 1, 2, 200.0, 10.0, True), (1, 2, 3, 200.0, 10.0, True),
+         (2, 3, 4, 200.0, 10.0, True)],
+        bus_stops=[BusStop(id=0, edge=1, offset=200.0), BusStop(id=1, edge=0, offset=100.0)],
+    )
+    world = make_world(model)
+    bus = put_vehicle(world, 0, VehicleClass.BUS, [0, 1, 2], lane=Lane.RIGHT, m=1,
+                      offset=50.0, speed=10.0, dwell=20.0,
+                      stop_plan=(StopVisit(0, 0.0), StopVisit(1, 100.0)))
+    # stop distances 350 (stop 0) and 50 (stop 1), each exactly at an entrance
+    expected = {
+        (0, 1): [(0, 0.0, 30.0)],       # held: tau = 0
+        (0, 2): [(0, 0.0, 35.0)],       # tau = 50 / 10, stop 1 not before it
+        (1, 1): [(0, 5.0, 65.0)],       # tau = 150 / 10 + 20
+        (1, 2): [(0, 15.0, 75.0)],      # tau = 250 / 10 + 20
+        (2, 1): [(0, 25.0, 85.0)],      # tau = 350 / 10 + 20, stop 0 not before it
+        (2, 2): [(0, 55.0, 115.0)],     # tau = 450 / 10 + 40
+    }
+    assert _windows_by_segment(world) == expected
+    plain = slow_path.build_bus_windows(world, ProtectionHorizon(30.0))
+    assert {(seg.edge, seg.m): spans for seg, spans in plain.items()} == expected
+    assert bus_eta(model, bus, SegmentRef(2, Lane.RIGHT, 1), now=0.0) == 55.0
+
+
 def test_overlap_closed_boundary(dl_chain3):
     world = make_world(dl_chain3)
     # bus entry predicted 400 m / 8 m/s = 50 s ahead: window [20, 80]
@@ -581,7 +610,9 @@ def test_build_after_retirements_and_a_reroute_carries_exact_counts(dl_chain3):
     windows = build_bus_windows(world, protection)
     first = build_snapshot(world, windows, PARAMS, protection, 15.0)
     assert first.hdv_counts[SegmentRef(1, Lane.LEFT, 1)] == 3
-    for vid in (2, 4):  # a CAV and an HDV, both with entries within dt
+    assert first.cav_counts[SegmentRef(1, Lane.LEFT, 1)] == 1  # CAV 7
+    # a CAV and an HDV, both with entries within dt, and CAV 7
+    for vid in (2, 4, 7):
         veh = world.vehicles[vid]
         _retire(world, veh, veh.segment)
     rerouted = world.vehicles[6]
@@ -589,8 +620,11 @@ def test_build_after_retirements_and_a_reroute_carries_exact_counts(dl_chain3):
     snap = build_snapshot(world, windows, PARAMS, protection, 15.0, previous=first)
     assert snap.walks[1] is first.walks[1] and snap.walks[6] is not first.walks[6]
     assert snap.hdv_counts[SegmentRef(1, Lane.LEFT, 1)] == 1
+    assert SegmentRef(1, Lane.LEFT, 1) not in snap.cav_counts  # fell to zero
     _assert_plain_build(world, snap, windows, protection, 15.0)
     fresh = build_snapshot(world, windows, PARAMS, protection, 15.0)
     assert list(snap.inflow.items()) == list(fresh.inflow.items())
-    # a carried count may fall to zero, which is no entry
-    assert {seg: n for seg, n in snap.hdv_counts.items() if n} == fresh.hdv_counts
+    # a carried count that falls to zero is dropped, so the carried counts
+    # are the fresh ones
+    assert snap.hdv_counts == fresh.hdv_counts
+    assert snap.cav_counts == fresh.cav_counts

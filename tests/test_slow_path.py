@@ -1,6 +1,7 @@
-"""The fast plant, prediction walk, window conflicts, cost views, reactive
-reroutes, KPI sampler and rendered prediction and decision logs against the
-plain forms in `slow_path`, on whole runs and on random hand-placed worlds."""
+"""The fast plant, prediction walk, window conflicts, cost views, utility
+selection, reactive reroutes, KPI sampler and rendered prediction and
+decision logs against the plain forms in `slow_path`, on whole runs and on
+random hand-placed worlds."""
 
 import random
 
@@ -41,6 +42,8 @@ def _assert_checked(calls, strategy):
         assert calls["reactive_reroutes"] and calls["reroute_assignments"]
     if strategy != "proposed":
         assert calls["myopic"]
+    else:
+        assert calls["select"]
     assert calls["reused_walks"] > 0
     assert calls["crossings"][True] and calls["crossings"][tuple]
 

@@ -28,6 +28,15 @@ command, and then the benchmark's own reference outputs:
     python tools/report_digests.py > tools/report_digests.sha256
     python3 benchmark/refresh_reference.py
 
+``--kpis`` prints the paper's KPIs instead, one row per run of the gate
+(one per value for the sweep), read from the ``summary.csv`` each run
+writes: the mean on-time rate over the stops, the CAV, HDV and bus mean
+travel times over finished trips, the lane changes by reason, the arrivals
+left unserved and the vehicles still active at the cutoff. Diff the table of
+two checkouts to compare their readings of the paper's claims:
+
+    python tools/report_digests.py --kpis
+
 ``--src`` names the ``src`` directory whose ``jointlane`` package runs
 (default: the one beside this script). Runs go one at a time, each as a
 ``python -m jointlane.cli`` subprocess, into a temporary directory that is
@@ -37,6 +46,7 @@ removed afterwards. Standard library only.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import os
 import subprocess
@@ -94,22 +104,86 @@ def run_digests(src: Path, name: str, out: Path) -> dict[str, str]:
     return {f"{name}/{path}": digest for path, digest in hash_reports(out).items()}
 
 
+#: KPI table heading -> the ``summary.csv`` column of a mean or a rate
+KPI_MEANS = {
+    "on_time_pct": "mean_on_time_pct",
+    "cav_mean_s": "avg_travel_time_cav",
+    "hdv_mean_s": "avg_travel_time_hdv",
+    "bus_mean_s": "avg_travel_time_bus",
+}
+#: KPI table heading -> the ``summary.csv`` columns of the counts it sums
+KPI_COUNTS = {
+    **{f"lc_{reason}": (f"lane_changes_{reason}",)
+       for reason in ("utility", "myopic", "protect", "align")},
+    "unserved": ("unserved",),
+    "active_end": ("active_end_cav", "active_end_hdv", "active_end_bus"),
+}
+
+
+def kpi_rows(name: str, out: Path) -> list[list[str]]:
+    """The KPI rows of gate run `name`, from the ``summary.csv`` it wrote
+    into `out`: the run's name, each ``KPI_MEANS`` cell rounded to two
+    decimals (empty where no trip finished or no stop was served), then each
+    ``KPI_COUNTS`` sum. A sweep's combined summary gives one row per value,
+    named with it."""
+    with open(out / "summary.csv", newline="", encoding="utf-8") as f:
+        summaries = list(csv.DictReader(f))
+    rows = []
+    for summary in summaries:
+        label = name
+        if "sweep_key" in summary:
+            label += f" {summary['sweep_key']}={float(summary['sweep_value']):g}"
+        means = (summary[column] for column in KPI_MEANS.values())
+        counts = (sum(int(summary[c]) for c in columns) for columns in KPI_COUNTS.values())
+        rows.append([
+            label,
+            *(f"{float(cell):.2f}" if cell else "" for cell in means),
+            *(str(n) for n in counts),
+        ])
+    return rows
+
+
+def format_kpis(rows: list[list[str]]) -> str:
+    """The KPI rows as a table with a heading line, each column as wide as
+    its widest cell, the run names left-aligned and the figures right."""
+    table = [["run", *KPI_MEANS, *KPI_COUNTS], *rows]
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    return "\n".join(
+        "  ".join(
+            cell.ljust(width) if i == 0 else cell.rjust(width)
+            for i, (cell, width) in enumerate(zip(row, widths))
+        ).rstrip()
+        for row in table
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
         help="src directory holding the jointlane package to run",
     )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--check", action="store_true",
         help=f"compare with {COMMITTED.name} and exit 1 if any report differs",
+    )
+    mode.add_argument(
+        "--kpis", action="store_true",
+        help="print the paper's KPIs, one row per gate run, instead of the digests",
     )
     args = parser.parse_args(argv)
     src = args.src.resolve()
     digests: dict[str, str] = {}
+    kpis: list[list[str]] = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in GATE_RUNS:
-            digests |= run_digests(src, name, Path(tmp) / name)
+            out = Path(tmp) / name
+            digests |= run_digests(src, name, out)
+            kpis += kpi_rows(name, out)
+    if args.kpis:
+        print(format_kpis(kpis))
+        return 0
     if args.check:
         return check(digests, COMMITTED)
     for path, digest in sorted(digests.items()):
