@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import routing
-from .engine import EntryChooser, SegmentRow, VehicleState, World
+from .engine import EntryChooser, VehicleState, World
 from .network import CAV, LEFT, OTHER, RIGHT, Lane, SegmentRef
 from .prediction import PredictionSnapshot, bpr_time, in_window
 
@@ -272,9 +272,10 @@ def instantaneous_cost_view(world: World) -> dict[int, float]:
     """Edge costs from current segment speeds (reactive view).
 
     Each segment takes `seg_length / segment_speed(seg)`, read from its row's
-    `times` table at its occupancy, and an edge costs the faster lane of its
-    upstream halves plus the faster lane of its downstream halves, summed as
-    `predicted_cost_view` sums them (a CAV may use both lanes). The rows come
+    `times` table at its occupancy, which the table covers (`SegmentRow`),
+    and an edge costs the faster lane of its upstream halves plus the faster
+    lane of its downstream halves, summed and with each `min` written out as
+    `predicted_cost_view` does (a CAV may use both lanes). The rows come
     four per edge, L1 L2 R1 R2. An empty segment runs at `ffs * 1.0` and
     takes `t0`, so an edge with four empty queues keeps its free-flow cost.
     """
@@ -282,14 +283,12 @@ def instantaneous_cost_view(world: World) -> dict[int, float]:
     rows = iter(world.rows.values())
     for l1, l2, r1, r2 in zip(rows, rows, rows, rows):
         if l1.queue or l2.queue or r1.queue or r2.queue:
-            costs[l1.key.edge] = (0.0 + min(_time(l1), _time(r1))) + min(_time(l2), _time(r2))
+            a = l1.times[len(l1.queue)]
+            b = r1.times[len(r1.queue)]
+            c = l2.times[len(l2.queue)]
+            d = r2.times[len(r2.queue)]
+            costs[l1.key.edge] = (0.0 + (a if a <= b else b)) + (c if c <= d else d)
     return costs
-
-
-def _time(row: SegmentRow) -> float:
-    """The segment's travel time at its current occupancy, from its row's
-    table, which covers every occupancy a queue can hold (`SegmentRow`)."""
-    return row.times[len(row.queue)]
 
 
 def rerouting_escalation(

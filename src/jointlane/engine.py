@@ -21,8 +21,8 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from . import stream
 from .network import SPEED_FLOOR  # noqa: F401  (re-exported with the plant's other names)
 from .network import (
-    BUS, CAV, CLASS_NAME, LEFT, OTHER, RIGHT, TAG, Edge, Lane, NetworkModel, SegmentRef,
-    VehicleClass,
+    BUS, CAV, CLASS_NAME, LEFT, OTHER, RIGHT, TAG, Edge, Lane, NetworkError, NetworkModel,
+    SegmentRef, VehicleClass,
 )
 
 
@@ -437,7 +437,17 @@ def execute_lane_change(
 def assign_route(world: World, veh: VehicleState, route: list[int]):
     """Give active vehicle `veh` a new route, which keeps the edges it has
     traversed. A wait verdict of its row ends, as it was read from the route
-    of the row's front."""
+    of the row's front. Raises for a route the vehicle's class cannot drive:
+    an edge with no lane open to the class, or two consecutive edges that no
+    turn of the class links."""
+    model = world.model
+    for i, eid in enumerate(route):
+        try:
+            model.permitted_lanes(veh.vclass, eid)
+        except NetworkError as exc:
+            raise EngineError(f"vehicle {veh.id}: {exc}") from None
+        if i and eid not in model.next_edges(route[i - 1], veh.vclass):
+            raise EngineError(f"vehicle {veh.id}: no turn links edge {route[i - 1]} to {eid}")
     veh.route = route
     slot = world.rows[veh.segment].slot
     if slot in world.verdicts:

@@ -7,8 +7,10 @@ actual)` tuple; its delay is `actual - scheduled`.
 from __future__ import annotations
 
 import csv
+import io
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .engine import VehicleState, World
 from .network import BUS, CAV, HDV, VehicleClass
@@ -85,13 +87,37 @@ def float_cell(x: Optional[float]) -> str:
     return "" if x is None else f"{x:.6f}"
 
 
+#: most rendered lines joined into one chunk of text for `write_csv`
+CHUNK_LINES = 4096
+
+
+class TextCells(dict):
+    """Free text -> the cell `csv.writer` writes for it, quoted where needed;
+    each distinct text is rendered by `csv.writer` itself, on first use."""
+
+    def __missing__(self, text) -> str:
+        line = io.StringIO()
+        csv.writer(line).writerow(("", text))  # "," + cell + "\r\n"
+        cell = self[text] = line.getvalue()[1:-2]
+        return cell
+
+
+def chunked(lines: Iterable[str]) -> Iterator[str]:
+    """Rendered CSV lines joined into chunks of at most `CHUNK_LINES`, so a
+    log goes to `write_csv` in a few writes without being held whole."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, CHUNK_LINES)):
+        yield chunk
+
+
 def write_csv(path: Path, header: list[str], rows: Iterable[Iterable | str]):
     """Write `header` and then `rows` to `path`, every report's one writer.
 
     An item of `rows` that is a `str` is CSV text of one or more whole lines,
     each ending in `\r\n`, and is written as it is; the caller renders it
     only from cells that `csv.writer` would write bare (no `,`, `"`, `\r` or
-    `\n`). Any other item is a row of cells written through `csv.writer`.
+    `\n`) and from `TextCells`. Any other item is a row of cells written
+    through `csv.writer`.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

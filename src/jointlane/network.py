@@ -182,10 +182,12 @@ class NetworkModel:
                 )
             if not (0 < s.offset <= edge.length):
                 raise NetworkError(f"bus stop {s.id}: offset outside (0, length]")
-        # node -> outgoing edge ids, sorted for determinism
+        # node -> outgoing edge ids, sorted for determinism, and incoming ones
         self._out: dict[int, tuple[int, ...]] = {n: () for n in self.nodes}
+        self._in: dict[int, frozenset[int]] = {n: frozenset() for n in self.nodes}
         for e in self.edges.values():
             self._out[e.frm] = self._out[e.frm] + (e.id,)
+            self._in[e.to] = self._in[e.to] | {e.id}
         # segment refs per edge, indexed [lane][m - 1]
         self.halves: dict[int, tuple[tuple[SegmentRef, SegmentRef], ...]] = {
             eid: tuple((SegmentRef(eid, lane, 1), SegmentRef(eid, lane, 2)) for lane in Lane)
@@ -202,13 +204,13 @@ class NetworkModel:
             self._lanes[HDV, eid] = (LEFT,) if e.dl else both
             if e.dl:
                 self._lanes[BUS, eid] = (RIGHT,)
-        # successor edges per (class, edge), ascending: linked through some
+        # successor edges per class and edge, ascending: linked through some
         # lane the class may use on the upstream edge
-        self._next: dict[tuple[VehicleClass, int], tuple[int, ...]] = {}
+        self._next: dict[VehicleClass, dict[int, tuple[int, ...]]] = {c: {} for c in VehicleClass}
         for (src, dst), lanes in sorted(self.connections.items()):
-            for vclass in VehicleClass:
+            for vclass, successors in self._next.items():
                 if any(l in lanes for l in self._lanes.get((vclass, src), ())):
-                    self._next[vclass, src] = self._next.get((vclass, src), ()) + (dst,)
+                    successors[src] = successors.get(src, ()) + (dst,)
         # entry lanes per (class, edge, onward edge), filled by entry_lanes
         self._entry: dict[tuple[VehicleClass, int, Optional[int]], tuple[Lane, ...]] = {}
         # continuation rows per (class, lane), filled by continuation
@@ -222,6 +224,12 @@ class NetworkModel:
             m = self.segment_of(s.edge, RIGHT, s.offset).m
             half = 0.0 if m == 1 else self.edges[s.edge].seg_length
             self.stop_places[s.id] = (s.edge, m, s.offset - half)
+
+    @cached_property
+    def free_flow(self) -> dict[int, float]:
+        """Per-edge free-flow traversal times (two segments each), built on
+        first use; the edges are frozen. `routing.free_flow_costs` copies it."""
+        return {eid: 2.0 * e.t0 for eid, e in self.edges.items()}
 
     # -- structural equality (used by load idempotency checks) ----------------
 
@@ -242,7 +250,7 @@ class NetworkModel:
 
     def next_edges(self, edge_id: int, vclass: VehicleClass) -> tuple[int, ...]:
         """Successor edges the class can turn into, ascending; empty when none."""
-        return self._next.get((vclass, edge_id), ())
+        return self._next[vclass].get(edge_id, ())
 
     def connects(self, from_edge: int, lane: Lane, to_edge: int) -> bool:
         lanes = self.connections.get((from_edge, to_edge))

@@ -19,8 +19,9 @@ class RoutingError(ValueError):
 
 
 def free_flow_costs(model: NetworkModel) -> dict[int, float]:
-    """Per-edge free-flow traversal times (two segments each)."""
-    return {eid: 2.0 * e.t0 for eid, e in model.edges.items()}
+    """Per-edge free-flow traversal times (two segments each), a fresh copy
+    the caller may edit."""
+    return model.free_flow.copy()
 
 
 def shortest_path(
@@ -40,7 +41,8 @@ def shortest_path(
     Every cost must be non-negative. Labels then pop in nondecreasing
     (cost, path) order, so an edge's first label to pop is its best and the
     edge is settled: every later label of it, and every extension into it,
-    is dominated.
+    is dominated. The expansions read the class's successor table and the
+    goal test the destination's in-edge set, both built with the model.
     """
     if origin == destination and prev_edge is None:
         raise RoutingError("origin and destination must differ")
@@ -49,22 +51,25 @@ def shortest_path(
     else:
         starts = [e for e in model.next_edges(prev_edge, vclass) if e not in forbidden]
     heap: list[tuple[float, tuple[int, ...], int]] = []
+    push, pop = heapq.heappush, heapq.heappop
     for e in sorted(starts):
         cost = costs[e]
         if cost < 0:
             raise RoutingError(f"negative cost on edge {e}")
-        heapq.heappush(heap, (cost, (e,), e))
+        push(heap, (cost, (e,), e))
+    successors = model._next[vclass]
+    goal = model._in.get(destination, ())
     settled: set[int] = set()
     while heap:
-        cost, path, edge = heapq.heappop(heap)
+        cost, path, edge = pop(heap)
         if edge in settled:
             continue
         settled.add(edge)
-        if model.edges[edge].to == destination:
+        if edge in goal:
             return list(path)
-        for nxt in model.next_edges(edge, vclass):
+        for nxt in successors.get(edge, ()):
             if nxt not in forbidden and nxt not in settled:
-                heapq.heappush(heap, (cost + costs[nxt], path + (nxt,), nxt))
+                push(heap, (cost + costs[nxt], path + (nxt,), nxt))
     return None
 
 

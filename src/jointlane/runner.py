@@ -383,11 +383,15 @@ def write_run_reports(result: RunResult, out_dir: str | Path) -> list[Path]:
 
     Each row is read from the World's records (`retired`, `stop_arrivals`,
     `lane_changes`, `events`) or from the run's KPI `series` and summary.
-    The rows go through `csv.writer`: an event's `detail` cell is text
-    chosen by the callers of `execute_lane_change`, so it may need quoting.
+    The lane changes and events are rendered here as CSV text: their cells
+    are numbers, six-decimal floats, lane tags and fixed words, which
+    `csv.writer` writes bare, and free text (a lane change's `reason`, an
+    event's `detail`), which each log renders through its own `TextCells`.
     """
     world = result.world
     fc = mt.float_cell
+    reasons = mt.TextCells()
+    details = mt.TextCells()
 
     def arrival_rows():
         for vehicle, line, trip, stop, scheduled, actual in mt.collect_bus_arrivals(world):
@@ -422,7 +426,10 @@ def write_run_reports(result: RunResult, out_dir: str | Path) -> list[Path]:
         mt.write_table(
             out_dir, "lane_changes.csv",
             ["t", "vehicle", "edge", "m", "lane_from", "lane_to", "reason"],
-            ([fc(e[0]), *e[1:]] for e in world.lane_changes),
+            mt.chunked(
+                f"{t:.6f},{vid},{edge},{m},{lane_from},{lane_to},{reasons[reason]}\r\n"
+                for t, vid, edge, m, lane_from, lane_to, reason in world.lane_changes
+            ),
         ),
         write_summaries([result.summary], out_dir),
     ]
@@ -430,7 +437,11 @@ def write_run_reports(result: RunResult, out_dir: str | Path) -> list[Path]:
         written.append(mt.write_table(
             out_dir, "events.csv",
             ["t", "event", "vehicle", "class", "edge", "lane", "m", "offset", "detail"],
-            ([f"{e[0]:.6f}", *e[1:7], f"{e[7]:.6f}", e[8]] for e in world.events),
+            mt.chunked(
+                f"{t:.6f},{kind},{vid},{vclass},{edge},{lane},{m},{offset:.6f},"
+                f"{details[detail]}\r\n"
+                for t, kind, vid, vclass, edge, lane, m, offset, detail in world.events
+            ),
         ))
     return written
 
@@ -464,7 +475,7 @@ def write_decision_log(result: RunResult, out_dir: str | Path) -> Path:
         out_dir, "decisions.csv",
         ["t", "vehicle", "edge", "lane", "m", "action", "forced",
          "utility", "u1", "u2", "u3", "executed"],
-        (
+        mt.chunked(
             f"{r[0]:.6f},{r[1]},{r[2]},{r[3]},{r[4]},{r[5]},{r[6]},"
             f"{fc(r[7])},{fc(r[8])},{fc(r[9])},{fc(r[10])},{r[11]}\r\n"
             for r in result.decision_rows
@@ -484,34 +495,36 @@ def write_prediction_log(result: RunResult, out_dir: str | Path) -> Path:
     every windowed segment, even one without members) has no projected HDV
     entry either, since every entry counts toward inflow: its HDV cell is 0,
     from a missing count (`build_snapshot` keeps no zero). Such a segment
-    writes the same cells at every step, so its line is the step's time and
-    a tail built once. Every cell is a number, a six-decimal float, an empty
-    cell or a lane tag, none of which `csv.writer` would quote, so a line is
-    its cells joined by commas and ended by `\r\n`, as `csv.writer` writes it.
+    writes the same cells at every step, so a step copies the list of these
+    quiet tails, built once, overwrites the slots of the segments in
+    `inflow` or `conflict`, and puts the step's time before every tail.
+    Every cell is a number, a six-decimal float, an empty cell or a lane
+    tag, none of which `csv.writer` would quote, so a line is its cells
+    joined by commas and ended by `\r\n`, as `csv.writer` writes it.
     """
     model = result.world.model
-    segments = []
-    for seg in model.all_segments():
+    segments: dict[SegmentRef, tuple[int, str, str]] = {}  # slot, leading cells, t0 cell
+    quiet: list[str] = []
+    for slot, seg in enumerate(model.all_segments()):
         cells = f",{seg.edge},{TAG[seg.lane]},{seg.m},"
         free = f"{model.t0(seg):.6f}"
-        segments.append((seg, cells, free, f"{cells}0.000000,0,{free},,\r\n"))
+        segments[seg] = (slot, cells, free)
+        quiet.append(f"{cells}0.000000,0,{free},,\r\n")
     fc = mt.float_cell
 
     def chunks():
         for t, inflow, hdv_counts, predicted_time, conflict, bus_time in result.prediction_steps:
             when = f"{t:.6f}"
-            lines = []
-            for seg, cells, free, quiet in segments:
-                if seg in inflow or seg in conflict:
-                    predicted = predicted_time.get(seg)
-                    lines.append(
-                        f"{when}{cells}{inflow.get(seg, 0.0):.6f},{hdv_counts.get(seg, 0)},"
-                        f"{free if predicted is None else f'{predicted:.6f}'},"
-                        f"{fc(conflict.get(seg))},{fc(bus_time.get(seg))}\r\n"
-                    )
-                else:
-                    lines.append(when + quiet)
-            yield "".join(lines)
+            tails = quiet.copy()
+            for seg in inflow.keys() | conflict.keys():
+                slot, cells, free = segments[seg]
+                predicted = predicted_time.get(seg)
+                tails[slot] = (
+                    f"{cells}{inflow.get(seg, 0.0):.6f},{hdv_counts.get(seg, 0)},"
+                    f"{free if predicted is None else f'{predicted:.6f}'},"
+                    f"{fc(conflict.get(seg))},{fc(bus_time.get(seg))}\r\n"
+                )
+            yield when + when.join(tails)
 
     return mt.write_table(
         out_dir, "predictions.csv",

@@ -16,12 +16,12 @@ the rows' travel-time tables, its myopic lane hops read the rows' speed
 tables, its utility selection scores each segment's candidates in one scan
 and builds an action for the winner alone, its reactive reroutes search
 once per (current edge, destination), its KPI sampler reads only the
-vehicles retired since the last sample, and its prediction and decision
-logs are rendered as CSV text (the prediction log from the snapshots' kept
-tables). Each of these rests on an exactness argument, given in
-`jointlane.engine`, `jointlane.prediction`, `jointlane.control`,
-`jointlane.metrics` and `jointlane.runner`. This module keeps the plain
-versions they replaced:
+vehicles retired since the last sample, and its prediction, decision,
+lane-change and event logs are rendered as CSV text (the prediction log
+from the snapshots' kept tables, free text through `metrics.TextCells`).
+Each of these rests on an exactness argument, given in `jointlane.engine`,
+`jointlane.prediction`, `jointlane.control`, `jointlane.metrics` and
+`jointlane.runner`. This module keeps the plain versions they replaced:
 
 * `segment_speed`, the speed-density expression evaluated on every call;
 * `step`, which evaluates it for every occupied queue, reads each queue's
@@ -61,7 +61,8 @@ versions they replaced:
   snapshot's own tables until write time, and `write_prediction_log`, which
   writes those rows through `csv.writer`;
 * `write_decision_log`, which writes the decision rows through `csv.writer`
-  rather than as rendered text.
+  rather than as rendered text, and `write_world_logs`, which writes the
+  World's lane changes and events through it.
 
 `install_shadow` patches the simulator so that each prediction, cost-view,
 myopic lane hop, utility selection, reactive reroute and KPI sample call
@@ -996,6 +997,22 @@ def write_decision_log(result, out_dir):
     )
 
 
+def write_world_logs(world: World, out_dir):
+    """`lane_changes.csv` and, when the log was enabled, `events.csv`, from
+    the World's records through `csv.writer`."""
+    metrics.write_table(
+        out_dir, "lane_changes.csv",
+        ["t", "vehicle", "edge", "m", "lane_from", "lane_to", "reason"],
+        ([f"{e[0]:.6f}", *e[1:]] for e in world.lane_changes),
+    )
+    if world.events is not None:
+        metrics.write_table(
+            out_dir, "events.csv",
+            ["t", "event", "vehicle", "class", "edge", "lane", "m", "offset", "detail"],
+            ([f"{e[0]:.6f}", *e[1:7], f"{e[7]:.6f}", e[8]] for e in world.events),
+        )
+
+
 # -- fast against plain -------------------------------------------------------------
 
 
@@ -1186,9 +1203,16 @@ def install_plain(monkeypatch):
     which runs at each control step with that step's snapshot, into the
     result's `prediction_rows`, and `runner.write_prediction_log` writes
     those rows through `csv.writer`, as `runner.write_decision_log` writes
-    the decision rows.
+    the decision rows and `runner.write_run_reports` the lane changes and
+    events (`write_world_logs`, over the fast writer's rendered ones).
     """
     fast_simulate = runner.simulate
+    fast_reports = runner.write_run_reports
+
+    def write_run_reports(result, out_dir):
+        written = fast_reports(result, out_dir)
+        write_world_logs(result.world, out_dir)
+        return written
 
     def simulate(*args, log_predictions=False, observer=None, **kwargs):
         rows: list[tuple] = []
@@ -1220,3 +1244,4 @@ def install_plain(monkeypatch):
     )
     monkeypatch.setattr(runner, "write_prediction_log", write_prediction_log)
     monkeypatch.setattr(runner, "write_decision_log", write_decision_log)
+    monkeypatch.setattr(runner, "write_run_reports", write_run_reports)

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jointlane import control
 from jointlane.control import (
     ControlError,
     ControlParams,
@@ -23,6 +25,7 @@ from jointlane.control import (
 from jointlane.engine import VehicleState
 from jointlane.network import Lane, SegmentRef, VehicleClass
 from jointlane.prediction import BprParams, ProtectionHorizon, build_bus_windows, build_snapshot
+from jointlane.runner import simulate
 
 import slow_path
 from conftest import make_model, make_world, put_vehicle
@@ -273,6 +276,32 @@ def test_select_lane_changes_winner_and_gate(dl_chain3):
     decision = select_lane_changes(snap, PAR, warned_segments(snap, PAR))
     assert [a for a in decision.actions if not a.forced] == []
     assert all(slow_path.utility(snap, PAR, vid, seg, target)[0] < 0 for vid in (0, 1))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(1, 10_000),
+    weights=st.tuples(*(st.floats(0.0, 1.0) for _ in range(3))),
+)
+def test_one_scan_winner_matches_the_plain_selection_on_random_runs(desk_small, seed, weights):
+    # every control step of a short proposed run: the one-scan selection
+    # against the plain one that scores, stores and picks among all
+    # candidates, on the same snapshot before the decision is applied
+    fast = control.select_lane_changes
+    checked = []
+
+    def select(snapshot, params, warned):
+        out = fast(snapshot, params, warned)
+        assert out == slow_path.select_lane_changes(snapshot, params, warned)
+        checked.append(out)
+        return out
+
+    w1, w2, w3 = weights
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(control, "select_lane_changes", select)
+        simulate(desk_small, "proposed", seed, horizon=120.0,
+                 overrides={"w1": w1, "w2": w2, "w3": w3})
+    assert checked
 
 
 def test_forced_exits_exempt_from_single_winner_cap():

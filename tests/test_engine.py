@@ -1131,3 +1131,21 @@ def test_route_replacement_and_lane_change_end_the_verdict(how):
     assert 22 in {v.id for v in world.retired}
     for _ in range(15):
         _step_against_plain(world, twin)
+
+
+def test_assign_route_rejects_a_route_the_class_cannot_drive(desk_small):
+    # on desk_small the bus turn 10 -> 27 is open through the right lane,
+    # but edge 27 has no dedicated lane, so no lane of it is open to a bus
+    model = desk_small.model
+    assert 27 in model.next_edges(10, VehicleClass.BUS) and not model.edges[27].dl
+    world = make_world(model)
+    bus = put_vehicle(world, 0, VehicleClass.BUS, [10, 11, 12], lane=Lane.RIGHT)
+    cav = put_vehicle(world, 1, VehicleClass.CAV, [10, 11, 12])
+    with pytest.raises(EngineError, match=r"vehicle 0: edge 27: no lane open to class bus"):
+        assign_route(world, bus, [10, 27, 6])
+    # edge 12 starts where edge 11 ends, not where edge 10 does
+    with pytest.raises(EngineError, match=r"vehicle 1: no turn links edge 10 to 12"):
+        assign_route(world, cav, [10, 12])
+    assert bus.route == cav.route == [10, 11, 12]
+    assign_route(world, cav, [10, 27, 6])
+    assert cav.route == [10, 27, 6]

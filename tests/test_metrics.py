@@ -145,10 +145,12 @@ def test_write_csv_writes_text_as_is_and_rows_through_csv_writer(tmp_path):
 
 
 def test_rendered_logs_need_no_quoting(desk_small, tmp_path):
-    result = simulate(desk_small, strategy="drp", seed=1, horizon=300.0, log_predictions=True)
+    result = simulate(desk_small, strategy="drp", seed=1, horizon=300.0, log_events=True,
+                      log_predictions=True)
+    write_run_reports(result, tmp_path)
     write_decision_log(result, tmp_path)
     write_prediction_log(result, tmp_path)
-    for name in ("predictions.csv", "decisions.csv"):
+    for name in ("predictions.csv", "decisions.csv", "events.csv", "lane_changes.csv"):
         written = (tmp_path / name).read_bytes()
         with open(tmp_path / name, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -156,6 +158,27 @@ def test_rendered_logs_need_no_quoting(desk_small, tmp_path):
         again = io.StringIO(newline="")
         csv.writer(again).writerows(rows)
         assert again.getvalue().encode("utf-8") == written, name
+
+
+def test_free_text_reasons_are_quoted_as_csv_writer_quotes_them(tmp_path):
+    world = make_world(make_model([(0, 1, 2, 400.0, 10.0, False)]))
+    world.events = []
+    reasons = ("a,b", 'say "hi"', "x\ny", "a,b", "plain")
+    for vid, reason in enumerate(reasons):
+        put_vehicle(world, vid, VehicleClass.CAV, [0], offset=10.0 * vid)
+        assert execute_lane_change(world, vid, 1, reason=reason)
+    result = RunResult(
+        strategy="drp", seed=1, world=world, summary={"scenario": "x"}, series=[],
+        decision_rows=[], prediction_steps=[], wall_time=0.0,
+    )
+    write_run_reports(result, tmp_path / "fast")
+    slow_path.write_world_logs(world, tmp_path / "plain")  # through csv.writer
+    for name in ("lane_changes.csv", "events.csv"):
+        plain = tmp_path / "plain" / name
+        with open(plain, newline="", encoding="utf-8") as fh:
+            assert [row[-1] for row in csv.reader(fh)][1:] == list(reasons), name
+        assert (tmp_path / "fast" / name).read_bytes() == plain.read_bytes(), name
+    assert b',"a,b"\r\n' in (tmp_path / "fast" / "events.csv").read_bytes()
 
 
 def test_reports_are_byte_stable(desk_small, tmp_path):

@@ -123,6 +123,10 @@ def test_class_tables_match_brute_force_on_random_networks():
                     assert model.next_edges(eid, vclass) == expected
                     if lanes:
                         assert model.permitted_lanes(vclass, eid) == lanes
+            assert model._in == {
+                node: frozenset(eid for eid, edge in model.edges.items() if edge.to == node)
+                for node in model.nodes
+            }
             assert model.dl_segments == {
                 SegmentRef(eid, Lane.RIGHT, m)
                 for eid, edge in model.edges.items()
@@ -184,6 +188,33 @@ def test_equal_cost_ties_match_enumeration_on_random_graphs():
         assert (path_cost(found, costs), found) == paths[0]
         ties += len(paths) > 1 and paths[1][0] == paths[0][0]
     assert ties >= 10  # 17 of the 300 draws tie at the minimum
+
+
+def test_continuations_match_enumeration_into_shared_destinations():
+    # mid-trip searches from a previous edge toward a node that two or more
+    # edges end at, with tie-prone costs: the route is the least
+    # (cost, path) of the node-simple paths from where the previous edge
+    # ends, since every turn is open
+    rng = random.Random(19)
+    shared = ties = 0
+    for _ in range(300):
+        model = _random_network(rng)
+        costs = {eid: float(rng.randint(1, 3)) for eid in model.edges}
+        prev = model.edges[rng.choice(sorted(model.edges))]
+        targets = [n for n in model.nodes if len(model._in[n]) >= 2 and n != prev.to]
+        if not targets:
+            continue
+        destination = rng.choice(targets)
+        found = shortest_path(model, prev.frm, destination, VehicleClass.CAV, costs,
+                              prev_edge=prev.id)
+        paths = _simple_paths(model, prev.to, destination, costs)
+        if found is None:
+            assert paths == []
+            continue
+        assert (path_cost(found, costs), found) == paths[0]
+        shared += 1
+        ties += len(paths) > 1 and paths[1][0] == paths[0][0]
+    assert shared >= 100 and ties >= 10  # 179 routes found, 14 of them tie at the minimum
 
 
 def test_forbidding_edges_never_reduces_cost():

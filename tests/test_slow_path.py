@@ -1,7 +1,7 @@
 """The fast plant, prediction walk, window conflicts, cost views, utility
-selection, reactive reroutes, KPI sampler and rendered prediction and
-decision logs against the plain forms in `slow_path`, on whole runs and on
-random hand-placed worlds."""
+selection, reactive reroutes, KPI sampler and rendered prediction,
+decision, lane-change and event logs against the plain forms in
+`slow_path`, on whole runs and on random hand-placed worlds."""
 
 import random
 

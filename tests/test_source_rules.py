@@ -21,6 +21,10 @@ body (a dataclass or NamedTuple field) and each `self.X` store is loaded as
 an attribute somewhere in `src/`, other than as the object of a statement
 that only mutates it (`log.append(x)`). A fact is kept where something reads
 it, not stored a second time for the tests.
+
+Only `jointlane.metrics` imports `csv`: every report goes through its
+`write_csv`, and free text in a rendered log through its `TextCells`, so
+CSV quoting has one home.
 """
 
 import ast
@@ -333,3 +337,37 @@ def test_every_src_field_has_a_src_reader():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     found = unread_fields(sources)
     assert found == [], "no reader in src/; delete the field or read it:\n" + "\n".join(found)
+
+
+def csv_imports(source: str) -> list[int]:
+    """Line of every import of the standard library's `csv` module, or of a
+    name from it, nested ones included."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "csv"
+    )
+
+
+def test_the_csv_detector_flags_every_import_of_the_module():
+    source = """
+import csv
+import json, csv as table
+from csv import writer
+def render():
+    import csv
+from .csv import cell
+import csvkit
+"""
+    assert csv_imports(source) == [2, 3, 4, 6]
+
+
+def test_only_metrics_imports_csv():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "metrics.py"
+        for line in csv_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [], "write reports through jointlane.metrics:\n" + "\n".join(found)
